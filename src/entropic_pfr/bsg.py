@@ -12,13 +12,14 @@ exchanges U and V while fixing S, which forces I[W:U|S] = I[V:W|S] exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
-from .dists import (DENSE_BITS, Dist, JointDist, _clean_wht_output,
-                    _entropy_weights, fwht)
-from .ruzsa import RefPair, _entropy_rows, rdist, rdist_one_many, rdist_paired
+from .dists import (Dist, JointDist, _clean_wht_output, _entropy_rows,
+                    _entropy_weights, conv_entropy, fwht)
+from .ruzsa import RefPair, rdist, rdist_matrix, rdist_paired
 
 __all__ = [
     "BsgReport",
@@ -96,12 +97,36 @@ def trials_entropy_gap(J: JointDist, x=0, y=1) -> float:
 
 @dataclass(frozen=True)
 class EndgameTables:
+    """The (U, V, S) law of a pair; its informations are computed on read."""
     joint_UVS: JointDist
-    I1: float
-    I2: float
-    I3: float
-    H_S: float
-    k: float
+    X1: Dist
+    X2: Dist
+
+    @cached_property
+    def I1(self) -> float:
+        """I[U : V | S]."""
+        return self.joint_UVS.cond_mutual_info("U", "V", "S")
+
+    @cached_property
+    def I2(self) -> float:
+        """I[W : U | S]."""
+        JW = self.joint_UVS.pushforward([["U", "V"], ["U"], ["S"]], ["W", "U", "S"])
+        return JW.cond_mutual_info("W", "U", "S")
+
+    @cached_property
+    def I3(self) -> float:
+        """I[V : W | S]."""
+        JW = self.joint_UVS.pushforward([["V"], ["U", "V"], ["S"]], ["V", "W", "S"])
+        return JW.cond_mutual_info("V", "W", "S")
+
+    @cached_property
+    def H_S(self) -> float:
+        return self.joint_UVS.entropy("S")
+
+    @cached_property
+    def k(self) -> float:
+        """d[X1; X2]."""
+        return rdist(self.X1, self.X2)
 
 
 def _uvs_spectral(X1: Dist, X2: Dist) -> JointDist:
@@ -114,8 +139,7 @@ def _uvs_spectral(X1: Dist, X2: Dist) -> JointDist:
             * s1[T][:, :, None]          # beta ^ gamma over (gamma, beta, .)
             * s2[T[:, :, None] ^ a[None, None, :]]
             * s2[a][:, None, None])
-    flat = fwht(cube.ravel()) / (1 << (3 * n))
-    return JointDist(n, 3, ["U", "V", "S"], dense=_clean_wht_output(flat, "endgame"))
+    return JointDist(n, 3, ["U", "V", "S"], dense=_clean_wht_output(cube.ravel(), "endgame"))
 
 
 def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
@@ -139,24 +163,19 @@ def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
 
 
 def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
-    """Joint law of (U, V, S) plus the three conditional informations.
+    """Joint law of (U, V, S); I1, I2, I3, H_S and k are computed on read.
 
     Dense inputs up to n = 7 go through one Walsh-Hadamard transform on 3n
-    bits; larger or sparse inputs enumerate the four-fold support product.
+    bits; larger or sparse inputs enumerate the four-fold support product,
+    which raises ValueError past ENDGAME_SUPPORT_CAP entries.
     """
     if X1.n != X2.n:
         raise ValueError("dimension mismatch")
-    n = X1.n
-    if 3 * n <= ENDGAME_DENSE_BITS:
+    if 3 * X1.n <= ENDGAME_DENSE_BITS:
         J = _uvs_spectral(X1, X2)
     else:
         J = _uvs_sparse(X1, X2)
-    I1 = J.cond_mutual_info("U", "V", "S")
-    JW = J.pushforward([["U", "V"], ["U"], ["S"]], ["W", "U", "S"])
-    I2 = JW.cond_mutual_info("W", "U", "S")
-    JW2 = J.pushforward([["V"], ["U", "V"], ["S"]], ["V", "W", "S"])
-    I3 = JW2.cond_mutual_info("V", "W", "S")
-    return EndgameTables(J, I1, I2, I3, J.entropy("S"), rdist(X1, X2))
+    return EndgameTables(J, X1, X2)
 
 
 # -- the abstract endgame choice ---------------------------------------------
@@ -170,12 +189,12 @@ class EndgameChoice:
     choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t)
 
 
-def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist,
-                     t1=0, t2=1) -> EndgameChoice:
+def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> EndgameChoice:
     """Pick the best conditioned pair from a triple summing to zero.
 
-    T3 := T1 ^ T2. Over all permutations (alpha, beta, gamma) of the triple
-    and all t in the support of T_gamma, score the conditioned pair
+    J is the two-axis law of (T1, T2), dense or sparse; T3 := T1 ^ T2. Over
+    all permutations (alpha, beta, gamma) of the triple and all t in the
+    support of T_gamma, score the conditioned pair
     (T_alpha | T_gamma = t, T_beta | T_gamma = t) by
 
         psi[A; B] = d[A; B] + eta (d[X01; A] - d[X01; X1])
@@ -185,111 +204,63 @@ def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist,
     ties. Its psi is bounded by delta + (eta/3)(delta + Sigma), where delta
     sums the three pairwise mutual informations and Sigma the distance
     increments from the reference pair to the T's.
+
+    Each conditional family is scattered into one dense row per point of
+    supp T_gamma and scored row-wise, so memory is |supp T_gamma| * 2^n.
     """
+    if J.arity != 2:
+        raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
     eta = ref.eta
     d01 = rdist(ref.X01, X1)
     d02 = rdist(ref.X02, X2)
     n = J.n
+    N = 1 << n
+    keys, w = J.items()
+    vals = [keys & (N - 1), keys >> n]
+    vals.append(vals[0] ^ vals[1])
 
-    if 2 * n <= DENSE_BITS:
-        # All six conditional families are reindexings of the pair table
-        # P[b, a] = P(T1 = a, T2 = b); gather them instead of materializing
-        # the three-axis joint, and score whole rows at once.
-        M = J if J.arity == 2 and (t1, t2) == (0, 1) else J.marginal([t1, t2])
-        N = 1 << n
-        P2 = M.dense().reshape(N, N)
-        idx = np.arange(N)
-        X = idx[:, None] ^ idx[None, :]
-        cond = {
-            (0, 1): P2.T,                        # [t, b] = P(T1=t, T2=b)
-            (0, 2): P2[X, idx[:, None]],         # [t, c] = P(T1=t, T3=c)
-            (1, 0): P2,                          # [t, a] = P(T2=t, T1=a)
-            (1, 2): P2[idx[:, None], X],         # [t, c] = P(T2=t, T3=c)
-            (2, 0): P2[X, idx[None, :]],         # [t, a] = P(T3=t, T1=a)
-            (2, 1): P2[idx[None, :], X],         # [t, b] = P(T3=t, T2=b)
-        }
-        marg = [cond[(j, 1 if j == 0 else 0)].sum(axis=1) for j in range(3)]
-        # H[Ti, Tj] is the same for all pairs: each determines the third.
-        H12 = _entropy_weights(P2.ravel())
-        H = [_entropy_weights(m) for m in marg]
-        delta = (H[0] + H[1] + H[2]) * 2.0 - 3.0 * H12
-        sigma = 0.0
-        for j in range(3):
-            Tj = Dist(n, dense=marg[j])
-            sigma += (rdist(ref.X01, Tj) - d01) + (rdist(ref.X02, Tj) - d02)
-        bound = delta + (eta / 3.0) * (delta + sigma)
-
-        w01 = ref.X01.dense()
-        w02 = ref.X02.dense()
-        s01, s02 = fwht(w01), fwht(w02)
-        h01 = _entropy_weights(w01)
-        h02 = _entropy_weights(w02)
-
-        def conv_entropy(spec: np.ndarray) -> np.ndarray:
-            rows = fwht(spec) / N
-            rows = np.maximum(rows, 0.0)
-            rows /= rows.sum(axis=-1, keepdims=True)
-            return _entropy_rows(rows)
-
-        best_val = np.inf
-        best_key = None
-        for gamma in range(3):
-            others = [i for i in range(3) if i != gamma]
-            supp = np.flatnonzero(marg[gamma] > 0)
-            rows = {ax: cond[(gamma, ax)][supp] / marg[gamma][supp, None]
-                    for ax in others}
-            hl = {ax: _entropy_rows(rows[ax]) for ax in others}
-            sl = {ax: fwht(rows[ax]) for ax in others}
-            ref1 = {ax: conv_entropy(sl[ax] * s01) - 0.5 * hl[ax] - 0.5 * h01
-                    for ax in others}
-            ref2 = {ax: conv_entropy(sl[ax] * s02) - 0.5 * hl[ax] - 0.5 * h02
-                    for ax in others}
-            for alpha in others:
-                for beta in others:
-                    if beta == alpha:
-                        continue
-                    D = (conv_entropy(sl[alpha] * sl[beta])
-                         - 0.5 * hl[alpha] - 0.5 * hl[beta])
-                    psis = D + eta * (ref1[alpha] - d01) + eta * (ref2[beta] - d02)
-                    pos = int(np.argmin(psis))
-                    if psis[pos] < best_val:
-                        best_val = float(psis[pos])
-                        best_key = (gamma, alpha, beta, int(supp[pos]),
-                                    rows[alpha][pos], rows[beta][pos])
-        assert best_key is not None
-        gamma, alpha, beta, t, rowa, rowb = best_key
-        return EndgameChoice(Dist(n, dense=rowa), Dist(n, dense=rowb),
-                             best_val, bound, (gamma, alpha, beta, t))
-
-    J3 = J.pushforward([[t1], [t2], [t1, t2]], ["T1", "T2", "T3"])
-    delta = (J3.mutual_info(0, 1) + J3.mutual_info(0, 2) + J3.mutual_info(1, 2))
-    sigma = 0.0
-    for j in range(3):
-        Tj = J3.marginal_dist(j)
-        sigma += (rdist(ref.X01, Tj) - d01) + (rdist(ref.X02, Tj) - d02)
+    supp, inv, marg = [], [], []
+    for t in vals:
+        s_g, i_g = np.unique(t, return_inverse=True)
+        supp.append(s_g)
+        inv.append(i_g)
+        marg.append(np.bincount(i_g, weights=w))
+    # H[Ti, Tj] = H[J] for every pair: any two determine the third.
+    H = [_entropy_weights(m) for m in marg]
+    delta = 2.0 * sum(H) - 3.0 * _entropy_weights(w)
+    R = rdist_matrix([ref.X01, ref.X02],
+                     [Dist(n, idx=s_g, w=m) for s_g, m in zip(supp, marg)])
+    sigma = float(R[0].sum() - 3.0 * d01 + R[1].sum() - 3.0 * d02)
     bound = delta + (eta / 3.0) * (delta + sigma)
 
-    best: Optional[EndgameChoice] = None
+    s01, s02 = fwht(ref.X01.dense()), fwht(ref.X02.dense())
+    h01, h02 = ref.X01.entropy(), ref.X02.entropy()
+    best_val = np.inf
+    best_key = None
     for gamma in range(3):
         others = [i for i in range(3) if i != gamma]
-        laws = {}
-        tvals: List[int] = []
-        for axis in others:
-            sl = J3.slices(axis, gamma)
-            laws[axis] = [d for _, _, d in sl]
-            tvals = [v[0] for v, _, _ in sl]
-        ref1 = {ax: rdist_one_many(ref.X01, laws[ax]) for ax in others}
-        ref2 = {ax: rdist_one_many(ref.X02, laws[ax]) for ax in others}
+        m = len(supp[gamma])
+        rows = {ax: np.bincount(inv[gamma] * N + vals[ax], weights=w,
+                                minlength=m * N).reshape(m, N) / marg[gamma][:, None]
+                for ax in others}
+        hl = {ax: _entropy_rows(rows[ax]) for ax in others}
+        sl = {ax: fwht(rows[ax]) for ax in others}
+        ref1 = {ax: conv_entropy(sl[ax] * s01) - 0.5 * hl[ax] - 0.5 * h01
+                for ax in others}
+        ref2 = {ax: conv_entropy(sl[ax] * s02) - 0.5 * hl[ax] - 0.5 * h02
+                for ax in others}
         for alpha in others:
             for beta in others:
                 if beta == alpha:
                     continue
-                D = rdist_paired(laws[alpha], laws[beta])
+                D = conv_entropy(sl[alpha] * sl[beta]) - 0.5 * hl[alpha] - 0.5 * hl[beta]
                 psis = D + eta * (ref1[alpha] - d01) + eta * (ref2[beta] - d02)
-                for pos, t in enumerate(tvals):
-                    psi = float(psis[pos])
-                    if best is None or psi < best.psi:
-                        best = EndgameChoice(laws[alpha][pos], laws[beta][pos],
-                                             psi, bound, (gamma, alpha, beta, t))
-    assert best is not None
-    return best
+                pos = int(np.argmin(psis))
+                if psis[pos] < best_val:
+                    best_val = float(psis[pos])
+                    best_key = (gamma, alpha, beta, int(supp[gamma][pos]),
+                                rows[alpha][pos], rows[beta][pos])
+    assert best_key is not None
+    gamma, alpha, beta, t, rowa, rowb = best_key
+    return EndgameChoice(Dist(n, dense=rowa), Dist(n, dense=rowb),
+                         best_val, bound, (gamma, alpha, beta, t))

@@ -10,9 +10,9 @@ certifies small distance from both reference distributions.
 Each iteration scores the full candidate list, all five classes at once,
 and accepts the single best strict decrease; a class whose table construction
 trips a cost guard is skipped for that iteration and the skip is recorded in
-the trace. Candidates are compared by tau with ties resolved by class order
-(sum-self, fibre-cross, sum-cross, fibre-self, endgame), then by parameter
-order.
+the trace. Candidates are compared by tau, values within TIE_TOL counting
+as ties, with ties resolved by class order (sum-self, fibre-cross,
+sum-cross, fibre-self, endgame), then by parameter order.
 """
 from __future__ import annotations
 
@@ -46,6 +46,9 @@ BUDGET = 64
 MAX_ITER = 200
 PRUNE_FLOOR = 1e-13
 SNAPSHOT_CAP = 16
+# A later candidate displaces the incumbent only when lower by more than
+# this, so round-off in one class's arithmetic cannot reorder the classes.
+TIE_TOL = 1e-12
 
 
 class MoveKind(str, Enum):
@@ -186,7 +189,7 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
 def _best(moves: Sequence[Move]) -> Optional[Move]:
     best = None
     for mv in moves:       # input order implements the tie-break
-        if best is None or mv.tau < best.tau:
+        if best is None or mv.tau < best.tau - TIE_TOL:
             best = mv
     return best
 

@@ -70,13 +70,34 @@ def _entropy_weights(w: np.ndarray) -> float:
     return float(-np.dot(live, np.log(live)))
 
 
-def _clean_wht_output(w: np.ndarray, context: str) -> np.ndarray:
-    """Clamp round-off negatives from an inverse transform and renormalize."""
+def _entropy_rows(w: np.ndarray) -> np.ndarray:
+    """Row-wise _entropy_weights along the last axis; masks where the scalar
+    form compacts, which is the cheaper choice for many short rows."""
+    mx = w.max(axis=-1, keepdims=True)
+    safe = np.where(w > ENTROPY_FLOOR * mx, w, 1.0)
+    return -np.einsum("...i,...i->...", safe, np.log(safe))
+
+
+def _clean_wht_output(spec: np.ndarray, context: str) -> np.ndarray:
+    """Laws whose spectra are the rows of spec, clamped and renormalized.
+
+    The inverse transform runs along the last axis. Entries at or below
+    ENTROPY_FLOOR of their row's maximum (round-off negatives included)
+    become zero, and each row is renormalized to total mass one.
+    """
+    w = fwht(spec)
+    w /= w.shape[-1]
     neg = float(w.min())
     if neg < -WHT_CLAMP_WARN:
         warnings.warn(f"{context}: pre-clamp deviation {-neg:.3e} exceeds {WHT_CLAMP_WARN:.0e}")
-    w = np.where(w > ENTROPY_FLOOR * w.max(), w, 0.0)
-    return w / w.sum()
+    w[w <= ENTROPY_FLOOR * w.max(axis=-1, keepdims=True)] = 0.0
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+def conv_entropy(spec: np.ndarray, context: str = "conv_entropy") -> np.ndarray:
+    """Entropies of the laws whose spectra are the rows of spec."""
+    return _entropy_rows(_clean_wht_output(spec, context))
 
 
 def _group(keys: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -266,8 +287,7 @@ def xor_convolve(X: Dist, Y: Dist) -> Dist:
         idx, w = _group(keys, w)
         return Dist(n, idx=idx, w=w)
     spec = fwht(X.dense()) * fwht(Y.dense())
-    out = fwht(spec) / (1 << n)
-    return Dist(n, dense=_clean_wht_output(out, "xor_convolve"))
+    return Dist(n, dense=_clean_wht_output(spec, "xor_convolve"))
 
 
 def pushforward_dist(X: Dist, pi: LinearMap) -> Dist:

@@ -21,8 +21,9 @@ import numpy as np
 
 from .dists import (
     Dist,
-    ENTROPY_FLOOR,
     JointDist,
+    _entropy_rows,
+    conv_entropy,
     entropy,
     fwht,
     joint_product,
@@ -87,11 +88,6 @@ def one(X: Dist) -> List[Tuple[float, Dist]]:
 
 # -- batched distance evaluation -------------------------------------------
 
-def _entropy_rows(w: np.ndarray) -> np.ndarray:
-    mx = w.max(axis=-1, keepdims=True)
-    safe = np.where(w > ENTROPY_FLOOR * mx, w, 1.0)
-    return -np.einsum("...i,...i->...", safe, np.log(safe))
-
 def _stack_dense(dists: Sequence[Dist]) -> np.ndarray:
     return np.stack([d.dense() for d in dists])
 
@@ -116,11 +112,7 @@ def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     chunk = max(1, (1 << 22) // (len(ys) * N))
     for lo in range(0, len(xs), chunk):
         hi = min(lo + chunk, len(xs))
-        prod = sx[lo:hi, None, :] * sy[None, :, :]
-        conv = fwht(prod) / N
-        conv = np.maximum(conv, 0.0)
-        conv /= conv.sum(axis=-1, keepdims=True)
-        out[lo:hi] = _entropy_rows(conv)
+        out[lo:hi] = conv_entropy(sx[lo:hi, None, :] * sy[None, :, :], "rdist_matrix")
     return out - 0.5 * hx[:, None] - 0.5 * hy[None, :]
 
 
@@ -137,13 +129,10 @@ def rdist_paired(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     n = xs[0].n
     if n > 16:
         return np.array([rdist(x, y) for x, y in zip(xs, ys)])
-    N = 1 << n
     wx = _stack_dense(xs)
     wy = _stack_dense(ys)
-    conv = fwht(fwht(wx) * fwht(wy)) / N
-    conv = np.maximum(conv, 0.0)
-    conv /= conv.sum(axis=-1, keepdims=True)
-    return _entropy_rows(conv) - 0.5 * _entropy_rows(wx) - 0.5 * _entropy_rows(wy)
+    return (conv_entropy(fwht(wx) * fwht(wy), "rdist_paired")
+            - 0.5 * _entropy_rows(wx) - 0.5 * _entropy_rows(wy))
 
 
 def cond_rdist(slices_x: Slices, slices_y: Slices) -> float:

@@ -184,8 +184,9 @@ def test_abstract_endgame_matches_exhaustive_search():
         assert ch.psi <= ch.bound + 1e-9
 
 
-def test_abstract_endgame_general_path_matches_oracle():
-    # 2n > 24 leaves the dense gather path entirely
+def test_abstract_endgame_sparse_input_at_n13_matches_oracle():
+    # a sparse (T1, T2) law past the dense JointDist limit: rows are built
+    # over the six-point conditioning supports, not over 2^13 values
     rng = make_rng(58)
     n = 13
     keys = rng.integers(0, 1 << (2 * n), size=6)
@@ -200,6 +201,21 @@ def test_abstract_endgame_general_path_matches_oracle():
     gap = sorted(r[0] for r in rows)
     if len(gap) > 1 and gap[1] - gap[0] > 1e-9:
         assert ch.choice == key
+
+
+def test_abstract_endgame_same_under_dense_and_sparse_input():
+    rng = make_rng(59)
+    n = 4
+    Js = random_joint(rng, n, 2, ["T1", "T2"], support_size=40)
+    Jd = JointDist(n, 2, ["T1", "T2"], dense=Js.dense())
+    assert Jd.is_dense and not Js.is_dense
+    X1, X2 = random_dist(rng, n), random_dist(rng, n)
+    ref = RefPair(random_dist(rng, n), random_dist(rng, n))
+    a = abstract_endgame(ref, Jd, X1, X2)
+    b = abstract_endgame(ref, Js, X1, X2)
+    assert a.choice == b.choice
+    assert a.psi == pytest.approx(b.psi, abs=1e-12)
+    assert a.bound == pytest.approx(b.bound, abs=1e-12)
 
 
 def test_abstract_endgame_prefers_earlier_choice_on_exact_tie():

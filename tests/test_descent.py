@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, MoveKind,
-                                  descend, diagnostics, entropic_pfr,
+from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, Move, MoveKind,
+                                  _best, descend, diagnostics, entropic_pfr,
                                   extract_subgroup, generate_candidates)
 from entropic_pfr.dists import uniform_on, uniform_on_subgroup, xor_convolve
 from entropic_pfr.fixtures import demo_pair
@@ -29,6 +29,17 @@ def test_class_order_covers_every_kind():
     assert [k.value for k in CLASS_ORDER] == [
         "sum-self", "fibre-cross", "sum-cross", "fibre-self", "endgame"]
     assert set(CLASS_ORDER) == set(MoveKind)
+
+
+def test_class_order_wins_ties_within_rounding():
+    # the later class is lower only by round-off: the earlier class stays
+    X = uniform_on([0, 1], 2)
+    early = Move(MoveKind.FIBRE_CROSS, (), X, X, 0.12206803207423446)
+    late = Move(MoveKind.ENDGAME, (), X, X, 0.12206803207423446 - 1e-16)
+    assert late.tau < early.tau
+    assert _best([early, late]) is early
+    clear = Move(MoveKind.ENDGAME, (), X, X, early.tau - 1e-9)
+    assert _best([early, clear]) is clear
 
 
 def test_candidate_laws_and_tau_consistency():

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropic_pfr.dists import (Dist, JointDist, dense_from_csv, entropy,
-                                fwht, joint_product, load_dist,
+from entropic_pfr.dists import (Dist, JointDist, conv_entropy,
+                                dense_from_csv, entropy, fwht,
+                                joint_product, load_dist,
                                 pushforward_dist, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
 from entropic_pfr.groups import LinearMap, span
@@ -150,6 +151,16 @@ def test_xor_convolve_matches_brute_force_all_paths():
         for A, B in ((X, Y), (X.to_sparse(), Y.to_sparse()),
                      (X.to_dense(), Y.to_sparse())):
             assert np.allclose(xor_convolve(A, B).dense(), ref, atol=1e-12)
+
+
+def test_conv_entropy_clamps_rows_and_warns_on_deviation():
+    rows = np.array([[0.5, 0.5 + 1e-6, -1e-6, 0.0],
+                     [0.25, 0.25, 0.25, 0.25]])
+    with pytest.warns(UserWarning, match="pre-clamp deviation"):
+        h = conv_entropy(fwht(rows))
+    p = np.array([0.5, 0.5 + 1e-6]) / (1.0 + 1e-6)
+    assert h[0] == pytest.approx(-np.dot(p, np.log(p)), abs=1e-12)
+    assert h[1] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_xor_convolve_identities():
