@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from itertools import permutations
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .dists import (Dist, JointDist, _clean_wht_output, _entropy_rows,
                     _entropy_weights, conv_entropy, fwht)
-from .ruzsa import RefPair, rdist, rdist_matrix, rdist_paired
+from .ruzsa import (BATCH_BITS, BATCH_ELEMS, RefPair, rdist, rdist_matrix,
+                    rdist_one_many, rdist_paired)
 
 __all__ = [
     "BsgReport",
@@ -30,6 +32,7 @@ __all__ = [
     "endgame_tables",
     "EndgameChoice",
     "abstract_endgame",
+    "endgame_bound",
 ]
 
 ENDGAME_DENSE_BITS = 21   # spectral path: one length-8^n transform
@@ -185,8 +188,65 @@ class EndgameChoice:
     T1p: Dist
     T2p: Dist
     psi: float
-    bound: float
     choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t)
+
+
+def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
+    """delta + (eta/3)(delta + Sigma), a bound on abstract_endgame's psi.
+
+    delta sums the three pairwise mutual informations of the triple and
+    Sigma the distance increments from the reference pair to the T's.
+    """
+    J3 = J.pushforward([[0], [1], [0, 1]])
+    delta = J3.mutual_info(0, 1) + J3.mutual_info(0, 2) + J3.mutual_info(1, 2)
+    R = rdist_matrix([ref.X01, ref.X02], [J3.marginal_dist(j) for j in range(3)])
+    sigma = float(R[0].sum() - 3.0 * rdist(ref.X01, X1)
+                  + R[1].sum() - 3.0 * rdist(ref.X02, X2))
+    return delta + (ref.eta / 3.0) * (delta + sigma)
+
+
+def _family_psis(ref: RefPair, d01: float, d02: float, n: int, row: np.ndarray,
+                 cols: Dict[int, np.ndarray], w: np.ndarray):
+    """psis[alpha, beta][t] = psi of (T_alpha, T_beta | T_gamma = t).
+
+    Entry i of the triple lies in row row[i] (ascending) with value cols[ax][i]
+    on each other axis and weight w[i]. Up to BATCH_BITS the rows are dense,
+    BATCH_ELEMS entries at a time, and share spectra; above it they are
+    sparse Dists scored pair by pair.
+    """
+    eta = ref.eta
+    marg = np.bincount(row, weights=w)
+    m = len(marg)
+    start = np.searchsorted(row, np.arange(m + 1))
+    pairs = list(permutations(cols))
+    if n > BATCH_BITS:
+        laws = {ax: [Dist(n, idx=c[lo:hi], w=w[lo:hi])
+                     for lo, hi in zip(start[:-1], start[1:])]
+                for ax, c in cols.items()}
+        ref1 = {ax: rdist_one_many(ref.X01, laws[ax]) for ax in cols}
+        ref2 = {ax: rdist_one_many(ref.X02, laws[ax]) for ax in cols}
+        return {(a, b): rdist_paired(laws[a], laws[b])
+                + eta * (ref1[a] - d01) + eta * (ref2[b] - d02)
+                for a, b in pairs}
+    N = 1 << n
+    s01, s02 = fwht(ref.X01.dense()), fwht(ref.X02.dense())
+    h01, h02 = ref.X01.entropy(), ref.X02.entropy()
+    out = {ab: np.empty(m) for ab in pairs}
+    step = max(1, BATCH_ELEMS // N)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        e = slice(start[lo], start[hi])
+        hl, sl, ref1, ref2 = {}, {}, {}, {}
+        for ax, c in cols.items():
+            r = np.bincount((row[e] - lo) * N + c[e], weights=w[e],
+                            minlength=(hi - lo) * N).reshape(hi - lo, N) / marg[lo:hi, None]
+            hl[ax], sl[ax] = _entropy_rows(r), fwht(r)
+            ref1[ax] = conv_entropy(sl[ax] * s01) - 0.5 * hl[ax] - 0.5 * h01
+            ref2[ax] = conv_entropy(sl[ax] * s02) - 0.5 * hl[ax] - 0.5 * h02
+        for a, b in pairs:
+            D = conv_entropy(sl[a] * sl[b]) - 0.5 * hl[a] - 0.5 * hl[b]
+            out[a, b][lo:hi] = D + eta * (ref1[a] - d01) + eta * (ref2[b] - d02)
+    return out
 
 
 def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> EndgameChoice:
@@ -201,66 +261,32 @@ def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> EndgameC
                             + eta (d[X02; B] - d[X02; X2])
 
     and return the exact minimizer, first in (gamma, alpha, beta, t) order on
-    ties. Its psi is bounded by delta + (eta/3)(delta + Sigma), where delta
-    sums the three pairwise mutual informations and Sigma the distance
-    increments from the reference pair to the T's.
-
-    Each conditional family is scattered into one dense row per point of
-    supp T_gamma and scored row-wise, so memory is |supp T_gamma| * 2^n.
+    ties; endgame_bound bounds its psi. Only the support of J is visited.
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
-    eta = ref.eta
     d01 = rdist(ref.X01, X1)
     d02 = rdist(ref.X02, X2)
     n = J.n
-    N = 1 << n
     keys, w = J.items()
-    vals = [keys & (N - 1), keys >> n]
+    vals = [keys & ((1 << n) - 1), keys >> n]
     vals.append(vals[0] ^ vals[1])
-
-    supp, inv, marg = [], [], []
-    for t in vals:
-        s_g, i_g = np.unique(t, return_inverse=True)
-        supp.append(s_g)
-        inv.append(i_g)
-        marg.append(np.bincount(i_g, weights=w))
-    # H[Ti, Tj] = H[J] for every pair: any two determine the third.
-    H = [_entropy_weights(m) for m in marg]
-    delta = 2.0 * sum(H) - 3.0 * _entropy_weights(w)
-    R = rdist_matrix([ref.X01, ref.X02],
-                     [Dist(n, idx=s_g, w=m) for s_g, m in zip(supp, marg)])
-    sigma = float(R[0].sum() - 3.0 * d01 + R[1].sum() - 3.0 * d02)
-    bound = delta + (eta / 3.0) * (delta + sigma)
-
-    s01, s02 = fwht(ref.X01.dense()), fwht(ref.X02.dense())
-    h01, h02 = ref.X01.entropy(), ref.X02.entropy()
-    best_val = np.inf
-    best_key = None
+    supp, inv = zip(*(np.unique(t, return_inverse=True) for t in vals))
+    best_val, best_key = np.inf, None
     for gamma in range(3):
         others = [i for i in range(3) if i != gamma]
-        m = len(supp[gamma])
-        rows = {ax: np.bincount(inv[gamma] * N + vals[ax], weights=w,
-                                minlength=m * N).reshape(m, N) / marg[gamma][:, None]
-                for ax in others}
-        hl = {ax: _entropy_rows(rows[ax]) for ax in others}
-        sl = {ax: fwht(rows[ax]) for ax in others}
-        ref1 = {ax: conv_entropy(sl[ax] * s01) - 0.5 * hl[ax] - 0.5 * h01
-                for ax in others}
-        ref2 = {ax: conv_entropy(sl[ax] * s02) - 0.5 * hl[ax] - 0.5 * h02
-                for ax in others}
-        for alpha in others:
-            for beta in others:
-                if beta == alpha:
-                    continue
-                D = conv_entropy(sl[alpha] * sl[beta]) - 0.5 * hl[alpha] - 0.5 * hl[beta]
-                psis = D + eta * (ref1[alpha] - d01) + eta * (ref2[beta] - d02)
-                pos = int(np.argmin(psis))
-                if psis[pos] < best_val:
-                    best_val = float(psis[pos])
-                    best_key = (gamma, alpha, beta, int(supp[gamma][pos]),
-                                rows[alpha][pos], rows[beta][pos])
+        order = np.argsort(inv[gamma], kind="stable")   # rows sum in J's order
+        psis = _family_psis(ref, d01, d02, n, inv[gamma][order],
+                            {ax: vals[ax][order] for ax in others}, w[order])
+        for alpha, beta in permutations(others):
+            p = psis[alpha, beta]
+            pos = int(np.argmin(p))
+            if p[pos] < best_val:
+                best_val = float(p[pos])
+                best_key = (gamma, alpha, beta, pos)
     assert best_key is not None
-    gamma, alpha, beta, t, rowa, rowb = best_key
-    return EndgameChoice(Dist(n, dense=rowa), Dist(n, dense=rowb),
-                         best_val, bound, (gamma, alpha, beta, t))
+    gamma, alpha, beta, pos = best_key
+    sel = inv[gamma] == pos
+    return EndgameChoice(Dist(n, idx=vals[alpha][sel], w=w[sel]),
+                         Dist(n, idx=vals[beta][sel], w=w[sel]),
+                         best_val, (gamma, alpha, beta, int(supp[gamma][pos])))

@@ -150,37 +150,29 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
         elif kind == MoveKind.SUM_CROSS:
             C = xor_convolve(X1, X2)
             raw.append((kind, (), C, C))
-        elif kind == MoveKind.FIBRE_CROSS:
-            C = xor_convolve(X1, X2)
-            tops = _top_support(C, m)
-            for g in tops:
-                A = _fibre_law(X1, X2, g)
-                if A is None:
-                    continue
-                for gp in tops:
-                    B = _fibre_law(X2, X1, gp)
-                    if B is not None:
-                        raw.append((kind, (g, gp), A, B))
-        elif kind == MoveKind.FIBRE_SELF:
-            tops1 = _top_support(xor_convolve(X1, X1), m)
-            tops2 = _top_support(xor_convolve(X2, X2), m)
+        elif kind in (MoveKind.FIBRE_CROSS, MoveKind.FIBRE_SELF):
+            # fibres of X1 over X1 ^ Y1 = g and of X2 over X2 ^ Y2 = g'
+            cross = kind == MoveKind.FIBRE_CROSS
+            Y1, Y2 = (X2, X1) if cross else (X1, X2)
+            tops1 = _top_support(xor_convolve(X1, Y1), m)
+            tops2 = tops1 if cross else _top_support(xor_convolve(X2, Y2), m)
             for g in tops1:
-                A = _fibre_law(X1, X1, g)
+                A = _fibre_law(X1, Y1, g)
                 if A is None:
                     continue
                 for gp in tops2:
-                    B = _fibre_law(X2, X2, gp)
+                    B = _fibre_law(X2, Y2, gp)
                     if B is not None:
                         raw.append((kind, (g, gp), A, B))
         elif kind == MoveKind.ENDGAME:
             tabs = endgame_tables(X1, X2)
             S = tabs.joint_UVS.marginal_dist("S")
+            base = ref.eta * (rdist(ref.X01, X1) + rdist(ref.X02, X2))
             for s in _top_support(S, budget):
                 Js = tabs.joint_UVS.condition("S", s)
                 ch = abstract_endgame(ref, Js, X1, X2)
                 out.append(Move(kind, (s,) + ch.choice, ch.T1p, ch.T2p,
-                                ch.psi + ref.eta * (rdist(ref.X01, X1)
-                                                    + rdist(ref.X02, X2))))
+                                ch.psi + base))
             continue
         out.extend(_score(ref, raw))
     return out
@@ -309,9 +301,7 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     # fibring identity: the two sums plus I1 recover 2k exactly.
     C12 = xor_convolve(X1, X2)
     d_sums = rdist(C12, C12)
-    sl_x = [(p, d) for p, d in _cross_fibres(X1, X2)]
-    sl_y = [(p, d) for p, d in _cross_fibres(X2, X1)]
-    d_cond = cond_rdist(sl_x, sl_y)
+    d_cond = cond_rdist(_cross_fibres(X1, X2), _cross_fibres(X2, X1))
     entries: Dict[str, object] = {
         "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": tabs.H_S,
         "sum_dist": d_sums, "cond_sum_dist": d_cond,

@@ -71,20 +71,16 @@ def _entropy_weights(w: np.ndarray) -> float:
 
 
 def _entropy_rows(w: np.ndarray) -> np.ndarray:
-    """Row-wise _entropy_weights along the last axis; masks where the scalar
-    form compacts, which is the cheaper choice for many short rows."""
+    """Row-wise _entropy_weights; masks where it compacts, cheaper on many rows."""
     mx = w.max(axis=-1, keepdims=True)
     safe = np.where(w > ENTROPY_FLOOR * mx, w, 1.0)
     return -np.einsum("...i,...i->...", safe, np.log(safe))
 
 
 def _clean_wht_output(spec: np.ndarray, context: str) -> np.ndarray:
-    """Laws whose spectra are the rows of spec, clamped and renormalized.
-
-    The inverse transform runs along the last axis. Entries at or below
-    ENTROPY_FLOOR of their row's maximum (round-off negatives included)
-    become zero, and each row is renormalized to total mass one.
-    """
+    """Inverse transform of each row of spec; entries at or below ENTROPY_FLOOR
+    of the row maximum (round-off negatives included) become zero, and each
+    row is renormalized to mass one."""
     w = fwht(spec)
     w /= w.shape[-1]
     neg = float(w.min())
@@ -95,9 +91,9 @@ def _clean_wht_output(spec: np.ndarray, context: str) -> np.ndarray:
     return w
 
 
-def conv_entropy(spec: np.ndarray, context: str = "conv_entropy") -> np.ndarray:
+def conv_entropy(spec: np.ndarray) -> np.ndarray:
     """Entropies of the laws whose spectra are the rows of spec."""
-    return _entropy_rows(_clean_wht_output(spec, context))
+    return _entropy_rows(_clean_wht_output(spec, "conv_entropy"))
 
 
 def _group(keys: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

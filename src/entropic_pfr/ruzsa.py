@@ -59,6 +59,10 @@ __all__ = [
 ETA_MAX = 1.0 / (4.0 + math.sqrt(17.0))
 ETA_DEFAULT = 1.0 / 9.0
 SLACK_TOL = 1e-9
+# Batched distances hold dense (rows, 2^n) spectra, BATCH_ELEMS entries per
+# product at most; above BATCH_BITS they go pair by pair on sparse supports.
+BATCH_BITS = 16
+BATCH_ELEMS = 1 << 22
 
 Slices = Sequence[Tuple[float, Dist]]
 
@@ -99,7 +103,7 @@ def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     n = xs[0].n
     if any(d.n != n for d in xs) or any(d.n != n for d in ys):
         raise ValueError("dimension mismatch")
-    if n > 16:
+    if n > BATCH_BITS:
         return np.array([[rdist(x, y) for y in ys] for x in xs])
     N = 1 << n
     wx = _stack_dense(xs)
@@ -109,10 +113,10 @@ def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     sx = fwht(wx)
     sy = fwht(wy)
     out = np.empty((len(xs), len(ys)))
-    chunk = max(1, (1 << 22) // (len(ys) * N))
+    chunk = max(1, BATCH_ELEMS // (len(ys) * N))
     for lo in range(0, len(xs), chunk):
         hi = min(lo + chunk, len(xs))
-        out[lo:hi] = conv_entropy(sx[lo:hi, None, :] * sy[None, :, :], "rdist_matrix")
+        out[lo:hi] = conv_entropy(sx[lo:hi, None, :] * sy[None, :, :])
     return out - 0.5 * hx[:, None] - 0.5 * hy[None, :]
 
 
@@ -127,11 +131,11 @@ def rdist_paired(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     if not xs:
         return np.zeros(0)
     n = xs[0].n
-    if n > 16:
+    if n > BATCH_BITS:
         return np.array([rdist(x, y) for x, y in zip(xs, ys)])
     wx = _stack_dense(xs)
     wy = _stack_dense(ys)
-    return (conv_entropy(fwht(wx) * fwht(wy), "rdist_paired")
+    return (conv_entropy(fwht(wx) * fwht(wy))
             - 0.5 * _entropy_rows(wx) - 0.5 * _entropy_rows(wy))
 
 

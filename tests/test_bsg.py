@@ -7,8 +7,9 @@ direct enumeration over all four source variables and compare entry-wise.
 import numpy as np
 import pytest
 
+from entropic_pfr import bsg
 from entropic_pfr.bsg import (EndgameChoice, abstract_endgame, bsg_check,
-                              cond_indep_trials, endgame_tables,
+                              cond_indep_trials, endgame_bound, endgame_tables,
                               trials_entropy_gap, _uvs_sparse, _uvs_spectral)
 from entropic_pfr.dists import Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
@@ -181,7 +182,19 @@ def test_abstract_endgame_matches_exhaustive_search():
             assert ch.choice == key
             assert np.allclose(ch.T1p.dense(), A.dense(), atol=1e-9)
             assert np.allclose(ch.T2p.dense(), B.dense(), atol=1e-9)
-        assert ch.psi <= ch.bound + 1e-9
+        assert ch.psi <= endgame_bound(ref, J, X1, X2) + 1e-9
+
+
+def _check_sparse_endgame_against_oracle(rng, J, mk):
+    X1, X2 = mk(), mk()
+    ref = RefPair(mk(), mk())
+    ch = abstract_endgame(ref, J, X1, X2)
+    (psi, key, _, _), rows = brute_endgame_choice(ref, J, X1, X2)
+    assert ch.psi == pytest.approx(psi, abs=1e-9)
+    gap = sorted(r[0] for r in rows)
+    if len(gap) > 1 and gap[1] - gap[0] > 1e-9:
+        assert ch.choice == key
+    return ch
 
 
 def test_abstract_endgame_sparse_input_at_n13_matches_oracle():
@@ -193,14 +206,37 @@ def test_abstract_endgame_sparse_input_at_n13_matches_oracle():
     J = JointDist(n, 2, ["T1", "T2"], keys=keys, w=rng.random(6))
     mk = lambda: Dist.from_sparse(rng.integers(0, 1 << n, 4),
                                   rng.random(4), n=n)
-    X1, X2 = mk(), mk()
-    ref = RefPair(mk(), mk())
-    ch = abstract_endgame(ref, J, X1, X2)
-    (psi, key, _, _), rows = brute_endgame_choice(ref, J, X1, X2)
-    assert ch.psi == pytest.approx(psi, abs=1e-9)
-    gap = sorted(r[0] for r in rows)
-    if len(gap) > 1 and gap[1] - gap[0] > 1e-9:
-        assert ch.choice == key
+    _check_sparse_endgame_against_oracle(rng, J, mk)
+
+
+def test_abstract_endgame_sparse_input_at_n18_matches_oracle():
+    # past BATCH_BITS the conditional laws stay sparse and are scored pair
+    # by pair; dense rows would take |supp T_gamma| * 2^18 floats each.
+    # Every law sits on a coset of H = {0, u, v, u ^ v}: generic points
+    # would add without collisions and make psi blind to the reference pair.
+    rng = make_rng(60)
+    n = 18
+    x, y, u, v = (int(z) for z in rng.integers(0, 1 << n, 4))
+    H = np.array([0, u, v, u ^ v])
+    keys = ((x ^ H[:3])[:, None] | ((y ^ H[:3])[None, :] << n)).ravel()
+    J = JointDist(n, 2, ["T1", "T2"], keys=keys, w=rng.random(9))
+    mk = lambda: Dist.from_sparse(x ^ H, rng.random(4), n=n)
+    ch = _check_sparse_endgame_against_oracle(rng, J, mk)
+    assert not ch.T1p.is_dense and not ch.T2p.is_dense
+
+
+def test_abstract_endgame_row_chunks_do_not_change_the_choice(monkeypatch):
+    # eight rows of 2^6 per chunk instead of all rows in one
+    rng = make_rng(61)
+    n = 6
+    J = random_joint(rng, n, 2, ["T1", "T2"], support_size=300)
+    X1, X2 = random_dist(rng, n), random_dist(rng, n)
+    ref = RefPair(random_dist(rng, n), random_dist(rng, n))
+    whole = abstract_endgame(ref, J, X1, X2)
+    monkeypatch.setattr(bsg, "BATCH_ELEMS", 8 << n)
+    chunked = abstract_endgame(ref, J, X1, X2)
+    assert chunked.choice == whole.choice
+    assert chunked.psi == whole.psi
 
 
 def test_abstract_endgame_same_under_dense_and_sparse_input():
@@ -215,7 +251,8 @@ def test_abstract_endgame_same_under_dense_and_sparse_input():
     b = abstract_endgame(ref, Js, X1, X2)
     assert a.choice == b.choice
     assert a.psi == pytest.approx(b.psi, abs=1e-12)
-    assert a.bound == pytest.approx(b.bound, abs=1e-12)
+    assert endgame_bound(ref, Jd, X1, X2) == pytest.approx(
+        endgame_bound(ref, Js, X1, X2), abs=1e-12)
 
 
 def test_abstract_endgame_prefers_earlier_choice_on_exact_tie():
