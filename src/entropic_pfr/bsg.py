@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .dists import (Dist, JointDist, _clean_wht_output, _entropy_rows,
-                    _entropy_weights, conv_entropy, fwht)
+                    conv_entropy, fwht)
 from .ruzsa import (BATCH_BITS, BATCH_ELEMS, RefPair, rdist, rdist_matrix,
                     rdist_one_many, rdist_paired)
 
