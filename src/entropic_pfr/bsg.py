@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .dists import (Dist, JointDist, _clean_wht_output, _entropy_rows,
-                    conv_entropy, fwht)
-from .ruzsa import (BATCH_BITS, BATCH_ELEMS, RefPair, rdist, rdist_matrix,
-                    rdist_one_many, rdist_paired)
+from .dists import CostGuardExceeded, Dist, JointDist, _clean_wht_output, fwht
+from .ruzsa import (RefPair, conditional_laws, rdist, rdist_matrix,
+                    rdist_paired)
 
 __all__ = [
     "BsgReport",
@@ -149,8 +148,12 @@ def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
     n = X1.n
     i1, w1 = X1.items()
     i2, w2 = X2.items()
-    if (len(i1) * len(i2)) ** 2 > ENDGAME_SUPPORT_CAP:
-        raise ValueError("endgame support enumeration too large")
+    if 3 * n > 62:
+        raise CostGuardExceeded("endgame key bits", 3 * n, "endgame keys need 3n <= 62")
+    size = (len(i1) * len(i2)) ** 2
+    if size > ENDGAME_SUPPORT_CAP:
+        raise CostGuardExceeded("ENDGAME_SUPPORT_CAP", size,
+                                "endgame support enumeration too large")
     # Full 4-fold product over (x1, x2, x~1, x~2), mapped to (u, v, s).
     x1 = i1[:, None, None, None]
     x2 = i2[None, :, None, None]
@@ -168,13 +171,15 @@ def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
 def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
     """Joint law of (U, V, S); I1, I2, I3, H_S and k are computed on read.
 
-    Dense inputs up to n = 7 go through one Walsh-Hadamard transform on 3n
-    bits; larger or sparse inputs enumerate the four-fold support product,
-    which raises ValueError past ENDGAME_SUPPORT_CAP entries.
+    Up to n = 7, pairs whose four-fold support product outnumbers the 8^n
+    cube go through one Walsh-Hadamard transform on 3n bits; all others
+    enumerate that product, which raises CostGuardExceeded past
+    ENDGAME_SUPPORT_CAP entries or 62 key bits.
     """
     if X1.n != X2.n:
         raise ValueError("dimension mismatch")
-    if 3 * X1.n <= ENDGAME_DENSE_BITS:
+    if (3 * X1.n <= ENDGAME_DENSE_BITS
+            and (X1.support_size() * X2.support_size()) ** 2 > 8 ** X1.n):
         J = _uvs_spectral(X1, X2)
     else:
         J = _uvs_sparse(X1, X2)
@@ -185,17 +190,19 @@ def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
 
 @dataclass(frozen=True)
 class EndgameChoice:
+    """The conditioned pair abstract_endgame picks, with its tau."""
     T1p: Dist
     T2p: Dist
-    psi: float
+    tau: float
     choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t)
 
 
 def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
-    """delta + (eta/3)(delta + Sigma), a bound on abstract_endgame's psi.
+    """delta + (eta/3)(delta + Sigma), a bound on the endgame's psi.
 
-    delta sums the three pairwise mutual informations of the triple and
-    Sigma the distance increments from the reference pair to the T's.
+    psi = tau - eta (d[X01; X1] + d[X02; X2]) for abstract_endgame(ref, J);
+    delta sums the pairwise mutual informations of the triple, Sigma the
+    distance increments from the reference pair to the T's.
     """
     J3 = J.pushforward([[0], [1], [0, 1]])
     delta = J3.mutual_info(0, 1) + J3.mutual_info(0, 2) + J3.mutual_info(1, 2)
@@ -205,68 +212,18 @@ def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
     return delta + (ref.eta / 3.0) * (delta + sigma)
 
 
-def _family_psis(ref: RefPair, d01: float, d02: float, n: int, row: np.ndarray,
-                 cols: Dict[int, np.ndarray], w: np.ndarray):
-    """psis[alpha, beta][t] = psi of (T_alpha, T_beta | T_gamma = t).
-
-    Entry i of the triple lies in row row[i] (ascending) with value cols[ax][i]
-    on each other axis and weight w[i]. Up to BATCH_BITS the rows are dense,
-    BATCH_ELEMS entries at a time, and share spectra; above it they are
-    sparse Dists scored pair by pair.
-    """
-    eta = ref.eta
-    marg = np.bincount(row, weights=w)
-    m = len(marg)
-    start = np.searchsorted(row, np.arange(m + 1))
-    pairs = list(permutations(cols))
-    if n > BATCH_BITS:
-        laws = {ax: [Dist(n, idx=c[lo:hi], w=w[lo:hi])
-                     for lo, hi in zip(start[:-1], start[1:])]
-                for ax, c in cols.items()}
-        ref1 = {ax: rdist_one_many(ref.X01, laws[ax]) for ax in cols}
-        ref2 = {ax: rdist_one_many(ref.X02, laws[ax]) for ax in cols}
-        return {(a, b): rdist_paired(laws[a], laws[b])
-                + eta * (ref1[a] - d01) + eta * (ref2[b] - d02)
-                for a, b in pairs}
-    N = 1 << n
-    s01, s02 = fwht(ref.X01.dense()), fwht(ref.X02.dense())
-    h01, h02 = ref.X01.entropy(), ref.X02.entropy()
-    out = {ab: np.empty(m) for ab in pairs}
-    step = max(1, BATCH_ELEMS // N)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        e = slice(start[lo], start[hi])
-        hl, sl, ref1, ref2 = {}, {}, {}, {}
-        for ax, c in cols.items():
-            r = np.bincount((row[e] - lo) * N + c[e], weights=w[e],
-                            minlength=(hi - lo) * N).reshape(hi - lo, N) / marg[lo:hi, None]
-            hl[ax], sl[ax] = _entropy_rows(r), fwht(r)
-            ref1[ax] = conv_entropy(sl[ax] * s01) - 0.5 * hl[ax] - 0.5 * h01
-            ref2[ax] = conv_entropy(sl[ax] * s02) - 0.5 * hl[ax] - 0.5 * h02
-        for a, b in pairs:
-            D = conv_entropy(sl[a] * sl[b]) - 0.5 * hl[a] - 0.5 * hl[b]
-            out[a, b][lo:hi] = D + eta * (ref1[a] - d01) + eta * (ref2[b] - d02)
-    return out
-
-
-def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> EndgameChoice:
-    """Pick the best conditioned pair from a triple summing to zero.
+def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
+    """Pick the conditioned pair of least tau from a triple summing to zero.
 
     J is the two-axis law of (T1, T2), dense or sparse; T3 := T1 ^ T2. Over
     all permutations (alpha, beta, gamma) of the triple and all t in the
     support of T_gamma, score the conditioned pair
-    (T_alpha | T_gamma = t, T_beta | T_gamma = t) by
-
-        psi[A; B] = d[A; B] + eta (d[X01; A] - d[X01; X1])
-                            + eta (d[X02; B] - d[X02; X2])
-
-    and return the exact minimizer, first in (gamma, alpha, beta, t) order on
-    ties; endgame_bound bounds its psi. Only the support of J is visited.
+    (T_alpha | T_gamma = t, T_beta | T_gamma = t) by ref.taus and return the
+    exact minimizer, first in (gamma, alpha, beta, t) order on ties. Only
+    the support of J is visited.
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
-    d01 = rdist(ref.X01, X1)
-    d02 = rdist(ref.X02, X2)
     n = J.n
     keys, w = J.items()
     vals = [keys & ((1 << n) - 1), keys >> n]
@@ -276,13 +233,16 @@ def abstract_endgame(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> EndgameC
     for gamma in range(3):
         others = [i for i in range(3) if i != gamma]
         order = np.argsort(inv[gamma], kind="stable")   # rows sum in J's order
-        psis = _family_psis(ref, d01, d02, n, inv[gamma][order],
-                            {ax: vals[ax][order] for ax in others}, w[order])
-        for alpha, beta in permutations(others):
-            p = psis[alpha, beta]
-            pos = int(np.argmin(p))
-            if p[pos] < best_val:
-                best_val = float(p[pos])
+        taus = np.empty((2, len(supp[gamma])))   # one row per permutation
+        for lo, hi, laws in conditional_laws(n, inv[gamma][order],
+                                             [vals[ax][order] for ax in others],
+                                             w[order]):
+            k = np.arange(2 * (hi - lo))   # each row's pair, in both orders
+            taus[:, lo:hi] = ref.taus(laws, k, np.roll(k, hi - lo)).reshape(2, -1)
+        for (alpha, beta), t in zip(permutations(others), taus):
+            pos = int(np.argmin(t))
+            if t[pos] < best_val:
+                best_val = float(t[pos])
                 best_key = (gamma, alpha, beta, pos)
     assert best_key is not None
     gamma, alpha, beta, pos = best_key

@@ -8,11 +8,13 @@ close enough to zero is essentially a coset pair, and the subgroup it spans
 certifies small distance from both reference distributions.
 
 Each iteration scores the full candidate list, all five classes at once,
-and accepts the single best strict decrease; a class whose table construction
-trips a cost guard is skipped for that iteration and the skip is recorded in
-the trace. Candidates are compared by tau, values within TIE_TOL counting
-as ties, with ties resolved by class order (sum-self, fibre-cross,
-sum-cross, fibre-self, endgame), then by parameter order.
+and accepts the single best strict decrease; RefPair.taus scores them all,
+each distinct law built and transformed once per class. A class whose
+table construction trips a cost guard (CostGuardExceeded only) is skipped
+for that iteration and the skip is recorded in the trace. Candidates are
+compared by tau, values within TIE_TOL counting as ties, with ties resolved
+by class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame),
+then by parameter order.
 """
 from __future__ import annotations
 
@@ -23,10 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bsg import abstract_endgame, endgame_tables
-from .dists import Dist, uniform_on_subgroup, xor_convolve
+from .dists import CostGuardExceeded, Dist, uniform_on_subgroup, xor_convolve
 from .groups import SubgroupBasis, span
-from .ruzsa import (RefPair, cond_rdist, one, rdist, rdist_one_many,
-                    rdist_paired, slices_of)
+from .ruzsa import RefPair, cond_rdist, one, rdist, slices_of
 
 __all__ = [
     "MoveKind",
@@ -115,27 +116,15 @@ def _fibre_law(base: Dist, shift: Dist, g: int) -> Optional[Dist]:
     return Dist(base.n, dense=w)
 
 
-def _score(ref: RefPair, pairs: List[Tuple[MoveKind, Tuple[int, ...], Dist, Dist]]) -> List[Move]:
-    if not pairs:
-        return []
-    xs = [p[2] for p in pairs]
-    ys = [p[3] for p in pairs]
-    d = rdist_paired(xs, ys)
-    d1 = rdist_one_many(ref.X01, xs)
-    d2 = rdist_one_many(ref.X02, ys)
-    taus = d + ref.eta * d1 + ref.eta * d2
-    return [Move(k, prm, x, y, float(t))
-            for (k, prm, x, y), t in zip(pairs, taus)]
-
-
 def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
                         budget: int = BUDGET,
                         kinds: Optional[Sequence[MoveKind]] = None) -> List[Move]:
     """Scored moves for the requested classes, in class-then-parameter order.
 
     Fibre classes take the top sqrt(budget) conditioning values per side by
-    probability mass; the endgame conditions on the heaviest budget values
-    of the four-fold sum S.
+    probability mass and pair each fibre law of X1 with each of X2; the
+    endgame conditions on the heaviest budget values of the four-fold sum S.
+    Every class scores its pairs by ref.taus.
     """
     if kinds is None:
         kinds = CLASS_ORDER
@@ -144,37 +133,30 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
     for kind in CLASS_ORDER:
         if kind not in kinds:
             continue
-        raw: List[Tuple[MoveKind, Tuple[int, ...], Dist, Dist]] = []
         if kind == MoveKind.SUM_SELF:
-            raw.append((kind, (), xor_convolve(X1, X1), xor_convolve(X2, X2)))
+            params, laws = [()], [xor_convolve(X1, X1), xor_convolve(X2, X2)]
+            i, j = [0], [1]
         elif kind == MoveKind.SUM_CROSS:
-            C = xor_convolve(X1, X2)
-            raw.append((kind, (), C, C))
+            params, laws, i, j = [()], [xor_convolve(X1, X2)], [0], [0]
         elif kind in (MoveKind.FIBRE_CROSS, MoveKind.FIBRE_SELF):
             # fibres of X1 over X1 ^ Y1 = g and of X2 over X2 ^ Y2 = g'
             cross = kind == MoveKind.FIBRE_CROSS
             Y1, Y2 = (X2, X1) if cross else (X1, X2)
             tops1 = _top_support(xor_convolve(X1, Y1), m)
             tops2 = tops1 if cross else _top_support(xor_convolve(X2, Y2), m)
-            for g in tops1:
-                A = _fibre_law(X1, Y1, g)
-                if A is None:
-                    continue
-                for gp in tops2:
-                    B = _fibre_law(X2, Y2, gp)
-                    if B is not None:
-                        raw.append((kind, (g, gp), A, B))
-        elif kind == MoveKind.ENDGAME:
+            A = {g: a for g in tops1 if (a := _fibre_law(X1, Y1, g)) is not None}
+            B = {g: b for g in tops2 if (b := _fibre_law(X2, Y2, g)) is not None}
+            params, laws = [(g, gp) for g in A for gp in B], [*A.values(), *B.values()]
+            i, j = np.indices((len(A), len(B))).reshape(2, -1) + [[0], [len(A)]]
+        else:
             tabs = endgame_tables(X1, X2)
             S = tabs.joint_UVS.marginal_dist("S")
-            base = ref.eta * (rdist(ref.X01, X1) + rdist(ref.X02, X2))
             for s in _top_support(S, budget):
-                Js = tabs.joint_UVS.condition("S", s)
-                ch = abstract_endgame(ref, Js, X1, X2)
-                out.append(Move(kind, (s,) + ch.choice, ch.T1p, ch.T2p,
-                                ch.psi + base))
+                ch = abstract_endgame(ref, tabs.joint_UVS.condition("S", s))
+                out.append(Move(kind, (s,) + ch.choice, ch.T1p, ch.T2p, ch.tau))
             continue
-        out.extend(_score(ref, raw))
+        out.extend(Move(kind, prm, laws[a], laws[b], float(t))
+                   for prm, a, b, t in zip(params, i, j, ref.taus(laws, i, j)))
     return out
 
 
@@ -186,6 +168,12 @@ def _best(moves: Sequence[Move]) -> Optional[Move]:
     return best
 
 
+def _k_tau(ref: RefPair, X1: Dist, X2: Dist) -> Tuple[float, float]:
+    """d[X1; X2] computed once, and tau in RefPair.tau's order."""
+    k, d1, d2 = ref.tau_parts(X1, X2)
+    return k, k + ref.eta * d1 + ref.eta * d2
+
+
 def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             eps_step: float = EPS_STEP, eps_d: float = EPS_D,
             budget: int = BUDGET, max_iter: int = MAX_ITER) -> DescentState:
@@ -195,7 +183,7 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     tau the most, provided the drop exceeds eps_step; it stops when
     d[X1; X2] <= eps_d (converged), no move helps, or max_iter is hit.
     """
-    state = DescentState(ref, X1, X2, rdist(X1, X2), ref.tau(X1, X2))
+    state = DescentState(ref, X1, X2, *_k_tau(ref, X1, X2))
     state.snapshots.append((X1, X2))
     cheap = [k for k in CLASS_ORDER if k is not MoveKind.ENDGAME]
     for it in range(max_iter):
@@ -208,7 +196,7 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
         try:
             moves += generate_candidates(ref, state.X1, state.X2, budget,
                                          [MoveKind.ENDGAME])
-        except ValueError:
+        except CostGuardExceeded:
             skipped.append(MoveKind.ENDGAME.value)
         per_class = {}
         for kind in CLASS_ORDER:
@@ -230,8 +218,7 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
         })
         state.X1 = chosen.X1p.prune(PRUNE_FLOOR)
         state.X2 = chosen.X2p.prune(PRUNE_FLOOR)
-        state.k = rdist(state.X1, state.X2)
-        state.tau = ref.tau(state.X1, state.X2)
+        state.k, state.tau = _k_tau(ref, state.X1, state.X2)
         state.trace[-1]["k_after"] = state.k
         state.snapshots.append((state.X1, state.X2))
         del state.snapshots[:-SNAPSHOT_CAP]

@@ -20,6 +20,7 @@ import numpy as np
 from .groups import LinearMap, SubgroupBasis
 
 __all__ = [
+    "CostGuardExceeded",
     "Dist",
     "JointDist",
     "fwht",
@@ -37,6 +38,13 @@ __all__ = [
 DENSE_BITS = 24
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
+
+
+class CostGuardExceeded(ValueError):
+    """Work refused by the cost guard `guard` at the requested `size`."""
+    def __init__(self, guard: str, size: int, message: str):
+        super().__init__(message)
+        self.guard, self.size = guard, size
 
 
 def fwht(a: np.ndarray) -> np.ndarray:

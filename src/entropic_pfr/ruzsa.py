@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "rdist_matrix",
     "rdist_one_many",
     "rdist_paired",
+    "rdist_pairs",
     "cond_rdist",
     "cond_rdist_via_joint",
     "one",
@@ -59,12 +60,13 @@ __all__ = [
 ETA_MAX = 1.0 / (4.0 + math.sqrt(17.0))
 ETA_DEFAULT = 1.0 / 9.0
 SLACK_TOL = 1e-9
-# Batched distances hold dense (rows, 2^n) spectra, BATCH_ELEMS entries per
-# product at most; above BATCH_BITS they go pair by pair on sparse supports.
+# Batched distances hold dense (rows, 2^n) laws, products BATCH_ELEMS entries
+# at a time; above BATCH_BITS laws stay sparse Dists and go pair by pair.
 BATCH_BITS = 16
-BATCH_ELEMS = 1 << 22
+BATCH_ELEMS = 1 << 21
 
 Slices = Sequence[Tuple[float, Dist]]
+Laws = Union[np.ndarray, Sequence[Dist]]
 
 
 @dataclass(frozen=True)
@@ -92,32 +94,42 @@ def one(X: Dist) -> List[Tuple[float, Dist]]:
 
 # -- batched distance evaluation -------------------------------------------
 
-def _stack_dense(dists: Sequence[Dist]) -> np.ndarray:
-    return np.stack([d.dense() for d in dists])
+def rdist_pairs(laws: Laws, i, j) -> np.ndarray:
+    """d[laws[i[k]]; laws[j[k]]] for every k, each unordered pair once.
+
+    laws is a stack of dense rows or a list of Dists, stacked up to BATCH_BITS
+    and scored pair by pair by rdist above. Each row is transformed once, and
+    products are formed in place, BATCH_ELEMS entries at a time.
+    """
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    if i.shape != j.shape:
+        raise ValueError("length mismatch")
+    if not len(i):
+        return np.zeros(0)
+    pairs, inv = np.unique(np.minimum(i, j) * len(laws) + np.maximum(i, j),
+                           return_inverse=True)
+    a, b = np.divmod(pairs, len(laws))
+    if not isinstance(laws, np.ndarray):
+        if any(d.n != laws[0].n for d in laws):
+            raise ValueError("dimension mismatch")
+        if laws[0].n > BATCH_BITS:
+            return np.array([rdist(laws[x], laws[y]) for x, y in zip(a, b)])[inv]
+        laws = np.stack([d.dense() for d in laws])
+    h, S = _entropy_rows(laws), fwht(laws)
+    del laws
+    H = np.empty(len(pairs))
+    step = max(1, BATCH_ELEMS // S.shape[1])
+    for lo in range(0, len(pairs), step):
+        P = S[a[lo:lo + step]]
+        P *= S[b[lo:lo + step]]
+        H[lo:lo + step] = conv_entropy(P)
+    return H[inv] - 0.5 * h[i] - 0.5 * h[j]
 
 
 def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     """All pairwise distances d[xs[i]; ys[j]] as an (len(xs), len(ys)) array."""
-    if not xs or not ys:
-        return np.zeros((len(xs), len(ys)))
-    n = xs[0].n
-    if any(d.n != n for d in xs) or any(d.n != n for d in ys):
-        raise ValueError("dimension mismatch")
-    if n > BATCH_BITS:
-        return np.array([[rdist(x, y) for y in ys] for x in xs])
-    N = 1 << n
-    wx = _stack_dense(xs)
-    wy = _stack_dense(ys)
-    hx = _entropy_rows(wx)
-    hy = _entropy_rows(wy)
-    sx = fwht(wx)
-    sy = fwht(wy)
-    out = np.empty((len(xs), len(ys)))
-    chunk = max(1, BATCH_ELEMS // (len(ys) * N))
-    for lo in range(0, len(xs), chunk):
-        hi = min(lo + chunk, len(xs))
-        out[lo:hi] = conv_entropy(sx[lo:hi, None, :] * sy[None, :, :])
-    return out - 0.5 * hx[:, None] - 0.5 * hy[None, :]
+    i, j = np.indices((len(xs), len(ys))).reshape(2, -1)
+    return rdist_pairs([*xs, *ys], i, j + len(xs)).reshape(len(xs), len(ys))
 
 
 def rdist_one_many(X: Dist, ys: Sequence[Dist]) -> np.ndarray:
@@ -128,15 +140,36 @@ def rdist_paired(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     """Elementwise distances d[xs[i]; ys[i]] for aligned slice lists."""
     if len(xs) != len(ys):
         raise ValueError("length mismatch")
-    if not xs:
-        return np.zeros(0)
-    n = xs[0].n
+    k = np.arange(len(xs))
+    return rdist_pairs([*xs, *ys], k, k + len(xs))
+
+
+def conditional_laws(n: int, row: np.ndarray, cols: Sequence[np.ndarray],
+                     w: np.ndarray) -> Iterator[Tuple[int, int, Laws]]:
+    """Chunks (lo, hi, laws) of the law of each column given the row.
+
+    Entry e lies in row row[e] (ascending from 0, none skipped) with value
+    c[e] in each column c and weight w[e]. laws holds rows lo..hi-1 of
+    cols[0], then of cols[1], ...: dense, BATCH_ELEMS entries per chunk, up
+    to BATCH_BITS; above it sparse Dists, in one chunk.
+    """
+    m = int(row[-1]) + 1
+    start = np.searchsorted(row, np.arange(m + 1))
     if n > BATCH_BITS:
-        return np.array([rdist(x, y) for x, y in zip(xs, ys)])
-    wx = _stack_dense(xs)
-    wy = _stack_dense(ys)
-    return (conv_entropy(fwht(wx) * fwht(wy))
-            - 0.5 * _entropy_rows(wx) - 0.5 * _entropy_rows(wy))
+        yield 0, m, [Dist(n, idx=c[lo:hi], w=w[lo:hi])
+                     for c in cols for lo, hi in zip(start[:-1], start[1:])]
+        return
+    N = 1 << n
+    step = max(1, BATCH_ELEMS // (len(cols) * N))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        e = slice(start[lo], start[hi])
+        keys = np.concatenate([(row[e] + (q * (hi - lo) - lo)) * N + c[e]
+                               for q, c in enumerate(cols)])
+        laws = np.bincount(keys, weights=np.tile(w[e], len(cols)),
+                           minlength=len(cols) * (hi - lo) * N).reshape(-1, N)
+        laws /= laws.sum(axis=1, keepdims=True)
+        yield lo, hi, laws
 
 
 def cond_rdist(slices_x: Slices, slices_y: Slices) -> float:
@@ -193,6 +226,17 @@ class RefPair:
         return (rdist(X1, X2)
                 + self.eta * rdist(self.X01, X1)
                 + self.eta * rdist(self.X02, X2))
+
+    def taus(self, laws: Laws, i, j) -> np.ndarray:
+        """tau[laws[i[k]]; laws[j[k]]] for every k, by one rdist_pairs call:
+        the reference laws and each candidate law are transformed once."""
+        refs = [self.X01, self.X02]
+        laws = (np.concatenate([[r.dense() for r in refs], laws])
+                if isinstance(laws, np.ndarray) else [*refs, *laws])
+        i, j = np.add(i, 2), np.add(j, 2)
+        d, d1, d2 = rdist_pairs(laws, np.r_[i, np.zeros_like(i), np.ones_like(j)],
+                                np.r_[j, i, j]).reshape(3, -1)
+        return d + self.eta * d1 + self.eta * d2
 
     def tau_parts(self, X1: Dist, X2: Dist) -> Tuple[float, float, float]:
         return rdist(X1, X2), rdist(self.X01, X1), rdist(self.X02, X2)

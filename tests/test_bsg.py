@@ -7,11 +7,11 @@ direct enumeration over all four source variables and compare entry-wise.
 import numpy as np
 import pytest
 
-from entropic_pfr import bsg
+from entropic_pfr import ruzsa
 from entropic_pfr.bsg import (EndgameChoice, abstract_endgame, bsg_check,
                               cond_indep_trials, endgame_bound, endgame_tables,
                               trials_entropy_gap, _uvs_sparse, _uvs_spectral)
-from entropic_pfr.dists import Dist, JointDist, uniform_on
+from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
 from entropic_pfr.ruzsa import RefPair, rdist
 
@@ -81,10 +81,18 @@ def test_endgame_support_guard_trips():
                           rng.random(80), n=8)
     X2 = Dist.from_sparse(rng.choice(1 << 8, 80, replace=False),
                           rng.random(80), n=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(CostGuardExceeded,
+                       match="^endgame support enumeration too large$") as exc:
         endgame_tables(X1, X2)
-    with pytest.raises(ValueError):
+    assert (exc.value.guard, exc.value.size) == ("ENDGAME_SUPPORT_CAP", 6400 ** 2)
+    with pytest.raises(ValueError) as exc:
         endgame_tables(X1, random_dist(rng, 4))
+    assert not isinstance(exc.value, CostGuardExceeded)
+    # past n = 20 the packed (U, V, S) key would not fit: a guard, not a crash
+    P = Dist.from_sparse([1, 2], [0.5, 0.5], n=21)
+    with pytest.raises(CostGuardExceeded) as exc:
+        endgame_tables(P, P)
+    assert (exc.value.guard, exc.value.size) == ("endgame key bits", 63)
 
 
 def test_uniform_coset_pair_has_vanishing_informations():
@@ -129,15 +137,13 @@ def test_cond_indep_trials_structure():
         assert trials_entropy_gap(J) == pytest.approx(0.0, abs=1e-10)
 
 
-def brute_endgame_choice(ref, J, X1, X2):
-    """Exhaustive psi minimization in the implementation's tie order."""
+def brute_endgame_choice(ref, J):
+    """Exhaustive tau minimization in the implementation's tie order."""
     n = J.n
     keys, w = J.items()
     mask = (1 << n) - 1
     trips = [((int(k) & mask), (int(k) >> n) & mask,
               (int(k) & mask) ^ ((int(k) >> n) & mask)) for k in keys]
-    d01 = rdist(ref.X01, X1)
-    d02 = rdist(ref.X02, X2)
     rows = []
     for gamma in range(3):
         others = [i for i in range(3) if i != gamma]
@@ -154,10 +160,9 @@ def brute_endgame_choice(ref, J, X1, X2):
                                          [e[1] for e in entries], n=n)
                     B = Dist.from_sparse([e[0][beta] for e in entries],
                                          [e[1] for e in entries], n=n)
-                    psi = (rdist(A, B)
-                           + ref.eta * (rdist(ref.X01, A) - d01)
-                           + ref.eta * (rdist(ref.X02, B) - d02))
-                    rows.append((psi, (gamma, alpha, beta, t), A, B))
+                    tau = (rdist(A, B) + ref.eta * rdist(ref.X01, A)
+                           + ref.eta * rdist(ref.X02, B))
+                    rows.append((tau, (gamma, alpha, beta, t), A, B))
     best = min(rows, key=lambda r: r[0])
     # first strict minimum in generation order, as the library breaks ties
     for r in rows:
@@ -174,26 +179,32 @@ def test_abstract_endgame_matches_exhaustive_search():
         X1 = random_dist(rng, n)
         X2 = random_dist(rng, n)
         ref = RefPair(random_dist(rng, n), random_dist(rng, n))
-        ch = abstract_endgame(ref, J, X1, X2)
-        (psi, key, A, B), rows = brute_endgame_choice(ref, J, X1, X2)
-        assert ch.psi == pytest.approx(psi, abs=1e-9)
+        ch = abstract_endgame(ref, J)
+        (tau, key, A, B), rows = brute_endgame_choice(ref, J)
+        assert ch.tau == pytest.approx(tau, abs=1e-9)
         gap = sorted(r[0] for r in rows)
         if len(gap) > 1 and gap[1] - gap[0] > 1e-9:
             assert ch.choice == key
             assert np.allclose(ch.T1p.dense(), A.dense(), atol=1e-9)
             assert np.allclose(ch.T2p.dense(), B.dense(), atol=1e-9)
-        assert ch.psi <= endgame_bound(ref, J, X1, X2) + 1e-9
+        assert_psi_within_bound(ref, J, X1, X2, ch)
+
+
+def assert_psi_within_bound(ref, J, X1, X2, ch):
+    psi = ch.tau - ref.eta * (rdist(ref.X01, X1) + rdist(ref.X02, X2))
+    assert psi <= endgame_bound(ref, J, X1, X2) + 1e-9
 
 
 def _check_sparse_endgame_against_oracle(rng, J, mk):
     X1, X2 = mk(), mk()
     ref = RefPair(mk(), mk())
-    ch = abstract_endgame(ref, J, X1, X2)
-    (psi, key, _, _), rows = brute_endgame_choice(ref, J, X1, X2)
-    assert ch.psi == pytest.approx(psi, abs=1e-9)
+    ch = abstract_endgame(ref, J)
+    (tau, key, _, _), rows = brute_endgame_choice(ref, J)
+    assert ch.tau == pytest.approx(tau, abs=1e-9)
     gap = sorted(r[0] for r in rows)
     if len(gap) > 1 and gap[1] - gap[0] > 1e-9:
         assert ch.choice == key
+    assert_psi_within_bound(ref, J, X1, X2, ch)
     return ch
 
 
@@ -213,7 +224,7 @@ def test_abstract_endgame_sparse_input_at_n18_matches_oracle():
     # past BATCH_BITS the conditional laws stay sparse and are scored pair
     # by pair; dense rows would take |supp T_gamma| * 2^18 floats each.
     # Every law sits on a coset of H = {0, u, v, u ^ v}: generic points
-    # would add without collisions and make psi blind to the reference pair.
+    # would add without collisions and make tau blind to the reference pair.
     rng = make_rng(60)
     n = 18
     x, y, u, v = (int(z) for z in rng.integers(0, 1 << n, 4))
@@ -226,17 +237,18 @@ def test_abstract_endgame_sparse_input_at_n18_matches_oracle():
 
 
 def test_abstract_endgame_row_chunks_do_not_change_the_choice(monkeypatch):
-    # eight rows of 2^6 per chunk instead of all rows in one
+    # chunks of eight rows of 2^6 (four conditioning values, two axes)
+    # instead of all rows in one
     rng = make_rng(61)
     n = 6
     J = random_joint(rng, n, 2, ["T1", "T2"], support_size=300)
     X1, X2 = random_dist(rng, n), random_dist(rng, n)
     ref = RefPair(random_dist(rng, n), random_dist(rng, n))
-    whole = abstract_endgame(ref, J, X1, X2)
-    monkeypatch.setattr(bsg, "BATCH_ELEMS", 8 << n)
-    chunked = abstract_endgame(ref, J, X1, X2)
+    whole = abstract_endgame(ref, J)
+    monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << n)
+    chunked = abstract_endgame(ref, J)
     assert chunked.choice == whole.choice
-    assert chunked.psi == whole.psi
+    assert chunked.tau == whole.tau
 
 
 def test_abstract_endgame_same_under_dense_and_sparse_input():
@@ -247,19 +259,19 @@ def test_abstract_endgame_same_under_dense_and_sparse_input():
     assert Jd.is_dense and not Js.is_dense
     X1, X2 = random_dist(rng, n), random_dist(rng, n)
     ref = RefPair(random_dist(rng, n), random_dist(rng, n))
-    a = abstract_endgame(ref, Jd, X1, X2)
-    b = abstract_endgame(ref, Js, X1, X2)
+    a = abstract_endgame(ref, Jd)
+    b = abstract_endgame(ref, Js)
     assert a.choice == b.choice
-    assert a.psi == pytest.approx(b.psi, abs=1e-12)
+    assert a.tau == pytest.approx(b.tau, abs=1e-12)
     assert endgame_bound(ref, Jd, X1, X2) == pytest.approx(
         endgame_bound(ref, Js, X1, X2), abs=1e-12)
 
 
 def test_abstract_endgame_prefers_earlier_choice_on_exact_tie():
-    # a product of uniforms is symmetric in every axis: all psi values tie,
+    # a product of uniforms is symmetric in every axis: all tau values tie,
     # so the winner must be the first key in (gamma, alpha, beta, t) order
     U = uniform_on([0, 1, 2, 3], 2)
     J = JointDist.independent_product([U, U], ["T1", "T2"])
     ref = RefPair(U, U)
-    ch = abstract_endgame(ref, J, U, U)
+    ch = abstract_endgame(ref, J)
     assert ch.choice == (0, 1, 2, 0)

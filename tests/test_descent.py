@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from entropic_pfr import descent
 from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, Move, MoveKind,
                                   _best, descend, diagnostics, entropic_pfr,
                                   extract_subgroup, generate_candidates)
-from entropic_pfr.dists import uniform_on, uniform_on_subgroup, xor_convolve
+from entropic_pfr.dists import (Dist, uniform_on, uniform_on_subgroup,
+                                xor_convolve)
 from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import make_rng, random_dist
@@ -42,11 +44,24 @@ def test_class_order_wins_ties_within_rounding():
     assert _best([early, clear]) is clear
 
 
+def coset_law_maker(rng, n):
+    # 8-point laws on two cosets of one 4-element subgroup: sums and fibres
+    # collide, so no class is blind to the pair it scores
+    u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
+    H = np.array([0, u, v, u ^ v])
+    return lambda: Dist.from_sparse(
+        np.r_[H ^ int(rng.integers(1 << n)), H ^ int(rng.integers(1 << n))],
+        rng.random(8), n=n)
+
+
 def test_candidate_laws_and_tau_consistency():
     rng = make_rng(4)
-    for _ in range(5):
-        X1, X2 = random_dist(rng, 4), random_dist(rng, 4)
-        ref = random_ref(rng, 4)
+    cases = [(random_dist(rng, 4), random_dist(rng, 4), random_ref(rng, 4))
+             for _ in range(5)]
+    # past BATCH_BITS every class scores lists of Dists pair by pair
+    mk = coset_law_maker(rng, 17)
+    cases.append((mk(), mk(), RefPair(mk(), mk())))
+    for X1, X2, ref in cases:
         moves = generate_candidates(ref, X1, X2, budget=16)
         by_kind = {}
         for mv in moves:
@@ -171,6 +186,18 @@ def test_oversized_supports_skip_endgame_only():
     assert row["skipped_classes"] == ["endgame"]
     assert set(row["per_class_tau"]) == {
         "sum-self", "fibre-cross", "sum-cross", "fibre-self"}
+
+
+def test_descend_raises_endgame_errors_that_are_not_guards(monkeypatch):
+    # only CostGuardExceeded marks the endgame as skipped; any other error
+    # is a fault and must reach the caller
+    def broken(ref, J):
+        raise ValueError("not a cost guard")
+    monkeypatch.setattr(descent, "abstract_endgame", broken)
+    rng = make_rng(12)
+    X1, X2 = random_dist(rng, 3), random_dist(rng, 3)
+    with pytest.raises(ValueError, match="not a cost guard"):
+        descend(random_ref(rng, 3), X1, X2, max_iter=1)
 
 
 def test_extract_subgroup_recovers_coset():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from entropic_pfr import ruzsa
 from entropic_pfr.dists import (Dist, JointDist, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
 from entropic_pfr.groups import span
@@ -16,7 +17,7 @@ from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 check_xor_lower, cond_rdist,
                                 cond_rdist_via_joint, one, rdist,
                                 rdist_matrix, rdist_one_many, rdist_paired,
-                                slices_of)
+                                rdist_pairs, slices_of)
 
 
 def test_distance_of_three_point_uniform_with_itself():
@@ -53,7 +54,16 @@ def test_distance_invariant_under_translation():
         rdist(X, Y), abs=1e-12)
 
 
-def test_batched_distances_match_pairwise_loop():
+def _coset_laws(rng, n, count):
+    # 8-point laws on two cosets of one 4-element subgroup: their sums
+    # collide, so the distances differ from (H[X] + H[Y]) / 2
+    u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
+    H = np.array([0, u, v, u ^ v])
+    return [Dist.from_sparse(np.r_[H ^ int(x), H ^ int(y)], rng.random(8), n=n)
+            for x, y in rng.integers(0, 1 << n, (count, 2))]
+
+
+def test_batched_distances_match_pairwise_loop(monkeypatch):
     rng = make_rng(32)
     xs = [random_dist(rng, 5) for _ in range(7)]
     ys = [random_dist(rng, 5) for _ in range(5)]
@@ -68,6 +78,32 @@ def test_batched_distances_match_pairwise_loop():
     assert rdist_matrix([], ys).shape == (0, 5)
     with pytest.raises(ValueError):
         rdist_paired(xs, ys)
+    # rdist_pairs on repeated and reversed index pairs, and taus on the same
+    # pairs: n = 5 stacks dense rows, n = 17 scores a list of Dists pair by pair
+    i = np.array([0, 1, 1, 2, 5, 3, 3, 0, 4])
+    j = np.array([1, 0, 1, 4, 2, 3, 0, 5, 4])
+    for n in (5, 17):
+        laws = (_coset_laws(rng, n, 8) if n > ruzsa.BATCH_BITS
+                else [random_dist(rng, n) for _ in range(8)])
+        ref = RefPair(laws.pop(), laws.pop())
+        D = rdist_pairs(laws, i, j)
+        T = ref.taus(laws, i, j)
+        for k in range(len(i)):
+            X, Y = laws[i[k]], laws[j[k]]
+            assert D[k] == pytest.approx(rdist(X, Y), abs=1e-11)
+            assert T[k] == pytest.approx(ref.tau(X, Y), abs=1e-11)
+        if n <= ruzsa.BATCH_BITS:
+            rows = np.stack([d.dense() for d in laws])
+            assert np.array_equal(rdist_pairs(rows, i, j), D)
+            assert np.array_equal(ref.taus(rows, i, j), T)
+        # products two rows at a time: the same numbers, bit for bit
+        with monkeypatch.context() as mp:
+            mp.setattr(ruzsa, "BATCH_ELEMS", 2 << n)
+            assert np.array_equal(rdist_pairs(laws, i, j), D)
+            assert np.array_equal(ref.taus(laws, i, j), T)
+    assert rdist_pairs(laws, [], []).shape == (0,)
+    with pytest.raises(ValueError):
+        rdist_pairs(laws, [0, 1], [1])
 
 
 def test_batched_distances_large_dim_fallback():
