@@ -160,6 +160,7 @@ def _run_descent(X01: Dist, X02: Dist, args, quiet: bool) -> int:
                "params": rec["params"]}, quiet, essential=False)
     _emit({"converged": state.converged, "stop": state.stop_reason,
            "iterations": len(state.trace), "k": state.k, "tau": state.tau,
+           "intrinsic_dim": state.intrinsic_dim,
            **_cert_obj(cert)})
     if not state.converged:
         diag = diagnostics(state.ref, state.X1, state.X2)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .descent import diagnostics, entropic_pfr, extract_subgroup
-from .dists import Dist, uniform_on, uniform_on_subgroup
+from .dists import CostGuardExceeded, Dist, uniform_on, uniform_on_subgroup
 from .groups import SubgroupBasis, format_elem, parse_elem
 from .ruzsa import rdist
 
@@ -165,12 +165,14 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
     """Explicit coset cover of a set with small doubling.
 
     Returns the cover plus a report with the descent state, the subgroup
-    certificate, the shift, and the intermediate counts. The cover's
-    `certified` flag asserts exhaustive membership, |H'| <= |A|, and the
-    translate count against 2 K^c_exponent. When the descent stalls above
+    certificate, the intrinsic dimension r that descent ran in, the shift,
+    and the intermediate counts. The cover's `certified` flag asserts
+    exhaustive membership, |H'| <= |A|, and the translate count against
+    2 K^c_exponent. When the descent stalls above
     eps_d, recent pairs along its trace are retried as subgroup sources and
     the certified cover with the fewest translates wins; if none certifies,
-    the terminal cover is reported with certified = False plus diagnostics.
+    the terminal cover is reported with certified = False plus diagnostics,
+    or the diagnostics' cost-guard message when they are too large to run.
     """
     UA = A.uniform()
     K = doubling_constant(A)
@@ -202,6 +204,7 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
         "descent": state,
         "certificate": cert,
         "cover_source": source,
+        "intrinsic_dim": state.intrinsic_dim,
         "d_UA_UH": rdist(UA, UH),
         **info,
     }
@@ -209,7 +212,7 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
         try:
             report["diagnostics"] = diagnostics(state.ref, state.X1,
                                                 state.X2)
-        except ValueError as exc:
+        except CostGuardExceeded as exc:
             report["diagnostics"] = {"error": str(exc)}
     return cover, report
 

@@ -15,10 +15,15 @@ for that iteration and the skip is recorded in the trace. Candidates are
 compared by tau, values within TIE_TOL counting as ties, with ties resolved
 by class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame),
 then by parameter order.
+
+descend works in its inputs' own coordinates. entropic_pfr first carries
+both inputs, by one common shift and the coordinates of their span, into
+F_2^r, r the dimension of their affine span: every law descent builds lies
+there, and each table then has 2^r entries per coordinate, not 2^n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,6 +95,9 @@ class DescentState:
     # dropped past SNAPSHOT_CAP; consumers fall back on these when the
     # terminal pair fails to yield a usable subgroup
     snapshots: List[Tuple[Dist, Dist]] = field(default_factory=list)
+    # dimension of the affine span of the inputs, which entropic_pfr
+    # descends in; None for a state built by descend itself
+    intrinsic_dim: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -244,6 +252,29 @@ def extract_subgroup(X: Dist, theta: float = 0.5) -> SubgroupCertificate:
     return SubgroupCertificate(H, d, d, k0, 2.0 * d <= 11.0 * k0 + 1e-6)
 
 
+# Positions of the group elements in each kind's trace params; the other
+# entries are class indices.
+_ELEMENT_PARAMS = {MoveKind.FIBRE_CROSS: (0, 1), MoveKind.FIBRE_SELF: (0, 1),
+                   MoveKind.ENDGAME: (0, 4)}
+
+
+def _to_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
+    """X ^ a0 in V's coordinates; a dense law stays dense."""
+    idx, w = X.items()
+    c = V.coords(idx ^ a0)
+    if X.is_dense:
+        out = np.zeros(1 << V.rank)
+        out[c] = w
+        return Dist(V.rank, dense=out)
+    return Dist(V.rank, idx=c, w=w)
+
+
+def _from_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
+    """The law in V's coordinates embedded in F_2^n and shifted by a0."""
+    idx, w = X.items()
+    return Dist(V.ambient_dim, idx=V.from_coords(idx) ^ a0, w=w)
+
+
 def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
                  eps_step: float = EPS_STEP, eps_d: float = EPS_D,
                  budget: int = BUDGET, max_iter: int = MAX_ITER,
@@ -256,17 +287,46 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
     d[X01; U_H] + d[X02; U_H] <= 11 d[X01; X02] at eta = 1/9, and each
     summand alone is at most 6 d[X01; X02]. The certificate records both
     distances and the outcome of those two checks.
+
+    Descent runs in the intrinsic dimension r: with a0 the smallest support
+    point of X01, both inputs are shifted by a0 into V, the span of the
+    shifted supports, and carried to F_2^r by V's coordinates. Every law
+    descent builds stays there, and entropy, d and tau are unchanged by the
+    shift and the injective map, so the taus are the ambient run's up to
+    round-off. The returned state is in the caller's coordinates: ref is
+    the caller's pair, and X1, X2 and the snapshots are embedded and
+    shifted back by a0, so they may differ from an ambient descent's laws by
+    a translation. The group elements in the trace params (fibre g and g',
+    endgame s and t) are sums of an even number of draws, so they are
+    embedded without the shift. state.intrinsic_dim is r.
     """
     ref = RefPair(X01, X02, eta)
-    state = descend(ref, X02, X01, eps_step=eps_step, eps_d=eps_d,
-                    budget=budget, max_iter=max_iter)
-    H = extract_subgroup(state.X1, theta).H
-    UH = uniform_on_subgroup(H)
-    d1 = rdist(X01, UH)
-    d2 = rdist(X02, UH)
-    k0 = rdist(X01, X02)
+    a0 = int(X01.support()[0])
+    V = span((np.r_[X01.support(), X02.support()] ^ a0).tolist(), X01.n)
+    Y01, Y02 = _to_coords(X01, V, a0), _to_coords(X02, V, a0)
+    inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_step=eps_step,
+                    eps_d=eps_d, budget=budget, max_iter=max_iter)
+    Hr = extract_subgroup(inner.X1, theta).H
+    UH = uniform_on_subgroup(Hr)
+    d1 = rdist(Y01, UH)
+    d2 = rdist(Y02, UH)
+    k0 = rdist(Y01, Y02)
     ok = (d1 + d2 <= 11.0 * k0 + 1e-6
           and d1 <= 6.0 * k0 + 1e-6 and d2 <= 6.0 * k0 + 1e-6)
+    H = span([V.from_coords(h) for h in Hr.rows], X01.n)
+
+    def up(X: Dist) -> Dist:
+        return _from_coords(X, V, a0)
+
+    trace = []
+    for row in inner.trace:
+        at = _ELEMENT_PARAMS.get(MoveKind(row["kind"]), ())
+        params = [V.from_coords(p) if pos in at else p
+                  for pos, p in enumerate(row["params"])]
+        trace.append({**row, "params": params})
+    state = replace(inner, ref=ref, X1=up(inner.X1), X2=up(inner.X2),
+                    trace=trace, intrinsic_dim=V.rank,
+                    snapshots=[(up(A), up(B)) for A, B in inner.snapshots])
     return state, SubgroupCertificate(H, d1, d2, k0, ok)
 
 
@@ -274,8 +334,12 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     """Endgame informations and the estimate chain at the current pair.
 
     The named bounds hold at a tau minimizer; away from one they are
-    reported with their slacks but not enforced.
+    reported with their slacks but not enforced. The distance increments
+    need a 4-axis joint over F_2^n, so n >= 16 raises CostGuardExceeded.
     """
+    if 4 * X1.n > 62:
+        raise CostGuardExceeded("diagnostics key bits", 4 * X1.n,
+                                "diagnostics keys need 4n <= 62")
     eta = ref.eta
     tabs = endgame_tables(X1, X2)
     k = tabs.k

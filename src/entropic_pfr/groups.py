@@ -100,6 +100,26 @@ class SubgroupBasis:
             out = np.concatenate([out, out ^ r])
         return out
 
+    def coords(self, x):
+        """Coordinates in F_2^rank of span members (ints or int64 arrays).
+
+        Bit k is the member's bit at the k-th lowest pivot. Each pivot sits
+        in exactly one row, so that bit says whether the row is in the sum:
+        exact on the span, and order preserving there, since the highest
+        pivot where two members differ is also their highest differing bit.
+        """
+        out = x & 0
+        for k, r in enumerate(reversed(self.rows)):
+            out |= ((x >> (r.bit_length() - 1)) & 1) << k
+        return out
+
+    def from_coords(self, c):
+        """Span members from coordinates: the XOR of the rows c selects."""
+        out = c & 0
+        for k, r in enumerate(reversed(self.rows)):
+            out ^= ((c >> k) & 1) * r
+        return out
+
     def shrink_to_size(self, bound: int) -> "SubgroupBasis":
         """Drop highest-pivot rows until the span has at most `bound` members.
 

@@ -108,6 +108,14 @@ def test_descend_converges_on_coset_pair(capsys, tmp_path):
     assert row["subgroup_rank"] == 2 and row["iterations"] == 0
 
 
+def test_descend_reports_intrinsic_dim(capsys, tmp_path):
+    # both files hold one coset of a rank-2 subgroup of F_2^4
+    a, b = coset_files(tmp_path)
+    code, lines = run(capsys, ["--quiet", "descend", "--x1", a, "--x2", b])
+    assert code == 0
+    assert json.loads(lines[0])["intrinsic_dim"] == 2
+
+
 def test_descend_emits_diagnostics_when_stalled(capsys, tmp_path):
     rng = make_rng(5)
     a = dist_file(tmp_path, "r1.json", random_dist(rng, 4))

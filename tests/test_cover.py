@@ -7,10 +7,12 @@ from entropic_pfr.cover import (CosetCover, SetInput, best_shift,
                                 doubling_constant, load_set, pfr_pipeline,
                                 ruzsa_cover, save_set)
 from entropic_pfr.descent import DescentState, extract_subgroup
-from entropic_pfr.dists import uniform_on, uniform_on_subgroup
+from entropic_pfr.dists import (CostGuardExceeded, uniform_on,
+                                uniform_on_subgroup)
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import make_rng, random_coset_union, random_subgroup
 from entropic_pfr.ruzsa import RefPair, rdist
+from test_descent import random_embedding, tau_path
 
 
 def brute_overlap(A, H, x0):
@@ -176,3 +178,57 @@ def test_set_file_header_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError):
             load_set(str(p))
+
+
+def test_pipeline_records_only_cost_guards_from_diagnostics(monkeypatch):
+    H = span([1, 2], 6)
+    A = SetInput(6, tuple(H.enumerate()))
+    U = uniform_on_subgroup(H)
+
+    def stalled(X01, X02, **kw):
+        st = DescentState(RefPair(U, U), U, U, 0.0, 0.0)
+        st.stop_reason = "iteration limit"
+        return st, extract_subgroup(U)
+
+    def guarded(ref, X1, X2):
+        raise CostGuardExceeded("diagnostics key bits", 64, "too wide")
+
+    def broken(ref, X1, X2):
+        raise ValueError("not a cost guard")
+
+    monkeypatch.setattr(cover_mod, "entropic_pfr", stalled)
+    monkeypatch.setattr(cover_mod, "diagnostics", guarded)
+    _, report = pfr_pipeline(A)
+    assert report["diagnostics"] == {"error": "too wide"}
+    # anything else is a fault, not a size limit, and reaches the caller
+    monkeypatch.setattr(cover_mod, "diagnostics", broken)
+    with pytest.raises(ValueError, match="not a cost guard"):
+        pfr_pipeline(A)
+
+
+def test_pipeline_reports_intrinsic_dim_from_point_to_full_rank():
+    cover, report = pfr_pipeline(SetInput(6, (37,)))
+    assert report["intrinsic_dim"] == 0
+    assert cover.certified and cover.Hp.rank == 0
+    assert cover.translates == (37,)
+    cover, report = pfr_pipeline(SetInput(3, tuple(range(8))))
+    assert report["intrinsic_dim"] == 3
+    assert cover.certified and cover.Hp.rank == 3
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_pipeline_is_blind_to_injective_affine_embeddings(N):
+    # the acceptance corpus, moved from F_2^6 into F_2^N: same taus, and a
+    # certified cover by as many translates of a subgroup of the same rank
+    from test_acceptance import certificate_corpus
+    rng = make_rng(100 + N)
+    for A in certificate_corpus():
+        f = random_embedding(rng, 6, N)
+        cover, report = pfr_pipeline(A)
+        cover_N, report_N = pfr_pipeline(SetInput(N, tuple(f(p) for p in A.points)))
+        assert np.allclose(tau_path(report_N["descent"]),
+                           tau_path(report["descent"]), rtol=0, atol=1e-12)
+        assert report_N["intrinsic_dim"] == report["intrinsic_dim"]
+        assert cover_N.certified and cover.certified
+        assert cover_N.Hp.rank == cover.Hp.rank
+        assert len(cover_N.translates) == len(cover.translates)

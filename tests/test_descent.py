@@ -4,12 +4,13 @@ import pytest
 
 from entropic_pfr import descent
 from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, Move, MoveKind,
-                                  _best, descend, diagnostics, entropic_pfr,
-                                  extract_subgroup, generate_candidates)
-from entropic_pfr.dists import (Dist, uniform_on, uniform_on_subgroup,
-                                xor_convolve)
+                                  _best, _from_coords, _to_coords, descend,
+                                  diagnostics, entropic_pfr, extract_subgroup,
+                                  generate_candidates)
+from entropic_pfr.dists import (CostGuardExceeded, Dist, uniform_on,
+                                uniform_on_subgroup, xor_convolve)
 from entropic_pfr.fixtures import demo_pair
-from entropic_pfr.groups import span
+from entropic_pfr.groups import LinearMap, span
 from entropic_pfr.randgen import make_rng, random_dist
 from entropic_pfr.ruzsa import ETA_DEFAULT, RefPair, rdist
 
@@ -260,7 +261,7 @@ def test_diagnostics_structure_and_identity():
 
 def test_diagnostics_raises_past_cost_guard():
     X1, X2 = big_pair(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(CostGuardExceeded):
         diagnostics(RefPair(X1, X2), X1, X2)
 
 
@@ -278,3 +279,163 @@ def test_converged_state_satisfies_minimizer_bounds():
         assert d["I2"] <= (2.0 * eta * d["k"]
                            + 2.0 * eta * (2.0 * eta * d["k"] - d["I1"])
                            / (1.0 - eta) + 1e-6)
+
+
+def test_diagnostics_guard_on_key_bits():
+    # the 4-axis joint of the distance increments packs 4n bits per key
+    mk = coset_law_maker(make_rng(13), 16)
+    X1, X2 = mk(), mk()
+    with pytest.raises(CostGuardExceeded, match="4n <= 62") as err:
+        diagnostics(RefPair(X1, X2), X1, X2)
+    assert (err.value.guard, err.value.size) == ("diagnostics key bits", 64)
+
+
+# -- descent in the intrinsic dimension ---------------------------------------
+
+def reduction_inputs():
+    """The acceptance certificate corpus as (U_A, U_A), then the demo pairs,
+    then demo 2 with X02 translated so that the two inputs' smallest points
+    differ, which a shift per input would carry into the state."""
+    from test_acceptance import certificate_corpus
+    X01, X02 = demo_pair(2)
+    return ([(A.uniform(), A.uniform()) for A in certificate_corpus()]
+            + [demo_pair(which) for which in (1, 2, 3)]
+            + [(X01, X02.translate(0b010101))])
+
+
+def tau_path(st):
+    return np.array([t for row in st.trace
+                     for t in (row["tau_before"], row["tau_after"])] + [st.tau])
+
+
+def assert_same_descent(st, other):
+    """Same move kinds, taus within 1e-12 and outcome. Move params are not
+    compared: they may differ on exact ties (the endgame's alpha and beta
+    swapped, or another slice of equal tau), which are broken by element
+    order, and the reduction relabels the elements."""
+    assert [r["kind"] for r in st.trace] == [r["kind"] for r in other.trace]
+    assert np.allclose(tau_path(st), tau_path(other), rtol=0, atol=1e-12)
+    assert (st.converged, st.stop_reason) == (other.converged, other.stop_reason)
+
+
+def translation_between(A, B):
+    """Some g with A.translate(g) equal to B, or None."""
+    a0 = int(A.support()[0])
+    for b in B.support():
+        g = a0 ^ int(b)
+        if np.allclose(A.translate(g).dense(), B.dense(), rtol=0, atol=1e-12):
+            return g
+    return None
+
+
+def random_embedding(rng, n, N):
+    """A random injective linear map F_2^n -> F_2^N and a random shift."""
+    cols = []
+    while len(cols) < n:
+        c = int(rng.integers(1, 1 << N))
+        if span(cols + [c], N).rank == len(cols) + 1:
+            cols.append(c)
+    f, shift = LinearMap(n, N, tuple(cols)), int(rng.integers(1 << N))
+    return lambda x: f.apply(int(x)) ^ shift
+
+
+def embed_law(X, f, N):
+    idx, w = X.items()
+    return Dist(N, idx=np.array([f(x) for x in idx], dtype=np.int64), w=w)
+
+
+def assert_params_name_ambient_moves(st):
+    """Each trace row's params, embedded in F_2^n, name a move of the pair
+    before it (the snapshot, in F_2^n) with the row's tau. The budget
+    covers every conditioning value, so ties at the cut of the heaviest
+    values do not matter. Inside an endgame slice a tie may pick another
+    permutation; t must then still lie in the support of T_gamma."""
+    assert len(st.trace) < SNAPSHOT_CAP
+    for row, (X1, X2) in zip(st.trace, st.snapshots):
+        kind = MoveKind(row["kind"])
+        moves = generate_candidates(st.ref, X1, X2, 1 << (2 * X1.n), [kind])
+        if kind is MoveKind.ENDGAME:
+            s, gamma, _, _, t = row["params"]
+            (mv,) = [mv for mv in moves if mv.params[0] == s]
+            T = xor_convolve(X1, X1 if gamma == 2 else X2)
+            assert t in T.support()
+        else:
+            (mv,) = [mv for mv in moves if list(mv.params) == row["params"]]
+        assert mv.tau == pytest.approx(row["tau_after"], abs=1e-12)
+
+
+def test_entropic_pfr_matches_the_ambient_descent():
+    # descend in the inputs' own coordinates is the oracle
+    same_params = 0
+    for X01, X02 in reduction_inputs():
+        st, cert = entropic_pfr(X01, X02)
+        amb = descend(RefPair(X01, X02), X02, X01)
+        assert_same_descent(st, amb)
+        assert cert.H.rank == extract_subgroup(amb.X1).H.rank
+        pts = np.r_[X01.support(), X02.support()]
+        assert st.intrinsic_dim == span((pts ^ pts[-1]).tolist(), 6).rank
+        # H, its distances and the state come back in the caller's group
+        assert st.ref.X01 is X01 and st.ref.X02 is X02
+        UH = uniform_on_subgroup(cert.H)
+        assert cert.d1 == pytest.approx(rdist(X01, UH), abs=1e-12)
+        assert cert.d2 == pytest.approx(rdist(X02, UH), abs=1e-12)
+        assert cert.k0 == pytest.approx(rdist(X01, X02), abs=1e-12)
+        assert len(st.snapshots) == len(amb.snapshots)
+        assert all(Y.n == 6 for pair in st.snapshots for Y in pair)
+        # the first snapshot is the input pair itself, so the params that
+        # the moves below name are in the caller's coordinates
+        for Y, X in zip(st.snapshots[0], (X02, X01)):
+            assert np.allclose(Y.dense(), X.dense(), rtol=0, atol=1e-15)
+        assert_params_name_ambient_moves(st)
+        if [r["params"] for r in st.trace] == [r["params"] for r in amb.trace]:
+            # no tie was broken differently: the laws agree up to one shift
+            same_params += 1
+            g = translation_between(amb.X1, st.X1)
+            assert g is not None
+            assert np.allclose(amb.X2.translate(g).dense(), st.X2.dense(),
+                               rtol=0, atol=1e-12)
+    assert same_params >= 10
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_entropic_pfr_is_blind_to_injective_affine_embeddings(N):
+    rng = make_rng(N)
+    for X01, X02 in reduction_inputs():
+        f = random_embedding(rng, 6, N)
+        st, cert = entropic_pfr(X01, X02)
+        st_N, cert_N = entropic_pfr(embed_law(X01, f, N), embed_law(X02, f, N))
+        assert_same_descent(st_N, st)
+        assert st_N.intrinsic_dim == st.intrinsic_dim
+        assert cert_N.H.ambient_dim == N and cert_N.H.rank == cert.H.rank
+        assert cert_N.bound_check == cert.bound_check
+
+
+def test_entropic_pfr_at_rank_zero_and_full_rank():
+    X = Dist.point_mass(37, 6)
+    st, cert = entropic_pfr(X, X)
+    assert st.intrinsic_dim == 0 and st.converged and st.trace == []
+    assert cert.H.rank == 0 and cert.bound_check
+    assert st.X1.items()[0].tolist() == [37]
+
+    rng = make_rng(14)
+    X01, X02 = random_dist(rng, 4, 16), random_dist(rng, 4, 16)
+    st, cert = entropic_pfr(X01, X02)
+    assert st.intrinsic_dim == 4
+    assert_same_descent(st, descend(RefPair(X01, X02), X02, X01))
+
+
+def test_laws_keep_their_representation_in_coordinates():
+    V = span([0b000110, 0b101000], 6)
+    a0 = 0b010001
+    members = V.enumerate_array()
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    table = np.zeros(64)
+    table[members ^ a0] = w
+    for X in (Dist(6, dense=table), Dist(6, idx=members ^ a0, w=w)):
+        Y = _to_coords(X, V, a0)
+        assert Y.n == 2 and Y.is_dense == X.is_dense
+        # coordinates keep the order of the members
+        assert np.allclose(Y.dense(), w / w.sum(), rtol=0, atol=1e-15)
+        back = _from_coords(Y, V, a0)
+        assert back.n == 6
+        assert np.allclose(back.dense(), X.dense(), rtol=0, atol=1e-15)

@@ -153,3 +153,39 @@ def test_reduction_properties(gens, x):
     # reducing a member lands on zero
     for row in H.rows:
         assert H.reduce(row) == 0
+
+
+def test_coordinate_maps_invert_each_other_and_keep_order():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        gens = [int(g) for g in rng.integers(0, 1 << n, size=rng.integers(0, 8))]
+        V = span(gens, n)
+        c = np.arange(V.span_size(), dtype=np.int64)
+        members = V.enumerate_array()
+        # members ascend, and coordinate i is the i-th smallest member: the
+        # maps are mutually inverse bijections that preserve order on V
+        assert np.array_equal(V.from_coords(c), members)
+        assert np.array_equal(V.coords(members), c)
+        assert np.array_equal(V.coords(V.from_coords(c)), c)
+        assert np.array_equal(V.from_coords(V.coords(members)), members)
+        # ints map like arrays, and both maps are linear
+        for _ in range(5):
+            a, b = (int(z) for z in rng.integers(0, V.span_size(), size=2))
+            assert V.from_coords(a) == members[a]
+            assert V.coords(int(members[a])) == a
+            assert V.from_coords(a ^ b) == V.from_coords(a) ^ V.from_coords(b)
+
+
+def test_coordinate_maps_at_rank_zero_and_full_rank():
+    V = span([], 5)
+    pts = np.zeros(3, dtype=np.int64)
+    assert np.array_equal(V.coords(pts), pts)
+    assert np.array_equal(V.from_coords(pts), pts)
+    assert V.coords(0) == 0 and V.from_coords(0) == 0
+    # the full group's basis is the standard one: both maps are the identity
+    F = span([3, 5, 7, 9, 17], 5)
+    assert F.rank == 5
+    x = np.arange(32, dtype=np.int64)
+    assert np.array_equal(F.coords(x), x)
+    assert np.array_equal(F.from_coords(x), x)
