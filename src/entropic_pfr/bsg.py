@@ -215,12 +215,12 @@ def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
 def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     """Pick the conditioned pair of least tau from a triple summing to zero.
 
-    J is the two-axis law of (T1, T2), dense or sparse; T3 := T1 ^ T2. Over
-    all permutations (alpha, beta, gamma) of the triple and all t in the
+    J is the two-axis law of (T1, T2); T3 := T1 ^ T2. Over all
+    permutations (alpha, beta, gamma) of the triple and all t in the
     support of T_gamma, score the conditioned pair
     (T_alpha | T_gamma = t, T_beta | T_gamma = t) by ref.taus and return the
     exact minimizer, first in (gamma, alpha, beta, t) order on ties. Only
-    the support of J is visited.
+    the support of J, which is all J stores, is visited.
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")

@@ -2,7 +2,8 @@
 
 One JSON object per output line, deterministic for a fixed seed (no
 timestamps, sorted keys). Exit status 0 means every requested check held,
-converged or certified; 1 means at least one did not.
+converged or certified; 1 means at least one did not, or that a cost guard
+refused the work, reported as one {"error", "guard", "size"} line.
 
 ENTROPIC_PFR_THREADS caps the worker threads used by the bulk verification
 commands; 1 disables the pool entirely.
@@ -14,13 +15,13 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import fixtures
 from .bsg import bsg_check, endgame_tables
 from .cover import load_set, pfr_pipeline
 from .descent import diagnostics, entropic_pfr
-from .dists import Dist, load_dist, xor_convolve
+from .dists import CostGuardExceeded, Dist, load_dist, xor_convolve
 from .fibring import fibring_decompose
 from .groups import format_elem
 from .randgen import make_rng, random_dist, random_joint, random_linear_map
@@ -262,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CostGuardExceeded as exc:
+        _emit({"error": str(exc), "guard": exc.guard, "size": exc.size})
+        return 1
 
 
 if __name__ == "__main__":

@@ -261,12 +261,16 @@ _ELEMENT_PARAMS = {MoveKind.FIBRE_CROSS: (0, 1), MoveKind.FIBRE_SELF: (0, 1),
 def _to_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
     """X ^ a0 in V's coordinates; a dense law stays dense."""
     idx, w = X.items()
-    c = V.coords(idx ^ a0)
-    if X.is_dense:
-        out = np.zeros(1 << V.rank)
-        out[c] = w
-        return Dist(V.rank, dense=out)
-    return Dist(V.rank, idx=c, w=w)
+    Y = Dist(V.rank, idx=V.coords(idx ^ a0), w=w)
+    return Y.to_dense() if X.is_dense else Y
+
+
+def _reduce(laws: Sequence[Dist], shifts: Sequence[int]) -> Tuple[SubgroupBasis, List[Dist]]:
+    """V, the span of the shifted supports X ^ a, and each X ^ a in V's
+    coordinates."""
+    V = span(np.concatenate([X.support() ^ a for X, a in zip(laws, shifts)]).tolist(),
+             laws[0].n)
+    return V, [_to_coords(X, V, a) for X, a in zip(laws, shifts)]
 
 
 def _from_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
@@ -302,8 +306,7 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
     """
     ref = RefPair(X01, X02, eta)
     a0 = int(X01.support()[0])
-    V = span((np.r_[X01.support(), X02.support()] ^ a0).tolist(), X01.n)
-    Y01, Y02 = _to_coords(X01, V, a0), _to_coords(X02, V, a0)
+    V, (Y01, Y02) = _reduce((X01, X02), (a0, a0))
     inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_step=eps_step,
                     eps_d=eps_d, budget=budget, max_iter=max_iter)
     Hr = extract_subgroup(inner.X1, theta).H
@@ -334,12 +337,19 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     """Endgame informations and the estimate chain at the current pair.
 
     The named bounds hold at a tau minimizer; away from one they are
-    reported with their slacks but not enforced. The distance increments
-    need a 4-axis joint over F_2^n, so n >= 16 raises CostGuardExceeded.
+    reported with their slacks but not enforced. Every reported quantity is
+    unchanged by translating any of the four laws and by an injective linear
+    map, so each law is shifted by its own smallest support point and all
+    four are carried into F_2^r, V the span of the shifted supports and r
+    its rank. The distance increments need a 4-axis joint over F_2^r, so
+    r >= 16 raises CostGuardExceeded.
     """
-    if 4 * X1.n > 62:
-        raise CostGuardExceeded("diagnostics key bits", 4 * X1.n,
-                                "diagnostics keys need 4n <= 62")
+    laws = (ref.X01, ref.X02, X1, X2)
+    V, (Y01, Y02, X1, X2) = _reduce(laws, [int(X.support()[0]) for X in laws])
+    if 4 * V.rank > 62:
+        raise CostGuardExceeded("diagnostics key bits", 4 * V.rank,
+                                "diagnostics keys need 4r <= 62")
+    ref = RefPair(Y01, Y02, ref.eta)
     eta = ref.eta
     tabs = endgame_tables(X1, X2)
     k = tabs.k

@@ -5,9 +5,10 @@ convolution through the fast Walsh-Hadamard transform, pushforwards under
 GF(2)-linear maps, and conditioning. Natural logarithms throughout.
 
 A Dist is dense (table of length 2^n) or sparse (support indices plus
-weights); a JointDist over (F_2^n)^k packs the k coordinates into a single
-flat key, axis 0 in the lowest n bits. Every operation must give the same
-numbers (to 1e-12) under either representation; tests enforce this.
+weights), and every operation must give the same numbers (to 1e-12) under
+either representation; tests enforce this. A JointDist over (F_2^n)^k has one
+representation: its support, the k coordinates packed into one key (axis 0
+in the lowest n bits) in ascending order, and their weights.
 """
 from __future__ import annotations
 
@@ -33,9 +34,11 @@ __all__ = [
     "load_dist",
 ]
 
-# Dense tables are capped at 2^24 entries (Dist and JointDist alike); a sparse
-# JointDist additionally needs its packed key n*k to fit an int64.
+# Dense tables are capped at 2^24 entries: a dense Dist, the table a JointDist
+# reads or writes, and the counting table of _group. JointDist keys are
+# int64, so n*k <= 62.
 DENSE_BITS = 24
+TABLE_SLACK = 8  # _group counts into a table of at most this many entries per key
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
 
@@ -104,8 +107,18 @@ def conv_entropy(spec: np.ndarray) -> np.ndarray:
     return _entropy_rows(_clean_wht_output(spec, "conv_entropy"))
 
 
-def _group(keys: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Accumulate weights sharing a key; keys returned sorted ascending."""
+def _group(keys: np.ndarray, w: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Accumulate the positive weights sharing a key, keys in [0, 2^bits).
+
+    Returns the distinct keys ascending and their summed weights. Counts
+    into a 2^bits table when it fits under DENSE_BITS and has at most
+    TABLE_SLACK entries per key, and sorts otherwise. Both paths add each
+    key's weights one by one in input order, so they agree bitwise.
+    """
+    if bits <= DENSE_BITS and (1 << bits) <= TABLE_SLACK * len(keys):
+        table = np.bincount(keys, weights=w, minlength=1 << bits)
+        ks = np.flatnonzero(table)
+        return ks, table[ks]
     ks, inv = np.unique(keys, return_inverse=True)
     return ks, np.bincount(inv, weights=w, minlength=len(ks))
 
@@ -145,7 +158,7 @@ class Dist:
                 raise ValueError("zero total mass")
             if idx.min() < 0 or idx.max() >= (1 << n):
                 raise ValueError("support exceeds ambient dimension")
-            idx, w = _group(idx, w)
+            idx, w = _group(idx, w, n)
             self._dense = None
             self._idx = idx
             self._w = w / w.sum()
@@ -286,10 +299,8 @@ def xor_convolve(X: Dist, Y: Dist) -> Dist:
     if both_sparse and X.support_size() * Y.support_size() < (1 << n) * max(n, 1):
         ix, wx = X.items()
         iy, wy = Y.items()
-        keys = (ix[:, None] ^ iy[None, :]).ravel()
-        w = np.outer(wx, wy).ravel()
-        idx, w = _group(keys, w)
-        return Dist(n, idx=idx, w=w)
+        return Dist(n, idx=(ix[:, None] ^ iy[None, :]).ravel(),
+                    w=np.outer(wx, wy).ravel())
     spec = fwht(X.dense()) * fwht(Y.dense())
     return Dist(n, dense=_clean_wht_output(spec, "xor_convolve"))
 
@@ -298,14 +309,9 @@ def pushforward_dist(X: Dist, pi: LinearMap) -> Dist:
     """Image distribution of X under a GF(2)-linear map."""
     if pi.in_dim != X.n:
         raise ValueError("dimension mismatch")
-    tab = pi.table()
     idx, w = X.items()
-    keys, w = _group(tab[idx], w)
-    if pi.out_dim <= 12:
-        out = np.zeros(1 << pi.out_dim)
-        out[keys] = w
-        return Dist(pi.out_dim, dense=out)
-    return Dist(pi.out_dim, idx=keys, w=w)
+    Y = Dist(pi.out_dim, idx=pi.table()[idx], w=w)
+    return Y.to_dense() if pi.out_dim <= 12 else Y
 
 
 AxisKey = Union[int, str]
@@ -314,25 +320,20 @@ AxisKey = Union[int, str]
 class JointDist:
     """A distribution on (F_2^n)^k with axis labels; k in {2,3,4} publicly.
 
-    Coordinates are packed into one integer key, axis i in bits [i*n, (i+1)*n),
-    axis 0 lowest. Dense when n*k <= 24 (flat table indexed by the key),
-    otherwise sparse with int64 keys, which caps sparse joints at n*k <= 62.
-    Operations that drop axes may return the internal arity-1 form; call
-    to_dist() to get the Dist back out.
+    Coordinates are packed into one int64 key, axis i in bits
+    [i*n, (i+1)*n), axis 0 lowest, so n*k <= 62. Only the support is
+    stored: keys ascending, each with its positive weight. A dense table
+    (length 2^(n*k), at most 2^DENSE_BITS) is read into keys on input and
+    written by dense() on output. Operations that drop axes may return the
+    internal arity-1 form; call to_dist() to get the Dist back out.
     """
 
-    __slots__ = ("n", "arity", "labels", "_dense", "_keys", "_w")
+    __slots__ = ("n", "arity", "labels", "_keys", "_w")
 
     def __init__(self, n: int, arity: int, labels: Sequence[str],
                  dense: Optional[np.ndarray] = None,
                  keys: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None):
-        if arity < 1 or arity > 4:
-            raise ValueError("arity out of range")
-        if len(labels) != arity or len(set(labels)) != arity:
-            raise ValueError("need one distinct label per axis")
-        self.n = n
-        self.arity = arity
-        self.labels = tuple(labels)
+        self._shape(n, arity, labels)
         if dense is not None:
             if n * arity > DENSE_BITS:
                 raise ValueError("table too large for dense form")
@@ -341,27 +342,47 @@ class JointDist:
                 raise ValueError("dense table has wrong length")
             if dense.min() < 0:
                 raise ValueError("negative weight")
-            total = dense.sum()
-            if total <= 0:
-                raise ValueError("zero total mass")
-            self._dense = dense / total
-            self._keys = None
-            self._w = None
+            keys = np.flatnonzero(dense)   # ascending and distinct: grouped
+            w = dense[keys]
         else:
             assert keys is not None and w is not None
-            if n * arity > 62:
-                raise ValueError("packed sparse keys need n*arity <= 62")
             keys = np.asarray(keys, dtype=np.int64)
             w = np.asarray(w, dtype=np.float64)
+            if keys.min(initial=0) < 0 or keys.max(initial=0) >> (n * arity):
+                raise ValueError("key exceeds n*arity bits")
             if w.min(initial=0.0) < 0:
                 raise ValueError("negative weight")
             keep = w > 0
-            keys, w = _group(keys[keep], w[keep])
-            if len(keys) == 0:
-                raise ValueError("zero total mass")
-            self._dense = None
-            self._keys = keys
-            self._w = w / w.sum()
+            if not keep.all():
+                keys, w = keys[keep], w[keep]
+            keys, w = _group(keys, w, n * arity)
+        if not len(keys):
+            raise ValueError("zero total mass")
+        self._keys = keys
+        self._w = w / w.sum()
+
+    def _shape(self, n: int, arity: int, labels: Sequence[str]) -> "JointDist":
+        """Check and store the shape; every constructor passes through here."""
+        if arity < 1 or arity > 4:
+            raise ValueError("arity out of range")
+        if n * arity > 62:
+            raise ValueError("packed keys need n*arity <= 62")
+        if len(labels) != arity or len(set(labels)) != arity:
+            raise ValueError("need one distinct label per axis")
+        self.n = n
+        self.arity = arity
+        self.labels = tuple(labels)
+        return self
+
+    @classmethod
+    def _grouped(cls, n: int, labels: Sequence[str], keys: np.ndarray,
+                 w: np.ndarray) -> "JointDist":
+        """From ascending distinct keys with positive weights, as _group
+        returns them; only the shape is checked."""
+        out = cls.__new__(cls)._shape(n, len(labels), labels)
+        out._keys = keys
+        out._w = w / w.sum()
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -378,42 +399,28 @@ class JointDist:
         n = dists[0].n
         if any(d.n != n for d in dists):
             raise ValueError("dimension mismatch")
-        k = len(dists)
-        if n * k <= DENSE_BITS:
-            flat = dists[-1].dense()
-            for d in dists[-2::-1]:
-                flat = np.outer(flat, d.dense()).ravel()
-            return JointDist(n, k, labels, dense=flat)
-        keys = None
-        w = None
-        for i, d in enumerate(dists):
+        keys, w = dists[0].items()
+        for i, d in enumerate(dists[1:], 1):
             idx, wi = d.items()
-            if keys is None:
-                keys, w = idx << (i * n), wi
-            else:
-                keys = (keys[:, None] | (idx[None, :] << (i * n))).ravel()
-                w = np.outer(w, wi).ravel()
-        return JointDist(n, k, labels, keys=keys, w=w)
+            keys = ((idx[:, None] << (i * n)) | keys[None, :]).ravel()
+            w = np.outer(wi, w).ravel()
+        return JointDist(n, len(dists), labels, keys=keys, w=w)
 
     # -- plumbing ----------------------------------------------------------
 
     @property
     def is_dense(self) -> bool:
-        return self._dense is not None
+        """Always False: only the support is stored."""
+        return False
 
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Packed keys with positive mass and their weights."""
-        if self.is_dense:
-            keys = np.nonzero(self._dense)[0].astype(np.int64)
-            return keys, self._dense[keys]
+        """Packed keys with positive mass (ascending) and their weights."""
         return self._keys, self._w
 
     def dense(self) -> np.ndarray:
         """Full table in packed-key order (axis 0 in the low bits)."""
         if self.n * self.arity > DENSE_BITS:
             raise ValueError("table too large for dense form")
-        if self.is_dense:
-            return self._dense.copy()
         out = np.zeros(1 << (self.n * self.arity))
         out[self._keys] = self._w
         return out
@@ -426,6 +433,8 @@ class JointDist:
         return axis
 
     def _axes(self, axes: Union[AxisKey, Sequence[AxisKey]]) -> List[int]:
+        """Axis indices, distinct; the joint entropies of the information
+        terms go through here, so overlapping arguments raise too."""
         if isinstance(axes, (int, str)):
             axes = [axes]
         out = [self._axis_index(a) for a in axes]
@@ -439,38 +448,20 @@ class JointDist:
     def to_dist(self) -> Dist:
         if self.arity != 1:
             raise ValueError("to_dist needs an arity-1 joint")
-        keys, w = self.items()
-        return Dist(self.n, idx=keys, w=w)
+        return Dist(self.n, idx=self._keys, w=self._w)
 
     # -- marginals, conditioning, maps --------------------------------------
 
     def marginal(self, axes: Union[AxisKey, Sequence[AxisKey]]) -> "JointDist":
         """Marginal on the listed axes, in the listed order."""
         ax = self._axes(axes)
-        labels = [self.labels[a] for a in ax]
-        k = len(ax)
-        if self.is_dense:
-            # Packed C-order puts axis a at cube dim arity-1-a; sum away the
-            # dropped dims, then put the kept ones in the requested order.
-            m = self.arity
-            cube = self._dense.reshape((1 << self.n,) * m)
-            keep = [m - 1 - a for a in ax]
-            drop = tuple(d for d in range(m) if d not in keep)
-            red = cube.sum(axis=drop) if drop else cube
-            surv = sorted(keep)
-            perm = [surv.index(keep[k - 1 - i]) for i in range(k)]
-            if perm != list(range(k)):
-                red = red.transpose(perm)
-            return JointDist(self.n, k, labels, dense=np.ascontiguousarray(red).ravel())
-        keys, w = self.items()
-        sub = np.zeros_like(keys)
-        for j, a in enumerate(ax):
-            sub |= self.axis_values(keys, a) << (j * self.n)
-        if self.n * k <= DENSE_BITS:
-            flat = np.bincount(sub, weights=w, minlength=1 << (self.n * k))
-            return JointDist(self.n, k, labels, dense=flat)
-        sub, w = _group(sub, w)
-        return JointDist(self.n, k, labels, keys=sub, w=w)
+        if ax == list(range(self.arity)):
+            return self
+        sub = self.axis_values(self._keys, ax[0])
+        for j, a in enumerate(ax[1:], 1):
+            sub |= self.axis_values(self._keys, a) << (j * self.n)
+        return JointDist._grouped(self.n, [self.labels[a] for a in ax],
+                                  *_group(sub, self._w, self.n * len(ax)))
 
     def marginal_dist(self, axis: AxisKey) -> Dist:
         return self.marginal([axis]).to_dist()
@@ -480,29 +471,15 @@ class JointDist:
         a = self._axis_index(axis)
         if self.arity == 1:
             raise ValueError("cannot condition an arity-1 joint")
-        labels_out = self.labels[:a] + self.labels[a + 1:]
-        if self.is_dense:
-            m = self.arity
-            cube = self._dense.reshape((1 << self.n,) * m)
-            sl: List[object] = [slice(None)] * m
-            sl[m - 1 - a] = value
-            sub = np.ascontiguousarray(cube[tuple(sl)]).ravel()
-            if sub.sum() <= 0:
-                raise ValueError(f"conditioning event {self.labels[a]}={value} has zero mass")
-            return JointDist(self.n, m - 1, labels_out, dense=sub)
-        keys, w = self.items()
-        mask = self.axis_values(keys, a) == value
+        mask = self.axis_values(self._keys, a) == value
         if not mask.any():
             raise ValueError(f"conditioning event {self.labels[a]}={value} has zero mass")
-        keys, w = keys[mask], w[mask]
+        keys = self._keys[mask]
         low = keys & ((1 << (a * self.n)) - 1)
         high = (keys >> ((a + 1) * self.n)) << (a * self.n)
-        keys = low | high
-        k = self.arity - 1
-        if self.n * k <= DENSE_BITS:
-            flat = np.bincount(keys, weights=w, minlength=1 << (self.n * k))
-            return JointDist(self.n, k, labels_out, dense=flat)
-        return JointDist(self.n, k, labels_out, keys=keys, w=w)
+        # dropping an axis held constant keeps the keys ascending and distinct
+        return JointDist._grouped(self.n, self.labels[:a] + self.labels[a + 1:],
+                                  low | high, self._w[mask])
 
     def pushforward(self, groups: Sequence[Sequence[AxisKey]],
                     labels: Optional[Sequence[str]] = None) -> "JointDist":
@@ -510,19 +487,14 @@ class JointDist:
         gs = [self._axes(g) for g in groups]
         if labels is None:
             labels = ["^".join(self.labels[a] for a in g) for g in gs]
-        keys, w = self.items()
-        out = np.zeros_like(keys)
+        out = np.zeros_like(self._keys)
         for j, g in enumerate(gs):
-            v = np.zeros_like(keys)
+            v = np.zeros_like(self._keys)
             for a in g:
-                v ^= self.axis_values(keys, a)
+                v ^= self.axis_values(self._keys, a)
             out |= v << (j * self.n)
-        k = len(gs)
-        if self.n * k <= DENSE_BITS:
-            flat = np.bincount(out, weights=w, minlength=1 << (self.n * k))
-            return JointDist(self.n, k, labels, dense=flat)
-        out, w = _group(out, w)
-        return JointDist(self.n, k, labels, keys=out, w=w)
+        return JointDist._grouped(self.n, labels,
+                                  *_group(out, self._w, self.n * len(gs)))
 
     def slices(self, target: AxisKey,
                given: Union[AxisKey, Sequence[AxisKey]]) -> List[Tuple[Tuple[int, ...], float, Dist]]:
@@ -535,58 +507,46 @@ class JointDist:
         g = self._axes(given)
         M = self.marginal([t] + g)
         keys, w = M.items()
+        # ascending keys with the target in the low bits: the conditioning
+        # part is nondecreasing, so each slice is one contiguous run
+        cuts = np.flatnonzero(np.diff(keys >> self.n)) + 1
         tvals = M.axis_values(keys, 0)
-        gkey = keys >> self.n
-        order = np.argsort(gkey, kind="stable")
-        gkey, tvals, w = gkey[order], tvals[order], w[order]
-        cuts = np.flatnonzero(np.diff(gkey)) + 1
         out: List[Tuple[Tuple[int, ...], float, Dist]] = []
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(gkey)]):
-            mass = w[lo:hi].sum()
-            vals = tuple(int((gkey[lo] >> (j * self.n)) & ((1 << self.n) - 1))
-                         for j in range(len(g)))
-            out.append((vals, float(mass), Dist(self.n, idx=tvals[lo:hi], w=w[lo:hi])))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(keys)]):
+            vals = tuple(int(M.axis_values(keys[lo], j)) for j in range(1, M.arity))
+            mass = float(w[lo:hi].sum())
+            out.append((vals, mass, Dist(self.n, idx=tvals[lo:hi], w=w[lo:hi])))
         return out
 
     # -- calculus ----------------------------------------------------------
 
     def entropy(self, axes: Optional[Union[AxisKey, Sequence[AxisKey]]] = None) -> float:
         """Entropy of the marginal on `axes` (all axes when omitted)."""
-        if axes is None:
-            return _entropy_weights(self._dense if self.is_dense else self._w)
-        ax = self._axes(axes)
-        if len(ax) == self.arity:
-            return _entropy_weights(self._dense if self.is_dense else self._w)
-        return self.marginal(ax).entropy()
+        if axes is None or len(self._axes(axes)) == self.arity:
+            return _entropy_weights(self._w)
+        return self.marginal(axes).entropy()
 
     def cond_entropy(self, target, given) -> float:
         """H[target | given] by the chain rule."""
         t, g = self._axes(target), self._axes(given)
-        if set(t) & set(g):
-            raise ValueError("overlapping axes")
         return self.entropy(t + g) - self.entropy(g)
 
     def mutual_info(self, a, b) -> float:
         ax, bx = self._axes(a), self._axes(b)
-        if set(ax) & set(bx):
-            raise ValueError("overlapping axes")
         return self.entropy(ax) + self.entropy(bx) - self.entropy(ax + bx)
 
     def cond_mutual_info(self, a, b, given) -> float:
         """I[a : b | given] = H[a,g] + H[b,g] - H[a,b,g] - H[g]."""
         ax, bx, gx = self._axes(a), self._axes(b), self._axes(given)
-        if set(ax) & set(bx) or set(ax) & set(gx) or set(bx) & set(gx):
-            raise ValueError("overlapping axes")
         return (self.entropy(ax + gx) + self.entropy(bx + gx)
                 - self.entropy(ax + bx + gx) - self.entropy(gx))
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        keys, w = self.items()
         entries = []
-        for key, x in zip(keys, w):
-            coords = [int(self.axis_values(np.int64(key), a)) for a in range(self.arity)]
+        for key, x in zip(self._keys, self._w):
+            coords = [int(self.axis_values(key, a)) for a in range(self.arity)]
             entries.append(coords + [float(x)])
         return {"dim": self.n, "arity": self.arity, "labels": list(self.labels),
                 "entries": entries}
@@ -606,7 +566,8 @@ class JointDist:
 def joint_product(A: JointDist, B: JointDist, max_support: int = 1 << 26) -> JointDist:
     """Independent product of two joints, axes of A first.
 
-    Colliding labels on the B side get a prime appended.
+    Colliding labels on the B side get a prime appended. A product support
+    above max_support raises CostGuardExceeded.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
@@ -618,15 +579,12 @@ def joint_product(A: JointDist, B: JointDist, max_support: int = 1 << 26) -> Joi
         labels.append(lab)
     ka, wa = A.items()
     kb, wb = B.items()
-    if n * k <= DENSE_BITS:
-        flat = np.zeros(1 << (n * k))
-        keys = (ka[:, None] | (kb[None, :] << (A.arity * n))).ravel()
-        np.add.at(flat, keys, np.outer(wa, wb).ravel())
-        return JointDist(n, k, labels, dense=flat)
-    if len(ka) * len(kb) > max_support:
-        raise ValueError("product support too large")
-    keys = (ka[:, None] | (kb[None, :] << (A.arity * n))).ravel()
-    return JointDist(n, k, labels, keys=keys, w=np.outer(wa, wb).ravel())
+    size = len(ka) * len(kb)
+    if size > max_support:
+        raise CostGuardExceeded("joint_product max_support", size,
+                                "product support too large")
+    keys = ((kb[:, None] << (A.arity * n)) | ka[None, :]).ravel()
+    return JointDist(n, k, labels, keys=keys, w=np.outer(wb, wa).ravel())
 
 
 def _pack(coords: Sequence[int], n: int) -> int:

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dists import Dist, _entropy_weights, _group
+from .dists import CostGuardExceeded, Dist, _entropy_weights, _group
 from .groups import LinearMap
 from .ruzsa import cond_rdist, rdist
 
@@ -43,11 +43,6 @@ class FibringReport:
         return self.d_projected, self.d_fibre, self.info_term
 
 
-def _image(idx: np.ndarray, w: np.ndarray, tab: np.ndarray, out_dim: int) -> Dist:
-    keys, w = _group(tab[idx], w)
-    return Dist(out_dim, idx=keys, w=w)
-
-
 def _fibres(idx: np.ndarray, w: np.ndarray, tab: np.ndarray,
             n: int) -> List[Tuple[float, Dist]]:
     """Conditional laws of Z given pi Z, one per image point with mass."""
@@ -65,28 +60,32 @@ def fibring_decompose(Z1: Dist, Z2: Dist, pi: LinearMap) -> FibringReport:
     if Z1.n != Z2.n or pi.in_dim != Z1.n:
         raise ValueError("dimension mismatch")
     n, m = Z1.n, pi.out_dim
-    tab = pi.table()
     i1, w1 = Z1.items()
     i2, w2 = Z2.items()
+    # the information term enumerates the support pairs on n + 2m key bits
+    size = len(i1) * len(i2)
+    if size > SUPPORT_CAP:
+        raise CostGuardExceeded("SUPPORT_CAP", size,
+                                "support product too large for the information term")
+    if n + 2 * m > 62:
+        raise CostGuardExceeded("fibring key bits", n + 2 * m,
+                                "packed (A, C) key would overflow 62 bits")
+    tab = pi.table()
 
     d_total = rdist(Z1, Z2)
-    d_projected = rdist(_image(i1, w1, tab, m), _image(i2, w2, tab, m))
+    d_projected = rdist(Dist(m, idx=tab[i1], w=w1), Dist(m, idx=tab[i2], w=w2))
     d_fibre = cond_rdist(_fibres(i1, w1, tab, n), _fibres(i2, w2, tab, n))
 
     # I[A : C | B] with A = Z1^Z2, C = (pi Z1, pi Z2), B = pi A. B is a
     # function of A and of C, so the term collapses to H[A] + H[C] - H[A,C]
     # - H[B]; H[A,C] comes from the joint law over independent support pairs.
-    if len(i1) * len(i2) > SUPPORT_CAP:
-        raise ValueError("support product too large for the information term")
-    if n + 2 * m > 62:
-        raise ValueError("packed (A, C) key would overflow 62 bits")
     a = (i1[:, None] ^ i2[None, :]).ravel()
     c = (tab[i1][:, None] | (tab[i2][None, :] << m)).ravel()
     wprod = np.outer(w1, w2).ravel()
-    _, w_ac = _group(a | (c << n), wprod)
-    _, w_c = _group(c, wprod)
-    _, w_a = _group(a, wprod)
-    _, w_b = _group((tab[i1][:, None] ^ tab[i2][None, :]).ravel(), wprod)
+    _, w_ac = _group(a | (c << n), wprod, n + 2 * m)
+    _, w_c = _group(c, wprod, 2 * m)
+    _, w_a = _group(a, wprod, n)
+    _, w_b = _group((tab[i1][:, None] ^ tab[i2][None, :]).ravel(), wprod, m)
     info_term = (_entropy_weights(w_a) + _entropy_weights(w_c)
                  - _entropy_weights(w_ac) - _entropy_weights(w_b))
 

@@ -112,6 +112,13 @@ def test_bsg_inequality_holds_on_random_joints():
         assert rep.lhs >= -1e-10
 
 
+def test_bsg_check_refuses_keys_past_62_bits():
+    # the (A, B, A^B) pushforward needs 3n key bits: 66 at n = 22
+    J = random_joint(make_rng(57), 22, 2, ["A", "B"], support_size=50)
+    with pytest.raises(ValueError, match="n\\*arity <= 62"):
+        bsg_check(J)
+
+
 def test_bsg_on_independent_pair():
     rng = make_rng(55)
     X = random_dist(rng, 4)
@@ -256,7 +263,6 @@ def test_abstract_endgame_same_under_dense_and_sparse_input():
     n = 4
     Js = random_joint(rng, n, 2, ["T1", "T2"], support_size=40)
     Jd = JointDist(n, 2, ["T1", "T2"], dense=Js.dense())
-    assert Jd.is_dense and not Js.is_dense
     X1, X2 = random_dist(rng, n), random_dist(rng, n)
     ref = RefPair(random_dist(rng, n), random_dist(rng, n))
     a = abstract_endgame(ref, Jd)

@@ -6,9 +6,9 @@ import pytest
 import entropic_pfr.cli as cli
 from entropic_pfr.cli import SUITES, main
 from entropic_pfr.cover import SetInput, save_set
-from entropic_pfr.dists import uniform_on
+from entropic_pfr.dists import CostGuardExceeded, uniform_on
 from entropic_pfr.groups import span
-from entropic_pfr.randgen import make_rng, random_dist
+from entropic_pfr.randgen import make_rng, random_coset_union, random_dist
 from entropic_pfr.ruzsa import IneqReport
 
 
@@ -127,6 +127,37 @@ def test_descend_emits_diagnostics_when_stalled(capsys, tmp_path):
     assert rows[0]["stop"] == "iteration limit"
     assert not rows[0]["converged"]
     assert "sum_split_identity" in rows[1]["bounds"]
+
+
+def coset_union_file(tmp_path):
+    # uniform on three cosets of a rank-7 subgroup of F_2^12: 384 points,
+    # so the endgame's four-fold support product is far past its cap
+    pts = random_coset_union(make_rng(21), 12, 7, 3)
+    assert len(pts) == 384
+    return dist_file(tmp_path, "union.json", uniform_on(pts, 12))
+
+
+def test_cost_guards_end_in_one_json_line(capsys, tmp_path):
+    a = coset_union_file(tmp_path)
+    size = (384 * 384) ** 2
+    code, lines = run(capsys, ["--quiet", "descend", "--x1", a, "--x2", a,
+                               "--max-iter", "0"])
+    rows = [json.loads(ln) for ln in lines]
+    assert code == 1 and len(rows) == 2
+    assert rows[0]["stop"] == "iteration limit"
+    assert rows[1] == {"error": "endgame support enumeration too large",
+                       "guard": "ENDGAME_SUPPORT_CAP", "size": size}
+    code, lines = run(capsys, ["endgame", "--x1", a, "--x2", a])
+    assert code == 1
+    assert [json.loads(ln) for ln in lines] == [rows[1]]
+
+
+def test_other_errors_still_propagate(tmp_path):
+    a = coset_union_file(tmp_path)
+    b = dist_file(tmp_path, "small.json", uniform_on([1, 2], 4))
+    with pytest.raises(ValueError, match="dimension mismatch") as err:
+        main(["endgame", "--x1", a, "--x2", b])
+    assert not isinstance(err.value, CostGuardExceeded)
 
 
 def test_demo_trace_lines_and_quiet_mode(capsys):

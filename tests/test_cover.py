@@ -232,3 +232,24 @@ def test_pipeline_is_blind_to_injective_affine_embeddings(N):
         assert cover_N.certified and cover.certified
         assert cover_N.Hp.rank == cover.Hp.rank
         assert len(cover_N.translates) == len(cover.translates)
+
+
+def test_pipeline_diagnostics_run_in_span_coordinates():
+    # 12 random points of F_2^6 moved into F_2^16, where 4n = 64 key bits
+    # would trip the diagnostics guard: the diagnostics read the span of
+    # the laws instead, so a stalled run reports what it reports at n = 6
+    pts = np.random.default_rng(3).choice(64, size=12, replace=False)
+    f = random_embedding(make_rng(16), 6, 16)
+    _, report = pfr_pipeline(SetInput(6, tuple(int(p) for p in pts)), max_iter=0)
+    _, report_N = pfr_pipeline(SetInput(16, tuple(f(p) for p in pts)), max_iter=0)
+    diag, diag_N = report["diagnostics"], report_N["diagnostics"]
+    assert "error" not in diag and set(diag_N) == set(diag)
+    for key, value in diag.items():
+        if key != "bounds":
+            assert diag_N[key] == pytest.approx(value, rel=0, abs=1e-12), key
+    assert set(diag_N["bounds"]) == set(diag["bounds"])
+    for name, b in diag["bounds"].items():
+        got = diag_N["bounds"][name]
+        assert got["holds"] == b["holds"], name
+        for part in ("lhs", "rhs", "slack"):
+            assert got[part] == pytest.approx(b[part], rel=0, abs=1e-12), name

@@ -282,12 +282,17 @@ def test_converged_state_satisfies_minimizer_bounds():
 
 
 def test_diagnostics_guard_on_key_bits():
-    # the 4-axis joint of the distance increments packs 4n bits per key
+    # the 4-axis joint of the distance increments packs 4r bits per key, r
+    # the rank of the span of the shifted supports: 0 and the 16 unit
+    # vectors span all of F_2^16
+    X = uniform_on([0] + [1 << b for b in range(16)], 16)
+    with pytest.raises(CostGuardExceeded, match="4r <= 62") as err:
+        diagnostics(RefPair(X, X), X, X)
+    assert (err.value.guard, err.value.size) == ("diagnostics key bits", 64)
+    # sparse laws at n = 16 on small cosets span few dimensions and run
     mk = coset_law_maker(make_rng(13), 16)
     X1, X2 = mk(), mk()
-    with pytest.raises(CostGuardExceeded, match="4n <= 62") as err:
-        diagnostics(RefPair(X1, X2), X1, X2)
-    assert (err.value.guard, err.value.size) == ("diagnostics key bits", 64)
+    assert diagnostics(RefPair(X1, X2), X1, X2)["bounds"]
 
 
 # -- descent in the intrinsic dimension ---------------------------------------

@@ -1,8 +1,9 @@
 """Distribution plumbing: dense/sparse agreement, WHT, joints, serialization.
 
 Every operation is checked against a brute-force reference built from plain
-dictionaries, and dense and sparse representations of the same law must give
-identical numbers.
+dictionaries. Dense and sparse Dists of the same law must give identical
+numbers, and a JointDist read from a table must equal the one read from its
+keys.
 """
 import json
 import math
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropic_pfr.dists import (Dist, JointDist, conv_entropy,
-                                dense_from_csv, entropy, fwht,
+from entropic_pfr import dists
+from entropic_pfr.dists import (CostGuardExceeded, Dist, JointDist, _group,
+                                conv_entropy, dense_from_csv, entropy, fwht,
                                 joint_product, load_dist,
                                 pushforward_dist, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
@@ -204,7 +206,7 @@ def test_pushforward_large_out_dim_stays_sparse():
 
 
 def random_joint_pair_forms(rng, n, arity, labels):
-    """The same joint in sparse-key and dense form (when it fits)."""
+    """The same joint read from its keys and from its table (when it fits)."""
     J = random_joint(rng, n, arity, labels)
     keys, w = J.items()
     sparse = JointDist(n, arity, labels, keys=keys, w=w)
@@ -319,12 +321,19 @@ def test_joint_axis_errors():
     J = JointDist.from_mapping({(0, 1): 1.0, (1, 0): 1.0}, 1, ["X", "Y"])
     with pytest.raises(ValueError):
         J.mutual_info("X", "X")
+    with pytest.raises(ValueError, match="repeated axis"):
+        J.cond_entropy("X", ["Y", "X"])
+    with pytest.raises(ValueError, match="repeated axis"):
+        J.cond_mutual_info("X", "Y", "Y")
     with pytest.raises(ValueError):
         J.marginal(["X", "X"])
     with pytest.raises(ValueError):
         J.entropy(5)
     with pytest.raises(ValueError):
         JointDist.from_mapping({(0,): 1.0}, 1, ["X", "X"])
+    for bad in (-1, 1 << 4):   # keys of a 2-axis joint at n = 2 use 4 bits
+        with pytest.raises(ValueError, match="key exceeds"):
+            JointDist(2, 2, ["X", "Y"], keys=[0, bad], w=[1.0, 1.0])
 
 
 def test_joint_slices_reconstruct_the_joint():
@@ -351,6 +360,49 @@ def test_independent_product_and_joint_product():
     P = joint_product(J, J)
     assert P.labels == ("X", "Y", "X'", "Y'")
     assert P.entropy() == pytest.approx(2 * J.entropy(), abs=1e-12)
+    with pytest.raises(CostGuardExceeded, match="too large") as err:
+        joint_product(J, J, max_support=63)
+    assert (err.value.guard, err.value.size) == ("joint_product max_support", 64)
+    with pytest.raises(ValueError, match="dimension mismatch") as err:
+        joint_product(J, JointDist.from_mapping({(0, 1): 1.0}, 3, ["X", "Y"]))
+    assert not isinstance(err.value, CostGuardExceeded)
+
+
+@pytest.mark.parametrize("bits", [4, 12, 24, 30])
+def test_group_table_and_sort_paths_agree_bitwise(bits, monkeypatch):
+    # 2000 draws from 300 values: the table rule holds at 4 and 12 bits and
+    # fails at 24 and 30; the reference adds in input order like both paths
+    rng = make_rng(bits)
+    pool = rng.choice(1 << bits, size=min(300, 1 << bits), replace=False)
+    keys = rng.choice(pool, size=2000).astype(np.int64)
+    w = rng.exponential(size=len(keys))
+    ref = {}
+    for k, x in zip(keys.tolist(), w.tolist()):
+        ref[k] = ref.get(k, 0.0) + x
+    want_keys = np.array(sorted(ref), dtype=np.int64)
+    want_w = np.array([ref[k] for k in sorted(ref)])
+    slacks = [dists.TABLE_SLACK, 0]            # the rule's choice, then sort
+    if bits <= 12:
+        slacks.append(1 << bits)               # the table at any count
+    for slack in slacks:
+        monkeypatch.setattr(dists, "TABLE_SLACK", slack)
+        ks, ws = _group(keys, w, bits)
+        assert ks.dtype == np.int64
+        assert np.array_equal(ks, want_keys)
+        assert np.array_equal(ws, want_w)      # bitwise, not approximately
+
+
+def test_joint_from_table_equals_joint_from_keys_bitwise():
+    rng = make_rng(23)
+    for n, arity in ((1, 2), (2, 3), (3, 4), (4, 2), (6, 3), (5, 4)):
+        labels = list("ABCD")[:arity]
+        J = random_joint(rng, n, arity, labels)
+        keys, w = J.items()
+        by_keys = JointDist(n, arity, labels, keys=keys, w=w)
+        by_table = JointDist(n, arity, labels, dense=J.dense())
+        for a, b in zip(by_keys.items(), by_table.items()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(by_table.dense(), by_keys.dense())
 
 
 def test_to_dist_requires_arity_one():

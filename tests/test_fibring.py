@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from entropic_pfr.dists import Dist, uniform_on
+from entropic_pfr import fibring
+from entropic_pfr.dists import CostGuardExceeded, Dist, uniform_on
 from entropic_pfr.fibring import (FibringReport, cor_sum_pair,
                                   fibring_decompose, pair_dist)
 from entropic_pfr.groups import LinearMap
@@ -88,12 +89,28 @@ def test_cor_sum_pair_on_coset_inputs_is_all_zero():
 
 def test_dimension_mismatch_rejected():
     rng = make_rng(46)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         fibring_decompose(random_dist(rng, 4), random_dist(rng, 5),
                           LinearMap.identity(4))
-    with pytest.raises(ValueError):
+    assert not isinstance(err.value, CostGuardExceeded)
+    with pytest.raises(ValueError) as err:
         fibring_decompose(random_dist(rng, 4), random_dist(rng, 4),
                           LinearMap.identity(5))
+    assert not isinstance(err.value, CostGuardExceeded)
+
+
+def test_cost_guards_raise_their_own_type(monkeypatch):
+    # 24 + 2 * 20 key bits: refused before the 2^24-entry map table is built
+    Z = Dist.point_mass(3, 24)
+    pi = LinearMap(24, 20, tuple(1 << (b % 20) for b in range(24)))
+    with pytest.raises(CostGuardExceeded, match="62 bits") as err:
+        fibring_decompose(Z, Z, pi)
+    assert (err.value.guard, err.value.size) == ("fibring key bits", 64)
+    monkeypatch.setattr(fibring, "SUPPORT_CAP", 11)
+    Z1, Z2 = uniform_on(range(3), 3), uniform_on(range(4), 3)
+    with pytest.raises(CostGuardExceeded, match="too large") as err:
+        fibring_decompose(Z1, Z2, LinearMap.identity(3))
+    assert (err.value.guard, err.value.size) == ("SUPPORT_CAP", 12)
 
 
 def test_report_is_plain_data():
