@@ -8,6 +8,10 @@ Given independent X1, X2 and fresh copies X~1, X~2:
 so U ^ V ^ W = 0 and S is the sum of all four. The joint law of (U, V, S)
 determines every entropy the endgame estimates need; swapping X1 with X~1
 exchanges U and V while fixing S, which forces I[W:U|S] = I[V:W|S] exactly.
+
+Descent conditions (U, V, S) on its heaviest values of S and takes the
+abstract endgame choice in each slice; endgame_choices scores all of those
+slices in one batched pass, and abstract_endgame is its one-slice case.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ __all__ = [
     "endgame_tables",
     "EndgameChoice",
     "abstract_endgame",
+    "endgame_choices",
     "endgame_bound",
 ]
 
@@ -224,29 +229,76 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
+    keys, w = J.items()
+    return _choices(ref, J.n, keys, w, np.array([0, len(keys)]))[0]
+
+
+def endgame_choices(ref: RefPair, J: JointDist, values) -> List[EndgameChoice]:
+    """abstract_endgame(ref, J.condition("S", s)) for each s in values.
+
+    J is the three-axis law of (U, V, S). S is its highest axis, so each
+    slice is one run of the ascending keys, normalized as condition does;
+    every slice is scored in one batched pass, with the same arithmetic
+    per slice and so the same choices, taus and laws.
+    """
+    if J.arity != 3:
+        raise ValueError("endgame_choices needs the three-axis law of (U, V, S)")
     n = J.n
     keys, w = J.items()
+    s = keys >> (2 * n)
+    lo = np.searchsorted(s, values)
+    hi = np.searchsorted(s, values, side="right")
+    missing = np.asarray(values)[lo == hi]
+    if len(missing):
+        raise ValueError(f"conditioning event {J.labels[2]}={missing[0]} has zero mass")
+    if not len(lo):
+        return []
+    rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    ws = np.concatenate([w[a:b] / w[a:b].sum() for a, b in zip(lo, hi)])
+    return _choices(ref, n, keys[rows] & ((1 << (2 * n)) - 1), ws,
+                    np.r_[0, np.cumsum(hi - lo)])
+
+
+def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
+             start: np.ndarray) -> List[EndgameChoice]:
+    """abstract_endgame on each slice j, the packed (T1, T2) keys
+    keys[start[j]:start[j + 1]], ascending, with weights of mass one.
+
+    For each gamma the rows are the (slice, t) pairs, scored together by
+    conditional_laws and ref.taus; each row's arithmetic does not depend on
+    the rows beside it.
+    """
+    m = len(start) - 1
     vals = [keys & ((1 << n) - 1), keys >> n]
     vals.append(vals[0] ^ vals[1])
-    supp, inv = zip(*(np.unique(t, return_inverse=True) for t in vals))
-    best_val, best_key = np.inf, None
+    sl = np.repeat(np.arange(m), np.diff(start))     # slice of each entry
+    perms, low, arg = [], [], []
     for gamma in range(3):
         others = [i for i in range(3) if i != gamma]
-        order = np.argsort(inv[gamma], kind="stable")   # rows sum in J's order
-        taus = np.empty((2, len(supp[gamma])))   # one row per permutation
-        for lo, hi, laws in conditional_laws(n, inv[gamma][order],
+        rows, inv = np.unique((sl << n) | vals[gamma], return_inverse=True)
+        order = np.argsort(inv, kind="stable")   # rows sum in the keys' order
+        taus = np.empty((2, len(rows)))          # one row per permutation
+        for lo, hi, laws in conditional_laws(n, inv[order],
                                              [vals[ax][order] for ax in others],
                                              w[order]):
             k = np.arange(2 * (hi - lo))   # each row's pair, in both orders
             taus[:, lo:hi] = ref.taus(laws, k, np.roll(k, hi - lo)).reshape(2, -1)
-        for (alpha, beta), t in zip(permutations(others), taus):
-            pos = int(np.argmin(t))
-            if t[pos] < best_val:
-                best_val = float(t[pos])
-                best_key = (gamma, alpha, beta, pos)
-    assert best_key is not None
-    gamma, alpha, beta, pos = best_key
-    sel = inv[gamma] == pos
-    return EndgameChoice(Dist(n, idx=vals[alpha][sel], w=w[sel]),
-                         Dist(n, idx=vals[beta][sel], w=w[sel]),
-                         best_val, (gamma, alpha, beta, int(supp[gamma][pos])))
+        row_sl = rows >> n
+        first = np.searchsorted(row_sl, np.arange(m))   # t ascending within
+        for perm, t in zip(permutations(others), taus):
+            least = np.minimum.reduceat(t, first)
+            tied = np.where(t == least[row_sl], rows, rows[-1])
+            perms.append((gamma, *perm))
+            low.append(least)
+            arg.append(np.minimum.reduceat(tied, first) & ((1 << n) - 1))
+    pick = np.argmin(low, axis=0)    # first least in (gamma, alpha, beta) order
+    out = []
+    for j, c in enumerate(pick):
+        gamma, alpha, beta = perms[c]
+        e = slice(start[j], start[j + 1])
+        sel = vals[gamma][e] == arg[c][j]
+        out.append(EndgameChoice(Dist(n, idx=vals[alpha][e][sel], w=w[e][sel]),
+                                 Dist(n, idx=vals[beta][e][sel], w=w[e][sel]),
+                                 float(low[c][j]),
+                                 (gamma, alpha, beta, int(arg[c][j]))))
+    return out

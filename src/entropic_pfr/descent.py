@@ -9,9 +9,11 @@ certifies small distance from both reference distributions.
 
 Each iteration scores the full candidate list, all five classes at once,
 and accepts the single best strict decrease; RefPair.taus scores them all,
-each distinct law built and transformed once per class. A class whose
-table construction trips a cost guard (CostGuardExceeded only) is skipped
-for that iteration and the skip is recorded in the trace. Candidates are
+each distinct law built and transformed once per class. The endgame class
+scores all of its slices of S in one batched pass (bsg.endgame_choices).
+A class whose table construction trips a cost guard (CostGuardExceeded
+only) is skipped for that iteration and the skip is recorded in the
+trace, next to each class's wall time and candidate count. Candidates are
 compared by tau, values within TIE_TOL counting as ties, with ties resolved
 by class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame),
 then by parameter order.
@@ -25,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bsg import abstract_endgame, endgame_tables
+from .bsg import endgame_choices, endgame_tables
 from .dists import CostGuardExceeded, Dist, uniform_on_subgroup, xor_convolve
 from .groups import SubgroupBasis, span
 from .ruzsa import RefPair, cond_rdist, one, rdist, slices_of
@@ -131,8 +134,9 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
 
     Fibre classes take the top sqrt(budget) conditioning values per side by
     probability mass and pair each fibre law of X1 with each of X2; the
-    endgame conditions on the heaviest budget values of the four-fold sum S.
-    Every class scores its pairs by ref.taus.
+    endgame conditions on the heaviest budget values of the four-fold sum S
+    and scores all of those slices at once. Every class scores its pairs by
+    ref.taus.
     """
     if kinds is None:
         kinds = CLASS_ORDER
@@ -157,11 +161,10 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
             params, laws = [(g, gp) for g in A for gp in B], [*A.values(), *B.values()]
             i, j = np.indices((len(A), len(B))).reshape(2, -1) + [[0], [len(A)]]
         else:
-            tabs = endgame_tables(X1, X2)
-            S = tabs.joint_UVS.marginal_dist("S")
-            for s in _top_support(S, budget):
-                ch = abstract_endgame(ref, tabs.joint_UVS.condition("S", s))
-                out.append(Move(kind, (s,) + ch.choice, ch.T1p, ch.T2p, ch.tau))
+            J = endgame_tables(X1, X2).joint_UVS
+            values = _top_support(J.marginal_dist("S"), budget)
+            out.extend(Move(kind, (s,) + ch.choice, ch.T1p, ch.T2p, ch.tau)
+                       for s, ch in zip(values, endgame_choices(ref, J, values)))
             continue
         out.extend(Move(kind, prm, laws[a], laws[b], float(t))
                    for prm, a, b, t in zip(params, i, j, ref.taus(laws, i, j)))
@@ -190,22 +193,33 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     Each iteration scores every class and takes the single move that lowers
     tau the most, provided the drop exceeds eps_step; it stops when
     d[X1; X2] <= eps_d (converged), no move helps, or max_iter is hit.
+    Each trace row records per class the best tau, the wall time
+    (per_class_s) and the number of candidates (per_class_candidates; 0
+    for a class the cost guard skipped).
     """
     state = DescentState(ref, X1, X2, *_k_tau(ref, X1, X2))
     state.snapshots.append((X1, X2))
-    cheap = [k for k in CLASS_ORDER if k is not MoveKind.ENDGAME]
     for it in range(max_iter):
         if state.k <= eps_d:
             state.converged = True
             state.stop_reason = "distance below eps_d"
             return state
-        moves = generate_candidates(ref, state.X1, state.X2, budget, cheap)
+        moves: List[Move] = []
         skipped: List[str] = []
-        try:
-            moves += generate_candidates(ref, state.X1, state.X2, budget,
-                                         [MoveKind.ENDGAME])
-        except CostGuardExceeded:
-            skipped.append(MoveKind.ENDGAME.value)
+        per_class_s: Dict[str, float] = {}
+        per_class_candidates: Dict[str, int] = {}
+        for kind in CLASS_ORDER:
+            t0 = perf_counter()
+            try:
+                got = generate_candidates(ref, state.X1, state.X2, budget, [kind])
+            except CostGuardExceeded:
+                if kind is not MoveKind.ENDGAME:
+                    raise
+                got = []
+                skipped.append(kind.value)
+            per_class_s[kind.value] = perf_counter() - t0
+            per_class_candidates[kind.value] = len(got)
+            moves += got
         per_class = {}
         for kind in CLASS_ORDER:
             mk = _best([mv for mv in moves if mv.kind == kind])
@@ -222,6 +236,8 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             "tau_before": state.tau,
             "tau_after": chosen.tau,
             "per_class_tau": per_class,
+            "per_class_s": per_class_s,
+            "per_class_candidates": per_class_candidates,
             "skipped_classes": skipped,
         })
         state.X1 = chosen.X1p.prune(PRUNE_FLOOR)

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .groups import LinearMap, SubgroupBasis
+from .groups import CostGuardExceeded, LinearMap, SubgroupBasis
 
 __all__ = [
     "CostGuardExceeded",
@@ -41,13 +41,6 @@ DENSE_BITS = 24
 TABLE_SLACK = 8  # _group counts into a table of at most this many entries per key
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
-
-
-class CostGuardExceeded(ValueError):
-    """Work refused by the cost guard `guard` at the requested `size`."""
-    def __init__(self, guard: str, size: int, message: str):
-        super().__init__(message)
-        self.guard, self.size = guard, size
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -130,8 +123,10 @@ class Dist:
 
     def __init__(self, n: int, dense: Optional[np.ndarray] = None,
                  idx: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None):
-        if n < 0 or n > DENSE_BITS:
+        if n < 0:
             raise ValueError(f"ambient dimension {n} out of range")
+        if n > DENSE_BITS:
+            raise CostGuardExceeded("DENSE_BITS", n, f"ambient dimension {n} out of range")
         self.n = n
         self._H: Optional[float] = None
         if dense is not None:
@@ -317,6 +312,11 @@ def pushforward_dist(X: Dist, pi: LinearMap) -> Dist:
 AxisKey = Union[int, str]
 
 
+def _dense_guard(bits: int) -> None:
+    if bits > DENSE_BITS:
+        raise CostGuardExceeded("DENSE_BITS", bits, "table too large for dense form")
+
+
 class JointDist:
     """A distribution on (F_2^n)^k with axis labels; k in {2,3,4} publicly.
 
@@ -335,8 +335,7 @@ class JointDist:
                  keys: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None):
         self._shape(n, arity, labels)
         if dense is not None:
-            if n * arity > DENSE_BITS:
-                raise ValueError("table too large for dense form")
+            _dense_guard(n * arity)
             dense = np.asarray(dense, dtype=np.float64).ravel()
             if dense.shape != (1 << (n * arity),):
                 raise ValueError("dense table has wrong length")
@@ -419,8 +418,7 @@ class JointDist:
 
     def dense(self) -> np.ndarray:
         """Full table in packed-key order (axis 0 in the low bits)."""
-        if self.n * self.arity > DENSE_BITS:
-            raise ValueError("table too large for dense form")
+        _dense_guard(self.n * self.arity)
         out = np.zeros(1 << (self.n * self.arity))
         out[self._keys] = self._w
         return out

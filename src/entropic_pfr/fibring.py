@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dists import CostGuardExceeded, Dist, _entropy_weights, _group
+from .dists import DENSE_BITS, CostGuardExceeded, Dist, _entropy_weights, _group
 from .groups import LinearMap
 from .ruzsa import cond_rdist, rdist
 
@@ -98,8 +98,9 @@ def pair_dist(X: Dist, Y: Dist) -> Dist:
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     n = X.n
-    if 2 * n > 24:
-        raise ValueError("pair would exceed the dense/key budget")
+    if 2 * n > DENSE_BITS:
+        raise CostGuardExceeded("pair_dist bits", 2 * n,
+                                "pair would exceed the dense/key budget")
     ix, wx = X.items()
     iy, wy = Y.items()
     keys = (ix[:, None] | (iy[None, :] << n)).ravel()

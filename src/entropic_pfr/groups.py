@@ -12,12 +12,23 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "CostGuardExceeded",
     "SubgroupBasis",
     "LinearMap",
     "span",
     "parse_elem",
     "format_elem",
 ]
+
+
+class CostGuardExceeded(ValueError):
+    """Work refused by the cost guard `guard` at the requested `size`."""
+    def __init__(self, guard: str, size: int, message: str):
+        super().__init__(message)
+        self.guard, self.size = guard, size
+
+
+ENUMERATE_RANK = 24  # enumerate and enumerate_array list at most 2^24 members
 
 
 def _rref(vectors: Iterable[int]) -> Tuple[int, ...]:
@@ -86,8 +97,7 @@ class SubgroupBasis:
         Index i selects basis rows by its bits, lowest bit picking the row
         with the smallest pivot; distinct pivots make this order ascending.
         """
-        if self.rank > 24:
-            raise ValueError("rank too large to enumerate")
+        self._enumerate_guard()
         out = [0]
         for r in reversed(self.rows):
             out += [x ^ r for x in out]
@@ -95,10 +105,16 @@ class SubgroupBasis:
 
     def enumerate_array(self) -> np.ndarray:
         """Same as enumerate(), as an int64 array."""
+        self._enumerate_guard()
         out = np.zeros(1, dtype=np.int64)
         for r in reversed(self.rows):
             out = np.concatenate([out, out ^ r])
         return out
+
+    def _enumerate_guard(self) -> None:
+        if self.rank > ENUMERATE_RANK:
+            raise CostGuardExceeded("ENUMERATE_RANK", self.rank,
+                                    "rank too large to enumerate")
 
     def coords(self, x):
         """Coordinates in F_2^rank of span members (ints or int64 arrays).

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from entropic_pfr import ruzsa
-from entropic_pfr.bsg import (EndgameChoice, abstract_endgame, bsg_check,
-                              cond_indep_trials, endgame_bound, endgame_tables,
+from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice,
+                              abstract_endgame, bsg_check, cond_indep_trials,
+                              endgame_bound, endgame_choices, endgame_tables,
                               trials_entropy_gap, _uvs_sparse, _uvs_spectral)
+from entropic_pfr.descent import _top_support
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
 from entropic_pfr.ruzsa import RefPair, rdist
@@ -281,3 +283,79 @@ def test_abstract_endgame_prefers_earlier_choice_on_exact_tie():
     ref = RefPair(U, U)
     ch = abstract_endgame(ref, J)
     assert ch.choice == (0, 1, 2, 0)
+
+
+def _bits(ch):
+    """Everything an EndgameChoice holds, as exact bytes and ints."""
+    laws = [(idx.tobytes(), w.tobytes()) for idx, w in (ch.T1p.items(), ch.T2p.items())]
+    return ch.choice, ch.tau.hex(), laws
+
+
+def _assert_choices_match_slices(ref, J, budget):
+    values = _top_support(J.marginal_dist("S"), budget)
+    batched = endgame_choices(ref, J, values)
+    assert len(batched) == len(values)
+    for s, ch in zip(values, batched):
+        assert _bits(ch) == _bits(abstract_endgame(ref, J.condition("S", s)))
+
+
+def _random_uvs_cases(seed):
+    """(ref, (U, V, S) law, took the spectral cube) on random pairs, n = 3-6."""
+    rng = make_rng(seed)
+    for trial in range(12):
+        n = 3 + trial % 4
+        size = int(rng.integers(2, 1 + min(1 << n, 10)))
+        mk = lambda: Dist.from_sparse(rng.choice(1 << n, size, replace=False),
+                                      rng.random(size), n=n)
+        X1, X2 = mk(), mk()
+        spectral = (3 * n <= ENDGAME_DENSE_BITS
+                    and (X1.support_size() * X2.support_size()) ** 2 > 8 ** n)
+        yield RefPair(mk(), mk()), endgame_tables(X1, X2).joint_UVS, spectral
+
+
+@pytest.mark.parametrize("budget", [4, 64])
+def test_endgame_choices_equal_the_per_slice_choices_bitwise(budget):
+    paths = set()
+    for ref, J, spectral in _random_uvs_cases(62):
+        paths.add(spectral)
+        _assert_choices_match_slices(ref, J, budget)
+    assert paths == {True, False}   # the spectral cube and the enumeration
+
+
+def test_endgame_choices_break_exact_ties_as_the_slices_do():
+    # for U uniform on a subgroup H, U, V and S are independent and uniform
+    # on H: in every slice all candidates tie, and the first one wins
+    U = uniform_on([0, 3, 5, 6], 3)
+    J = endgame_tables(U, U).joint_UVS
+    _assert_choices_match_slices(RefPair(U, U), J, 64)
+    chs = endgame_choices(RefPair(U, U), J, [6, 0, 5])
+    assert [ch.choice for ch in chs] == [(0, 1, 2, 0)] * 3
+
+
+def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
+    # eight rows of 2^n per chunk: chunks end inside and between slices
+    for ref, J, _ in _random_uvs_cases(63):
+        monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
+        _assert_choices_match_slices(ref, J, 64)
+
+
+def test_endgame_choices_on_sparse_laws_past_batch_bits():
+    # n = 17: conditional laws stay sparse Dists, scored pair by pair
+    rng = make_rng(64)
+    n = 17
+    assert n > ruzsa.BATCH_BITS
+    u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
+    H = np.array([0, u, v, u ^ v])
+    mk = lambda: Dist.from_sparse(H ^ int(rng.integers(1 << n)), rng.random(4), n=n)
+    J = endgame_tables(mk(), mk()).joint_UVS
+    _assert_choices_match_slices(RefPair(mk(), mk()), J, 64)
+
+
+def test_endgame_choices_reject_a_value_of_zero_mass():
+    # S = X1 ^ X2 ^ X~1 ^ X~2 lies in the subgroup {0, 1}: S = 2 has no mass
+    X = uniform_on([0, 1], 3)
+    J = endgame_tables(X, X).joint_UVS
+    with pytest.raises(ValueError, match="S=2 has zero mass"):
+        endgame_choices(RefPair(X, X), J, [0, 2])
+    with pytest.raises(ValueError, match="S=2 has zero mass"):
+        J.condition("S", 2)

@@ -189,12 +189,37 @@ def test_oversized_supports_skip_endgame_only():
         "sum-self", "fibre-cross", "sum-cross", "fibre-self"}
 
 
+def test_trace_reports_time_and_candidates_per_class():
+    rng = make_rng(13)
+    ref = random_ref(rng, 4)
+    X1, X2 = random_dist(rng, 4), random_dist(rng, 4)
+    st = descend(ref, X1, X2, budget=16, max_iter=1)
+    row = st.trace[0]
+    classes = [k.value for k in CLASS_ORDER]
+    assert list(row["per_class_s"]) == classes
+    assert all(t >= 0.0 for t in row["per_class_s"].values())
+    assert row["per_class_candidates"] == {
+        k.value: len(generate_candidates(ref, X1, X2, 16, [k])) for k in CLASS_ORDER}
+    assert row["per_class_candidates"]["endgame"] > 0
+
+
+def test_guard_skipped_class_counts_no_candidates():
+    X1, X2 = big_pair(7)
+    row = descend(RefPair(X1, X2), X1, X2, max_iter=1).trace[0]
+    assert row["skipped_classes"] == ["endgame"]
+    assert row["per_class_candidates"]["endgame"] == 0
+    assert set(row["per_class_s"]) == {k.value for k in CLASS_ORDER}
+    for k in CLASS_ORDER[:-1]:
+        assert row["per_class_candidates"][k.value] == len(
+            generate_candidates(RefPair(X1, X2), X1, X2, descent.BUDGET, [k]))
+
+
 def test_descend_raises_endgame_errors_that_are_not_guards(monkeypatch):
     # only CostGuardExceeded marks the endgame as skipped; any other error
     # is a fault and must reach the caller
-    def broken(ref, J):
+    def broken(ref, J, values):
         raise ValueError("not a cost guard")
-    monkeypatch.setattr(descent, "abstract_endgame", broken)
+    monkeypatch.setattr(descent, "endgame_choices", broken)
     rng = make_rng(12)
     X1, X2 = random_dist(rng, 3), random_dist(rng, 3)
     with pytest.raises(ValueError, match="not a cost guard"):

@@ -368,6 +368,22 @@ def test_independent_product_and_joint_product():
     assert not isinstance(err.value, CostGuardExceeded)
 
 
+def test_dense_bits_guards_are_typed():
+    with pytest.raises(CostGuardExceeded, match="out of range") as err:
+        Dist(25, idx=[0], w=[1.0])
+    assert (err.value.guard, err.value.size) == ("DENSE_BITS", 25)
+    with pytest.raises(ValueError, match="out of range") as err:
+        Dist(-1, idx=[0], w=[1.0])
+    assert not isinstance(err.value, CostGuardExceeded)
+    J = JointDist(13, 2, ["X", "Y"], keys=[1], w=[1.0])
+    with pytest.raises(CostGuardExceeded, match="too large for dense form") as err:
+        J.dense()
+    assert (err.value.guard, err.value.size) == ("DENSE_BITS", 26)
+    with pytest.raises(CostGuardExceeded, match="too large for dense form") as err:
+        JointDist(9, 3, ["X", "Y", "Z"], dense=np.ones(8))
+    assert (err.value.guard, err.value.size) == ("DENSE_BITS", 27)
+
+
 @pytest.mark.parametrize("bits", [4, 12, 24, 30])
 def test_group_table_and_sort_paths_agree_bitwise(bits, monkeypatch):
     # 2000 draws from 300 values: the table rule holds at 4 and 12 bits and

@@ -113,6 +113,14 @@ def test_cost_guards_raise_their_own_type(monkeypatch):
     assert (err.value.guard, err.value.size) == ("SUPPORT_CAP", 12)
 
 
+def test_pair_dist_guard_is_typed():
+    X = Dist.point_mass(1, 13)
+    with pytest.raises(CostGuardExceeded, match="dense/key budget") as err:
+        pair_dist(X, X)
+    assert (err.value.guard, err.value.size) == ("pair_dist bits", 26)
+    assert pair_dist(Dist.point_mass(1, 12), Dist.point_mass(2, 12)).n == 24
+
+
 def test_report_is_plain_data():
     rep = FibringReport(1.0, 0.5, 0.25, 0.25, 0.0)
     assert rep.pieces() == (0.5, 0.25, 0.25)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropic_pfr.groups import (LinearMap, SubgroupBasis, format_elem,
-                                 parse_elem, span)
+from entropic_pfr import dists
+from entropic_pfr.groups import (CostGuardExceeded, LinearMap, SubgroupBasis,
+                                 format_elem, parse_elem, span)
 
 
 def brute_span(elems, n):
@@ -87,6 +88,16 @@ def test_enumerate_guard():
     H = span([1 << i for i in range(25)], 26)
     with pytest.raises(ValueError):
         H.enumerate()
+
+
+def test_enumerate_guards_are_typed():
+    H = span([1 << i for i in range(25)], 26)
+    for method in (H.enumerate, H.enumerate_array):
+        with pytest.raises(CostGuardExceeded, match="rank too large") as err:
+            method()
+        assert (err.value.guard, err.value.size) == ("ENUMERATE_RANK", 25)
+    assert len(span([1 << i for i in range(4)], 26).enumerate_array()) == 16
+    assert CostGuardExceeded is dists.CostGuardExceeded   # one class, re-exported
 
 
 def test_shrink_to_size():
