@@ -195,7 +195,8 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     d[X1; X2] <= eps_d (converged), no move helps, or max_iter is hit.
     Each trace row records per class the best tau, the wall time
     (per_class_s) and the number of candidates (per_class_candidates; 0
-    for a class the cost guard skipped).
+    for a class the cost guard skipped), and for each skipped class the
+    name and size of the guard that tripped (guard_trips).
     """
     state = DescentState(ref, X1, X2, *_k_tau(ref, X1, X2))
     state.snapshots.append((X1, X2))
@@ -206,17 +207,19 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             return state
         moves: List[Move] = []
         skipped: List[str] = []
+        guard_trips: Dict[str, dict] = {}
         per_class_s: Dict[str, float] = {}
         per_class_candidates: Dict[str, int] = {}
         for kind in CLASS_ORDER:
             t0 = perf_counter()
             try:
                 got = generate_candidates(ref, state.X1, state.X2, budget, [kind])
-            except CostGuardExceeded:
+            except CostGuardExceeded as exc:
                 if kind is not MoveKind.ENDGAME:
                     raise
                 got = []
                 skipped.append(kind.value)
+                guard_trips[kind.value] = {"guard": exc.guard, "size": exc.size}
             per_class_s[kind.value] = perf_counter() - t0
             per_class_candidates[kind.value] = len(got)
             moves += got
@@ -239,6 +242,7 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             "per_class_s": per_class_s,
             "per_class_candidates": per_class_candidates,
             "skipped_classes": skipped,
+            "guard_trips": guard_trips,
         })
         state.X1 = chosen.X1p.prune(PRUNE_FLOOR)
         state.X2 = chosen.X2p.prune(PRUNE_FLOOR)
@@ -275,10 +279,9 @@ _ELEMENT_PARAMS = {MoveKind.FIBRE_CROSS: (0, 1), MoveKind.FIBRE_SELF: (0, 1),
 
 
 def _to_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
-    """X ^ a0 in V's coordinates; a dense law stays dense."""
+    """X ^ a0 in V's coordinates."""
     idx, w = X.items()
-    Y = Dist(V.rank, idx=V.coords(idx ^ a0), w=w)
-    return Y.to_dense() if X.is_dense else Y
+    return Dist(V.rank, idx=V.coords(idx ^ a0), w=w)
 
 
 def _reduce(laws: Sequence[Dist], shifts: Sequence[int]) -> Tuple[SubgroupBasis, List[Dist]]:

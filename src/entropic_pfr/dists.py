@@ -4,17 +4,18 @@ Entropy calculus (joint/conditional entropy, mutual information), XOR
 convolution through the fast Walsh-Hadamard transform, pushforwards under
 GF(2)-linear maps, and conditioning. Natural logarithms throughout.
 
-A Dist is dense (table of length 2^n) or sparse (support indices plus
-weights), and every operation must give the same numbers (to 1e-12) under
-either representation; tests enforce this. A JointDist over (F_2^n)^k has one
-representation: its support, the k coordinates packed into one key (axis 0
-in the lowest n bits) in ascending order, and their weights.
+A Dist on F_2^n and a JointDist over (F_2^n)^k each have one
+representation: their support, ascending distinct int64 keys, and the
+positive weights of those keys. A JointDist packs its k coordinates into one
+key, axis 0 in the lowest n bits. Both read their support through one
+reader (_read), from a dense table or from keys with weights; a table is
+only an input format and the export of dense().
 """
 from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -116,10 +117,60 @@ def _group(keys: np.ndarray, w: np.ndarray, bits: int) -> Tuple[np.ndarray, np.n
     return ks, np.bincount(inv, weights=w, minlength=len(ks))
 
 
-class Dist:
-    """A probability distribution on F_2^n, dense or sparse."""
+def _read(bits: int, dense: Optional[np.ndarray], keys: Optional[np.ndarray],
+          w: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The support of a law on `bits`-bit keys: ascending distinct int64 keys
+    and their positive weights, normalized.
 
-    __slots__ = ("n", "_dense", "_idx", "_w", "_H")
+    Reads a table of length 2^bits, or keys with weights (every key checked
+    against the range, zero weights then dropped, repeated keys summed).
+    """
+    if dense is not None:
+        _dense_guard(bits)
+        dense = np.asarray(dense, dtype=np.float64).ravel()
+        if dense.shape != (1 << bits,):
+            raise ValueError("dense table has wrong length")
+        if dense.min() < 0:
+            raise ValueError("negative weight")
+        keys = np.flatnonzero(dense)   # ascending and distinct: grouped
+        w = dense[keys]
+    else:
+        assert keys is not None and w is not None
+        keys = np.asarray(keys, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        if keys.min(initial=0) < 0 or keys.max(initial=0) >> bits:
+            raise ValueError(f"key exceeds {bits} bits")
+        if w.min(initial=0.0) < 0:
+            raise ValueError("negative weight")
+        keep = w > 0
+        if not keep.all():
+            keys, w = keys[keep], w[keep]
+        keys, w = _group(keys, w, bits)
+    if not len(keys):
+        raise ValueError("zero total mass")
+    return keys, w / w.sum()
+
+
+def _dense_guard(bits: int) -> None:
+    if bits > DENSE_BITS:
+        raise CostGuardExceeded("DENSE_BITS", bits, "table too large for dense form")
+
+
+def _runs(vals: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """(lo, hi) bounds of the runs of equal values in a sorted array."""
+    cuts = np.flatnonzero(np.diff(vals)) + 1
+    return zip(np.r_[0, cuts], np.r_[cuts, len(vals)])
+
+
+class Dist:
+    """A probability distribution on F_2^n, stored as its support.
+
+    Support indices are int64, ascending and distinct, each with its
+    positive weight; the weights sum to one. A dense table of length 2^n is
+    read on input and written by dense() on output.
+    """
+
+    __slots__ = ("n", "_idx", "_w", "_H")
 
     def __init__(self, n: int, dense: Optional[np.ndarray] = None,
                  idx: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None):
@@ -129,51 +180,20 @@ class Dist:
             raise CostGuardExceeded("DENSE_BITS", n, f"ambient dimension {n} out of range")
         self.n = n
         self._H: Optional[float] = None
-        if dense is not None:
-            dense = np.asarray(dense, dtype=np.float64)
-            if dense.shape != (1 << n,):
-                raise ValueError("dense table has wrong length")
-            if dense.min() < 0:
-                raise ValueError("negative weight")
-            total = dense.sum()
-            if total <= 0:
-                raise ValueError("zero total mass")
-            self._dense = dense / total
-            self._idx = None
-            self._w = None
-        else:
-            assert idx is not None and w is not None
-            idx = np.asarray(idx, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            keep = w > 0
-            if w.min(initial=0.0) < 0:
-                raise ValueError("negative weight")
-            idx, w = idx[keep], w[keep]
-            if len(idx) == 0:
-                raise ValueError("zero total mass")
-            if idx.min() < 0 or idx.max() >= (1 << n):
-                raise ValueError("support exceeds ambient dimension")
-            idx, w = _group(idx, w, n)
-            self._dense = None
-            self._idx = idx
-            self._w = w / w.sum()
+        self._idx, self._w = _read(n, dense, idx, w)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_dense(weights: Sequence[float], n: int) -> "Dist":
-        return Dist(n, dense=np.asarray(weights, dtype=np.float64))
+        return Dist(n, dense=weights)
 
     @staticmethod
     def from_sparse(mapping_or_idx, w=None, *, n: int) -> "Dist":
+        """From an {index: weight} mapping, or from indices and weights."""
         if w is None:
-            items = sorted(mapping_or_idx.items())
-            idx = np.array([k for k, _ in items], dtype=np.int64)
-            w = np.array([v for _, v in items], dtype=np.float64)
-        else:
-            idx = np.asarray(mapping_or_idx, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-        return Dist(n, idx=idx, w=w)
+            return Dist(n, idx=list(mapping_or_idx), w=list(mapping_or_idx.values()))
+        return Dist(n, idx=mapping_or_idx, w=w)
 
     @staticmethod
     def point_mass(x: int, n: int) -> "Dist":
@@ -181,31 +201,14 @@ class Dist:
 
     # -- representation ----------------------------------------------------
 
-    @property
-    def is_dense(self) -> bool:
-        return self._dense is not None
-
     def dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
+        """Full table of length 2^n."""
         out = np.zeros(1 << self.n)
         out[self._idx] = self._w
         return out
 
-    def to_dense(self) -> "Dist":
-        return self if self.is_dense else Dist(self.n, dense=self.dense())
-
-    def to_sparse(self) -> "Dist":
-        if not self.is_dense:
-            return self
-        idx = np.nonzero(self._dense)[0]
-        return Dist(self.n, idx=idx, w=self._dense[idx])
-
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """Support indices (ascending) and their weights."""
-        if self.is_dense:
-            idx = np.nonzero(self._dense)[0]
-            return idx.astype(np.int64), self._dense[idx]
         return self._idx, self._w
 
     def support(self) -> np.ndarray:
@@ -215,8 +218,6 @@ class Dist:
         return len(self.support())
 
     def weight(self, x: int) -> float:
-        if self.is_dense:
-            return float(self._dense[x])
         pos = np.searchsorted(self._idx, x)
         if pos < len(self._idx) and self._idx[pos] == x:
             return float(self._w[pos])
@@ -231,23 +232,18 @@ class Dist:
 
     def entropy(self) -> float:
         if self._H is None:
-            self._H = _entropy_weights(self._w if not self.is_dense else self._dense)
+            self._H = _entropy_weights(self._w)
         return self._H
 
     def translate(self, g: int) -> "Dist":
-        if self.is_dense:
-            out = np.zeros_like(self._dense)
-            out[np.arange(1 << self.n) ^ g] = self._dense
-            return Dist(self.n, dense=out)
         return Dist(self.n, idx=self._idx ^ g, w=self._w)
 
     def prune(self, rel_floor: float = 1e-13) -> "Dist":
         """Drop weights below rel_floor of the max and renormalize."""
-        idx, w = self.items()
-        keep = w >= rel_floor * w.max()
-        if keep.all() and not self.is_dense:
+        keep = self._w >= rel_floor * self._w.max()
+        if keep.all():
             return self
-        return Dist(self.n, idx=idx[keep], w=w[keep])
+        return Dist(self.n, idx=self._idx[keep], w=self._w[keep])
 
     # -- serialization -----------------------------------------------------
 
@@ -284,14 +280,14 @@ def entropy(X: Dist) -> float:
 def xor_convolve(X: Dist, Y: Dist) -> Dist:
     """Exact distribution of X' ^ Y' for independent copies.
 
-    Dense pairs go through the Walsh-Hadamard transform in O(n 2^n); sparse
-    pairs with a small support product are convolved by pair enumeration.
+    Pairs with a support product below n 2^n are convolved by pair
+    enumeration, the others through the Walsh-Hadamard transform in
+    O(n 2^n).
     """
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     n = X.n
-    both_sparse = not (X.is_dense or Y.is_dense)
-    if both_sparse and X.support_size() * Y.support_size() < (1 << n) * max(n, 1):
+    if X.support_size() * Y.support_size() < (1 << n) * max(n, 1):
         ix, wx = X.items()
         iy, wy = Y.items()
         return Dist(n, idx=(ix[:, None] ^ iy[None, :]).ravel(),
@@ -305,16 +301,10 @@ def pushforward_dist(X: Dist, pi: LinearMap) -> Dist:
     if pi.in_dim != X.n:
         raise ValueError("dimension mismatch")
     idx, w = X.items()
-    Y = Dist(pi.out_dim, idx=pi.table()[idx], w=w)
-    return Y.to_dense() if pi.out_dim <= 12 else Y
+    return Dist(pi.out_dim, idx=pi.table()[idx], w=w)
 
 
 AxisKey = Union[int, str]
-
-
-def _dense_guard(bits: int) -> None:
-    if bits > DENSE_BITS:
-        raise CostGuardExceeded("DENSE_BITS", bits, "table too large for dense form")
 
 
 class JointDist:
@@ -334,31 +324,7 @@ class JointDist:
                  dense: Optional[np.ndarray] = None,
                  keys: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None):
         self._shape(n, arity, labels)
-        if dense is not None:
-            _dense_guard(n * arity)
-            dense = np.asarray(dense, dtype=np.float64).ravel()
-            if dense.shape != (1 << (n * arity),):
-                raise ValueError("dense table has wrong length")
-            if dense.min() < 0:
-                raise ValueError("negative weight")
-            keys = np.flatnonzero(dense)   # ascending and distinct: grouped
-            w = dense[keys]
-        else:
-            assert keys is not None and w is not None
-            keys = np.asarray(keys, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            if keys.min(initial=0) < 0 or keys.max(initial=0) >> (n * arity):
-                raise ValueError("key exceeds n*arity bits")
-            if w.min(initial=0.0) < 0:
-                raise ValueError("negative weight")
-            keep = w > 0
-            if not keep.all():
-                keys, w = keys[keep], w[keep]
-            keys, w = _group(keys, w, n * arity)
-        if not len(keys):
-            raise ValueError("zero total mass")
-        self._keys = keys
-        self._w = w / w.sum()
+        self._keys, self._w = _read(n * arity, dense, keys, w)
 
     def _shape(self, n: int, arity: int, labels: Sequence[str]) -> "JointDist":
         """Check and store the shape; every constructor passes through here."""
@@ -507,10 +473,9 @@ class JointDist:
         keys, w = M.items()
         # ascending keys with the target in the low bits: the conditioning
         # part is nondecreasing, so each slice is one contiguous run
-        cuts = np.flatnonzero(np.diff(keys >> self.n)) + 1
         tvals = M.axis_values(keys, 0)
         out: List[Tuple[Tuple[int, ...], float, Dist]] = []
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(keys)]):
+        for lo, hi in _runs(keys >> self.n):
             vals = tuple(int(M.axis_values(keys[lo], j)) for j in range(1, M.arity))
             mass = float(w[lo:hi].sum())
             out.append((vals, mass, Dist(self.n, idx=tvals[lo:hi], w=w[lo:hi])))

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dists import DENSE_BITS, CostGuardExceeded, Dist, _entropy_weights, _group
+from .dists import DENSE_BITS, CostGuardExceeded, Dist, _entropy_weights, _group, _runs
 from .groups import LinearMap
 from .ruzsa import cond_rdist, rdist
 
@@ -49,9 +49,8 @@ def _fibres(idx: np.ndarray, w: np.ndarray, tab: np.ndarray,
     vals = tab[idx]
     order = np.argsort(vals, kind="stable")
     idx, w, vals = idx[order], w[order], vals[order]
-    cuts = np.flatnonzero(np.diff(vals)) + 1
     out = []
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(vals)]):
+    for lo, hi in _runs(vals):
         out.append((float(w[lo:hi].sum()), Dist(n, idx=idx[lo:hi], w=w[lo:hi])))
     return out
 

@@ -40,10 +40,6 @@ def random_dist(rng: np.random.Generator, n: int,
     idx = rng.choice(size, size=support_size, replace=False).astype(np.int64)
     w = rng.exponential(size=support_size)
     w[w <= 0] = 1.0
-    if n <= 12:
-        dense = np.zeros(size)
-        dense[idx] = w
-        return Dist(n, dense=dense)
     return Dist(n, idx=idx, w=w)
 
 

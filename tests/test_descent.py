@@ -185,6 +185,8 @@ def test_oversized_supports_skip_endgame_only():
     st = descend(RefPair(X1, X2), X1, X2, max_iter=1)
     row = st.trace[0]
     assert row["skipped_classes"] == ["endgame"]
+    assert row["guard_trips"] == {
+        "endgame": {"guard": "ENDGAME_SUPPORT_CAP", "size": (80 * 80) ** 2}}
     assert set(row["per_class_tau"]) == {
         "sum-self", "fibre-cross", "sum-cross", "fibre-self"}
 
@@ -454,7 +456,7 @@ def test_entropic_pfr_at_rank_zero_and_full_rank():
     assert_same_descent(st, descend(RefPair(X01, X02), X02, X01))
 
 
-def test_laws_keep_their_representation_in_coordinates():
+def test_laws_in_coordinates_keep_member_order_and_round_trip():
     V = span([0b000110, 0b101000], 6)
     a0 = 0b010001
     members = V.enumerate_array()
@@ -463,7 +465,7 @@ def test_laws_keep_their_representation_in_coordinates():
     table[members ^ a0] = w
     for X in (Dist(6, dense=table), Dist(6, idx=members ^ a0, w=w)):
         Y = _to_coords(X, V, a0)
-        assert Y.n == 2 and Y.is_dense == X.is_dense
+        assert Y.n == 2
         # coordinates keep the order of the members
         assert np.allclose(Y.dense(), w / w.sum(), rtol=0, atol=1e-15)
         back = _from_coords(Y, V, a0)

@@ -1,9 +1,8 @@
-"""Distribution plumbing: dense/sparse agreement, WHT, joints, serialization.
+"""Distribution plumbing: table and index input, WHT, joints, serialization.
 
 Every operation is checked against a brute-force reference built from plain
-dictionaries. Dense and sparse Dists of the same law must give identical
-numbers, and a JointDist read from a table must equal the one read from its
-keys.
+dictionaries. A Dist or JointDist read from a table must equal, bitwise, the
+one read from its indices or keys.
 """
 import json
 import math
@@ -58,6 +57,15 @@ def test_dist_normalizes_and_validates():
         Dist.from_dense([1, 1], 2)
 
 
+def test_out_of_range_index_raises_even_with_zero_weight():
+    with pytest.raises(ValueError, match="exceeds 2 bits"):
+        Dist(2, idx=[0, 4], w=[1.0, 0.0])
+    with pytest.raises(ValueError, match="exceeds 2 bits"):
+        Dist(2, idx=[-1, 1], w=[0.0, 1.0])
+    with pytest.raises(ValueError, match="exceeds 4 bits"):
+        JointDist(2, 2, ["X", "Y"], keys=[0, 16], w=[1.0, 0.0])
+
+
 def test_sparse_accumulates_duplicates():
     X = Dist.from_sparse([3, 3, 1], [1.0, 1.0, 2.0], n=2)
     assert X.weight(3) == pytest.approx(0.5)
@@ -67,17 +75,23 @@ def test_sparse_accumulates_duplicates():
 
 
 def test_dense_sparse_round_trip_preserves_everything():
+    # a law read from its table and from its (unsorted) indices is one law,
+    # bitwise
     rng = make_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 9))
-        X = random_dist(rng, n)
-        S = X.to_sparse()
-        D = X.to_dense()
-        assert np.allclose(S.dense(), D.dense(), atol=1e-15)
-        assert S.entropy() == pytest.approx(D.entropy(), abs=1e-12)
-        assert S.argmax() == D.argmax()
+        idx = rng.permutation(1 << n)[: rng.integers(1, (1 << n) + 1)]
+        w = rng.exponential(size=len(idx))
+        table = np.zeros(1 << n)
+        table[idx] = w
+        S = Dist(n, idx=idx, w=w)
+        D = Dist(n, dense=table)
         g = int(rng.integers(0, 1 << n))
-        assert np.allclose(S.translate(g).dense(), D.translate(g).dense())
+        for a, b in zip(S.items() + S.translate(g).items(),
+                        D.items() + D.translate(g).items()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert S.entropy() == D.entropy()
+        assert S.argmax() == D.argmax()
 
 
 def test_entropy_matches_plain_sum():
@@ -143,16 +157,24 @@ def test_fwht_rejects_bad_length():
         fwht(np.ones(3))
 
 
-def test_xor_convolve_matches_brute_force_all_paths():
+def test_xor_convolve_matches_brute_force_all_paths(monkeypatch):
+    # a point mass against a full support is enumerated (n >= 2), two full
+    # supports go through the WHT; the flags record which path each pair took
+    transforms = []
+    monkeypatch.setattr(dists, "fwht", lambda a: transforms.append(1) or fwht(a))
     rng = make_rng(15)
+    by_wht = set()
     for _ in range(25):
         n = int(rng.integers(1, 7))
         X = random_dist(rng, n)
         Y = random_dist(rng, n)
-        ref = brute_convolve(X, Y)
-        for A, B in ((X, Y), (X.to_sparse(), Y.to_sparse()),
-                     (X.to_dense(), Y.to_sparse())):
-            assert np.allclose(xor_convolve(A, B).dense(), ref, atol=1e-12)
+        full = random_dist(rng, n, 1 << n)
+        for A, B in ((X, Y), (Dist.point_mass(1, n), full), (full, full)):
+            before = len(transforms)
+            assert np.allclose(xor_convolve(A, B).dense(), brute_convolve(A, B),
+                               atol=1e-12)
+            by_wht.add(len(transforms) > before)
+    assert by_wht == {False, True}
 
 
 def test_conv_entropy_clamps_rows_and_warns_on_deviation():
@@ -199,7 +221,7 @@ def test_pushforward_large_out_dim_stays_sparse():
     X = Dist.point_mass(1, 2)
     pi = LinearMap(2, 14, (1, 2))
     Y = pushforward_dist(X, pi)
-    assert not Y.is_dense and Y.weight(1) == 1.0
+    assert Y.weight(1) == 1.0
 
 
 # -- JointDist ----------------------------------------------------------------
