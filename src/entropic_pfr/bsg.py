@@ -266,7 +266,7 @@ def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
 
     For each gamma the rows are the (slice, t) pairs, scored together by
     conditional_laws and ref.taus; each row's arithmetic does not depend on
-    the rows beside it.
+    the rows beside it (the batch contract of dists.fwht).
     """
     m = len(start) - 1
     vals = [keys & ((1 << n) - 1), keys >> n]

@@ -47,20 +47,45 @@ WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
 def fwht(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
-    Unnormalized: applying twice multiplies by the length.
+    Unnormalized: applying twice multiplies by the length. The result is a
+    new C-contiguous float64 array; the input is not modified.
+
+    The arithmetic is fixed: radix-2 butterflies (lo + hi, lo - hi) in
+    stages h = 1, 2, 4, ..., each entry the float64 sum or difference of
+    two entries of the stage before. No butterfly reads another row, so
+    every row's bits are those of its own 1-D transform, whatever the rows
+    beside it. Batched callers (bsg._choices, ruzsa.rdist_pairs) rely on
+    that.
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError("length must be a power of two")
+    if n == 1:
+        return a.copy()
+    out = np.empty(a.shape)
+    rows, res = a.reshape(-1, n), out.reshape(-1, n)
+    m = len(rows)
+    # A stack of 4 rows or more is worked in (n, m) layout, so every inner
+    # loop runs along the rows; the first stage reads the rows transposed
+    # and the last writes them back. Fewer rows keep the (m, n) layout.
+    if m >= 4:
+        src, last, work, trail = rows.T, res.T, out.reshape(n, m), (m,)
+    else:
+        src, last, work, trail = rows, res, res, ()
+    spare = np.empty(work.shape)
+    stages = n.bit_length() - 1
     h = 1
-    while h < n:
-        b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        diff = b[..., 0, :] - b[..., 1, :]
-        b[..., 0, :] += b[..., 1, :]
-        b[..., 1, :] = diff
-        h *= 2
-    return a
+    for s in range(stages):
+        # alternate between spare and work so that the last stage reads spare
+        dst = last if s == stages - 1 else (spare, work)[(stages - s) % 2]
+        shape = (-1, 2, h) + trail   # a view of every dst: no copy to write into
+        x, y = src.reshape(shape), dst.reshape(shape)
+        lo, hi = x[:, 0], x[:, 1]
+        np.add(lo, hi, out=y[:, 0])
+        np.subtract(lo, hi, out=y[:, 1])
+        src, h = dst, 2 * h
+    return out
 
 
 def _entropy_weights(w: np.ndarray) -> float:
@@ -292,7 +317,12 @@ def xor_convolve(X: Dist, Y: Dist) -> Dist:
         iy, wy = Y.items()
         return Dist(n, idx=(ix[:, None] ^ iy[None, :]).ravel(),
                     w=np.outer(wx, wy).ravel())
-    spec = fwht(X.dense()) * fwht(Y.dense())
+    if X is Y:
+        spec = fwht(X.dense())
+        spec *= spec
+    else:
+        spec = fwht(np.stack([X.dense(), Y.dense()]))
+        spec = spec[0] * spec[1]
     return Dist(n, dense=_clean_wht_output(spec, "xor_convolve"))
 
 

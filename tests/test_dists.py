@@ -136,34 +136,63 @@ def direct_wht(a):
     return out
 
 
+def butterfly_wht(a):
+    """The radix-2 butterfly fwht must reproduce bit for bit: stages h = 1,
+    2, 4, ..., worked in place on a copy."""
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        diff = b[..., 0, :] - b[..., 1, :]
+        b[..., 0, :] += b[..., 1, :]
+        b[..., 1, :] = diff
+        h *= 2
+    return a
+
+
 def test_fwht_matches_direct_transform():
     rng = make_rng(13)
     for n in (1, 2, 4, 8, 16, 32):
         a = rng.normal(size=n)
         assert np.allclose(fwht(a), direct_wht(a), atol=1e-12)
         assert np.allclose(fwht(fwht(a)) / n, a, atol=1e-12)
+    tall = rng.normal(size=(40, 32))
+    assert np.allclose(fwht(tall), [direct_wht(row) for row in tall], atol=1e-12)
 
 
 def test_fwht_batches_rows_independently():
+    # heights on both sides of the switch to the transposed layout, a 3-D
+    # stack and strided views: every row equals, bitwise, the butterfly and
+    # its own 1-D transform, and the input is neither changed nor shared
     rng = make_rng(14)
-    rows = rng.normal(size=(5, 16))
-    batched = fwht(rows)
-    for i in range(5):
-        assert np.allclose(batched[i], fwht(rows[i]))
+    shapes = [(m, 1 << k) for m in (1, 2, 3, 4, 7, 8, 9, 64, 300) for k in range(11)]
+    stacks = [rng.normal(size=shape) for shape in shapes + [(3, 5, 64)]]
+    stacks += [rng.normal(size=(m, 64))[:, ::2] for m in (3, 9)]
+    for rows in stacks:
+        before = rows.copy()
+        batched = fwht(rows)
+        assert np.array_equal(rows, before)
+        assert not np.shares_memory(batched, rows)
+        assert np.array_equal(batched, butterfly_wht(rows))
+        n = rows.shape[-1]
+        for got, row in zip(batched.reshape(-1, n), rows.reshape(-1, n)):
+            assert np.array_equal(got, fwht(row))
 
 
 def test_fwht_rejects_bad_length():
-    with pytest.raises(ValueError):
-        fwht(np.ones(3))
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            fwht(np.ones(n))
 
 
 def test_xor_convolve_matches_brute_force_all_paths(monkeypatch):
     # a point mass against a full support is enumerated (n >= 2), two full
-    # supports go through the WHT; the flags record which path each pair took
+    # supports go through the WHT; the counts record which path each pair took
     transforms = []
     monkeypatch.setattr(dists, "fwht", lambda a: transforms.append(1) or fwht(a))
     rng = make_rng(15)
-    by_wht = set()
+    counts = set()
     for _ in range(25):
         n = int(rng.integers(1, 7))
         X = random_dist(rng, n)
@@ -173,8 +202,9 @@ def test_xor_convolve_matches_brute_force_all_paths(monkeypatch):
             before = len(transforms)
             assert np.allclose(xor_convolve(A, B).dense(), brute_convolve(A, B),
                                atol=1e-12)
-            by_wht.add(len(transforms) > before)
-    assert by_wht == {False, True}
+            counts.add(len(transforms) - before)
+    # one forward transform (both rows, or one row squared) and one inverse
+    assert counts == {0, 2}
 
 
 def test_conv_entropy_clamps_rows_and_warns_on_deviation():
