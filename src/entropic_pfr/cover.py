@@ -67,8 +67,10 @@ class CosetCover:
         return 2.0 * self.K ** self.C_used
 
     def covers(self, pts: Sequence[int]) -> bool:
-        return all(any(self.Hp.contains(p ^ t) for t in self.translates)
-                   for p in pts)
+        """Every point lies in some translate: its coset of Hp is one of theirs."""
+        reps = self.Hp.reduce(np.asarray(self.translates, dtype=np.int64))
+        return bool(np.isin(self.Hp.reduce(np.asarray(pts, dtype=np.int64)),
+                            reps).all())
 
 
 def _sumset(pts: Sequence[int]) -> np.ndarray:
@@ -87,12 +89,10 @@ def best_shift(A: SetInput, H: SubgroupBasis) -> Tuple[int, int]:
     Equivalently the mode of U_A ^ U_H; the smallest representative wins
     ties, which is the coset's canonical reduction.
     """
-    counts: Dict[int, int] = {}
-    for p in A.points:
-        r = H.reduce(p)
-        counts[r] = counts.get(r, 0) + 1
-    x0, overlap = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return x0, overlap
+    reps, counts = np.unique(H.reduce(np.asarray(A.points, dtype=np.int64)),
+                             return_counts=True)
+    best = int(np.argmax(counts))   # the first maximum: reps ascend
+    return int(reps[best]), int(counts[best])
 
 
 def ruzsa_cover(A: SetInput, core: Sequence[int]) -> List[int]:
@@ -119,26 +119,16 @@ def _assemble_cover(A: SetInput, H: SubgroupBasis, K: float,
                     c_exponent: float) -> Tuple[CosetCover, Dict[str, object]]:
     """Shift, greedy cover, shrink, certify: the set half of the pipeline."""
     x0, overlap = best_shift(A, H)
-    coset = set(h ^ x0 for h in H.enumerate())
-    core = sorted(set(A.points) & coset)
+    pts = np.asarray(A.points, dtype=np.int64)
+    core = pts[H.reduce(pts) == x0].tolist()
     assert core, "best shift always intersects A"
     # core + core sits inside H, so T + H covers A.
     T = ruzsa_cover(A, core)
 
-    Hp = H
-    translates = list(T)
-    if Hp.span_size() > len(A):
-        Hp = H.shrink_to_size(len(A))
-        # every t + H splits into cosets of the smaller H'
-        quot: List[int] = []
-        seen: set = set()
-        for h in H.enumerate():
-            r = Hp.reduce(h)
-            if r not in seen:
-                seen.add(r)
-                quot.append(r)
-        translates = [t ^ q for t in T for q in quot]
-    translates = sorted(set(translates))
+    Hp = H.shrink_to_size(len(A))
+    # every t + H splits into cosets of H' <= H, one per quotient class
+    quot = np.unique(Hp.reduce(H.enumerate_array()))
+    translates = np.unique(np.asarray(T, dtype=np.int64)[:, None] ^ quot).tolist()
 
     cover = CosetCover(Hp, tuple(translates), K, c_exponent, False)
     certified = (cover.covers(A.points)

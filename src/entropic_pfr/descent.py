@@ -121,10 +121,15 @@ def _top_support(X: Dist, count: int) -> List[int]:
 
 def _fibre_law(base: Dist, shift: Dist, g: int) -> Optional[Dist]:
     """Law proportional to base(x) * shift(x ^ g); None when disjoint."""
-    w = base.dense() * shift.translate(g).dense()
-    if w.sum() <= 0:
+    idx, w = base.items()
+    sidx, sw = shift.items()
+    # shift's weight at each x ^ g, zero where x ^ g is off its support
+    at = idx ^ g
+    pos = sidx.searchsorted(at)
+    w = w * np.where(sidx.take(pos, mode="clip") == at, sw.take(pos, mode="clip"), 0.0)
+    if not w.any():
         return None
-    return Dist(base.n, dense=w)
+    return Dist(base.n, idx=idx, w=w)
 
 
 def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ DENSE_BITS = 24
 TABLE_SLACK = 8  # _group counts into a table of at most this many entries per key
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
+PRODUCT_SUPPORT_CAP = 1 << 26  # joint_product refuses larger product supports
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -181,12 +182,6 @@ def _dense_guard(bits: int) -> None:
         raise CostGuardExceeded("DENSE_BITS", bits, "table too large for dense form")
 
 
-def _runs(vals: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """(lo, hi) bounds of the runs of equal values in a sorted array."""
-    cuts = np.flatnonzero(np.diff(vals)) + 1
-    return zip(np.r_[0, cuts], np.r_[cuts, len(vals)])
-
-
 class Dist:
     """A probability distribution on F_2^n, stored as its support.
 
@@ -284,6 +279,15 @@ class Dist:
 
     def __repr__(self) -> str:
         return f"Dist(n={self.n}, support={self.support_size()}, H={self.entropy():.4f})"
+
+
+def _conditionals(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
+                  n: int) -> List[Tuple[int, float, Dist]]:
+    """Conditional laws of idx given vals, vals sorted ascending: one
+    (value, mass, law on F_2^n) per run of equal values."""
+    cuts = np.flatnonzero(np.diff(vals)) + 1
+    return [(int(vals[lo]), float(w[lo:hi].sum()), Dist(n, idx=idx[lo:hi], w=w[lo:hi]))
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(vals)])]
 
 
 def uniform_on(S: Iterable[int], n: int) -> Dist:
@@ -503,13 +507,9 @@ class JointDist:
         keys, w = M.items()
         # ascending keys with the target in the low bits: the conditioning
         # part is nondecreasing, so each slice is one contiguous run
-        tvals = M.axis_values(keys, 0)
-        out: List[Tuple[Tuple[int, ...], float, Dist]] = []
-        for lo, hi in _runs(keys >> self.n):
-            vals = tuple(int(M.axis_values(keys[lo], j)) for j in range(1, M.arity))
-            mass = float(w[lo:hi].sum())
-            out.append((vals, mass, Dist(self.n, idx=tvals[lo:hi], w=w[lo:hi])))
-        return out
+        runs = _conditionals(keys >> self.n, M.axis_values(keys, 0), w, self.n)
+        return [(tuple(int(M.axis_values(v, j)) for j in range(M.arity - 1)), mass, law)
+                for v, mass, law in runs]
 
     # -- calculus ----------------------------------------------------------
 
@@ -556,11 +556,11 @@ class JointDist:
                 f"H={self.entropy():.4f})")
 
 
-def joint_product(A: JointDist, B: JointDist, max_support: int = 1 << 26) -> JointDist:
+def joint_product(A: JointDist, B: JointDist) -> JointDist:
     """Independent product of two joints, axes of A first.
 
     Colliding labels on the B side get a prime appended. A product support
-    above max_support raises CostGuardExceeded.
+    above PRODUCT_SUPPORT_CAP raises CostGuardExceeded.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
@@ -573,7 +573,7 @@ def joint_product(A: JointDist, B: JointDist, max_support: int = 1 << 26) -> Joi
     ka, wa = A.items()
     kb, wb = B.items()
     size = len(ka) * len(kb)
-    if size > max_support:
+    if size > PRODUCT_SUPPORT_CAP:
         raise CostGuardExceeded("joint_product max_support", size,
                                 "product support too large")
     keys = ((kb[:, None] << (A.arity * n)) | ka[None, :]).ravel()

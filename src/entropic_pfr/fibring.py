@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dists import DENSE_BITS, CostGuardExceeded, Dist, _entropy_weights, _group, _runs
+from .dists import DENSE_BITS, CostGuardExceeded, Dist, _conditionals, _entropy_weights, _group
 from .groups import LinearMap
 from .ruzsa import cond_rdist, rdist
 
@@ -48,11 +48,8 @@ def _fibres(idx: np.ndarray, w: np.ndarray, tab: np.ndarray,
     """Conditional laws of Z given pi Z, one per image point with mass."""
     vals = tab[idx]
     order = np.argsort(vals, kind="stable")
-    idx, w, vals = idx[order], w[order], vals[order]
-    out = []
-    for lo, hi in _runs(vals):
-        out.append((float(w[lo:hi].sum()), Dist(n, idx=idx[lo:hi], w=w[lo:hi])))
-    return out
+    runs = _conditionals(vals[order], idx[order], w[order], n)
+    return [(mass, law) for _, mass, law in runs]
 
 
 def fibring_decompose(Z1: Dist, Z2: Dist, pi: LinearMap) -> FibringReport:

@@ -74,37 +74,35 @@ class SubgroupBasis:
     def span_size(self) -> int:
         return 1 << self.rank
 
-    def reduce(self, x: int) -> int:
-        """Canonical coset representative: pivot bits eliminated.
+    def reduce(self, x):
+        """Canonical coset representatives (of an int or an int64 array).
 
-        The residue is the smallest member of x + span, since any other
-        member differs by a row whose leading pivot it must then carry.
+        Each row clears its pivot bit; each pivot sits in exactly one row,
+        so the order of the rows does not matter. The residue is the
+        smallest member of x + span, since any other member differs by a
+        row whose leading pivot it must then carry.
         """
-        if x < 0 or x >= (1 << self.ambient_dim):
+        outside = (x < 0) | (x >> self.ambient_dim)
+        if outside.any() if isinstance(x, np.ndarray) else outside:
             raise ValueError("element exceeds ambient dimension")
         for r in self.rows:
-            if x ^ r < x:
-                x ^= r
+            x = x ^ ((x >> (r.bit_length() - 1)) & 1) * r
         return x
 
-    def contains(self, x: int) -> bool:
-        """Membership by successive pivot elimination; O(rank)."""
+    def contains(self, x):
+        """Membership, elementwise on arrays: the coset representative is 0."""
         return self.reduce(x) == 0
 
     def enumerate(self) -> List[int]:
-        """All 2^rank members, ascending.
+        """Same as enumerate_array(), as a list of ints."""
+        return self.enumerate_array().tolist()
+
+    def enumerate_array(self) -> np.ndarray:
+        """All 2^rank members, ascending, as an int64 array.
 
         Index i selects basis rows by its bits, lowest bit picking the row
         with the smallest pivot; distinct pivots make this order ascending.
         """
-        self._enumerate_guard()
-        out = [0]
-        for r in reversed(self.rows):
-            out += [x ^ r for x in out]
-        return out
-
-    def enumerate_array(self) -> np.ndarray:
-        """Same as enumerate(), as an int64 array."""
         self._enumerate_guard()
         out = np.zeros(1, dtype=np.int64)
         for r in reversed(self.rows):

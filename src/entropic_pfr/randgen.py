@@ -5,7 +5,7 @@ bit for bit.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -84,19 +84,18 @@ def random_coset_union(rng: np.random.Generator, n: int, subgroup_rank: int,
     H = random_subgroup(rng, n, subgroup_rank)
     if num_cosets > (1 << (n - H.rank)):
         raise ValueError("more cosets requested than the quotient holds")
-    reps: List[int] = []
+    reps: Dict[int, int] = {}   # coset representative -> first draw in it
     while len(reps) < num_cosets:
         x = int(rng.integers(0, 1 << n))
-        if any(H.contains(x ^ r) for r in reps):
-            continue
-        reps.append(x)
+        reps.setdefault(H.reduce(x), x)
+    members = H.enumerate_array()
     pts: List[int] = []
-    for r in reps:
-        coset = [r ^ h for h in H.enumerate()]
+    for r in reps.values():
+        coset = r ^ members
         if keep_fraction < 1.0:
             keep = rng.random(len(coset)) < keep_fraction
             if not keep.any():
                 keep[rng.integers(0, len(coset))] = True
-            coset = [c for c, k in zip(coset, keep) if k]
-        pts.extend(coset)
-    return sorted(set(pts))
+            coset = coset[keep]
+        pts.extend(coset.tolist())
+    return sorted(pts)   # distinct cosets: no point repeats

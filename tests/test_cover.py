@@ -104,6 +104,21 @@ def test_pipeline_on_coset_is_trivial():
     assert report["d_AA"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_random_coset_union_is_reproducible():
+    # points drawn with these seeds by the scalar coset loop it replaced
+    assert random_coset_union(make_rng(5), 6, 2, 3, 0.5) == [
+        1, 6, 25, 30, 42, 43, 50, 51]
+    assert random_coset_union(make_rng(11), 5, 2, 3) == [
+        10, 11, 14, 15, 18, 19, 22, 23, 24, 25, 28, 29]
+    # four cosets of a rank-2 subgroup of F_2^4: the whole quotient, so
+    # most draws land in a class already taken and are redrawn
+    pts = random_coset_union(make_rng(2), 4, 2, 4, 0.5)
+    assert pts == [4, 6, 8, 9, 10, 12, 14, 15]
+    assert all(type(p) is int for p in pts)
+    pts = random_coset_union(make_rng(13), 10, 3, 5, 0.5)
+    assert (len(pts), sum(pts), pts[:5]) == (17, 9213, [71, 99, 117, 167, 171])
+
+
 def test_pipeline_report_contents():
     rng = make_rng(21)
     pts = random_coset_union(rng, 6, 2, 3, 1.0)
@@ -146,6 +161,49 @@ def test_pipeline_falls_back_to_snapshots(monkeypatch):
     assert cover.covers(A.points)
     # the stalled descent also leaves a diagnostics dump in the report
     assert "bounds" in report["diagnostics"]
+
+
+def test_covers_matches_brute_force():
+    rng = make_rng(15)
+    mixed = 0
+    for _ in range(25):
+        n = int(rng.integers(6, 10))
+        H = random_subgroup(rng, n, int(rng.integers(0, n)))
+        T = rng.choice(1 << n, size=int(rng.integers(0, 40)), replace=False)
+        cov = CosetCover(H, tuple(T.tolist()), 2.0, 12.0, False)
+        members = set(H.enumerate())
+        pts = rng.integers(0, 1 << n, size=30).tolist()
+        hit = [any(p ^ int(t) in members for t in T) for p in pts]
+        assert [cov.covers([p]) for p in pts] == hit
+        assert cov.covers(pts) == all(hit)
+        assert cov.covers([])
+        mixed += 0 < sum(hit) < len(hit)
+    assert mixed >= 10
+
+
+def test_shrunk_cover_translates_match_brute_quotient():
+    rng = make_rng(16)
+    shrunk = 0
+    for _ in range(20):
+        n = int(rng.integers(4, 9))
+        H = random_subgroup(rng, n, int(rng.integers(2, n)))
+        A = random_set(rng, n, int(rng.integers(1, H.span_size())))
+        cov, info = cover_mod._assemble_cover(A, H, doubling_constant(A), 12.0)
+        # brute force: the core, the greedy translates, then every coset of
+        # the shrunk subgroup inside each t + H
+        x0, _ = best_shift(A, H)
+        members = H.enumerate()
+        T = ruzsa_cover(A, sorted(set(A.points) & {h ^ x0 for h in members}))
+        Hp = H.shrink_to_size(len(A))
+        small = Hp.enumerate()
+        quot = {min(h ^ s for s in small) for h in members}
+        assert cov.Hp == Hp
+        assert cov.translates == tuple(sorted({t ^ q for t in T for q in quot}))
+        assert all(type(t) is int for t in cov.translates)
+        assert cov.covers(A.points)
+        assert info["raw_translates"] == len(T)
+        shrunk += Hp != H
+    assert shrunk >= 10
 
 
 def test_cover_size_bound_and_membership():

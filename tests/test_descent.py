@@ -110,6 +110,23 @@ def test_fibre_moves_are_conditioned_translates():
             assert np.allclose(out.dense(), raw / raw.sum(), atol=1e-12)
 
 
+def test_fibre_law_matches_the_dense_product():
+    n = 17
+    rng = make_rng(17)
+    X, Y = random_dist(rng, n, 3000), random_dist(rng, n, 3000)
+    p, q = X.dense(), Y.dense()
+    for base, shift, dense in ((X, X, p), (X, Y, q)):
+        for g in X.support()[:4] ^ shift.support()[7]:
+            raw = p * dense[np.arange(1 << n) ^ g]
+            law = descent._fibre_law(base, shift, int(g))
+            assert np.array_equal(law.support(), np.flatnonzero(raw))
+            np.testing.assert_allclose(law.dense(), raw / raw.sum(),
+                                       rtol=1e-15, atol=0)
+    # a law on the lower half of F_2^n meets none of its top-bit translates
+    low = Dist(n, idx=X.support() % (1 << (n - 1)), w=X.items()[1])
+    assert descent._fibre_law(low, low, 1 << (n - 1)) is None
+
+
 def test_kinds_filter_restricts_classes():
     rng = make_rng(2)
     X1, X2 = random_dist(rng, 4), random_dist(rng, 4)

@@ -402,7 +402,7 @@ def test_joint_slices_reconstruct_the_joint():
             assert mass * p == pytest.approx(t[key], abs=1e-13)
 
 
-def test_independent_product_and_joint_product():
+def test_independent_product_and_joint_product(monkeypatch):
     X = Dist.from_dense([0.5, 0.5, 0, 0], 2)
     Y = Dist.from_dense([0.25, 0.25, 0.25, 0.25], 2)
     J = JointDist.independent_product([X, Y], ["X", "Y"])
@@ -413,7 +413,8 @@ def test_independent_product_and_joint_product():
     assert P.labels == ("X", "Y", "X'", "Y'")
     assert P.entropy() == pytest.approx(2 * J.entropy(), abs=1e-12)
     with pytest.raises(CostGuardExceeded, match="too large") as err:
-        joint_product(J, J, max_support=63)
+        monkeypatch.setattr(dists, "PRODUCT_SUPPORT_CAP", 63)
+        joint_product(J, J)
     assert (err.value.guard, err.value.size) == ("joint_product max_support", 64)
     with pytest.raises(ValueError, match="dimension mismatch") as err:
         joint_product(J, JointDist.from_mapping({(0, 1): 1.0}, 3, ["X", "Y"]))

@@ -68,6 +68,29 @@ def test_reduce_is_min_of_coset():
         assert H.reduce(x) in coset
 
 
+def test_reduce_and_contains_on_arrays_match_the_scalar_map():
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        H = span([int(g) for g in rng.integers(0, 1 << n, size=rng.integers(0, 5))], n)
+        x = rng.integers(0, 1 << n, size=int(rng.integers(0, 40)))
+        assert H.reduce(x).tolist() == [H.reduce(int(v)) for v in x]
+        assert H.contains(x).tolist() == [H.contains(int(v)) for v in x]
+    empty = np.array([], dtype=np.int64)
+    for H in (span([], 5), span([6, 17], 5)):
+        assert H.reduce(empty).tolist() == H.contains(empty).tolist() == []
+    assert span([], 5).reduce(np.array([3, 0, 31])).tolist() == [3, 0, 31]
+    assert span([], 5).contains(np.array([3, 0])).tolist() == [False, True]
+    for H in (span([], 6), span([3, 40], 6)):
+        for bad in ([5, -1], [0, 64], [1 << 40]):
+            for method in (H.reduce, H.contains):
+                with pytest.raises(ValueError, match="exceeds ambient"):
+                    method(np.array(bad, dtype=np.int64))
+        for bad in (-1, 64):
+            with pytest.raises(ValueError, match="exceeds ambient"):
+                H.reduce(bad)
+
+
 def test_contains_matches_enumeration():
     H = span([0b1100, 0b0011], 4)
     members = set(H.enumerate())
