@@ -12,19 +12,20 @@ exchanges U and V while fixing S, which forces I[W:U|S] = I[V:W|S] exactly.
 Descent conditions (U, V, S) on its heaviest values of S and takes the
 abstract endgame choice in each slice; endgame_choices scores all of those
 slices in one batched pass, and abstract_endgame is its one-slice case.
+Given T_gamma = t in a triple with T1 ^ T2 ^ T3 = 0, the other two members
+are translates by t, so the twins (alpha, beta) and (beta, alpha) share one
+tau and only alpha < beta is scored; bsg_check uses this given Z = A ^ B.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import List, Tuple
 
 import numpy as np
 
 from .dists import CostGuardExceeded, Dist, JointDist, _clean_wht_output, fwht
-from .ruzsa import (RefPair, conditional_laws, rdist, rdist_matrix,
-                    rdist_paired)
+from .ruzsa import RefPair, conditional_laws, rdist, rdist_matrix, rdist_pairs
 
 __all__ = [
     "BsgReport",
@@ -60,14 +61,14 @@ def bsg_check(J: JointDist, a=0, b=1) -> BsgReport:
     """Check the sum-conditioned distance bound on a joint pair (A, B).
 
     Conditioning both coordinates on Z = A ^ B and averaging d over the
-    slices is controlled by the mutual information between A and B.
+    slices is controlled by the mutual information between A and B. Given
+    Z = z, B is A translated by z: each slice distance is d[A|z; A|z].
     """
     J3 = J.pushforward([[a], [b], [a, b]], ["A", "B", "Z"])
-    sl_a = J3.slices("A", "Z")
-    sl_b = J3.slices("B", "Z")
-    probs = np.array([p for _, p, _ in sl_a])
-    D = rdist_paired([d for _, _, d in sl_a], [d for _, _, d in sl_b])
-    lhs = float(probs @ D)
+    sl = J3.slices("A", "Z")
+    probs = np.array([p for _, p, _ in sl])
+    k = np.arange(len(sl))
+    lhs = float(probs @ rdist_pairs([d for _, _, d in sl], k, k))
     i_ab = J.mutual_info(a, b)
     rhs = (3.0 * i_ab + 2.0 * J3.entropy("Z")
            - J3.entropy("A") - J3.entropy("B"))
@@ -199,7 +200,7 @@ class EndgameChoice:
     T1p: Dist
     T2p: Dist
     tau: float
-    choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t)
+    choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t), alpha < beta
 
 
 def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
@@ -220,12 +221,12 @@ def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
 def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     """Pick the conditioned pair of least tau from a triple summing to zero.
 
-    J is the two-axis law of (T1, T2); T3 := T1 ^ T2. Over all
-    permutations (alpha, beta, gamma) of the triple and all t in the
-    support of T_gamma, score the conditioned pair
-    (T_alpha | T_gamma = t, T_beta | T_gamma = t) by ref.taus and return the
-    exact minimizer, first in (gamma, alpha, beta, t) order on ties. Only
-    the support of J, which is all J stores, is visited.
+    J is the two-axis law of (T1, T2); T3 := T1 ^ T2. For each gamma, the
+    other two members alpha < beta and each t in the support of T_gamma,
+    score (T_alpha | T_gamma = t, T_beta | T_gamma = t) by ref.taus and
+    return the exact minimizer, first in (gamma, t) order on ties; the twin
+    (beta, alpha) has the same tau and is not scored. Only the support of
+    J, which is all J stores, is visited.
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
@@ -264,37 +265,36 @@ def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
     """abstract_endgame on each slice j, the packed (T1, T2) keys
     keys[start[j]:start[j + 1]], ascending, with weights of mass one.
 
-    For each gamma the rows are the (slice, t) pairs, scored together by
-    conditional_laws and ref.taus; each row's arithmetic does not depend on
-    the rows beside it (the batch contract of dists.fwht).
+    For each gamma the rows are the (slice, t) pairs, each one law
+    L = T_alpha | T_gamma = t with tau d[L; L] + eta d[X01; L] + eta d[X02; L]
+    for both twins, scored together by conditional_laws and ref.taus; each
+    row's arithmetic does not depend on the rows beside it (the batch
+    contract of dists.fwht).
     """
     m = len(start) - 1
     vals = [keys & ((1 << n) - 1), keys >> n]
     vals.append(vals[0] ^ vals[1])
     sl = np.repeat(np.arange(m), np.diff(start))     # slice of each entry
-    perms, low, arg = [], [], []
-    for gamma in range(3):
-        others = [i for i in range(3) if i != gamma]
+    triples = ((0, 1, 2), (1, 0, 2), (2, 0, 1))   # (gamma, alpha, beta)
+    low, arg = [], []
+    for gamma, alpha, _ in triples:
         rows, inv = np.unique((sl << n) | vals[gamma], return_inverse=True)
         order = np.argsort(inv, kind="stable")   # rows sum in the keys' order
-        taus = np.empty((2, len(rows)))          # one row per permutation
-        for lo, hi, laws in conditional_laws(n, inv[order],
-                                             [vals[ax][order] for ax in others],
+        taus = np.empty(len(rows))
+        for lo, hi, laws in conditional_laws(n, inv[order], vals[alpha][order],
                                              w[order]):
-            k = np.arange(2 * (hi - lo))   # each row's pair, in both orders
-            taus[:, lo:hi] = ref.taus(laws, k, np.roll(k, hi - lo)).reshape(2, -1)
+            k = np.arange(hi - lo)
+            taus[lo:hi] = ref.taus(laws, k, k)
         row_sl = rows >> n
         first = np.searchsorted(row_sl, np.arange(m))   # t ascending within
-        for perm, t in zip(permutations(others), taus):
-            least = np.minimum.reduceat(t, first)
-            tied = np.where(t == least[row_sl], rows, rows[-1])
-            perms.append((gamma, *perm))
-            low.append(least)
-            arg.append(np.minimum.reduceat(tied, first) & ((1 << n) - 1))
-    pick = np.argmin(low, axis=0)    # first least in (gamma, alpha, beta) order
+        least = np.minimum.reduceat(taus, first)
+        tied = np.where(taus == least[row_sl], rows, rows[-1])
+        low.append(least)
+        arg.append(np.minimum.reduceat(tied, first) & ((1 << n) - 1))
+    pick = np.argmin(low, axis=0)    # first least in gamma order
     out = []
     for j, c in enumerate(pick):
-        gamma, alpha, beta = perms[c]
+        gamma, alpha, beta = triples[c]
         e = slice(start[j], start[j + 1])
         sel = vals[gamma][e] == arg[c][j]
         out.append(EndgameChoice(Dist(n, idx=vals[alpha][e][sel], w=w[e][sel]),

@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bsg import endgame_choices, endgame_tables
-from .dists import CostGuardExceeded, Dist, uniform_on_subgroup, xor_convolve
+from .dists import (CostGuardExceeded, Dist, _conditionals, uniform_on_subgroup,
+                    xor_convolve)
 from .groups import SubgroupBasis, span
 from .ruzsa import RefPair, cond_rdist, one, rdist, slices_of
 
@@ -402,12 +403,12 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     }
     # distance increments d[X0_i; A | S] - d[X0_i; X_i] for A in {U, V, W}
     JW = J.pushforward([["U"], ["V"], ["U", "V"], ["S"]], ["U", "V", "W", "S"])
+    slices = [slices_of(JW, A, "S") for A in ("U", "V", "W")]
     inc_total = 0.0
-    for i, (X0, Xi) in enumerate(((ref.X01, X1), (ref.X02, X2))):
+    for X0, Xi in ((ref.X01, X1), (ref.X02, X2)):
         base = rdist(X0, Xi)
-        for A in ("U", "V", "W"):
-            slices = slices_of(JW, A, "S")
-            inc_total += cond_rdist(one(X0), slices) - base
+        for sl in slices:
+            inc_total += cond_rdist(one(X0), sl) - base
     bounds["cond_dist_increment_bound"] = (
         inc_total, 3.0 * tabs.H_S - 1.5 * (H1 + H2))
     bounds["increment_vs_k_bound"] = (
@@ -421,11 +422,11 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
 
 
 def _cross_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
-    """Slices (mass, law of A | A ^ B~ = g) over the sum's support."""
-    C = xor_convolve(A, B)
-    out = []
-    for g in C.support():
-        law = _fibre_law(A, B, int(g))
-        if law is not None:
-            out.append((C.weight(int(g)), law))
-    return out
+    """Slices (mass, law of A | A ^ B~ = g) cut from the enumerated pairs,
+    |A| |B| <= 2^14 once diagnostics' endgame_tables has passed its guard."""
+    (ia, wa), (ib, wb) = A.items(), B.items()
+    g = (ia[:, None] ^ ib[None, :]).ravel()
+    order = np.argsort(g, kind="stable")
+    x = np.repeat(ia, len(ib))[order]
+    w = np.outer(wa, wb).ravel()[order]
+    return [(mass, law) for _, mass, law in _conditionals(g[order], x, w, A.n)]

@@ -22,6 +22,7 @@ import numpy as np
 from .dists import (
     Dist,
     JointDist,
+    _conditionals,
     _entropy_rows,
     conv_entropy,
     entropy,
@@ -144,30 +145,26 @@ def rdist_paired(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     return rdist_pairs([*xs, *ys], k, k + len(xs))
 
 
-def conditional_laws(n: int, row: np.ndarray, cols: Sequence[np.ndarray],
+def conditional_laws(n: int, row: np.ndarray, col: np.ndarray,
                      w: np.ndarray) -> Iterator[Tuple[int, int, Laws]]:
-    """Chunks (lo, hi, laws) of the law of each column given the row.
+    """Chunks (lo, hi, laws) of the law of col given row, for rows lo..hi-1.
 
     Entry e lies in row row[e] (ascending from 0, none skipped) with value
-    c[e] in each column c and weight w[e]. laws holds rows lo..hi-1 of
-    cols[0], then of cols[1], ...: dense, BATCH_ELEMS entries per chunk, up
+    col[e] and weight w[e]. laws is dense, BATCH_ELEMS entries per chunk, up
     to BATCH_BITS; above it sparse Dists, in one chunk.
     """
     m = int(row[-1]) + 1
-    start = np.searchsorted(row, np.arange(m + 1))
     if n > BATCH_BITS:
-        yield 0, m, [Dist(n, idx=c[lo:hi], w=w[lo:hi])
-                     for c in cols for lo, hi in zip(start[:-1], start[1:])]
+        yield 0, m, [law for _, _, law in _conditionals(row, col, w, n)]
         return
+    start = np.searchsorted(row, np.arange(m + 1))
     N = 1 << n
-    step = max(1, BATCH_ELEMS // (len(cols) * N))
+    step = max(1, BATCH_ELEMS // N)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         e = slice(start[lo], start[hi])
-        keys = np.concatenate([(row[e] + (q * (hi - lo) - lo)) * N + c[e]
-                               for q, c in enumerate(cols)])
-        laws = np.bincount(keys, weights=np.tile(w[e], len(cols)),
-                           minlength=len(cols) * (hi - lo) * N).reshape(-1, N)
+        laws = np.bincount((row[e] - lo) * N + col[e], weights=w[e],
+                           minlength=(hi - lo) * N).reshape(-1, N)
         laws /= laws.sum(axis=1, keepdims=True)
         yield lo, hi, laws
 
