@@ -15,6 +15,10 @@ slices in one batched pass, and abstract_endgame is its one-slice case.
 Given T_gamma = t in a triple with T1 ^ T2 ^ T3 = 0, the other two members
 are translates by t, so the twins (alpha, beta) and (beta, alpha) share one
 tau and only alpha < beta is scored; bsg_check uses this given Z = A ^ B.
+The U <-> V swap fixes each slice S = s, so there U | V = t has the law of
+V | U = t and W | V = t that of W | U = t: endgame_choices drops the
+gamma = V rows, which repeat the gamma = U rows. abstract_endgame takes a
+general (T1, T2) law and scores all three gammas.
 """
 from __future__ import annotations
 
@@ -194,13 +198,33 @@ def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
 
 # -- the abstract endgame choice ---------------------------------------------
 
-@dataclass(frozen=True)
+# (gamma, alpha, beta) in tie order, alpha < beta. Slices of the (U, V, S)
+# law are symmetric in U and V, so there the gamma = V triple repeats the
+# gamma = U one.
+_TRIPLES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_UVS_TRIPLES = (_TRIPLES[0], _TRIPLES[2])
+
+
+@dataclass(frozen=True, eq=False)
 class EndgameChoice:
-    """The conditioned pair abstract_endgame picks, with its tau."""
-    T1p: Dist
-    T2p: Dist
+    """The conditioned pair abstract_endgame picks, with its tau.
+
+    The pair is kept as the chosen row's entries on F_2^n, T_alpha and
+    T_beta values with their weights; the Dists T1p and T2p are built from
+    them on first read.
+    """
     tau: float
     choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t), alpha < beta
+    n: int
+    entries: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @cached_property
+    def T1p(self) -> Dist:
+        return Dist(self.n, idx=self.entries[0], w=self.entries[2])
+
+    @cached_property
+    def T2p(self) -> Dist:
+        return Dist(self.n, idx=self.entries[1], w=self.entries[2])
 
 
 def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
@@ -226,30 +250,34 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     score (T_alpha | T_gamma = t, T_beta | T_gamma = t) by ref.taus and
     return the exact minimizer, first in (gamma, t) order on ties; the twin
     (beta, alpha) has the same tau and is not scored. Only the support of
-    J, which is all J stores, is visited.
+    J, which is all J stores, is visited. J need not be symmetric, so all
+    three gammas are scored.
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
     keys, w = J.items()
-    return _choices(ref, J.n, keys, w, np.array([0, len(keys)]))[0]
+    return _choices(ref, J.n, keys, w, np.array([0, len(keys)]), _TRIPLES)[0]
 
 
 def endgame_choices(ref: RefPair, J: JointDist, values) -> List[EndgameChoice]:
-    """abstract_endgame(ref, J.condition("S", s)) for each s in values.
+    """The endgame choice in the slice S = s of J, for each s in values.
 
     J is the three-axis law of (U, V, S). S is its highest axis, so each
     slice is one run of the ascending keys, normalized as condition does;
-    every slice is scored in one batched pass, with the same arithmetic
-    per slice and so the same choices, taus and laws.
+    every slice is scored in one batched pass. Each slice is symmetric in
+    U and V, so only gamma = U and gamma = W are scored: a choice is that
+    of abstract_endgame(ref, J.condition("S", s)), except that where
+    round-off puts a gamma = V row strictly lowest, its gamma = U twin
+    (the same t, tau and laws up to round-off) is picked in its place.
     """
     if J.arity != 3:
         raise ValueError("endgame_choices needs the three-axis law of (U, V, S)")
     n = J.n
     keys, w = J.items()
-    s = keys >> (2 * n)
-    lo = np.searchsorted(s, values)
-    hi = np.searchsorted(s, values, side="right")
-    missing = np.asarray(values)[lo == hi]
+    values = np.asarray(values, dtype=np.int64)
+    lo = np.searchsorted(keys, values << (2 * n))
+    hi = np.searchsorted(keys, (values + 1) << (2 * n))
+    missing = values[lo == hi]
     if len(missing):
         raise ValueError(f"conditioning event {J.labels[2]}={missing[0]} has zero mass")
     if not len(lo):
@@ -257,48 +285,55 @@ def endgame_choices(ref: RefPair, J: JointDist, values) -> List[EndgameChoice]:
     rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
     ws = np.concatenate([w[a:b] / w[a:b].sum() for a, b in zip(lo, hi)])
     return _choices(ref, n, keys[rows] & ((1 << (2 * n)) - 1), ws,
-                    np.r_[0, np.cumsum(hi - lo)])
+                    np.r_[0, np.cumsum(hi - lo)], _UVS_TRIPLES)
+
+
+def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
+              law: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows (slice << n | t), ascending, of the entries' (slice, given)
+    pairs, and for each row the tau d[L; L] + eta d[X01; L] + eta d[X02; L]
+    of L, the law of the entries' law values in that row."""
+    rows, inv = np.unique((sl << n) | given, return_inverse=True)
+    order = np.argsort(inv, kind="stable")   # rows sum in the keys' order
+    taus = np.empty(len(rows))
+    for lo, hi, laws in conditional_laws(n, inv[order], law[order], w[order]):
+        k = np.arange(hi - lo)
+        taus[lo:hi] = ref.taus(laws, k, k)
+    return rows, taus
 
 
 def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
-             start: np.ndarray) -> List[EndgameChoice]:
-    """abstract_endgame on each slice j, the packed (T1, T2) keys
-    keys[start[j]:start[j + 1]], ascending, with weights of mass one.
+             start: np.ndarray, triples) -> List[EndgameChoice]:
+    """The endgame choice on each slice j, the packed (T1, T2) keys
+    keys[start[j]:start[j + 1]], ascending, with weights of mass one,
+    among the given (gamma, alpha, beta) triples in tie order.
 
-    For each gamma the rows are the (slice, t) pairs, each one law
-    L = T_alpha | T_gamma = t with tau d[L; L] + eta d[X01; L] + eta d[X02; L]
-    for both twins, scored together by conditional_laws and ref.taus; each
-    row's arithmetic does not depend on the rows beside it (the batch
-    contract of dists.fwht).
+    abstract_endgame passes all of _TRIPLES; endgame_choices passes
+    _UVS_TRIPLES, which drops gamma = V. For each gamma the rows are the
+    (slice, t) pairs, each one law L = T_alpha | T_gamma = t, whose tau
+    _row_taus scores once for both twins; each row's arithmetic does not
+    depend on the rows beside it (the batch contract of dists.fwht). Only
+    the winning row's entries are kept; its Dists are built when read.
     """
     m = len(start) - 1
     vals = [keys & ((1 << n) - 1), keys >> n]
     vals.append(vals[0] ^ vals[1])
     sl = np.repeat(np.arange(m), np.diff(start))     # slice of each entry
-    triples = ((0, 1, 2), (1, 0, 2), (2, 0, 1))   # (gamma, alpha, beta)
     low, arg = [], []
     for gamma, alpha, _ in triples:
-        rows, inv = np.unique((sl << n) | vals[gamma], return_inverse=True)
-        order = np.argsort(inv, kind="stable")   # rows sum in the keys' order
-        taus = np.empty(len(rows))
-        for lo, hi, laws in conditional_laws(n, inv[order], vals[alpha][order],
-                                             w[order]):
-            k = np.arange(hi - lo)
-            taus[lo:hi] = ref.taus(laws, k, k)
+        rows, taus = _row_taus(ref, n, sl, vals[gamma], vals[alpha], w)
         row_sl = rows >> n
         first = np.searchsorted(row_sl, np.arange(m))   # t ascending within
         least = np.minimum.reduceat(taus, first)
         tied = np.where(taus == least[row_sl], rows, rows[-1])
         low.append(least)
         arg.append(np.minimum.reduceat(tied, first) & ((1 << n) - 1))
-    pick = np.argmin(low, axis=0)    # first least in gamma order
+    pick = np.argmin(low, axis=0)    # first least in tie order
     out = []
     for j, c in enumerate(pick):
         gamma, alpha, beta = triples[c]
         e = slice(start[j], start[j + 1])
         sel = vals[gamma][e] == arg[c][j]
-        out.append(EndgameChoice(Dist(n, idx=vals[alpha][e][sel], w=w[e][sel]),
-                                 Dist(n, idx=vals[beta][e][sel], w=w[e][sel]),
-                                 float(low[c][j]),
-                                 (gamma, alpha, beta, int(arg[c][j]))))
+        out.append(EndgameChoice(float(low[c][j]), (gamma, alpha, beta, int(arg[c][j])),
+                                 n, (vals[alpha][e][sel], vals[beta][e][sel], w[e][sel])))
     return out

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bsg import endgame_choices, endgame_tables
+from .bsg import EndgameChoice, endgame_choices, endgame_tables
 from .dists import (CostGuardExceeded, Dist, _conditionals, uniform_on_subgroup,
                     xor_convolve)
 from .groups import SubgroupBasis, span
@@ -78,11 +78,24 @@ CLASS_ORDER = [MoveKind.SUM_SELF, MoveKind.FIBRE_CROSS, MoveKind.SUM_CROSS,
 
 @dataclass(frozen=True)
 class Move:
+    """A scored candidate: the pair (X1p, X2p) it moves to, and its tau.
+
+    An endgame move holds its EndgameChoice in place of the pair, and that
+    builds the laws only when they are read: descent reads them only for
+    the move it accepts.
+    """
     kind: MoveKind
     params: Tuple[int, ...]
-    X1p: Dist
-    X2p: Dist
+    pair: Union[Tuple[Dist, Dist], EndgameChoice]
     tau: float
+
+    @property
+    def X1p(self) -> Dist:
+        return self.pair.T1p if isinstance(self.pair, EndgameChoice) else self.pair[0]
+
+    @property
+    def X2p(self) -> Dist:
+        return self.pair.T2p if isinstance(self.pair, EndgameChoice) else self.pair[1]
 
 
 @dataclass
@@ -169,10 +182,10 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
         else:
             J = endgame_tables(X1, X2).joint_UVS
             values = _top_support(J.marginal_dist("S"), budget)
-            out.extend(Move(kind, (s,) + ch.choice, ch.T1p, ch.T2p, ch.tau)
+            out.extend(Move(kind, (s,) + ch.choice, ch, ch.tau)
                        for s, ch in zip(values, endgame_choices(ref, J, values)))
             continue
-        out.extend(Move(kind, prm, laws[a], laws[b], float(t))
+        out.extend(Move(kind, prm, (laws[a], laws[b]), float(t))
                    for prm, a, b, t in zip(params, i, j, ref.taus(laws, i, j)))
     return out
 

@@ -118,13 +118,20 @@ def rdist_pairs(laws: Laws, i, j) -> np.ndarray:
         laws = np.stack([d.dense() for d in laws])
     h, S = _entropy_rows(laws), fwht(laws)
     del laws
-    H = np.empty(len(pairs))
+    return _product_entropies(S, a, S, b)[inv] - 0.5 * h[i] - 0.5 * h[j]
+
+
+def _product_entropies(S: np.ndarray, a: np.ndarray, T: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """H[x ^ y] for the laws x, y with spectra S[a[k]], T[b[k]], for every k;
+    products are formed in place, BATCH_ELEMS entries at a time."""
+    H = np.empty(len(a))
     step = max(1, BATCH_ELEMS // S.shape[1])
-    for lo in range(0, len(pairs), step):
+    for lo in range(0, len(a), step):
         P = S[a[lo:lo + step]]
-        P *= S[b[lo:lo + step]]
+        P *= T[b[lo:lo + step]]
         H[lo:lo + step] = conv_entropy(P)
-    return H[inv] - 0.5 * h[i] - 0.5 * h[j]
+    return H
 
 
 def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
@@ -225,14 +232,22 @@ class RefPair:
                 + self.eta * rdist(self.X02, X2))
 
     def taus(self, laws: Laws, i, j) -> np.ndarray:
-        """tau[laws[i[k]]; laws[j[k]]] for every k, by one rdist_pairs call:
-        the reference laws and each candidate law are transformed once."""
-        refs = [self.X01, self.X02]
-        laws = (np.concatenate([[r.dense() for r in refs], laws])
-                if isinstance(laws, np.ndarray) else [*refs, *laws])
-        i, j = np.add(i, 2), np.add(j, 2)
-        d, d1, d2 = rdist_pairs(laws, np.r_[i, np.zeros_like(i), np.ones_like(j)],
-                                np.r_[j, i, j]).reshape(3, -1)
+        """tau[laws[i[k]]; laws[j[k]]] for every k, each law transformed
+        once. A dense stack is scored against the reference spectra, taken
+        apart from it so that it is not copied; a list of Dists goes through
+        one rdist_pairs call with the references first."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        if isinstance(laws, np.ndarray):
+            refs = np.stack([self.X01.dense(), self.X02.dense()])
+            hr, R, h, S = _entropy_rows(refs), fwht(refs), _entropy_rows(laws), fwht(laws)
+            zero, one = np.zeros_like(i), np.ones_like(j)
+            d = _product_entropies(S, i, S, j) - 0.5 * h[i] - 0.5 * h[j]
+            d1 = _product_entropies(R, zero, S, i) - 0.5 * hr[0] - 0.5 * h[i]
+            d2 = _product_entropies(R, one, S, j) - 0.5 * hr[1] - 0.5 * h[j]
+        else:
+            d, d1, d2 = rdist_pairs([self.X01, self.X02, *laws],
+                                    np.r_[i + 2, np.zeros_like(i), np.ones_like(j)],
+                                    np.r_[j, i, j] + 2).reshape(3, -1)
         return d + self.eta * d1 + self.eta * d2
 
     def tau_parts(self, X1: Dist, X2: Dist) -> Tuple[float, float, float]:

@@ -11,7 +11,8 @@ from entropic_pfr import ruzsa
 from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice,
                               abstract_endgame, bsg_check, cond_indep_trials,
                               endgame_bound, endgame_choices, endgame_tables,
-                              trials_entropy_gap, _uvs_sparse, _uvs_spectral)
+                              trials_entropy_gap, _UVS_TRIPLES, _choices,
+                              _row_taus, _uvs_sparse, _uvs_spectral)
 from entropic_pfr.descent import _top_support
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
@@ -240,15 +241,17 @@ def _check_sparse_endgame_against_oracle(rng, J, mk):
 
 def test_abstract_endgame_sparse_input_at_n13_matches_oracle():
     # a sparse (T1, T2) law past the dense JointDist limit: rows are built
-    # over the six-point conditioning supports, not over 2^13 values. The
-    # points are generic, so every (gamma, t) ties and only tau is compared.
+    # over the conditioning supports, not over 2^13 values. As at n = 18,
+    # every law sits on a coset of H = {0, u, v, u ^ v}, so the rows do not
+    # all tie and the choice and the laws are compared too.
     rng = make_rng(58)
     n = 13
-    keys = rng.integers(0, 1 << (2 * n), size=6)
-    J = JointDist(n, 2, ["T1", "T2"], keys=keys, w=rng.random(6))
-    mk = lambda: Dist.from_sparse(rng.integers(0, 1 << n, 4),
-                                  rng.random(4), n=n)
-    _check_sparse_endgame_against_oracle(rng, J, mk)
+    x, y, u, v = (int(z) for z in rng.integers(0, 1 << n, 4))
+    H = np.array([0, u, v, u ^ v])
+    keys = ((x ^ H[:3])[:, None] | ((y ^ H[:3])[None, :] << n)).ravel()
+    J = JointDist(n, 2, ["T1", "T2"], keys=keys, w=rng.random(9))
+    mk = lambda: Dist.from_sparse(x ^ H, rng.random(4), n=n)
+    assert _check_sparse_endgame_against_oracle(rng, J, mk)
 
 
 def test_abstract_endgame_sparse_input_at_n18_matches_oracle():
@@ -312,12 +315,28 @@ def _bits(ch):
     return ch.choice, ch.tau.hex(), laws
 
 
+def _one_slice(ref, Js, triples):
+    """_choices on the single (U, V) slice Js."""
+    keys, w = Js.items()
+    return _choices(ref, Js.n, keys, w, np.array([0, len(keys)]), triples)[0]
+
+
 def _assert_choices_match_slices(ref, J, budget):
+    """endgame_choices is bit for bit the one-slice choice among the same two
+    triples, and abstract_endgame's up to a gamma = V win by round-off,
+    which maps to its gamma = U twin."""
     values = _top_support(J.marginal_dist("S"), budget)
     batched = endgame_choices(ref, J, values)
     assert len(batched) == len(values)
     for s, ch in zip(values, batched):
-        assert _bits(ch) == _bits(abstract_endgame(ref, J.condition("S", s)))
+        Js = J.condition("S", s)
+        assert _bits(ch) == _bits(_one_slice(ref, Js, _UVS_TRIPLES))
+        full = abstract_endgame(ref, Js)
+        gamma, _, _, t = full.choice
+        assert ch.choice == ((0, 1, 2, t) if gamma == 1 else full.choice)
+        assert ch.tau == pytest.approx(full.tau, abs=1e-12)
+        for a, b in ((ch.T1p, full.T1p), (ch.T2p, full.T2p)):
+            assert np.allclose(a.dense(), b.dense(), rtol=0, atol=1e-12)
 
 
 def _random_uvs_cases(seed):
@@ -341,6 +360,24 @@ def test_endgame_choices_equal_the_per_slice_choices_bitwise(budget):
         paths.add(spectral)
         _assert_choices_match_slices(ref, J, budget)
     assert paths == {True, False}   # the spectral cube and the enumeration
+
+
+def test_gamma_v_rows_repeat_the_gamma_u_rows():
+    # swapping X1 with its copy X~1 exchanges U and V and fixes S, so in
+    # every slice U | V = t has the law, and the row the tau, of V | U = t
+    rng = make_rng(65)
+    for n in (3, 4, 5):
+        mk = lambda: Dist.from_sparse(rng.choice(1 << n, 6, replace=False),
+                                      rng.random(6), n=n)
+        X1, X2, ref = mk(), mk(), RefPair(mk(), mk())
+        for J in (_uvs_spectral(X1, X2), _uvs_sparse(X1, X2)):
+            for s in _top_support(J.marginal_dist("S"), 8):
+                keys, w = J.condition("S", s).items()
+                u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
+                rows_u, taus_u = _row_taus(ref, n, sl, u, v, w)
+                rows_v, taus_v = _row_taus(ref, n, sl, v, u, w)
+                assert np.array_equal(rows_v, rows_u)
+                assert np.allclose(taus_v, taus_u, rtol=0, atol=1e-12)
 
 
 def test_endgame_choices_break_exact_ties_as_the_slices_do():

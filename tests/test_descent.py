@@ -37,11 +37,11 @@ def test_class_order_covers_every_kind():
 def test_class_order_wins_ties_within_rounding():
     # the later class is lower only by round-off: the earlier class stays
     X = uniform_on([0, 1], 2)
-    early = Move(MoveKind.FIBRE_CROSS, (), X, X, 0.12206803207423446)
-    late = Move(MoveKind.ENDGAME, (), X, X, 0.12206803207423446 - 1e-16)
+    early = Move(MoveKind.FIBRE_CROSS, (), (X, X), 0.12206803207423446)
+    late = Move(MoveKind.ENDGAME, (), (X, X), 0.12206803207423446 - 1e-16)
     assert late.tau < early.tau
     assert _best([early, late]) is early
-    clear = Move(MoveKind.ENDGAME, (), X, X, early.tau - 1e-9)
+    clear = Move(MoveKind.ENDGAME, (), (X, X), early.tau - 1e-9)
     assert _best([early, clear]) is clear
 
 
@@ -91,6 +91,32 @@ def test_candidate_laws_and_tau_consistency():
         for mv in by_kind[MoveKind.FIBRE_CROSS]:
             g1, g2 = mv.params
             assert g1 in supp12 and g2 in supp12
+
+
+def test_endgame_candidates_build_their_laws_only_when_read(monkeypatch):
+    # descent accepts one move per iteration: scoring the endgame's slices of
+    # S builds no Dist per slice, and a move builds its pair on first read
+    rng = make_rng(12)
+    X1, X2, ref = random_dist(rng, 4), random_dist(rng, 4), random_ref(rng, 4)
+    built = []
+    init = Dist.__init__
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Dist, "__init__", counting_init)
+    count = {}
+    for budget in (4, 64):
+        built.clear()
+        moves = generate_candidates(ref, X1, X2, budget, [MoveKind.ENDGAME])
+        count[len(moves)] = len(built)
+    assert sorted(count) == [4, 16]        # four slices, then every slice
+    assert count[4] == count[16]
+    mv = moves[-1]
+    built.clear()
+    X1p, X2p = mv.X1p, mv.X2p
+    assert built == [X1p, X2p]
+    assert mv.X1p is X1p and mv.X2p is X2p and len(built) == 2
+    assert mv.tau == pytest.approx(ref.tau(X1p, X2p), abs=1e-12)
 
 
 def test_fibre_moves_are_conditioned_translates():
