@@ -29,7 +29,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .dists import CostGuardExceeded, Dist, JointDist, _clean_wht_output, fwht
-from .ruzsa import RefPair, conditional_laws, rdist, rdist_matrix, rdist_pairs
+from . import ruzsa
+from .ruzsa import RefPair, rdist, rdist_matrix, rdist_pairs
 
 __all__ = [
     "BsgReport",
@@ -282,24 +283,42 @@ def endgame_choices(ref: RefPair, J: JointDist, values) -> List[EndgameChoice]:
         raise ValueError(f"conditioning event {J.labels[2]}={missing[0]} has zero mass")
     if not len(lo):
         return []
-    rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    uv = np.concatenate([keys[a:b] for a, b in zip(lo, hi)]) & ((1 << (2 * n)) - 1)
     ws = np.concatenate([w[a:b] / w[a:b].sum() for a, b in zip(lo, hi)])
-    return _choices(ref, n, keys[rows] & ((1 << (2 * n)) - 1), ws,
-                    np.r_[0, np.cumsum(hi - lo)], _UVS_TRIPLES)
+    return _choices(ref, n, uv, ws, np.r_[0, np.cumsum(hi - lo)], _UVS_TRIPLES)
 
 
 def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
-              law: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows (slice << n | t), ascending, of the entries' (slice, given)
-    pairs, and for each row the tau d[L; L] + eta d[X01; L] + eta d[X02; L]
-    of L, the law of the entries' law values in that row."""
-    rows, inv = np.unique((sl << n) | given, return_inverse=True)
-    order = np.argsort(inv, kind="stable")   # rows sum in the keys' order
-    taus = np.empty(len(rows))
-    for lo, hi, laws in conditional_laws(n, inv[order], law[order], w[order]):
+              law: np.ndarray, w: np.ndarray):
+    """(rows, taus, order, bounds): the rows (slice << n | t) of the entries'
+    (slice, given) pairs, ascending, from one stable sort; row r's entries
+    order[bounds[r]:bounds[r + 1]], in input order; and each row's tau
+    d[L; L] + eta d[X01; L] + eta d[X02; L], L the law of its entries' law
+    values. Up to ruzsa.BATCH_BITS the laws are dense rows, cut
+    ruzsa.BATCH_ELEMS entries at a time; above it each row is one Dist."""
+    key = (sl << n) | given
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bounds = np.r_[0, np.flatnonzero(np.diff(key)) + 1, len(key)]
+    rows = key[bounds[:-1]]
+    del key
+    m = len(rows)
+    dense = n <= ruzsa.BATCH_BITS
+    step = max(1, ruzsa.BATCH_ELEMS >> n) if dense else m
+    taus = np.empty(m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        e = order[bounds[lo]:bounds[hi]]
+        col, we, cut = law[e], w[e], bounds[lo:hi + 1] - bounds[lo]
+        if dense:
+            at = np.repeat(np.arange(hi - lo) << n, np.diff(cut)) + col
+            laws = np.bincount(at, weights=we, minlength=(hi - lo) << n).reshape(hi - lo, -1)
+            laws /= laws.sum(axis=1, keepdims=True)
+        else:
+            laws = [Dist(n, idx=col[a:b], w=we[a:b]) for a, b in zip(cut[:-1], cut[1:])]
         k = np.arange(hi - lo)
         taus[lo:hi] = ref.taus(laws, k, k)
-    return rows, taus
+    return rows, taus, order, bounds
 
 
 def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
@@ -312,28 +331,27 @@ def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
     _UVS_TRIPLES, which drops gamma = V. For each gamma the rows are the
     (slice, t) pairs, each one law L = T_alpha | T_gamma = t, whose tau
     _row_taus scores once for both twins; each row's arithmetic does not
-    depend on the rows beside it (the batch contract of dists.fwht). Only
-    the winning row's entries are kept; its Dists are built when read.
+    depend on the rows beside it (the batch contract of dists.fwht). The
+    first least row of each slice is read from _row_taus's sort, and only
+    its entries are kept, copied; its Dists are built when read.
     """
     m = len(start) - 1
     vals = [keys & ((1 << n) - 1), keys >> n]
     vals.append(vals[0] ^ vals[1])
     sl = np.repeat(np.arange(m), np.diff(start))     # slice of each entry
-    low, arg = [], []
-    for gamma, alpha, _ in triples:
-        rows, taus = _row_taus(ref, n, sl, vals[gamma], vals[alpha], w)
+    low, arg, kept = [], [], []
+    for gamma, alpha, beta in triples:
+        rows, taus, order, bounds = _row_taus(ref, n, sl, vals[gamma], vals[alpha], w)
         row_sl = rows >> n
         first = np.searchsorted(row_sl, np.arange(m))   # t ascending within
         least = np.minimum.reduceat(taus, first)
-        tied = np.where(taus == least[row_sl], rows, rows[-1])
+        hit = np.flatnonzero(taus == least[row_sl])
+        win = hit[np.searchsorted(hit, first)]          # first least row
         low.append(least)
-        arg.append(np.minimum.reduceat(tied, first) & ((1 << n) - 1))
+        arg.append(rows[win] & ((1 << n) - 1))
+        kept.append([(vals[alpha][e], vals[beta][e], w[e])
+                     for e in (order[bounds[r]:bounds[r + 1]] for r in win)])
+        del order    # not held while the next gamma sorts
     pick = np.argmin(low, axis=0)    # first least in tie order
-    out = []
-    for j, c in enumerate(pick):
-        gamma, alpha, beta = triples[c]
-        e = slice(start[j], start[j + 1])
-        sel = vals[gamma][e] == arg[c][j]
-        out.append(EndgameChoice(float(low[c][j]), (gamma, alpha, beta, int(arg[c][j])),
-                                 n, (vals[alpha][e][sel], vals[beta][e][sel], w[e][sel])))
-    return out
+    return [EndgameChoice(float(low[c][j]), (*triples[c], int(arg[c][j])), n, kept[c][j])
+            for j, c in enumerate(pick)]

@@ -227,6 +227,7 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
         moves: List[Move] = []
         skipped: List[str] = []
         guard_trips: Dict[str, dict] = {}
+        per_class: Dict[str, float] = {}
         per_class_s: Dict[str, float] = {}
         per_class_candidates: Dict[str, int] = {}
         for kind in CLASS_ORDER:
@@ -241,12 +242,9 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
                 guard_trips[kind.value] = {"guard": exc.guard, "size": exc.size}
             per_class_s[kind.value] = perf_counter() - t0
             per_class_candidates[kind.value] = len(got)
+            if got:
+                per_class[kind.value] = _best(got).tau
             moves += got
-        per_class = {}
-        for kind in CLASS_ORDER:
-            mk = _best([mv for mv in moves if mv.kind == kind])
-            if mk is not None:
-                per_class[kind.value] = mk.tau
         chosen = _best(moves)
         if chosen is None or chosen.tau >= state.tau - eps_step:
             state.stop_reason = "no improving move"
@@ -318,9 +316,8 @@ def _from_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
 
 
 def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
-                 eps_step: float = EPS_STEP, eps_d: float = EPS_D,
-                 budget: int = BUDGET, max_iter: int = MAX_ITER,
-                 theta: float = 0.5) -> Tuple[DescentState, SubgroupCertificate]:
+                 eps_d: float = EPS_D, budget: int = BUDGET,
+                 max_iter: int = MAX_ITER) -> Tuple[DescentState, SubgroupCertificate]:
     """Locate a subgroup close to both inputs in Ruzsa distance.
 
     Descent starts from the swapped pair (X02, X01), whose tau is exactly
@@ -328,7 +325,9 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
     pair; the subgroup spanned by its differences satisfies
     d[X01; U_H] + d[X02; U_H] <= 11 d[X01; X02] at eta = 1/9, and each
     summand alone is at most 6 d[X01; X02]. The certificate records both
-    distances and the outcome of those two checks.
+    distances and the outcome of those two checks. Descent takes a move
+    only if it lowers tau by more than EPS_STEP, and the subgroup is read
+    off its endpoint by extract_subgroup at its default theta.
 
     Descent runs in the intrinsic dimension r: with a0 the smallest support
     point of X01, both inputs are shifted by a0 into V, the span of the
@@ -345,9 +344,9 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
     ref = RefPair(X01, X02, eta)
     a0 = int(X01.support()[0])
     V, (Y01, Y02) = _reduce((X01, X02), (a0, a0))
-    inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_step=eps_step,
-                    eps_d=eps_d, budget=budget, max_iter=max_iter)
-    Hr = extract_subgroup(inner.X1, theta).H
+    inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_d=eps_d,
+                    budget=budget, max_iter=max_iter)
+    Hr = extract_subgroup(inner.X1).H
     UH = uniform_on_subgroup(Hr)
     d1 = rdist(Y01, UH)
     d2 = rdist(Y02, UH)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dists import Dist, uniform_on
 from .groups import SubgroupBasis, span
+from .randgen import _keep_some
 
 __all__ = [
     "dense_subgroup_subset",
@@ -89,14 +90,10 @@ def sparse_union_pair(rng: np.random.Generator, n: int = DEMO_N,
     size = H.span_size()
     out = []
     for A in (A1, A2):
-        pts: List[int] = []
-        for lo in range(0, len(A), size):
-            block = A[lo:lo + size]
-            keep = rng.random(len(block)) < keep_fraction
-            if not keep.any():
-                keep[rng.integers(0, len(block))] = True
-            pts.extend(b for b, k in zip(block, keep) if k)
-        out.append(sorted(pts))
+        a = np.array(A, dtype=np.int64)
+        kept = [_keep_some(rng, a[lo:lo + size], keep_fraction)
+                for lo in range(0, len(a), size)]
+        out.append(sorted(np.concatenate(kept).tolist()))
     return out[0], out[1], H
 
 

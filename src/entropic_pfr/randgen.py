@@ -73,6 +73,15 @@ def random_linear_map(rng: np.random.Generator, in_dim: int, out_dim: int) -> Li
     return LinearMap(in_dim, out_dim, cols)
 
 
+def _keep_some(rng: np.random.Generator, block: np.ndarray, p: float) -> np.ndarray:
+    """block with each point kept with probability p, one draw per point;
+    if no point is kept, one drawn uniformly is."""
+    keep = rng.random(len(block)) < p
+    if not keep.any():
+        keep[rng.integers(0, len(block))] = True
+    return block[keep]
+
+
 def random_coset_union(rng: np.random.Generator, n: int, subgroup_rank: int,
                        num_cosets: int, keep_fraction: float = 1.0) -> List[int]:
     """A union of cosets of a random subgroup, optionally subsampled.
@@ -93,9 +102,6 @@ def random_coset_union(rng: np.random.Generator, n: int, subgroup_rank: int,
     for r in reps.values():
         coset = r ^ members
         if keep_fraction < 1.0:
-            keep = rng.random(len(coset)) < keep_fraction
-            if not keep.any():
-                keep[rng.integers(0, len(coset))] = True
-            coset = coset[keep]
+            coset = _keep_some(rng, coset, keep_fraction)
         pts.extend(coset.tolist())
     return sorted(pts)   # distinct cosets: no point repeats

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dists import (
     Dist,
     JointDist,
-    _conditionals,
     _entropy_rows,
     conv_entropy,
     entropy,
@@ -150,30 +149,6 @@ def rdist_paired(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
         raise ValueError("length mismatch")
     k = np.arange(len(xs))
     return rdist_pairs([*xs, *ys], k, k + len(xs))
-
-
-def conditional_laws(n: int, row: np.ndarray, col: np.ndarray,
-                     w: np.ndarray) -> Iterator[Tuple[int, int, Laws]]:
-    """Chunks (lo, hi, laws) of the law of col given row, for rows lo..hi-1.
-
-    Entry e lies in row row[e] (ascending from 0, none skipped) with value
-    col[e] and weight w[e]. laws is dense, BATCH_ELEMS entries per chunk, up
-    to BATCH_BITS; above it sparse Dists, in one chunk.
-    """
-    m = int(row[-1]) + 1
-    if n > BATCH_BITS:
-        yield 0, m, [law for _, _, law in _conditionals(row, col, w, n)]
-        return
-    start = np.searchsorted(row, np.arange(m + 1))
-    N = 1 << n
-    step = max(1, BATCH_ELEMS // N)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        e = slice(start[lo], start[hi])
-        laws = np.bincount((row[e] - lo) * N + col[e], weights=w[e],
-                           minlength=(hi - lo) * N).reshape(-1, N)
-        laws /= laws.sum(axis=1, keepdims=True)
-        yield lo, hi, laws
 
 
 def cond_rdist(slices_x: Slices, slices_y: Slices) -> float:

@@ -374,9 +374,12 @@ def test_gamma_v_rows_repeat_the_gamma_u_rows():
             for s in _top_support(J.marginal_dist("S"), 8):
                 keys, w = J.condition("S", s).items()
                 u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
-                rows_u, taus_u = _row_taus(ref, n, sl, u, v, w)
-                rows_v, taus_v = _row_taus(ref, n, sl, v, u, w)
+                rows_u, taus_u, order_u, bounds_u = _row_taus(ref, n, sl, u, v, w)
+                rows_v, taus_v, order_v, bounds_v = _row_taus(ref, n, sl, v, u, w)
                 assert np.array_equal(rows_v, rows_u)
+                assert np.array_equal(bounds_v, bounds_u)
+                for a, b in zip(bounds_u[:-1], bounds_u[1:]):
+                    assert np.array_equal(v[order_u[a:b]], u[order_v[a:b]])
                 assert np.allclose(taus_v, taus_u, rtol=0, atol=1e-12)
 
 
@@ -390,11 +393,77 @@ def test_endgame_choices_break_exact_ties_as_the_slices_do():
     assert [ch.choice for ch in chs] == [(0, 1, 2, 0)] * 3
 
 
+def _count_taus(monkeypatch):
+    """Record (dense, rows) for every RefPair.taus call from now on."""
+    calls, taus = [], RefPair.taus
+
+    def counted(self, laws, i, j):
+        calls.append((isinstance(laws, np.ndarray), len(laws)))
+        return taus(self, laws, i, j)
+    monkeypatch.setattr(RefPair, "taus", counted)
+    return calls
+
+
+def _row_counts(J, values):
+    """The number of (slice, t) rows of gamma = U and of gamma = W."""
+    n, counts = J.n, np.zeros(2, dtype=int)
+    for s in values:
+        keys, _ = J.condition("S", s).items()
+        u, v = keys & ((1 << n) - 1), keys >> n
+        counts += len(np.unique(u)), len(np.unique(u ^ v))
+    return counts
+
+
 def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
     # eight rows of 2^n per chunk: chunks end inside and between slices
+    calls = _count_taus(monkeypatch)
     for ref, J, _ in _random_uvs_cases(63):
         monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
+        values = _top_support(J.marginal_dist("S"), 64)
+        del calls[:]
+        endgame_choices(ref, J, values)
+        assert all(dense and rows <= 8 for dense, rows in calls)
+        assert len(calls) == sum(-(-_row_counts(J, values) // 8)) > 2
         _assert_choices_match_slices(ref, J, 64)
+
+
+def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
+    # below BATCH_BITS the rows can also be cut one Dist each and scored
+    # pair by pair, as they are past it. On (T1, T2) laws both cuts match
+    # the exhaustive search; on (U, V, S) slices, whose translated rows tie
+    # up to round-off, every row's tau agrees.
+    calls, bits = _count_taus(monkeypatch), ruzsa.BATCH_BITS
+
+    def both(n, f):
+        out = []
+        for b in (bits, n - 1):
+            monkeypatch.setattr(ruzsa, "BATCH_BITS", b)
+            del calls[:]
+            out.append(f())
+            assert calls and all(dense == (b >= n) for dense, _ in calls)
+        return out
+
+    rng = make_rng(66)
+    compared = 0
+    for n in (3, 4, 5):
+        J = random_joint(rng, n, 2, ["T1", "T2"], support_size=4 << n)
+        ref = RefPair(random_dist(rng, n), random_dist(rng, n))
+        a, b = both(n, lambda: abstract_endgame(ref, J))
+        assert a.tau == pytest.approx(b.tau, abs=1e-12)
+        compared += all([_compare_with_oracle(ref, J, ch) for ch in (a, b)])
+    # at n = 4 another (gamma, t) comes within 1e-9 of the least tau
+    assert compared == 2
+    for ref, J, _ in _random_uvs_cases(66):
+        n = J.n
+        if n > 5:
+            continue
+        keys, w = J.items()
+        u, v, s = keys & ((1 << n) - 1), (keys >> n) & ((1 << n) - 1), keys >> (2 * n)
+        for given, law in ((u, v), (u ^ v, u)):
+            a, b = both(n, lambda: _row_taus(ref, n, s, given, law, w))
+            for x, y in zip(a[:1] + a[2:], b[:1] + b[2:]):
+                assert np.array_equal(x, y)     # rows, order, bounds
+            assert np.allclose(a[1], b[1], rtol=0, atol=1e-12)
 
 
 def test_endgame_choices_on_sparse_laws_past_batch_bits():
