@@ -5,17 +5,15 @@ timestamps, sorted keys). Exit status 0 means every requested check held,
 converged or certified; 1 means at least one did not, or that a cost guard
 refused the work, reported as one {"error", "guard", "size"} line.
 
-ENTROPIC_PFR_THREADS caps the worker threads used by the bulk verification
-commands; 1 disables the pool entirely.
+Trials run in one thread, in seed order; run several processes with
+different --seed values for parallelism.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import fixtures
 from .bsg import bsg_check, endgame_tables
@@ -38,21 +36,6 @@ def _emit(obj: dict, quiet: bool = False, essential: bool = True) -> None:
     if quiet and not essential:
         return
     print(json.dumps(obj, sort_keys=True, default=float))
-
-
-def _pool_size() -> int:
-    env = os.environ.get("ENTROPIC_PFR_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _pmap(fn: Callable, items: Sequence) -> List:
-    workers = _pool_size()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _suite_trial(suite: str, seed: int, n: int):
@@ -89,31 +72,30 @@ def cmd_check(args) -> int:
     suites = SUITES if args.suite == "all" else [args.suite]
     failures = 0
     for suite in suites:
-        seeds = [(suite, args.seed + i, args.dim) for i in range(args.trials)]
-        reports = _pmap(lambda t: _suite_trial(*t), seeds)
+        seeds = range(args.seed, args.seed + args.trials)
+        reports = [_suite_trial(suite, seed, args.dim) for seed in seeds]
         worst = min(r.slack for r in reports)
         bad = sum(not r.holds for r in reports)
         failures += bad
         _emit({"suite": suite, "trials": args.trials, "violations": bad,
                "worst_slack": worst}, args.quiet)
-        for (_, seed, dim), r in zip(seeds, reports):
+        for seed, r in zip(seeds, reports):
             if not r.holds:   # the seed pins the violating inputs exactly
                 _emit({"suite": suite, "counterexample": {
-                    "seed": seed, "dim": dim, "lhs": r.lhs, "rhs": r.rhs,
+                    "seed": seed, "dim": args.dim, "lhs": r.lhs, "rhs": r.rhs,
                     "slack": r.slack}})
                 break
     return 0 if failures == 0 else 1
 
 
 def cmd_verify_fibring(args) -> int:
-    def trial(i: int) -> float:
-        rng = make_rng(args.seed + i)
-        n = args.dim
-        Z1 = random_dist(rng, n)
-        Z2 = random_dist(rng, n)
-        pi = random_linear_map(rng, n, args.out_dim)
-        return abs(fibring_decompose(Z1, Z2, pi).residual)
-    residuals = _pmap(trial, list(range(args.trials)))
+    residuals = []
+    for seed in range(args.seed, args.seed + args.trials):
+        rng = make_rng(seed)
+        Z1 = random_dist(rng, args.dim)
+        Z2 = random_dist(rng, args.dim)
+        pi = random_linear_map(rng, args.dim, args.out_dim)
+        residuals.append(abs(fibring_decompose(Z1, Z2, pi).residual))
     worst = max(residuals)
     ok = worst <= 1e-9
     _emit({"trials": args.trials, "worst_residual": worst, "holds": ok},
@@ -197,6 +179,13 @@ def cmd_cover(args) -> int:
     return 0 if cover.certified else 1
 
 
+def _trial_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {value}")
+    return value
+
+
 def _add_descent_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=1.0 / 9.0)
     p.add_argument("--eps-d", type=float, default=1e-4)
@@ -213,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run an inequality suite on random inputs")
     p.add_argument("--suite", default="all", choices=["all"] + SUITES)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--dim", type=int, default=4)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify-fibring", help="check the exact fibring identity")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--out-dim", type=int, default=4)

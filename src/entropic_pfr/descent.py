@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bsg import EndgameChoice, endgame_choices, endgame_tables
-from .dists import (CostGuardExceeded, Dist, _conditionals, uniform_on_subgroup,
+from .dists import (CostGuardExceeded, Dist, _fibres, uniform_on_subgroup,
                     xor_convolve)
 from .groups import SubgroupBasis, span
 from .ruzsa import RefPair, cond_rdist, one, rdist, slices_of
@@ -438,7 +438,4 @@ def _cross_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
     |A| |B| <= 2^14 once diagnostics' endgame_tables has passed its guard."""
     (ia, wa), (ib, wb) = A.items(), B.items()
     g = (ia[:, None] ^ ib[None, :]).ravel()
-    order = np.argsort(g, kind="stable")
-    x = np.repeat(ia, len(ib))[order]
-    w = np.outer(wa, wb).ravel()[order]
-    return [(mass, law) for _, mass, law in _conditionals(g[order], x, w, A.n)]
+    return _fibres(g, np.repeat(ia, len(ib)), np.outer(wa, wb).ravel(), A.n)

@@ -182,6 +182,22 @@ def _dense_guard(bits: int) -> None:
         raise CostGuardExceeded("DENSE_BITS", bits, "table too large for dense form")
 
 
+def _dim_guard(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"ambient dimension {n} out of range")
+    if n > DENSE_BITS:
+        raise CostGuardExceeded("DENSE_BITS", n, f"ambient dimension {n} out of range")
+
+
+def _shape_guard(n: int, arity: int, labels: Sequence[str]) -> None:
+    if arity < 1 or arity > 4:
+        raise ValueError("arity out of range")
+    if n * arity > 62:
+        raise ValueError("packed keys need n*arity <= 62")
+    if len(labels) != arity or len(set(labels)) != arity:
+        raise ValueError("need one distinct label per axis")
+
+
 class Dist:
     """A probability distribution on F_2^n, stored as its support.
 
@@ -194,10 +210,7 @@ class Dist:
 
     def __init__(self, n: int, dense: Optional[np.ndarray] = None,
                  idx: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None):
-        if n < 0:
-            raise ValueError(f"ambient dimension {n} out of range")
-        if n > DENSE_BITS:
-            raise CostGuardExceeded("DENSE_BITS", n, f"ambient dimension {n} out of range")
+        _dim_guard(n)
         self.n = n
         self._H: Optional[float] = None
         self._idx, self._w = _read(n, dense, idx, w)
@@ -290,6 +303,16 @@ def _conditionals(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
             for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(vals)])]
 
 
+def _fibres(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
+            n: int) -> List[Tuple[float, Dist]]:
+    """Conditional laws of idx given unsorted vals: one (mass, law on
+    F_2^n) per distinct value, values ascending, entries of a value kept
+    in input order (stable sort)."""
+    order = np.argsort(vals, kind="stable")
+    return [(mass, law) for _, mass, law
+            in _conditionals(vals[order], idx[order], w[order], n)]
+
+
 def uniform_on(S: Iterable[int], n: int) -> Dist:
     """Uniform distribution on a nonempty subset of F_2^n."""
     idx = np.unique(np.fromiter(S, dtype=np.int64))
@@ -362,12 +385,7 @@ class JointDist:
 
     def _shape(self, n: int, arity: int, labels: Sequence[str]) -> "JointDist":
         """Check and store the shape; every constructor passes through here."""
-        if arity < 1 or arity > 4:
-            raise ValueError("arity out of range")
-        if n * arity > 62:
-            raise ValueError("packed keys need n*arity <= 62")
-        if len(labels) != arity or len(set(labels)) != arity:
-            raise ValueError("need one distinct label per axis")
+        _shape_guard(n, arity, labels)
         self.n = n
         self.arity = arity
         self.labels = tuple(labels)

@@ -18,11 +18,11 @@ conditioned distance and an information term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .dists import DENSE_BITS, CostGuardExceeded, Dist, _conditionals, _entropy_weights, _group
+from .dists import DENSE_BITS, CostGuardExceeded, Dist, _entropy_weights, _fibres, _group
 from .groups import LinearMap
 from .ruzsa import cond_rdist, rdist
 
@@ -43,15 +43,6 @@ class FibringReport:
         return self.d_projected, self.d_fibre, self.info_term
 
 
-def _fibres(idx: np.ndarray, w: np.ndarray, tab: np.ndarray,
-            n: int) -> List[Tuple[float, Dist]]:
-    """Conditional laws of Z given pi Z, one per image point with mass."""
-    vals = tab[idx]
-    order = np.argsort(vals, kind="stable")
-    runs = _conditionals(vals[order], idx[order], w[order], n)
-    return [(mass, law) for _, mass, law in runs]
-
-
 def fibring_decompose(Z1: Dist, Z2: Dist, pi: LinearMap) -> FibringReport:
     if Z1.n != Z2.n or pi.in_dim != Z1.n:
         raise ValueError("dimension mismatch")
@@ -70,7 +61,7 @@ def fibring_decompose(Z1: Dist, Z2: Dist, pi: LinearMap) -> FibringReport:
 
     d_total = rdist(Z1, Z2)
     d_projected = rdist(Dist(m, idx=tab[i1], w=w1), Dist(m, idx=tab[i2], w=w2))
-    d_fibre = cond_rdist(_fibres(i1, w1, tab, n), _fibres(i2, w2, tab, n))
+    d_fibre = cond_rdist(_fibres(tab[i1], i1, w1, n), _fibres(tab[i2], i2, w2, n))
 
     # I[A : C | B] with A = Z1^Z2, C = (pi Z1, pi Z2), B = pi A. B is a
     # function of A and of C, so the term collapses to H[A] + H[C] - H[A,C]

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .dists import Dist, JointDist
+from .dists import Dist, JointDist, _dim_guard, _shape_guard
 from .groups import LinearMap, SubgroupBasis, span
 
 __all__ = [
@@ -30,8 +30,10 @@ def random_dist(rng: np.random.Generator, n: int,
                 support_size: Optional[int] = None) -> Dist:
     """Exponential weights, normalized, on a uniform random support.
 
-    support_size defaults to a uniform draw from [1, 2^n].
+    support_size defaults to a uniform draw from [1, 2^n]. The dimension is
+    checked before anything is drawn.
     """
+    _dim_guard(n)
     size = 1 << n
     if support_size is None:
         support_size = int(rng.integers(1, size + 1))
@@ -46,7 +48,9 @@ def random_dist(rng: np.random.Generator, n: int,
 def random_joint(rng: np.random.Generator, n: int, arity: int,
                  labels: Sequence[str],
                  support_size: Optional[int] = None) -> JointDist:
-    """Exponential weights on a random support of packed tuples."""
+    """Exponential weights on a random support of packed tuples; the shape
+    is checked before anything is drawn."""
+    _shape_guard(n, arity, labels)
     size = 1 << (n * arity)
     if support_size is None:
         support_size = int(rng.integers(2, min(size, 4096) + 1))

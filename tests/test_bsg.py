@@ -254,11 +254,12 @@ def test_abstract_endgame_sparse_input_at_n13_matches_oracle():
     assert _check_sparse_endgame_against_oracle(rng, J, mk)
 
 
-def test_abstract_endgame_sparse_input_at_n18_matches_oracle():
+def test_abstract_endgame_sparse_input_at_n18_matches_oracle(monkeypatch):
     # past BATCH_BITS the conditional laws stay sparse and are scored pair
     # by pair; dense rows would take |supp T_gamma| * 2^18 floats each.
     # Every law sits on a coset of H = {0, u, v, u ^ v}: generic points
     # would add without collisions and make tau blind to the reference pair.
+    calls = _count_taus(monkeypatch)
     rng = make_rng(60)
     n = 18
     x, y, u, v = (int(z) for z in rng.integers(0, 1 << n, 4))
@@ -267,6 +268,7 @@ def test_abstract_endgame_sparse_input_at_n18_matches_oracle():
     J = JointDist(n, 2, ["T1", "T2"], keys=keys, w=rng.random(9))
     mk = lambda: Dist.from_sparse(x ^ H, rng.random(4), n=n)
     assert _check_sparse_endgame_against_oracle(rng, J, mk)
+    assert calls and not any(dense for dense, _ in calls)
 
 
 def test_abstract_endgame_row_chunks_do_not_change_the_choice(monkeypatch):
@@ -466,8 +468,9 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
             assert np.allclose(a[1], b[1], rtol=0, atol=1e-12)
 
 
-def test_endgame_choices_on_sparse_laws_past_batch_bits():
+def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):
     # n = 17: conditional laws stay sparse Dists, scored pair by pair
+    calls = _count_taus(monkeypatch)
     rng = make_rng(64)
     n = 17
     assert n > ruzsa.BATCH_BITS
@@ -476,6 +479,7 @@ def test_endgame_choices_on_sparse_laws_past_batch_bits():
     mk = lambda: Dist.from_sparse(H ^ int(rng.integers(1 << n)), rng.random(4), n=n)
     J = endgame_tables(mk(), mk()).joint_UVS
     _assert_choices_match_slices(RefPair(mk(), mk()), J, 64)
+    assert calls and not any(dense for dense, _ in calls)
 
 
 def test_endgame_choices_reject_a_value_of_zero_mass():

@@ -42,15 +42,22 @@ def test_check_runs_every_suite(capsys):
         assert r["worst_slack"] >= -1e-9
 
 
-def test_check_is_deterministic_across_pool_sizes(capsys, monkeypatch):
+def test_check_is_deterministic(capsys):
     args = ["--quiet", "check", "--suite", "triangle", "--trials", "8",
             "--dim", "4", "--seed", "7"]
     _, first = run(capsys, args)
     _, again = run(capsys, args)
     assert first == again
-    monkeypatch.setenv("ENTROPIC_PFR_THREADS", "1")
-    _, serial = run(capsys, args)
-    assert serial == first
+
+
+@pytest.mark.parametrize("command", ["check", "verify-fibring"])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_are_a_usage_error(capsys, command, trials):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--trials", trials])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "need at least 1 trial" in err
 
 
 def test_check_reports_counterexample_on_violation(capsys, monkeypatch):
@@ -150,6 +157,15 @@ def test_cost_guards_end_in_one_json_line(capsys, tmp_path):
     code, lines = run(capsys, ["endgame", "--x1", a, "--x2", a])
     assert code == 1
     assert [json.loads(ln) for ln in lines] == [rows[1]]
+
+
+def test_check_past_dense_bits_ends_in_one_json_line(capsys):
+    # the guard trips before the first draw, not after a 2^30-point one
+    code, lines = run(capsys, ["check", "--suite", "triangle", "--dim", "30"])
+    assert code == 1
+    assert [json.loads(ln) for ln in lines] == [
+        {"error": "ambient dimension 30 out of range", "guard": "DENSE_BITS",
+         "size": 30}]
 
 
 def test_other_errors_still_propagate(tmp_path):

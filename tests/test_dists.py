@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropic_pfr import dists
-from entropic_pfr.dists import (CostGuardExceeded, Dist, JointDist, _group,
+from entropic_pfr.dists import (CostGuardExceeded, Dist, JointDist, _fibres, _group,
                                 conv_entropy, dense_from_csv, entropy, fwht,
                                 joint_product, load_dist,
                                 pushforward_dist, uniform_on,
@@ -435,6 +435,35 @@ def test_dense_bits_guards_are_typed():
     with pytest.raises(CostGuardExceeded, match="too large for dense form") as err:
         JointDist(9, 3, ["X", "Y", "Z"], dense=np.ones(8))
     assert (err.value.guard, err.value.size) == ("DENSE_BITS", 27)
+
+
+def test_random_generators_refuse_before_drawing():
+    rng = make_rng(5)
+    state = rng.bit_generator.state
+    for n in (25, 30):
+        with pytest.raises(CostGuardExceeded, match=f"dimension {n} out of range") as err:
+            random_dist(rng, n)
+        assert (err.value.guard, err.value.size) == ("DENSE_BITS", n)
+    with pytest.raises(ValueError, match="out of range"):
+        random_dist(rng, -1)
+    for n, arity in ((21, 3), (32, 2)):
+        with pytest.raises(ValueError, match=r"packed keys need n\*arity <= 62"):
+            random_joint(rng, n, arity, ["A", "B", "C"][:arity])
+    assert rng.bit_generator.state == state   # nothing was drawn
+
+
+def test_fibres_cut_the_conditional_laws_in_value_order():
+    rng = make_rng(6)
+    idx = rng.integers(0, 16, 40)
+    vals = rng.integers(0, 5, 40)
+    w = rng.random(40)
+    fibres = _fibres(vals, idx, w, 4)
+    assert len(fibres) == len(np.unique(vals))
+    for v, (mass, law) in zip(np.unique(vals), fibres):
+        on = vals == v
+        assert mass == pytest.approx(w[on].sum(), abs=1e-12)
+        expected = np.bincount(idx[on], weights=w[on], minlength=16) / w[on].sum()
+        assert np.allclose(law.dense(), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bits", [4, 12, 24, 30])
