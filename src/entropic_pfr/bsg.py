@@ -29,8 +29,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .dists import CostGuardExceeded, Dist, JointDist, _clean_wht_output, fwht
-from . import ruzsa
-from .ruzsa import RefPair, rdist, rdist_matrix, rdist_pairs
+from .ruzsa import RefPair, rdist, rdist_matrix, rdist_runs
 
 __all__ = [
     "BsgReport",
@@ -67,13 +66,14 @@ def bsg_check(J: JointDist, a=0, b=1) -> BsgReport:
 
     Conditioning both coordinates on Z = A ^ B and averaging d over the
     slices is controlled by the mutual information between A and B. Given
-    Z = z, B is A translated by z: each slice distance is d[A|z; A|z].
+    Z = z, B is A translated by z: each slice distance is d[A|z; A|z]. Z
+    is the highest axis, so each slice is one run of the ascending keys.
     """
     J3 = J.pushforward([[a], [b], [a, b]], ["A", "B", "Z"])
-    sl = J3.slices("A", "Z")
-    probs = np.array([p for _, p, _ in sl])
-    k = np.arange(len(sl))
-    lhs = float(probs @ rdist_pairs([d for _, _, d in sl], k, k))
+    keys, w = J3.items()
+    cut = np.r_[0, np.flatnonzero(np.diff(keys >> (2 * J.n))) + 1, len(keys)]
+    d = rdist_runs(J.n, J3.axis_values(keys, 0), w, cut)[0]
+    lhs = float(np.add.reduceat(w, cut[:-1]) @ d)
     i_ab = J.mutual_info(a, b)
     rhs = (3.0 * i_ab + 2.0 * J3.entropy("Z")
            - J3.entropy("A") - J3.entropy("B"))
@@ -248,7 +248,7 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
 
     J is the two-axis law of (T1, T2); T3 := T1 ^ T2. For each gamma, the
     other two members alpha < beta and each t in the support of T_gamma,
-    score (T_alpha | T_gamma = t, T_beta | T_gamma = t) by ref.taus and
+    score (T_alpha | T_gamma = t, T_beta | T_gamma = t) by its tau and
     return the exact minimizer, first in (gamma, t) order on ties; the twin
     (beta, alpha) has the same tau and is not scored. Only the support of
     J, which is all J stores, is visited. J need not be symmetric, so all
@@ -294,31 +294,15 @@ def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
     (slice, given) pairs, ascending, from one stable sort; row r's entries
     order[bounds[r]:bounds[r + 1]], in input order; and each row's tau
     d[L; L] + eta d[X01; L] + eta d[X02; L], L the law of its entries' law
-    values. Up to ruzsa.BATCH_BITS the laws are dense rows, cut
-    ruzsa.BATCH_ELEMS entries at a time; above it each row is one Dist."""
+    values, scored from those runs by ruzsa.rdist_runs."""
     key = (sl << n) | given
     order = np.argsort(key, kind="stable")
     key = key[order]
     bounds = np.r_[0, np.flatnonzero(np.diff(key)) + 1, len(key)]
     rows = key[bounds[:-1]]
     del key
-    m = len(rows)
-    dense = n <= ruzsa.BATCH_BITS
-    step = max(1, ruzsa.BATCH_ELEMS >> n) if dense else m
-    taus = np.empty(m)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        e = order[bounds[lo]:bounds[hi]]
-        col, we, cut = law[e], w[e], bounds[lo:hi + 1] - bounds[lo]
-        if dense:
-            at = np.repeat(np.arange(hi - lo) << n, np.diff(cut)) + col
-            laws = np.bincount(at, weights=we, minlength=(hi - lo) << n).reshape(hi - lo, -1)
-            laws /= laws.sum(axis=1, keepdims=True)
-        else:
-            laws = [Dist(n, idx=col[a:b], w=we[a:b]) for a, b in zip(cut[:-1], cut[1:])]
-        k = np.arange(hi - lo)
-        taus[lo:hi] = ref.taus(laws, k, k)
-    return rows, taus, order, bounds
+    d, d1, d2 = rdist_runs(n, law[order], w[order], bounds, [ref.X01, ref.X02])
+    return rows, d + ref.eta * d1 + ref.eta * d2, order, bounds
 
 
 def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,

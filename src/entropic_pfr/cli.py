@@ -18,18 +18,31 @@ from typing import Optional, Sequence
 from . import fixtures
 from .bsg import bsg_check, endgame_tables
 from .cover import load_set, pfr_pipeline
-from .descent import diagnostics, entropic_pfr
+from .descent import BUDGET, EPS_D, MAX_ITER, diagnostics, entropic_pfr
 from .dists import CostGuardExceeded, Dist, load_dist, xor_convolve
 from .fibring import fibring_decompose
 from .groups import format_elem
 from .randgen import make_rng, random_dist, random_joint, random_linear_map
-from .ruzsa import (check_cond_distance, check_double_shift, check_madiman,
-                    check_ruzsa_diff, check_submodularity, check_sum_shift,
-                    check_sum_shift_cond, check_triangle, rdist)
+from .ruzsa import (ETA_DEFAULT, check_cond_distance, check_double_shift,
+                    check_madiman, check_ruzsa_diff, check_submodularity,
+                    check_sum_shift, check_sum_shift_cond, check_triangle,
+                    rdist)
 
-SUITES = ["triangle", "madiman", "cond-distance", "sum-shift",
-          "sum-shift-cond", "double-shift", "ruzsa-diff", "submodularity",
-          "bsg"]
+# suite -> (its check's name, looked up on each trial so that a replaced module
+# function is the check run; its draws in order, None for a Dist and labels
+# for a joint; the --dim range it can draw and pack into 62-bit keys)
+_SUITES = {
+    "triangle": ("check_triangle", [None] * 3, (0, 62)),
+    "madiman": ("check_madiman", [None] * 3, (0, 62)),
+    "cond-distance": ("check_cond_distance", [["X", "Z"], ["Y", "W"]], (1, 31)),
+    "sum-shift": ("check_sum_shift", [None] * 3, (0, 62)),
+    "sum-shift-cond": ("check_sum_shift_cond", [None] * 3, (0, 31)),
+    "double-shift": ("check_double_shift", [None] * 4, (0, 20)),
+    "ruzsa-diff": ("check_ruzsa_diff", [None] * 2, (0, 62)),
+    "submodularity": ("check_submodularity", [["A", "B", "C"]], (1, 20)),
+    "bsg": ("bsg_check", [["A", "B"]], (1, 20)),   # keys of (A, B, A ^ B)
+}
+SUITES = list(_SUITES)
 
 
 def _emit(obj: dict, quiet: bool = False, essential: bool = True) -> None:
@@ -39,39 +52,16 @@ def _emit(obj: dict, quiet: bool = False, essential: bool = True) -> None:
 
 
 def _suite_trial(suite: str, seed: int, n: int):
+    check, draws, _ = _SUITES[suite]
     rng = make_rng(seed)
-    if suite == "triangle":
-        return check_triangle(random_dist(rng, n), random_dist(rng, n),
-                              random_dist(rng, n))
-    if suite == "madiman":
-        return check_madiman(random_dist(rng, n), random_dist(rng, n),
-                             random_dist(rng, n))
-    if suite == "cond-distance":
-        JX = random_joint(rng, n, 2, ["X", "Z"])
-        JY = random_joint(rng, n, 2, ["Y", "W"])
-        return check_cond_distance(JX, JY)
-    if suite == "sum-shift":
-        return check_sum_shift(random_dist(rng, n), random_dist(rng, n),
-                               random_dist(rng, n))
-    if suite == "sum-shift-cond":
-        return check_sum_shift_cond(random_dist(rng, n), random_dist(rng, n),
-                                    random_dist(rng, n))
-    if suite == "double-shift":
-        return check_double_shift(random_dist(rng, n), random_dist(rng, n),
-                                  random_dist(rng, n), random_dist(rng, n))
-    if suite == "ruzsa-diff":
-        return check_ruzsa_diff(random_dist(rng, n), random_dist(rng, n))
-    if suite == "submodularity":
-        return check_submodularity(random_joint(rng, n, 3, ["A", "B", "C"]))
-    if suite == "bsg":
-        return bsg_check(random_joint(rng, n, 2, ["A", "B"]))
-    raise ValueError(f"unknown suite {suite!r}")
+    return globals()[check](*[random_dist(rng, n) if labels is None
+                              else random_joint(rng, n, len(labels), labels)
+                              for labels in draws])
 
 
 def cmd_check(args) -> int:
-    suites = SUITES if args.suite == "all" else [args.suite]
     failures = 0
-    for suite in suites:
+    for suite in [s for s in SUITES if args.suite in ("all", s)]:
         seeds = range(args.seed, args.seed + args.trials)
         reports = [_suite_trial(suite, seed, args.dim) for seed in seeds]
         worst = min(r.slack for r in reports)
@@ -179,18 +169,21 @@ def cmd_cover(args) -> int:
     return 0 if cover.certified else 1
 
 
-def _trial_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {value}")
-    return value
+def _at_least(least: int, what: str):
+    """An argparse type: an int of at least `least`, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"need at least {least} {what}, got {value}")
+        return value
+    return integer
 
 
 def _add_descent_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=1.0 / 9.0)
-    p.add_argument("--eps-d", type=float, default=1e-4)
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--eta", type=float, default=ETA_DEFAULT)
+    p.add_argument("--eps-d", type=float, default=EPS_D)
+    p.add_argument("--budget", type=int, default=BUDGET)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run an inequality suite on random inputs")
     p.add_argument("--suite", default="all", choices=["all"] + SUITES)
-    p.add_argument("--trials", type=_trial_count, default=100)
+    p.add_argument("--trials", type=_at_least(1, "trial"), default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--dim", type=int, default=4)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify-fibring", help="check the exact fibring identity")
-    p.add_argument("--trials", type=_trial_count, default=100)
+    p.add_argument("--trials", type=_at_least(1, "trial"), default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--out-dim", type=int, default=4)
+    p.add_argument("--dim", type=_at_least(0, "dimensions"), default=8)
+    p.add_argument("--out-dim", type=_at_least(0, "dimensions"), default=4)
     p.set_defaults(fn=cmd_verify_fibring)
 
     p = sub.add_parser("rdist", help="distance between two distribution files")
@@ -251,7 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.fn is cmd_check:
+        lows, tops = zip(*(_SUITES[s][2] for s in SUITES if args.suite in ("all", s)))
+        if not max(lows) <= args.dim <= min(tops):
+            ap.error(f"check --suite {args.suite} needs --dim from {max(lows)} to "
+                     f"{min(tops)}, got {args.dim}")
     try:
         return args.fn(args)
     except CostGuardExceeded as exc:

@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .descent import diagnostics, entropic_pfr, extract_subgroup
+from .descent import BUDGET, EPS_D, MAX_ITER, diagnostics, entropic_pfr, extract_subgroup
 from .dists import CostGuardExceeded, Dist, uniform_on, uniform_on_subgroup
 from .groups import SubgroupBasis, format_elem, parse_elem
-from .ruzsa import rdist
+from .ruzsa import ETA_DEFAULT, rdist
 
 __all__ = [
     "SetInput",
@@ -149,8 +149,8 @@ def _assemble_cover(A: SetInput, H: SubgroupBasis, K: float,
 
 
 def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
-                 eta: float = 1.0 / 9.0, eps_d: float = 1e-4,
-                 budget: int = 64, max_iter: int = 200,
+                 eta: float = ETA_DEFAULT, eps_d: float = EPS_D,
+                 budget: int = BUDGET, max_iter: int = MAX_ITER,
                  ) -> Tuple[CosetCover, Dict[str, object]]:
     """Explicit coset cover of a set with small doubling.
 

@@ -8,9 +8,9 @@ close enough to zero is essentially a coset pair, and the subgroup it spans
 certifies small distance from both reference distributions.
 
 Each iteration scores the full candidate list, all five classes at once,
-and accepts the single best strict decrease; RefPair.taus scores them all,
-each distinct law built and transformed once per class. The endgame class
-scores all of its slices of S in one batched pass (bsg.endgame_choices).
+and accepts the single best strict decrease. RefPair.taus scores the sum
+and fibre classes, each distinct law transformed once per class; the
+endgame scores all of its slices of S in one pass (bsg.endgame_choices).
 A class whose table construction trips a cost guard (CostGuardExceeded
 only) is skipped for that iteration and the skip is recorded in the
 trace, next to each class's wall time and candidate count. Candidates are
@@ -36,7 +36,7 @@ from .bsg import EndgameChoice, endgame_choices, endgame_tables
 from .dists import (CostGuardExceeded, Dist, _fibres, uniform_on_subgroup,
                     xor_convolve)
 from .groups import SubgroupBasis, span
-from .ruzsa import RefPair, cond_rdist, one, rdist, slices_of
+from .ruzsa import ETA_DEFAULT, RefPair, cond_rdist, one, rdist, slices_of
 
 __all__ = [
     "MoveKind",
@@ -54,7 +54,6 @@ EPS_STEP = 1e-9
 EPS_D = 1e-4
 BUDGET = 64
 MAX_ITER = 200
-PRUNE_FLOOR = 1e-13
 SNAPSHOT_CAP = 16
 # A later candidate displaces the incumbent only when lower by more than
 # this, so round-off in one class's arithmetic cannot reorder the classes.
@@ -154,8 +153,8 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
     Fibre classes take the top sqrt(budget) conditioning values per side by
     probability mass and pair each fibre law of X1 with each of X2; the
     endgame conditions on the heaviest budget values of the four-fold sum S
-    and scores all of those slices at once. Every class scores its pairs by
-    ref.taus.
+    and scores all of those slices at once; the other classes score their
+    pairs by ref.taus.
     """
     if kinds is None:
         kinds = CLASS_ORDER
@@ -261,8 +260,8 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             "skipped_classes": skipped,
             "guard_trips": guard_trips,
         })
-        state.X1 = chosen.X1p.prune(PRUNE_FLOOR)
-        state.X2 = chosen.X2p.prune(PRUNE_FLOOR)
+        state.X1 = chosen.X1p.prune()
+        state.X2 = chosen.X2p.prune()
         state.k, state.tau = _k_tau(ref, state.X1, state.X2)
         state.trace[-1]["k_after"] = state.k
         state.snapshots.append((state.X1, state.X2))
@@ -315,7 +314,7 @@ def _from_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
     return Dist(V.ambient_dim, idx=V.from_coords(idx) ^ a0, w=w)
 
 
-def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = 1.0 / 9.0,
+def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
                  eps_d: float = EPS_D, budget: int = BUDGET,
                  max_iter: int = MAX_ITER) -> Tuple[DescentState, SubgroupCertificate]:
     """Locate a subgroup close to both inputs in Ruzsa distance.

@@ -55,8 +55,8 @@ def fwht(a: np.ndarray) -> np.ndarray:
     stages h = 1, 2, 4, ..., each entry the float64 sum or difference of
     two entries of the stage before. No butterfly reads another row, so
     every row's bits are those of its own 1-D transform, whatever the rows
-    beside it. Batched callers (bsg._choices, ruzsa.rdist_pairs) rely on
-    that.
+    beside it. Batched callers (ruzsa.rdist_pairs, ruzsa.rdist_runs) rely
+    on that.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
@@ -473,11 +473,7 @@ class JointDist:
         ax = self._axes(axes)
         if ax == list(range(self.arity)):
             return self
-        sub = self.axis_values(self._keys, ax[0])
-        for j, a in enumerate(ax[1:], 1):
-            sub |= self.axis_values(self._keys, a) << (j * self.n)
-        return JointDist._grouped(self.n, [self.labels[a] for a in ax],
-                                  *_group(sub, self._w, self.n * len(ax)))
+        return self.pushforward([[a] for a in ax], [self.labels[a] for a in ax])
 
     def marginal_dist(self, axis: AxisKey) -> Dist:
         return self.marginal([axis]).to_dist()
@@ -503,14 +499,13 @@ class JointDist:
         gs = [self._axes(g) for g in groups]
         if labels is None:
             labels = ["^".join(self.labels[a] for a in g) for g in gs]
-        out = np.zeros_like(self._keys)
         for j, g in enumerate(gs):
-            v = np.zeros_like(self._keys)
-            for a in g:
+            v = self.axis_values(self._keys, g[0])
+            for a in g[1:]:
                 v ^= self.axis_values(self._keys, a)
-            out |= v << (j * self.n)
+            key = v if j == 0 else np.bitwise_or(key, v << (j * self.n), out=key)
         return JointDist._grouped(self.n, labels,
-                                  *_group(out, self._w, self.n * len(gs)))
+                                  *_group(key, self._w, self.n * len(gs)))
 
     def slices(self, target: AxisKey,
                given: Union[AxisKey, Sequence[AxisKey]]) -> List[Tuple[Tuple[int, ...], float, Dist]]:

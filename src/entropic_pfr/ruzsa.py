@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "rdist_one_many",
     "rdist_paired",
     "rdist_pairs",
+    "rdist_runs",
     "cond_rdist",
     "cond_rdist_via_joint",
     "one",
@@ -60,13 +61,12 @@ __all__ = [
 ETA_MAX = 1.0 / (4.0 + math.sqrt(17.0))
 ETA_DEFAULT = 1.0 / 9.0
 SLACK_TOL = 1e-9
-# Batched distances hold dense (rows, 2^n) laws, products BATCH_ELEMS entries
-# at a time; above BATCH_BITS laws stay sparse Dists and go pair by pair.
+# Batched distances hold dense (rows, 2^n) laws, rows and products BATCH_ELEMS
+# entries at a time; above BATCH_BITS laws stay sparse Dists, pair by pair.
 BATCH_BITS = 16
 BATCH_ELEMS = 1 << 21
 
 Slices = Sequence[Tuple[float, Dist]]
-Laws = Union[np.ndarray, Sequence[Dist]]
 
 
 @dataclass(frozen=True)
@@ -94,30 +94,62 @@ def one(X: Dist) -> List[Tuple[float, Dist]]:
 
 # -- batched distance evaluation -------------------------------------------
 
-def rdist_pairs(laws: Laws, i, j) -> np.ndarray:
+def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
     """d[laws[i[k]]; laws[j[k]]] for every k, each unordered pair once.
 
-    laws is a stack of dense rows or a list of Dists, stacked up to BATCH_BITS
-    and scored pair by pair by rdist above. Each row is transformed once, and
-    products are formed in place, BATCH_ELEMS entries at a time.
+    Up to BATCH_BITS the laws are stacked as dense rows, each transformed
+    once, and products are formed in place, BATCH_ELEMS entries at a time;
+    above it each pair is scored by rdist.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if i.shape != j.shape:
         raise ValueError("length mismatch")
     if not len(i):
         return np.zeros(0)
+    if any(d.n != laws[0].n for d in laws):
+        raise ValueError("dimension mismatch")
     pairs, inv = np.unique(np.minimum(i, j) * len(laws) + np.maximum(i, j),
                            return_inverse=True)
     a, b = np.divmod(pairs, len(laws))
-    if not isinstance(laws, np.ndarray):
-        if any(d.n != laws[0].n for d in laws):
-            raise ValueError("dimension mismatch")
-        if laws[0].n > BATCH_BITS:
-            return np.array([rdist(laws[x], laws[y]) for x, y in zip(a, b)])[inv]
-        laws = np.stack([d.dense() for d in laws])
-    h, S = _entropy_rows(laws), fwht(laws)
-    del laws
+    if laws[0].n > BATCH_BITS:
+        return np.array([rdist(laws[x], laws[y]) for x, y in zip(a, b)])[inv]
+    S = np.stack([d.dense() for d in laws])
+    h, S = _entropy_rows(S), fwht(S)
     return _product_entropies(S, a, S, b)[inv] - 0.5 * h[i] - 0.5 * h[j]
+
+
+def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+               refs: Sequence[Dist] = ()) -> np.ndarray:
+    """d[L; L], then d[R; L] for each R in refs, as rows over the runs r,
+    L the law on F_2^n of the values col[cut[r]:cut[r + 1]] with weights w
+    (of any scale): a family of conditional laws, cut by one sort. Up to
+    BATCH_BITS the runs are dense rows, built BATCH_ELEMS entries at a time
+    and scored against the references' spectra, taken once; above it each
+    run is one Dist, scored by rdist_pairs."""
+    m, q = len(cut) - 1, len(refs)
+    if n > BATCH_BITS:
+        laws = [Dist(n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+        k = np.arange(m) + q
+        return rdist_pairs([*refs, *laws], np.r_[k, np.repeat(np.arange(q), m)],
+                           np.tile(k, q + 1)).reshape(q + 1, m)
+    if q:
+        R = np.stack([X.dense() for X in refs])
+        hr, R = _entropy_rows(R), fwht(R)
+    out = np.empty((q + 1, m))
+    step = max(1, BATCH_ELEMS >> n)
+    for lo in range(0, m, step):
+        c = cut[lo:lo + step + 1]
+        k = np.arange(len(c) - 1)
+        laws = np.bincount(np.repeat(k << n, np.diff(c)) + col[c[0]:c[-1]],
+                           weights=w[c[0]:c[-1]], minlength=len(k) << n).reshape(len(k), -1)
+        laws /= laws.sum(axis=1, keepdims=True)
+        h, S = _entropy_rows(laws), fwht(laws)
+        del laws
+        # row 0 pairs each run with itself, row 1 + r with reference r
+        pairs = [(S, k, h)] + [(R, np.full_like(k, r), hr[r]) for r in range(q)]
+        for r, (T, t, ht) in enumerate(pairs):
+            out[r, lo:lo + len(k)] = _product_entropies(T, t, S, k) - 0.5 * ht - 0.5 * h
+    return out
 
 
 def _product_entropies(S: np.ndarray, a: np.ndarray, T: np.ndarray,
@@ -206,23 +238,13 @@ class RefPair:
                 + self.eta * rdist(self.X01, X1)
                 + self.eta * rdist(self.X02, X2))
 
-    def taus(self, laws: Laws, i, j) -> np.ndarray:
-        """tau[laws[i[k]]; laws[j[k]]] for every k, each law transformed
-        once. A dense stack is scored against the reference spectra, taken
-        apart from it so that it is not copied; a list of Dists goes through
-        one rdist_pairs call with the references first."""
+    def taus(self, laws: Sequence[Dist], i, j) -> np.ndarray:
+        """tau[laws[i[k]]; laws[j[k]]] for every k, through one rdist_pairs
+        call with the references first, so each law is transformed once."""
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        if isinstance(laws, np.ndarray):
-            refs = np.stack([self.X01.dense(), self.X02.dense()])
-            hr, R, h, S = _entropy_rows(refs), fwht(refs), _entropy_rows(laws), fwht(laws)
-            zero, one = np.zeros_like(i), np.ones_like(j)
-            d = _product_entropies(S, i, S, j) - 0.5 * h[i] - 0.5 * h[j]
-            d1 = _product_entropies(R, zero, S, i) - 0.5 * hr[0] - 0.5 * h[i]
-            d2 = _product_entropies(R, one, S, j) - 0.5 * hr[1] - 0.5 * h[j]
-        else:
-            d, d1, d2 = rdist_pairs([self.X01, self.X02, *laws],
-                                    np.r_[i + 2, np.zeros_like(i), np.ones_like(j)],
-                                    np.r_[j, i, j] + 2).reshape(3, -1)
+        d, d1, d2 = rdist_pairs([self.X01, self.X02, *laws],
+                                np.r_[i + 2, np.zeros_like(i), np.ones_like(j)],
+                                np.r_[j, i, j] + 2).reshape(3, -1)
         return d + self.eta * d1 + self.eta * d2
 
     def tau_parts(self, X1: Dist, X2: Dist) -> Tuple[float, float, float]:

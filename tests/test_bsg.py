@@ -7,7 +7,7 @@ direct enumeration over all four source variables and compare entry-wise.
 import numpy as np
 import pytest
 
-from entropic_pfr import ruzsa
+from entropic_pfr import dists, ruzsa
 from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice,
                               abstract_endgame, bsg_check, cond_indep_trials,
                               endgame_bound, endgame_choices, endgame_tables,
@@ -16,7 +16,7 @@ from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice,
 from entropic_pfr.descent import _top_support
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
-from entropic_pfr.ruzsa import RefPair, rdist
+from entropic_pfr.ruzsa import RefPair, rdist, rdist_pairs
 
 
 def brute_uvs_table(X1, X2):
@@ -259,7 +259,7 @@ def test_abstract_endgame_sparse_input_at_n18_matches_oracle(monkeypatch):
     # by pair; dense rows would take |supp T_gamma| * 2^18 floats each.
     # Every law sits on a coset of H = {0, u, v, u ^ v}: generic points
     # would add without collisions and make tau blind to the reference pair.
-    calls = _count_taus(monkeypatch)
+    calls = _count_runs(monkeypatch)
     rng = make_rng(60)
     n = 18
     x, y, u, v = (int(z) for z in rng.integers(0, 1 << n, 4))
@@ -395,14 +395,22 @@ def test_endgame_choices_break_exact_ties_as_the_slices_do():
     assert [ch.choice for ch in chs] == [(0, 1, 2, 0)] * 3
 
 
-def _count_taus(monkeypatch):
-    """Record (dense, rows) for every RefPair.taus call from now on."""
-    calls, taus = [], RefPair.taus
+def _count_runs(monkeypatch):
+    """Record (dense, rows) for every batch ruzsa.rdist_runs scores from now
+    on: (True, rows) per chunk of dense rows, (False, laws) per list of
+    Dists it hands to rdist_pairs."""
+    calls, pairs, products = [], ruzsa.rdist_pairs, ruzsa._product_entropies
 
-    def counted(self, laws, i, j):
-        calls.append((isinstance(laws, np.ndarray), len(laws)))
-        return taus(self, laws, i, j)
-    monkeypatch.setattr(RefPair, "taus", counted)
+    def counted_pairs(laws, i, j):
+        calls.append((False, len(laws)))
+        return pairs(laws, i, j)
+
+    def counted_products(S, a, T, b):
+        if S is T:    # the self distances: one call per chunk of rows
+            calls.append((True, len(a)))
+        return products(S, a, T, b)
+    monkeypatch.setattr(ruzsa, "rdist_pairs", counted_pairs)
+    monkeypatch.setattr(ruzsa, "_product_entropies", counted_products)
     return calls
 
 
@@ -418,7 +426,7 @@ def _row_counts(J, values):
 
 def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
     # eight rows of 2^n per chunk: chunks end inside and between slices
-    calls = _count_taus(monkeypatch)
+    calls = _count_runs(monkeypatch)
     for ref, J, _ in _random_uvs_cases(63):
         monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
         values = _top_support(J.marginal_dist("S"), 64)
@@ -434,7 +442,7 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
     # pair by pair, as they are past it. On (T1, T2) laws both cuts match
     # the exhaustive search; on (U, V, S) slices, whose translated rows tie
     # up to round-off, every row's tau agrees.
-    calls, bits = _count_taus(monkeypatch), ruzsa.BATCH_BITS
+    calls, bits = _count_runs(monkeypatch), ruzsa.BATCH_BITS
 
     def both(n, f):
         out = []
@@ -470,7 +478,7 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
 
 def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):
     # n = 17: conditional laws stay sparse Dists, scored pair by pair
-    calls = _count_taus(monkeypatch)
+    calls = _count_runs(monkeypatch)
     rng = make_rng(64)
     n = 17
     assert n > ruzsa.BATCH_BITS
@@ -490,3 +498,54 @@ def test_endgame_choices_reject_a_value_of_zero_mass():
         endgame_choices(RefPair(X, X), J, [0, 2])
     with pytest.raises(ValueError, match="S=2 has zero mass"):
         J.condition("S", 2)
+
+
+def _slice_lhs(J):
+    """bsg_check's lhs as the mass-weighted self distances of the A | Z
+    slices, scored by rdist_pairs on one Dist per slice."""
+    sl = J.pushforward([[0], [1], [0, 1]], ["A", "B", "Z"]).slices("A", "Z")
+    k = np.arange(len(sl))
+    return float(np.array([p for _, p, _ in sl]) @ rdist_pairs([d for _, _, d in sl], k, k))
+
+
+def test_bsg_check_lhs_matches_the_slice_dists():
+    rng = make_rng(67)
+    for n in (1, 2, 3, 4, 5, 6):
+        J = random_joint(rng, n, 2, ["A", "B"])
+        assert bsg_check(J).lhs == pytest.approx(_slice_lhs(J), abs=1e-12)
+
+
+def test_bsg_check_transforms_at_most_batch_elems_entries(monkeypatch):
+    # three rows of 2^6 per chunk: every dense stack bsg_check transforms,
+    # slice rows and their products, stays within BATCH_ELEMS, and the
+    # lhs is bitwise the unchunked one
+    J = random_joint(make_rng(68), 6, 2, ["A", "B"], support_size=600)
+    whole = bsg_check(J)
+    sizes, fwht = [], dists.fwht
+
+    def counted(a):
+        sizes.append(np.size(a))
+        return fwht(a)
+    monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 3 << J.n)
+    monkeypatch.setattr(ruzsa, "fwht", counted)
+    monkeypatch.setattr(dists, "fwht", counted)
+    assert bsg_check(J).lhs == whole.lhs
+    assert len(sizes) > 2 and max(sizes) <= ruzsa.BATCH_ELEMS
+
+
+def test_bsg_check_past_batch_bits_scores_one_dist_per_slice(monkeypatch):
+    # n = 17: A and B on cosets of H = {0, u, v, u ^ v}, so each of the
+    # four slices of Z = A ^ B holds four points
+    calls = _count_runs(monkeypatch)
+    rng = make_rng(69)
+    n = 17
+    assert n > ruzsa.BATCH_BITS
+    u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
+    H = np.array([0, u, v, u ^ v])
+    a, b = (H ^ int(x) for x in rng.integers(0, 1 << n, 2))
+    J = JointDist(n, 2, ["A", "B"], keys=(a[:, None] | (b[None, :] << n)).ravel(),
+                  w=rng.random(16))
+    rep = bsg_check(J)
+    assert calls == [(False, 4)]
+    assert rep.holds
+    assert rep.lhs == pytest.approx(_slice_lhs(J), abs=1e-12)

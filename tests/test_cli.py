@@ -8,7 +8,8 @@ from entropic_pfr.cli import SUITES, main
 from entropic_pfr.cover import SetInput, save_set
 from entropic_pfr.dists import CostGuardExceeded, uniform_on
 from entropic_pfr.groups import span
-from entropic_pfr.randgen import make_rng, random_coset_union, random_dist
+from entropic_pfr.randgen import (make_rng, random_coset_union, random_dist,
+                                  random_joint)
 from entropic_pfr.ruzsa import IneqReport
 
 
@@ -58,6 +59,59 @@ def test_trials_below_one_are_a_usage_error(capsys, command, trials):
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "need at least 1 trial" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--dim", "-1"], "check --suite all needs --dim from 1 to 20, got -1"),
+    (["check", "--suite", "submodularity", "--dim", "21"],
+     "check --suite submodularity needs --dim from 1 to 20, got 21"),
+    # bsg_check packs (A, B, A ^ B) into one key, 3n <= 62
+    (["check", "--suite", "bsg", "--dim", "21"],
+     "check --suite bsg needs --dim from 1 to 20, got 21"),
+    # a joint on one point has fewer keys than random_joint draws
+    (["check", "--suite", "bsg", "--dim", "0"],
+     "check --suite bsg needs --dim from 1 to 20, got 0"),
+    (["check", "--suite", "triangle", "--dim", "63"],
+     "check --suite triangle needs --dim from 0 to 62, got 63"),
+    (["verify-fibring", "--out-dim", "-1"], "need at least 0 dimensions, got -1"),
+    (["verify-fibring", "--dim", "-1"], "need at least 0 dimensions, got -1"),
+])
+def test_dimensions_a_suite_cannot_draw_are_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
+@pytest.mark.parametrize("suite, dim", [("submodularity", "20"), ("bsg", "20"),
+                                        ("bsg", "1"), ("triangle", "0")])
+def test_check_runs_at_the_ends_of_its_dimension_range(capsys, suite, dim):
+    code, lines = run(capsys, ["check", "--suite", suite, "--dim", dim,
+                               "--trials", "1"])
+    assert code == 0 and json.loads(lines[0])["violations"] == 0
+
+
+def test_suite_table_draws_the_inputs_in_order(monkeypatch):
+    # each check gets its inputs drawn from the trial's seed in argument
+    # order, joints with their labels
+    got = {}
+    for suite, name in (("double-shift", "check_double_shift"),
+                        ("cond-distance", "check_cond_distance"),
+                        ("bsg", "bsg_check")):
+        monkeypatch.setattr(cli, name, lambda *inputs: inputs)
+        got[suite] = cli._suite_trial(suite, 9, 3)
+    rng = make_rng(9)
+    want = {"double-shift": [random_dist(rng, 3) for _ in range(4)]}
+    rng = make_rng(9)
+    want["cond-distance"] = [random_joint(rng, 3, 2, ["X", "Z"]),
+                             random_joint(rng, 3, 2, ["Y", "W"])]
+    want["bsg"] = [random_joint(make_rng(9), 3, 2, ["A", "B"])]
+
+    def law(x):
+        return getattr(x, "labels", None), [a.tolist() for a in x.items()]
+    assert {k: [law(x) for x in v] for k, v in got.items()} == {
+        k: [law(x) for x in v] for k, v in want.items()}
 
 
 def test_check_reports_counterexample_on_violation(capsys, monkeypatch):

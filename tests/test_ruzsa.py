@@ -17,7 +17,7 @@ from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 check_xor_lower, cond_rdist,
                                 cond_rdist_via_joint, one, rdist,
                                 rdist_matrix, rdist_one_many, rdist_paired,
-                                rdist_pairs, slices_of)
+                                rdist_pairs, rdist_runs, slices_of)
 
 
 def test_distance_of_three_point_uniform_with_itself():
@@ -79,7 +79,7 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
     with pytest.raises(ValueError):
         rdist_paired(xs, ys)
     # rdist_pairs on repeated and reversed index pairs, and taus on the same
-    # pairs: n = 5 stacks dense rows, n = 17 scores a list of Dists pair by pair
+    # pairs: n = 5 stacks dense rows, n = 17 scores the Dists pair by pair
     i = np.array([0, 1, 1, 2, 5, 3, 3, 0, 4])
     j = np.array([1, 0, 1, 4, 2, 3, 0, 5, 4])
     for n in (5, 17):
@@ -92,15 +92,21 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
             X, Y = laws[i[k]], laws[j[k]]
             assert D[k] == pytest.approx(rdist(X, Y), abs=1e-11)
             assert T[k] == pytest.approx(ref.tau(X, Y), abs=1e-11)
-        if n <= ruzsa.BATCH_BITS:
-            rows = np.stack([d.dense() for d in laws])
-            assert np.array_equal(rdist_pairs(rows, i, j), D)
-            assert np.array_equal(ref.taus(rows, i, j), T)
-        # products two rows at a time: the same numbers, bit for bit
+        # the same laws as runs of one family, weights rescaled: each run's
+        # self distance and its distances from the references
+        col = np.concatenate([d.items()[0] for d in laws])
+        w = 3.0 * np.concatenate([d.items()[1] for d in laws])
+        cut = np.r_[0, np.cumsum([d.support_size() for d in laws])]
+        refs, k = [ref.X01, ref.X02], np.arange(len(laws))
+        runs = rdist_runs(n, col, w, cut, refs)
+        assert np.allclose(runs, np.vstack([rdist_pairs(laws, k, k), rdist_matrix(refs, laws)]),
+                           rtol=0, atol=1e-12)
+        # rows and products two at a time: the same numbers, bit for bit
         with monkeypatch.context() as mp:
             mp.setattr(ruzsa, "BATCH_ELEMS", 2 << n)
             assert np.array_equal(rdist_pairs(laws, i, j), D)
             assert np.array_equal(ref.taus(laws, i, j), T)
+            assert np.array_equal(rdist_runs(n, col, w, cut, refs), runs)
     assert rdist_pairs(laws, [], []).shape == (0,)
     with pytest.raises(ValueError):
         rdist_pairs(laws, [0, 1], [1])
