@@ -56,7 +56,9 @@ def fwht(a: np.ndarray) -> np.ndarray:
     two entries of the stage before. No butterfly reads another row, so
     every row's bits are those of its own 1-D transform, whatever the rows
     beside it. Batched callers (ruzsa.rdist_pairs, ruzsa.rdist_runs) rely
-    on that.
+    on that to chunk their stacks and to transform each distinct law once,
+    sharing its row with every equal law, as does xor_convolve for equal
+    operands.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
@@ -339,12 +341,12 @@ def xor_convolve(X: Dist, Y: Dist) -> Dist:
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     n = X.n
-    if X.support_size() * Y.support_size() < (1 << n) * max(n, 1):
-        ix, wx = X.items()
-        iy, wy = Y.items()
+    (ix, wx), (iy, wy) = X.items(), Y.items()
+    if len(ix) * len(iy) < (1 << n) * max(n, 1):
         return Dist(n, idx=(ix[:, None] ^ iy[None, :]).ravel(),
                     w=np.outer(wx, wy).ravel())
-    if X is Y:
+    # equal operands: one row, squared, the bits of a two-row stack
+    if np.array_equal(ix, iy) and np.array_equal(wx, wy):
         spec = fwht(X.dense())
         spec *= spec
     else:

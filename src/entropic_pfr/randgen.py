@@ -49,10 +49,16 @@ def random_joint(rng: np.random.Generator, n: int, arity: int,
                  labels: Sequence[str],
                  support_size: Optional[int] = None) -> JointDist:
     """Exponential weights on a random support of packed tuples; the shape
-    is checked before anything is drawn."""
+    is checked before anything is drawn.
+
+    support_size defaults to a uniform draw from [2, min(2^(n arity), 4096)],
+    so it needs n * arity >= 1."""
     _shape_guard(n, arity, labels)
     size = 1 << (n * arity)
     if support_size is None:
+        if size < 2:
+            raise ValueError(f"n={n}, arity={arity} packs one key; "
+                             "the default support size needs two")
         support_size = int(rng.integers(2, min(size, 4096) + 1))
     keys = rng.choice(size, size=min(support_size, size), replace=False).astype(np.int64)
     w = rng.exponential(size=len(keys))

@@ -97,9 +97,10 @@ def one(X: Dist) -> List[Tuple[float, Dist]]:
 def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
     """d[laws[i[k]]; laws[j[k]]] for every k, each unordered pair once.
 
-    Up to BATCH_BITS the laws are stacked as dense rows, each transformed
-    once, and products are formed in place, BATCH_ELEMS entries at a time;
-    above it each pair is scored by rdist.
+    Laws of byte-equal support and weights count as one law, scored once.
+    Up to BATCH_BITS the distinct laws are stacked as dense rows, each
+    transformed once, and products are formed in place, BATCH_ELEMS entries
+    at a time; above it each pair is scored by rdist.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if i.shape != j.shape:
@@ -108,6 +109,12 @@ def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
         return np.zeros(0)
     if any(d.n != laws[0].n for d in laws):
         raise ValueError("dimension mismatch")
+    # each law stands for the first law of byte-equal support and weights
+    ids = {}
+    u = np.array([ids.setdefault(tuple(a.tobytes() for a in d.items()), len(ids))
+                  for d in laws])
+    laws = [laws[x] for x in np.unique(u, return_index=True)[1]]
+    i, j = u[i], u[j]
     pairs, inv = np.unique(np.minimum(i, j) * len(laws) + np.maximum(i, j),
                            return_inverse=True)
     a, b = np.divmod(pairs, len(laws))
@@ -143,12 +150,17 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
         laws = np.bincount(np.repeat(k << n, np.diff(c)) + col[c[0]:c[-1]],
                            weights=w[c[0]:c[-1]], minlength=len(k) << n).reshape(len(k), -1)
         laws /= laws.sum(axis=1, keepdims=True)
+        # rows of equal bytes are scored once and scattered back
+        _, first, back = np.unique(laws.view(np.dtype((np.void, laws[0].nbytes))).ravel(),
+                                   return_index=True, return_inverse=True)
+        laws, k = laws[first], np.arange(len(first))
         h, S = _entropy_rows(laws), fwht(laws)
         del laws
         # row 0 pairs each run with itself, row 1 + r with reference r
         pairs = [(S, k, h)] + [(R, np.full_like(k, r), hr[r]) for r in range(q)]
         for r, (T, t, ht) in enumerate(pairs):
-            out[r, lo:lo + len(k)] = _product_entropies(T, t, S, k) - 0.5 * ht - 0.5 * h
+            d = _product_entropies(T, t, S, k) - 0.5 * ht - 0.5 * h
+            out[r, lo:lo + len(back)] = d[back]
     return out
 
 

@@ -452,6 +452,34 @@ def test_random_generators_refuse_before_drawing():
     assert rng.bit_generator.state == state   # nothing was drawn
 
 
+def test_random_joint_refuses_a_one_key_shape_before_drawing():
+    rng = make_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n=0, arity=2 packs one key"):
+        random_joint(rng, 0, 2, ["A", "B"])
+    assert rng.bit_generator.state == state   # nothing was drawn
+    J = random_joint(rng, 0, 2, ["A", "B"], support_size=3)
+    assert J.items()[0].tolist() == [0]
+
+
+def test_xor_convolve_of_equal_operands_takes_one_transform(monkeypatch):
+    rng = make_rng(8)
+    idx, w = np.arange(48), rng.random(48)
+    X, Xc, Y = Dist(6, idx=idx, w=w), Dist(6, idx=idx, w=w), random_dist(rng, 6, 48)
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return fwht(a)
+    monkeypatch.setattr(dists, "fwht", counted)
+    XX, XXc = xor_convolve(X, X), xor_convolve(X, Xc)
+    xor_convolve(X, Y)
+    # forward then inverse transform per call; only X, Y needs a stack
+    assert shapes == [(64,), (64,), (64,), (64,), (2, 64), (64,)]
+    assert np.array_equal(XX.items()[0], XXc.items()[0])
+    assert np.array_equal(XX.items()[1], XXc.items()[1])
+
+
 def test_fibres_cut_the_conditional_laws_in_value_order():
     rng = make_rng(6)
     idx = rng.integers(0, 16, 40)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from entropic_pfr import ruzsa
-from entropic_pfr.dists import (Dist, JointDist, uniform_on,
+from entropic_pfr.descent import BUDGET, MoveKind, generate_candidates
+from entropic_pfr.dists import (Dist, JointDist, fwht, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
 from entropic_pfr.groups import span
-from entropic_pfr.randgen import make_rng, random_dist, random_joint
+from entropic_pfr.randgen import (make_rng, random_coset_union, random_dist,
+                                  random_joint)
 from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 check_cond_distance, check_double_shift,
                                 check_madiman, check_ruzsa_diff,
@@ -119,6 +121,92 @@ def test_batched_distances_large_dim_fallback():
           for _ in range(2)]
     M = rdist_matrix(xs, xs)
     assert M[0, 1] == pytest.approx(rdist(xs[0], xs[1]), abs=1e-11)
+
+
+def _forward_rows(monkeypatch):
+    # rows of every stack the batched kernels transform (their own forward
+    # transforms; conv_entropy's inverse ones run in dists)
+    rows = []
+
+    def counted(a):
+        rows.append(len(a))
+        return fwht(a)
+    monkeypatch.setattr(ruzsa, "fwht", counted)
+    return rows
+
+
+@pytest.mark.parametrize("n", [5, 17])
+def test_rdist_pairs_scores_repeated_laws_once(n, monkeypatch):
+    rng = make_rng(35)
+    supports = [np.unique(rng.integers(0, 1 << n, 6)) for _ in range(4)]
+    # law 4 has law 0's support and other weights
+    raw = [(idx, rng.random(len(idx))) for idx in supports + supports[:1]]
+    base = [Dist(n, idx=idx, w=w) for idx, w in raw]
+    # the same objects again, and an equal copy of law 2 built from its arrays
+    laws = base + [base[1], Dist(n, idx=raw[2][0], w=raw[2][1]), base[0]]
+    of = np.array([0, 1, 2, 3, 4, 1, 2, 0])
+    i, j = np.indices((8, 8)).reshape(2, -1)
+    want = rdist_pairs(base, of[i], of[j])
+    ref = RefPair(base[3], base[0])
+    want_t = ref.taus(base, of[i], of[j])
+    calls = []
+    monkeypatch.setattr(ruzsa, "rdist", lambda X, Y: calls.append(1) or rdist(X, Y))
+    rows = _forward_rows(monkeypatch)
+    assert np.array_equal(rdist_pairs(laws, i, j), want)
+    assert np.array_equal(ref.taus(laws, i, j), want_t)
+    # the references are laws 3 and 0 again: each call sees 5 distinct laws,
+    # 15 unordered pairs
+    if n > ruzsa.BATCH_BITS:
+        assert (rows, len(calls)) == ([], 30)
+    else:
+        assert (rows, len(calls)) == ([5, 5], 0)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 3])
+def test_rdist_runs_scores_repeated_runs_once(rows_per_chunk, monkeypatch):
+    rng = make_rng(36)
+    n = 5
+    runs = [(rng.integers(0, 1 << n, 5), rng.random(5)) for _ in range(4)]
+    order = [0, 1, 0, 2, 2, 3, 1, 0]
+    refs = [random_dist(rng, n), random_dist(rng, n)]
+
+    def scored(which):
+        col = np.concatenate([runs[r][0] for r in which])
+        w = np.concatenate([runs[r][1] for r in which])
+        cut = np.arange(len(which) + 1) * 5
+        return rdist_runs(n, col, w, cut, refs)
+    if rows_per_chunk:
+        monkeypatch.setattr(ruzsa, "BATCH_ELEMS", rows_per_chunk << n)
+    want = scored(range(4))[:, order]
+    rows = _forward_rows(monkeypatch)
+    assert np.array_equal(scored(order), want)
+    # the references, then the distinct runs of each chunk
+    assert rows == ([2, 4] if rows_per_chunk is None else [2, 2, 2, 2])
+
+
+def test_a_law_and_its_translate_stay_two_rows(monkeypatch):
+    rng = make_rng(37)
+    X = random_dist(rng, 6, 20)
+    Y = X.translate(5)
+    rows = _forward_rows(monkeypatch)
+    D = rdist_pairs([X, Y], [0, 0, 1], [0, 1, 1])
+    col = np.concatenate([X.items()[0], Y.items()[0]])
+    w = np.concatenate([X.items()[1], Y.items()[1]])
+    R = rdist_runs(6, col, w, np.array([0, 20, 40]))
+    assert rows == [2, 2]
+    assert D[0] == pytest.approx(D[2], abs=1e-12)
+    assert D[[0, 2]] == pytest.approx(R[0], abs=1e-12)
+
+
+def test_fibre_class_on_a_coset_union_transforms_at_most_two_rows(monkeypatch):
+    # U_A is H-invariant, so every fibre law over g in H is the same law
+    U = uniform_on(random_coset_union(make_rng(1), 10, 5, 3), 10)
+    ref = RefPair(U, U)
+    for kind in (MoveKind.FIBRE_CROSS, MoveKind.FIBRE_SELF):
+        rows = _forward_rows(monkeypatch)
+        moves = generate_candidates(ref, U, U, kinds=[kind])
+        assert len(moves) == BUDGET
+        assert len(rows) == 1 and rows[0] <= 2
 
 
 def test_conditional_distance_agrees_between_definitions():
