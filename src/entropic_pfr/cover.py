@@ -1,11 +1,12 @@
 """From a finite set with small doubling to an explicit coset cover.
 
 pfr_pipeline runs the whole chain on a concrete subset A of F_2^n: measure
-the doubling constant K exactly, locate an approximating subgroup H through
-tau descent on the pair (U_A, U_A), align H with A by the best shift, cover
-A greedily with translates, and shrink H if it overshoots |A|. The final
-cover is certified by exhaustive membership and by counting translates
-against 2 K^c with the requested exponent c (default 12).
+the doubling constant K exactly, by one transform pair in the span of A,
+locate an approximating subgroup H through tau descent on the pair
+(U_A, U_A), align H with A by the best shift, cover A greedily with
+translates, by vector rejection, and shrink H if it overshoots |A|. The
+final cover is certified by exhaustive membership and by counting
+translates against 2 K^c with the requested exponent c (default 12).
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .descent import BUDGET, EPS_D, MAX_ITER, diagnostics, entropic_pfr, extract_subgroup
-from .dists import CostGuardExceeded, Dist, uniform_on, uniform_on_subgroup
-from .groups import SubgroupBasis, format_elem, parse_elem
-from .ruzsa import ETA_DEFAULT, rdist
+from .dists import DENSE_BITS, CostGuardExceeded, Dist, fwht, uniform_on
+from .groups import SubgroupBasis, format_elem, parse_elem, span
+from .ruzsa import ETA_DEFAULT
 
 __all__ = [
     "SetInput",
@@ -73,14 +74,26 @@ class CosetCover:
                             reps).all())
 
 
-def _sumset(pts: Sequence[int]) -> np.ndarray:
-    a = np.asarray(pts, dtype=np.int64)
-    return np.unique((a[:, None] ^ a[None, :]).ravel())
+def _sumset(pts: np.ndarray, W: SubgroupBasis) -> np.ndarray:
+    """The distinct sums a ^ b, ascending; W is the span of pts ^ pts[0].
+
+    When W's table is smaller than the pair array, they are the support of
+    1_P * 1_P on W's coordinates, by one transform pair: its entries are
+    2^w times integer counts, exact while 2^w |pts|^2 < 2^53.
+    """
+    m, w = len(pts), W.rank
+    if (1 << w) < m * m and w <= DENSE_BITS and (m * m) << w < 1 << 53:
+        f = np.zeros(1 << w)
+        f[W.coords(pts ^ pts[0])] = 1.0
+        F = fwht(f)
+        return W.from_coords(np.flatnonzero(fwht(F * F) > (1 << w) / 2))
+    return np.unique((pts[:, None] ^ pts[None, :]).ravel())
 
 
 def doubling_constant(A: SetInput) -> float:
     """|A + A| / |A|, exactly."""
-    return len(_sumset(A.points)) / len(A)
+    pts = np.asarray(A.points, dtype=np.int64)
+    return len(_sumset(pts, span((pts ^ pts[0]).tolist(), A.n))) / len(A)
 
 
 def best_shift(A: SetInput, H: SubgroupBasis) -> Tuple[int, int]:
@@ -98,21 +111,31 @@ def best_shift(A: SetInput, H: SubgroupBasis) -> Tuple[int, int]:
 def ruzsa_cover(A: SetInput, core: Sequence[int]) -> List[int]:
     """Greedy translates T of A with A contained in T + core + core.
 
-    core is a nonempty subset of a coset; T collects points of A whose
-    core-translates are pairwise disjoint, so |T| <= |A + core| / |core|,
-    and maximality covers every remaining point.
+    T holds, ascending, the points of A whose core-translates are pairwise
+    disjoint, so |T| <= |A + core| / |core|, and maximality covers the rest.
+    a + core meets t + core iff a ^ t is in D = core + core, inside
+    W = span(core ^ core[0]). So each round takes the smallest remaining
+    point of every coset of W and drops, by one search in D, those meeting
+    it: the choices of the greedy scan of A in order.
     """
-    core = sorted(set(core))
-    if not core:
+    core = np.unique(np.asarray(core, dtype=np.int64))
+    if not len(core):
         raise ValueError("empty core")
-    used: set = set()
-    T: List[int] = []
-    for a in A.points:
-        shifted = [a ^ c for c in core]
-        if used.isdisjoint(shifted):
-            T.append(a)
-            used.update(shifted)
-    return T
+    W = span((core ^ core[0]).tolist(), A.n)
+    D = _sumset(core, W)
+    pts = np.asarray(A.points, dtype=np.int64)
+    rep = W.reduce(pts)
+    order = np.argsort(rep, kind="stable")   # A.points ascend
+    pts, rep = pts[order], rep[order]
+    T = []
+    while len(pts):
+        first = np.flatnonzero(np.r_[True, rep[1:] != rep[:-1]])
+        T.append(pts[first])
+        # each point against the smallest remaining point of its coset
+        x = pts ^ np.repeat(pts[first], np.diff(np.r_[first, len(pts)]))
+        keep = D[np.minimum(np.searchsorted(D, x), len(D) - 1)] != x
+        pts, rep = pts[keep], rep[keep]
+    return np.sort(np.concatenate(T)).tolist()
 
 
 def _assemble_cover(A: SetInput, H: SubgroupBasis, K: float,
@@ -156,9 +179,9 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
 
     Returns the cover plus a report with the descent state, the subgroup
     certificate, the intrinsic dimension r that descent ran in, the shift,
-    and the intermediate counts. The cover's `certified` flag asserts
-    exhaustive membership, |H'| <= |A|, and the translate count against
-    2 K^c_exponent. When the descent stalls above
+    the intermediate counts and the cover exponent. The cover's `certified`
+    flag asserts exhaustive membership, |H'| <= |A|, and the translate
+    count against 2 K^c_exponent. When the descent stalls above
     eps_d, recent pairs along its trace are retried as subgroup sources and
     the certified cover with the fewest translates wins; if none certifies,
     the terminal cover is reported with certified = False plus diagnostics,
@@ -166,15 +189,15 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
     """
     UA = A.uniform()
     K = doubling_constant(A)
-    d_AA = rdist(UA, UA)
     log_K = math.log(K)
+    state, cert = entropic_pfr(UA, UA, eta=eta, eps_d=eps_d,
+                               budget=budget, max_iter=max_iter)
+    d_AA = cert.k0   # k0 = d[U_A;U_A] and d1 = d[U_A;U_H], in the span of A
     # H[U_A + U'_A] <= log|A+A| forces d[U_A;U_A] <= log K; failing it
     # means the arithmetic itself is broken, not the input.
     if d_AA > log_K + 1e-10:
         raise ArithmeticError(
             f"d[U_A;U_A] = {d_AA!r} exceeds log K = {log_K!r}")
-    state, cert = entropic_pfr(UA, UA, eta=eta, eps_d=eps_d,
-                               budget=budget, max_iter=max_iter)
     cover, info = _assemble_cover(A, cert.H, K, c_exponent)
     source = "terminal"
     if not state.converged and not cover.certified:
@@ -186,7 +209,7 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
                                    < len(cover.translates)):
                 cover, info, source = cand, cinfo, f"{back} steps back"
 
-    UH = uniform_on_subgroup(cert.H)
+    m = len(cover.translates)
     report: Dict[str, object] = {
         "K": K,
         "d_AA": d_AA,
@@ -195,7 +218,10 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
         "certificate": cert,
         "cover_source": source,
         "intrinsic_dim": state.intrinsic_dim,
-        "d_UA_UH": rdist(UA, UH),
+        "d_UA_UH": cert.d1,
+        # the least c >= 0 with m <= 2 K^c; none when K = 1 and m > 2
+        "cover_exponent": (0.0 if m <= 2 else math.inf if K == 1.0
+                           else math.log(m / 2) / log_K),
         **info,
     }
     if not state.converged:

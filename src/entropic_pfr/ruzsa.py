@@ -94,6 +94,14 @@ def one(X: Dist) -> List[Tuple[float, Dist]]:
 
 # -- batched distance evaluation -------------------------------------------
 
+def _distinct(laws: Sequence[Dist]) -> Tuple[np.ndarray, List[Dist]]:
+    """Each law's id and the distinct laws: byte-equal laws share one id."""
+    ids: dict = {}
+    u = np.array([ids.setdefault(tuple(a.tobytes() for a in d.items()), len(ids))
+                  for d in laws], dtype=np.intp)
+    return u, [laws[x] for x in np.unique(u, return_index=True)[1]]
+
+
 def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
     """d[laws[i[k]]; laws[j[k]]] for every k, each unordered pair once.
 
@@ -109,11 +117,7 @@ def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
         return np.zeros(0)
     if any(d.n != laws[0].n for d in laws):
         raise ValueError("dimension mismatch")
-    # each law stands for the first law of byte-equal support and weights
-    ids = {}
-    u = np.array([ids.setdefault(tuple(a.tobytes() for a in d.items()), len(ids))
-                  for d in laws])
-    laws = [laws[x] for x in np.unique(u, return_index=True)[1]]
+    u, laws = _distinct(laws)
     i, j = u[i], u[j]
     pairs, inv = np.unique(np.minimum(i, j) * len(laws) + np.maximum(i, j),
                            return_inverse=True)
@@ -131,14 +135,17 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     L the law on F_2^n of the values col[cut[r]:cut[r + 1]] with weights w
     (of any scale): a family of conditional laws, cut by one sort. Up to
     BATCH_BITS the runs are dense rows, built BATCH_ELEMS entries at a time
-    and scored against the references' spectra, taken once; above it each
-    run is one Dist, scored by rdist_pairs."""
+    and scored against the spectra of the distinct references, taken once;
+    above it each run is one Dist, scored by rdist_pairs."""
     m, q = len(cut) - 1, len(refs)
     if n > BATCH_BITS:
         laws = [Dist(n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
         k = np.arange(m) + q
         return rdist_pairs([*refs, *laws], np.r_[k, np.repeat(np.arange(q), m)],
                            np.tile(k, q + 1)).reshape(q + 1, m)
+    # equal references are scored once; their rows are copied back at the end
+    u, refs = _distinct(refs)
+    q = len(refs)
     if q:
         R = np.stack([X.dense() for X in refs])
         hr, R = _entropy_rows(R), fwht(R)
@@ -161,7 +168,7 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
         for r, (T, t, ht) in enumerate(pairs):
             d = _product_entropies(T, t, S, k) - 0.5 * ht - 0.5 * h
             out[r, lo:lo + len(back)] = d[back]
-    return out
+    return out[np.r_[0, 1 + u]]
 
 
 def _product_entropies(S: np.ndarray, a: np.ndarray, T: np.ndarray,

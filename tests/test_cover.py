@@ -1,4 +1,7 @@
 """Set covers: doubling, shifts, greedy covering, and the full pipeline."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from entropic_pfr.cover import (CosetCover, SetInput, best_shift,
                                 doubling_constant, load_set, pfr_pipeline,
                                 ruzsa_cover, save_set)
 from entropic_pfr.descent import DescentState, extract_subgroup
-from entropic_pfr.dists import (CostGuardExceeded, uniform_on,
+from entropic_pfr.dists import (CostGuardExceeded, fwht, uniform_on,
                                 uniform_on_subgroup)
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import make_rng, random_coset_union, random_subgroup
@@ -22,6 +25,26 @@ def brute_overlap(A, H, x0):
 def random_set(rng, n, size):
     return SetInput(n, tuple(rng.choice(1 << n, size=size, replace=False)
                              .tolist()))
+
+
+def sumset_oracle(pts):
+    """The distinct sums a ^ b, ascending, by enumerating every pair."""
+    a = np.asarray(pts, dtype=np.int64)
+    return np.unique(np.concatenate([np.unique(a[i:i + 512, None] ^ a)
+                                     for i in range(0, len(a), 512)]))
+
+
+def greedy_cover_oracle(A, core):
+    """Scan A in order; keep a point whose core-translate meets no kept one."""
+    core = sorted(set(core))
+    used: set = set()
+    T = []
+    for a in A.points:
+        shifted = [a ^ c for c in core]
+        if used.isdisjoint(shifted):
+            T.append(a)
+            used.update(shifted)
+    return T
 
 
 def test_set_input_normalizes_and_validates():
@@ -45,6 +68,31 @@ def test_doubling_constant_matches_brute():
         assert doubling_constant(A) == len(sums) / len(A)
     H = span([1, 2, 4], 5)
     assert doubling_constant(SetInput(5, tuple(H.enumerate()))) == 1.0
+
+
+def test_sumset_on_both_sides_of_the_size_rule(monkeypatch):
+    # the transform pair runs exactly when W's table is smaller than the
+    # pair array; both sides give the enumerated sums, in ascending order
+    calls = []
+    monkeypatch.setattr(cover_mod, "fwht", lambda a: calls.append(1) or fwht(a))
+    rng = make_rng(17)
+    sets = [random_set(rng, n, size) for n, size in
+            [(1, 1), (4, 3), (8, 10), (8, 200), (10, 40), (10, 600),
+             (12, 900), (16, 30)]]
+    sets += [SetInput(n, tuple(random_coset_union(rng, n, rank, c, keep)))
+             for n, rank, c, keep in [(12, 6, 3, 1.0), (14, 9, 2, 0.5),
+                                      (16, 2, 4, 1.0)]]
+    sides = []
+    for A in sets:
+        pts = np.asarray(A.points, dtype=np.int64)
+        W = span((pts ^ pts[0]).tolist(), A.n)
+        calls.clear()
+        assert np.array_equal(cover_mod._sumset(pts, W), sumset_oracle(pts))
+        assert bool(calls) == ((1 << W.rank) < len(A) ** 2)
+        assert doubling_constant(A) == len(sumset_oracle(pts)) / len(A)
+        sides.append((bool(calls), W.rank))
+    assert {side for side, _ in sides} == {True, False}
+    assert any(side and rank >= 9 for side, rank in sides)
 
 
 def test_best_shift_matches_brute():
@@ -90,6 +138,57 @@ def test_ruzsa_cover_properties():
         ruzsa_cover(SetInput(3, (1, 2)), [])
 
 
+def test_ruzsa_cover_equals_the_greedy_scan():
+    # cores of 1-8 random points, whole cosets of a random subgroup, and A's
+    # points in one coset of it, as the pipeline takes them
+    rng = make_rng(18)
+    for case in range(60):
+        n = int(rng.integers(3, 17))
+        if case % 2:
+            A = random_set(rng, n, int(rng.integers(1, min(1 << n, 500) + 1)))
+        else:
+            rank = int(rng.integers(0, min(n - 2, 8) + 1))
+            A = SetInput(n, tuple(random_coset_union(
+                rng, n, rank, int(rng.integers(1, 4)), float(rng.uniform(0.3, 1)))))
+        H = random_subgroup(rng, n, int(rng.integers(0, min(n, 6) + 1)))
+        x0 = int(rng.choice(A.points))
+        cores = [rng.choice(1 << n, size=int(rng.integers(1, min(1 << n, 8) + 1)),
+                            replace=False).tolist(),
+                 (H.enumerate_array() ^ x0).tolist(),
+                 [a for a in A.points if H.contains(a ^ x0)]]
+        for core in cores:
+            assert ruzsa_cover(A, core) == greedy_cover_oracle(A, core)
+
+
+def test_pipeline_on_a_large_union_matches_the_oracles():
+    A = SetInput(16, tuple(random_coset_union(make_rng(1), 16, 10, 4)))
+    cover, report = pfr_pipeline(A)
+    assert report["K"] == len(sumset_oracle(A.points)) / len(A)
+    H = report["certificate"].H
+    assert report["cover_source"] == "terminal"
+    T = greedy_cover_oracle(A, [a for a in A.points
+                                if H.reduce(a) == report["shift"]])
+    quot = np.unique(cover.Hp.reduce(H.enumerate_array()))
+    assert report["raw_translates"] == len(T)
+    assert cover.translates == tuple(np.unique(np.asarray(T)[:, None] ^ quot).tolist())
+    assert cover.certified
+
+
+def test_pipeline_refuses_a_distance_above_log_k(monkeypatch):
+    # d[U_A;U_A] <= log K always holds, so a certificate past it is a fault
+    A = SetInput(6, tuple(random_coset_union(make_rng(21), 6, 2, 3, 1.0)))
+    log_K = math.log(doubling_constant(A))
+    real = cover_mod.entropic_pfr
+
+    def inflated(X01, X02, **kw):
+        state, cert = real(X01, X02, **kw)
+        return state, dataclasses.replace(cert, k0=log_K + 1e-6)
+
+    monkeypatch.setattr(cover_mod, "entropic_pfr", inflated)
+    with pytest.raises(ArithmeticError, match=r"d\[U_A;U_A\] = .* exceeds log K"):
+        pfr_pipeline(A)
+
+
 def test_pipeline_on_coset_is_trivial():
     H = span([3, 12], 6)
     A = SetInput(6, tuple(h ^ 33 for h in H.enumerate()))
@@ -102,6 +201,24 @@ def test_pipeline_on_coset_is_trivial():
     assert report["cover_source"] == "terminal"
     assert report["translate_count"] == 1
     assert report["d_AA"] == pytest.approx(0.0, abs=1e-12)
+    assert report["cover_exponent"] == 0.0
+
+
+def test_cover_exponent_on_a_coset_without_a_subgroup(monkeypatch):
+    # K = 1: no exponent allows 4 translates, since 2 K^c = 2 for every c
+    A = SetInput(6, tuple(h ^ 33 for h in span([3, 12], 6).enumerate()))
+    point = uniform_on([0], 6)
+
+    def stalled(X01, X02, **kw):
+        st = DescentState(RefPair(X01, X02), point, point, 0.0, 0.0)
+        st.stop_reason = "iteration limit"
+        return st, extract_subgroup(point)
+
+    monkeypatch.setattr(cover_mod, "entropic_pfr", stalled)
+    cover, report = pfr_pipeline(A)
+    assert report["K"] == 1.0 and len(cover.translates) == 4
+    assert not cover.certified
+    assert report["cover_exponent"] == math.inf
 
 
 def test_random_coset_union_is_reproducible():
@@ -127,7 +244,7 @@ def test_pipeline_report_contents():
     for key in ("K", "d_AA", "log_K", "descent", "certificate",
                 "cover_source", "d_UA_UH", "shift", "overlap", "core_size",
                 "raw_translates", "span_size", "final_subgroup_size",
-                "translate_count", "size_bound"):
+                "translate_count", "size_bound", "cover_exponent"):
         assert key in report, key
     assert report["d_AA"] <= report["log_K"] + 1e-10
     assert report["size_bound"] == pytest.approx(2.0 * report["K"] ** 12.0)
@@ -135,6 +252,16 @@ def test_pipeline_report_contents():
     assert cover.Hp.span_size() <= len(A)
     if cover.certified:
         assert len(cover.translates) <= cover.size_bound() + 1e-9
+
+
+def test_cover_exponent_is_the_least_that_bounds_the_translates():
+    A = SetInput(10, tuple(random_coset_union(make_rng(9), 10, 3, 4, 0.5)))
+    cover, report = pfr_pipeline(A)
+    m, K, c = len(cover.translates), report["K"], report["cover_exponent"]
+    assert m > 2 and K > 1
+    assert c == math.log(m / 2) / math.log(K)
+    assert 2 * K ** c == pytest.approx(m, rel=1e-12)
+    assert 2 * K ** (c - 1e-6) < m
 
 
 def test_pipeline_falls_back_to_snapshots(monkeypatch):

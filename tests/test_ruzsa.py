@@ -182,6 +182,12 @@ def test_rdist_runs_scores_repeated_runs_once(rows_per_chunk, monkeypatch):
     assert np.array_equal(scored(order), want)
     # the references, then the distinct runs of each chunk
     assert rows == ([2, 4] if rows_per_chunk is None else [2, 2, 2, 2])
+    # equal references: one row, its distances copied, bit for bit
+    one = scored(order)[[0, 1, 1]]
+    refs[1] = refs[0]
+    del rows[:]
+    assert np.array_equal(scored(order), one)
+    assert rows[0] == 1
 
 
 def test_a_law_and_its_translate_stay_two_rows(monkeypatch):
