@@ -18,6 +18,12 @@ compared by tau, values within TIE_TOL counting as ties, with ties resolved
 by class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame),
 then by parameter order.
 
+A pair of byte-equal laws is held as one object, and so is the reference
+pair. While X1 is X2, X1 + X2 is X1 + X1 and the self fibres are the cross
+fibres, whatever the references: descent scores sum-self and fibre-cross
+and copies their moves into sum-cross and fibre-self, which come later in
+tie order and so are never picked.
+
 descend works in its inputs' own coordinates. entropic_pfr first carries
 both inputs, by one common shift and the coordinates of their span, into
 F_2^r, r the dimension of their affine span: every law descent builds lies
@@ -36,7 +42,8 @@ from .bsg import EndgameChoice, endgame_choices, endgame_tables
 from .dists import (CostGuardExceeded, Dist, _fibres, uniform_on_subgroup,
                     xor_convolve)
 from .groups import SubgroupBasis, span
-from .ruzsa import ETA_DEFAULT, RefPair, cond_rdist, one, rdist, slices_of
+from .ruzsa import (ETA_DEFAULT, RefPair, _law_key, cond_rdist, one, rdist,
+                    slices_of)
 
 __all__ = [
     "MoveKind",
@@ -154,7 +161,8 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
     probability mass and pair each fibre law of X1 with each of X2; the
     endgame conditions on the heaviest budget values of the four-fold sum S
     and scores all of those slices at once; the other classes score their
-    pairs by ref.taus.
+    pairs by ref.taus. When X2 is X1 the self sum is taken once, and one
+    family of fibre laws serves as both sides.
     """
     if kinds is None:
         kinds = CLASS_ORDER
@@ -164,8 +172,10 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
         if kind not in kinds:
             continue
         if kind == MoveKind.SUM_SELF:
-            params, laws = [()], [xor_convolve(X1, X1), xor_convolve(X2, X2)]
-            i, j = [0], [1]
+            laws = [xor_convolve(X1, X1)]
+            if X2 is not X1:
+                laws.append(xor_convolve(X2, X2))
+            params, i, j = [()], [0], [len(laws) - 1]
         elif kind == MoveKind.SUM_CROSS:
             params, laws, i, j = [()], [xor_convolve(X1, X2)], [0], [0]
         elif kind in (MoveKind.FIBRE_CROSS, MoveKind.FIBRE_SELF):
@@ -173,11 +183,15 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
             cross = kind == MoveKind.FIBRE_CROSS
             Y1, Y2 = (X2, X1) if cross else (X1, X2)
             tops1 = _top_support(xor_convolve(X1, Y1), m)
-            tops2 = tops1 if cross else _top_support(xor_convolve(X2, Y2), m)
             A = {g: a for g in tops1 if (a := _fibre_law(X1, Y1, g)) is not None}
-            B = {g: b for g in tops2 if (b := _fibre_law(X2, Y2, g)) is not None}
-            params, laws = [(g, gp) for g in A for gp in B], [*A.values(), *B.values()]
-            i, j = np.indices((len(A), len(B))).reshape(2, -1) + [[0], [len(A)]]
+            B, laws = A, [*A.values()]
+            if X2 is not X1:
+                tops2 = tops1 if cross else _top_support(xor_convolve(X2, Y2), m)
+                B = {g: b for g in tops2 if (b := _fibre_law(X2, Y2, g)) is not None}
+                laws += B.values()
+            params = [(g, gp) for g in A for gp in B]
+            i, j = (np.indices((len(A), len(B))).reshape(2, -1)
+                    + [[0], [len(laws) - len(B)]])
         else:
             J = endgame_tables(X1, X2).joint_UVS
             values = _top_support(J.marginal_dist("S"), budget)
@@ -203,6 +217,11 @@ def _k_tau(ref: RefPair, X1: Dist, X2: Dist) -> Tuple[float, float]:
     return k, k + ref.eta * d1 + ref.eta * d2
 
 
+def _shared(X1: Dist, X2: Dist) -> Dist:
+    """X1 when X2 is byte-equal to it (the test of ruzsa._distinct), else X2."""
+    return X1 if X2 is X1 or _law_key(X2) == _law_key(X1) else X2
+
+
 def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             eps_step: float = EPS_STEP, eps_d: float = EPS_D,
             budget: int = BUDGET, max_iter: int = MAX_ITER) -> DescentState:
@@ -215,9 +234,20 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     (per_class_s) and the number of candidates (per_class_candidates; 0
     for a class the cost guard skipped), and for each skipped class the
     name and size of the guard that tripped (guard_trips).
+
+    A byte-equal pair, at the start or after a move, is held as one object
+    (X2 is X1), and so are byte-equal references; state.ref stays the
+    caller's. While X2 is X1, the sum-cross and fibre-self candidates are
+    copies of the sum-self and fibre-cross moves: their taus and counts are
+    the ones scoring would give, and their per_class_s is the copy's time.
     """
-    state = DescentState(ref, X1, X2, *_k_tau(ref, X1, X2))
+    X2 = _shared(X1, X2)
+    scoring_ref = replace(ref, X02=_shared(ref.X01, ref.X02))
+    state = DescentState(ref, X1, X2, *_k_tau(scoring_ref, X1, X2))
     state.snapshots.append((X1, X2))
+    # with X2 == X1, X1 + X2 is X1 + X1 and X1 | X1 + X1 is X1 | X1 + X2
+    twin = {MoveKind.SUM_CROSS: MoveKind.SUM_SELF,
+            MoveKind.FIBRE_SELF: MoveKind.FIBRE_CROSS}
     for it in range(max_iter):
         if state.k <= eps_d:
             state.converged = True
@@ -231,14 +261,19 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
         per_class_candidates: Dict[str, int] = {}
         for kind in CLASS_ORDER:
             t0 = perf_counter()
-            try:
-                got = generate_candidates(ref, state.X1, state.X2, budget, [kind])
-            except CostGuardExceeded as exc:
-                if kind is not MoveKind.ENDGAME:
-                    raise
-                got = []
-                skipped.append(kind.value)
-                guard_trips[kind.value] = {"guard": exc.guard, "size": exc.size}
+            if state.X2 is state.X1 and kind in twin:
+                got = [Move(kind, mv.params, mv.pair, mv.tau)
+                       for mv in moves if mv.kind is twin[kind]]
+            else:
+                try:
+                    got = generate_candidates(scoring_ref, state.X1, state.X2,
+                                              budget, [kind])
+                except CostGuardExceeded as exc:
+                    if kind is not MoveKind.ENDGAME:
+                        raise
+                    got = []
+                    skipped.append(kind.value)
+                    guard_trips[kind.value] = {"guard": exc.guard, "size": exc.size}
             per_class_s[kind.value] = perf_counter() - t0
             per_class_candidates[kind.value] = len(got)
             if got:
@@ -260,9 +295,10 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             "skipped_classes": skipped,
             "guard_trips": guard_trips,
         })
-        state.X1 = chosen.X1p.prune()
-        state.X2 = chosen.X2p.prune()
-        state.k, state.tau = _k_tau(ref, state.X1, state.X2)
+        X1p, X2p = chosen.X1p, chosen.X2p
+        state.X1 = X1p.prune()
+        state.X2 = state.X1 if X2p is X1p else _shared(state.X1, X2p.prune())
+        state.k, state.tau = _k_tau(scoring_ref, state.X1, state.X2)
         state.trace[-1]["k_after"] = state.k
         state.snapshots.append((state.X1, state.X2))
         del state.snapshots[:-SNAPSHOT_CAP]
@@ -342,20 +378,24 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
     """
     ref = RefPair(X01, X02, eta)
     a0 = int(X01.support()[0])
-    V, (Y01, Y02) = _reduce((X01, X02), (a0, a0))
+    laws = (X01,) if _shared(X01, X02) is X01 else (X01, X02)
+    V, Y = _reduce(laws, [a0] * len(laws))
+    Y01, Y02 = Y[0], Y[-1]
     inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_d=eps_d,
                     budget=budget, max_iter=max_iter)
     Hr = extract_subgroup(inner.X1).H
     UH = uniform_on_subgroup(Hr)
     d1 = rdist(Y01, UH)
-    d2 = rdist(Y02, UH)
+    d2 = d1 if Y02 is Y01 else rdist(Y02, UH)
     k0 = rdist(Y01, Y02)
     ok = (d1 + d2 <= 11.0 * k0 + 1e-6
           and d1 <= 6.0 * k0 + 1e-6 and d2 <= 6.0 * k0 + 1e-6)
     H = span([V.from_coords(h) for h in Hr.rows], X01.n)
 
-    def up(X: Dist) -> Dist:
-        return _from_coords(X, V, a0)
+    def up(A: Dist, B: Dist) -> Tuple[Dist, Dist]:
+        """The pair in F_2^n, a pair of one law embedded once."""
+        A_up = _from_coords(A, V, a0)
+        return A_up, A_up if B is A else _from_coords(B, V, a0)
 
     trace = []
     for row in inner.trace:
@@ -363,9 +403,11 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
         params = [V.from_coords(p) if pos in at else p
                   for pos, p in enumerate(row["params"])]
         trace.append({**row, "params": params})
-    state = replace(inner, ref=ref, X1=up(inner.X1), X2=up(inner.X2),
-                    trace=trace, intrinsic_dim=V.rank,
-                    snapshots=[(up(A), up(B)) for A, B in inner.snapshots])
+    snapshots = [up(A, B) for A, B in inner.snapshots]
+    # descend's last snapshot is its final pair
+    X1, X2 = snapshots[-1]
+    state = replace(inner, ref=ref, X1=X1, X2=X2, trace=trace,
+                    intrinsic_dim=V.rank, snapshots=snapshots)
     return state, SubgroupCertificate(H, d1, d2, k0, ok)
 
 

@@ -94,11 +94,16 @@ def one(X: Dist) -> List[Tuple[float, Dist]]:
 
 # -- batched distance evaluation -------------------------------------------
 
+def _law_key(d: Dist) -> Tuple[bytes, ...]:
+    """The bytes of d's support and weights: byte-equal laws share a key."""
+    return tuple(a.tobytes() for a in d.items())
+
+
 def _distinct(laws: Sequence[Dist]) -> Tuple[np.ndarray, List[Dist]]:
     """Each law's id and the distinct laws: byte-equal laws share one id."""
     ids: dict = {}
-    u = np.array([ids.setdefault(tuple(a.tobytes() for a in d.items()), len(ids))
-                  for d in laws], dtype=np.intp)
+    u = np.array([ids.setdefault(_law_key(d), len(ids)) for d in laws],
+                 dtype=np.intp)
     return u, [laws[x] for x in np.unique(u, return_index=True)[1]]
 
 
@@ -267,7 +272,11 @@ class RefPair:
         return d + self.eta * d1 + self.eta * d2
 
     def tau_parts(self, X1: Dist, X2: Dist) -> Tuple[float, float, float]:
-        return rdist(X1, X2), rdist(self.X01, X1), rdist(self.X02, X2)
+        """d[X1; X2], d[X01; X1] and d[X02; X2], the last taken as the
+        second when X2 is X1 and X02 is X01."""
+        d1 = rdist(self.X01, X1)
+        same = X2 is X1 and self.X02 is self.X01
+        return rdist(X1, X2), d1, d1 if same else rdist(self.X02, X2)
 
 
 # -- inequality corpus ------------------------------------------------------

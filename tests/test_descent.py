@@ -11,8 +11,8 @@ from entropic_pfr.dists import (CostGuardExceeded, Dist, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
 from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.groups import LinearMap, span
-from entropic_pfr.randgen import make_rng, random_dist
-from entropic_pfr.ruzsa import ETA_DEFAULT, RefPair, rdist
+from entropic_pfr.randgen import make_rng, random_coset_union, random_dist
+from entropic_pfr.ruzsa import ETA_DEFAULT, RefPair, _law_key, rdist
 
 
 def random_ref(rng, n: int) -> RefPair:
@@ -269,6 +269,112 @@ def test_descend_raises_endgame_errors_that_are_not_guards(monkeypatch):
     X1, X2 = random_dist(rng, 3), random_dist(rng, 3)
     with pytest.raises(ValueError, match="not a cost guard"):
         descend(random_ref(rng, 3), X1, X2, max_iter=1)
+
+
+# -- symmetric pairs ----------------------------------------------------------
+
+def rebuilt(X):
+    """A copy of X read back from its arrays: another object, byte-equal."""
+    idx, w = X.items()
+    Y = Dist(X.n, idx=idx.copy(), w=w.copy())
+    assert _law_key(Y) == _law_key(X)
+    return Y
+
+
+def dyadic_dist(rng, n):
+    # weights in multiples of 1/64 read back without round-off, so a copy
+    # rebuilt from the arrays is byte-equal
+    return Dist(n, idx=np.arange(1 << n), w=rng.multinomial(64, np.full(1 << n, 0.5 ** n)))
+
+
+def symmetric_cases():
+    """(ref, X1, X2) with X1 and X2 byte-equal but distinct objects: U_A of
+    two coset unions against itself, as the set pipeline starts (the larger
+    one past the endgame's support cap, so it descends by sums), and a
+    random law under random references. Last, byte-equal references over a
+    pair that is not, where mirroring the classes would be wrong."""
+    rng = make_rng(21)
+    cases = []
+    for n, rank, cosets in ((6, 2, 3), (10, 5, 3)):
+        UA = uniform_on(random_coset_union(rng, n, rank, cosets), n)
+        cases.append((RefPair(UA, rebuilt(UA)), rebuilt(UA), UA))
+    X, R = dyadic_dist(rng, 4), dyadic_dist(rng, 4)
+    return cases + [(random_ref(rng, 4), X, rebuilt(X)),
+                    (RefPair(R, rebuilt(R)), random_dist(rng, 4), random_dist(rng, 4))]
+
+
+def scored_alone(ref, X1, X2, kind):
+    try:
+        return generate_candidates(ref, X1, X2, descent.BUDGET, [kind])
+    except CostGuardExceeded:
+        assert kind is MoveKind.ENDGAME
+        return []
+
+
+def test_mirrored_classes_score_what_each_class_scores_alone():
+    for ref, X1, X2 in symmetric_cases():
+        st = descend(ref, X1, X2, max_iter=1)
+        assert st.ref is ref
+        row = st.trace[0]
+        got = {k: scored_alone(ref, X1, X2, k) for k in CLASS_ORDER}
+        assert row["per_class_tau"] == {k.value: _best(mv).tau
+                                        for k, mv in got.items() if mv}
+        assert row["per_class_candidates"] == {k.value: len(mv)
+                                               for k, mv in got.items()}
+        chosen = _best([mv for k in CLASS_ORDER for mv in got[k]])
+        assert (row["kind"], row["params"], row["tau_after"]) == (
+            chosen.kind.value, list(chosen.params), chosen.tau)
+        assert row["tau_before"] == ref.tau(X1, X2)
+        assert row["k_after"] == rdist(chosen.X1p.prune(), chosen.X2p.prune())
+        # a symmetric pair's cross sum ties its self sum exactly
+        tau = row["per_class_tau"]
+        mirrored = _law_key(X1) == _law_key(X2)
+        assert (tau["sum-cross"] == tau["sum-self"]) == mirrored
+        assert (tau["fibre-self"] == tau["fibre-cross"]) == mirrored
+
+
+def test_a_byte_equal_pair_is_held_as_one_law():
+    for ref, X1, X2 in symmetric_cases():
+        st = descend(ref, X1, X2)
+        assert st.ref is ref
+        assert [A is B for A, B in st.snapshots] == [
+            _law_key(A) == _law_key(B) for A, B in st.snapshots]
+        assert (st.X2 is st.X1) == (_law_key(st.X1) == _law_key(st.X2))
+    # the coset union past the support cap stays one law across its moves
+    st = descend(*symmetric_cases()[1])
+    assert len(st.trace) >= 2
+    assert all(A is B for A, B in st.snapshots)
+
+
+def test_a_symmetric_iteration_scores_two_classes_by_taus(monkeypatch):
+    calls = []
+    taus = RefPair.taus
+    def counting_taus(self, *args):
+        calls.append(self)
+        return taus(self, *args)
+    monkeypatch.setattr(RefPair, "taus", counting_taus)
+    seen = set()
+    for ref, X1, X2 in symmetric_cases():
+        calls.clear()
+        st = descend(ref, X1, X2)
+        # each scored pair is the snapshot before its row, and the last
+        # one too when no move improved it
+        scored = st.snapshots[:len(st.trace) + (st.stop_reason == "no improving move")]
+        per_iter = [2 if A is B else 4 for A, B in scored]
+        assert len(calls) == sum(per_iter)
+        seen.update(per_iter)
+    assert seen == {2, 4}
+
+
+def test_entropic_pfr_carries_byte_equal_inputs_once():
+    UA = uniform_on(random_coset_union(make_rng(21), 6, 2, 3), 6)
+    st, cert = entropic_pfr(UA, UA)
+    st_c, cert_c = entropic_pfr(UA, rebuilt(UA))
+    assert cert_c.d2 == cert_c.d1
+    assert (cert_c.H.rows, cert_c.d1, cert_c.k0) == (cert.H.rows, cert.d1, cert.k0)
+    assert tau_path(st_c).tolist() == tau_path(st).tolist()
+    assert all(A is B for A, B in st_c.snapshots)
+    assert st_c.X2 is st_c.X1
 
 
 def test_extract_subgroup_recovers_coset():
