@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .descent import BUDGET, EPS_D, MAX_ITER, diagnostics, entropic_pfr, extract_subgroup
+from .descent import BUDGET, EPS_D, MAX_ITER, _heavy_span, diagnostics, entropic_pfr
 from .dists import DENSE_BITS, CostGuardExceeded, Dist, fwht, uniform_on
 from .groups import SubgroupBasis, format_elem, parse_elem, span
 from .ruzsa import ETA_DEFAULT
@@ -93,7 +93,7 @@ def _sumset(pts: np.ndarray, W: SubgroupBasis) -> np.ndarray:
 def doubling_constant(A: SetInput) -> float:
     """|A + A| / |A|, exactly."""
     pts = np.asarray(A.points, dtype=np.int64)
-    return len(_sumset(pts, span((pts ^ pts[0]).tolist(), A.n))) / len(A)
+    return len(_sumset(pts, span(pts ^ pts[0], A.n))) / len(A)
 
 
 def best_shift(A: SetInput, H: SubgroupBasis) -> Tuple[int, int]:
@@ -121,7 +121,7 @@ def ruzsa_cover(A: SetInput, core: Sequence[int]) -> List[int]:
     core = np.unique(np.asarray(core, dtype=np.int64))
     if not len(core):
         raise ValueError("empty core")
-    W = span((core ^ core[0]).tolist(), A.n)
+    W = span(core ^ core[0], A.n)
     D = _sumset(core, W)
     pts = np.asarray(A.points, dtype=np.int64)
     rep = W.reduce(pts)
@@ -202,7 +202,7 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
     source = "terminal"
     if not state.converged and not cover.certified:
         for back, (Y1, _) in enumerate(reversed(state.snapshots[:-1]), 1):
-            cand, cinfo = _assemble_cover(A, extract_subgroup(Y1).H, K,
+            cand, cinfo = _assemble_cover(A, _heavy_span(Y1), K,
                                           c_exponent)
             if cand.certified and (not cover.certified
                                    or len(cand.translates)

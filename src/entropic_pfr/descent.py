@@ -24,6 +24,12 @@ fibres, whatever the references: descent scores sum-self and fibre-cross
 and copies their moves into sum-cross and fibre-self, which come later in
 tie order and so are never picked.
 
+Each sum of the pair's laws is taken once per iteration: the sums that
+d and tau of a new pair read (X1 + X2, X01 + X1, X02 + X2) are kept, by
+the identity of their operands, for the sum classes and the fibre classes'
+top values, and dropped with the pair at the next move. While X1 is X2,
+the one self sum X1 + X1 serves d[X1; X2], sum-self and fibre-cross.
+
 descend works in its inputs' own coordinates. entropic_pfr first carries
 both inputs, by one common shift and the coordinates of their span, into
 F_2^r, r the dimension of their affine span: every law descent builds lies
@@ -42,8 +48,8 @@ from .bsg import EndgameChoice, endgame_choices, endgame_tables
 from .dists import (CostGuardExceeded, Dist, _fibres, uniform_on_subgroup,
                     xor_convolve)
 from .groups import SubgroupBasis, span
-from .ruzsa import (ETA_DEFAULT, RefPair, _law_key, cond_rdist, one, rdist,
-                    slices_of)
+from .ruzsa import (ETA_DEFAULT, RefPair, _law_key, _rdist_of, cond_rdist, one,
+                    rdist, slices_of)
 
 __all__ = [
     "MoveKind",
@@ -152,6 +158,10 @@ def _fibre_law(base: Dist, shift: Dist, g: int) -> Optional[Dist]:
     return Dist(base.n, idx=idx, w=w)
 
 
+# xor_convolve(A, B) by the ids of A and B, holding both operands
+_Sums = Dict[Tuple[int, int], Tuple[Dist, Dist, Dist]]
+
+
 def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
                         budget: int = BUDGET,
                         kinds: Optional[Sequence[MoveKind]] = None) -> List[Move]:
@@ -161,46 +171,56 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
     probability mass and pair each fibre law of X1 with each of X2; the
     endgame conditions on the heaviest budget values of the four-fold sum S
     and scores all of those slices at once; the other classes score their
-    pairs by ref.taus. When X2 is X1 the self sum is taken once, and one
-    family of fibre laws serves as both sides.
+    pairs by ref.taus. Each sum of the pair is taken once across the
+    classes, and when X2 is X1 one family of fibre laws serves as both
+    sides.
     """
-    if kinds is None:
-        kinds = CLASS_ORDER
-    m = max(1, int(np.sqrt(budget)))
-    out: List[Move] = []
-    for kind in CLASS_ORDER:
-        if kind not in kinds:
-            continue
-        if kind == MoveKind.SUM_SELF:
-            laws = [xor_convolve(X1, X1)]
-            if X2 is not X1:
-                laws.append(xor_convolve(X2, X2))
-            params, i, j = [()], [0], [len(laws) - 1]
-        elif kind == MoveKind.SUM_CROSS:
-            params, laws, i, j = [()], [xor_convolve(X1, X2)], [0], [0]
-        elif kind in (MoveKind.FIBRE_CROSS, MoveKind.FIBRE_SELF):
-            # fibres of X1 over X1 ^ Y1 = g and of X2 over X2 ^ Y2 = g'
-            cross = kind == MoveKind.FIBRE_CROSS
-            Y1, Y2 = (X2, X1) if cross else (X1, X2)
-            tops1 = _top_support(xor_convolve(X1, Y1), m)
-            A = {g: a for g in tops1 if (a := _fibre_law(X1, Y1, g)) is not None}
-            B, laws = A, [*A.values()]
-            if X2 is not X1:
-                tops2 = tops1 if cross else _top_support(xor_convolve(X2, Y2), m)
-                B = {g: b for g in tops2 if (b := _fibre_law(X2, Y2, g)) is not None}
-                laws += B.values()
-            params = [(g, gp) for g in A for gp in B]
-            i, j = (np.indices((len(A), len(B))).reshape(2, -1)
-                    + [[0], [len(laws) - len(B)]])
-        else:
-            J = endgame_tables(X1, X2).joint_UVS
-            values = _top_support(J.marginal_dist("S"), budget)
-            out.extend(Move(kind, (s,) + ch.choice, ch, ch.tau)
-                       for s, ch in zip(values, endgame_choices(ref, J, values)))
-            continue
-        out.extend(Move(kind, prm, (laws[a], laws[b]), float(t))
-                   for prm, a, b, t in zip(params, i, j, ref.taus(laws, i, j)))
-    return out
+    sums: _Sums = {}
+    return [mv for kind in CLASS_ORDER if kinds is None or kind in kinds
+            for mv in _class_moves(ref, X1, X2, budget, kind, sums)]
+
+
+def _sum(sums: _Sums, A: Dist, B: Dist) -> Dist:
+    """xor_convolve(A, B), taken once per sums; holding the operands keeps
+    their ids from passing to new laws."""
+    key = (id(A), id(B))
+    if key not in sums:
+        sums[key] = (A, B, xor_convolve(A, B))
+    return sums[key][2]
+
+
+def _class_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
+                 kind: MoveKind, sums: _Sums) -> List[Move]:
+    """generate_candidates for one class, its sums of the pair from sums."""
+    if kind == MoveKind.ENDGAME:
+        J = endgame_tables(X1, X2).joint_UVS
+        values = _top_support(J.marginal_dist("S"), budget)
+        return [Move(kind, (s,) + ch.choice, ch, ch.tau)
+                for s, ch in zip(values, endgame_choices(ref, J, values))]
+    if kind == MoveKind.SUM_SELF:
+        laws = [_sum(sums, X1, X1)]
+        if X2 is not X1:
+            laws.append(_sum(sums, X2, X2))
+        params, i, j = [()], [0], [len(laws) - 1]
+    elif kind == MoveKind.SUM_CROSS:
+        params, laws, i, j = [()], [_sum(sums, X1, X2)], [0], [0]
+    else:
+        # fibres of X1 over X1 ^ Y1 = g and of X2 over X2 ^ Y2 = g'
+        m = max(1, int(np.sqrt(budget)))
+        cross = kind == MoveKind.FIBRE_CROSS
+        Y1, Y2 = (X2, X1) if cross else (X1, X2)
+        tops1 = _top_support(_sum(sums, X1, Y1), m)
+        A = {g: a for g in tops1 if (a := _fibre_law(X1, Y1, g)) is not None}
+        B, laws = A, [*A.values()]
+        if X2 is not X1:
+            tops2 = tops1 if cross else _top_support(_sum(sums, X2, Y2), m)
+            B = {g: b for g in tops2 if (b := _fibre_law(X2, Y2, g)) is not None}
+            laws += B.values()
+        params = [(g, gp) for g in A for gp in B]
+        i, j = (np.indices((len(A), len(B))).reshape(2, -1)
+                + [[0], [len(laws) - len(B)]])
+    return [Move(kind, prm, (laws[a], laws[b]), float(t))
+            for prm, a, b, t in zip(params, i, j, ref.taus(laws, i, j))]
 
 
 def _best(moves: Sequence[Move]) -> Optional[Move]:
@@ -211,9 +231,14 @@ def _best(moves: Sequence[Move]) -> Optional[Move]:
     return best
 
 
-def _k_tau(ref: RefPair, X1: Dist, X2: Dist) -> Tuple[float, float]:
-    """d[X1; X2] computed once, and tau in RefPair.tau's order."""
-    k, d1, d2 = ref.tau_parts(X1, X2)
+def _k_tau(ref: RefPair, X1: Dist, X2: Dist,
+           sums: _Sums) -> Tuple[float, float]:
+    """d[X1; X2], and tau in RefPair.tau's order, each sum taken from sums;
+    d[X02; X2] is d[X01; X1] when X2 is X1 and X02 is X01."""
+    def d(X: Dist, Y: Dist) -> float:
+        return _rdist_of(_sum(sums, X, Y), X, Y)
+    k, d1 = d(X1, X2), d(ref.X01, X1)
+    d2 = d1 if X2 is X1 and ref.X02 is ref.X01 else d(ref.X02, X2)
     return k, k + ref.eta * d1 + ref.eta * d2
 
 
@@ -240,10 +265,16 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     caller's. While X2 is X1, the sum-cross and fibre-self candidates are
     copies of the sum-self and fibre-cross moves: their taus and counts are
     the ones scoring would give, and their per_class_s is the copy's time.
+
+    Each sum of the pair is taken once per iteration, first by the d and
+    tau of the pair after the move, so the time of a sum that those read
+    (such as X1 + X1 while X2 is X1) falls outside every per_class_s.
     """
     X2 = _shared(X1, X2)
     scoring_ref = replace(ref, X02=_shared(ref.X01, ref.X02))
-    state = DescentState(ref, X1, X2, *_k_tau(scoring_ref, X1, X2))
+    # the sums of the current pair, from its _k_tau to its scoring
+    sums: _Sums = {}
+    state = DescentState(ref, X1, X2, *_k_tau(scoring_ref, X1, X2, sums))
     state.snapshots.append((X1, X2))
     # with X2 == X1, X1 + X2 is X1 + X1 and X1 | X1 + X1 is X1 | X1 + X2
     twin = {MoveKind.SUM_CROSS: MoveKind.SUM_SELF,
@@ -266,8 +297,8 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
                        for mv in moves if mv.kind is twin[kind]]
             else:
                 try:
-                    got = generate_candidates(scoring_ref, state.X1, state.X2,
-                                              budget, [kind])
+                    got = _class_moves(scoring_ref, state.X1, state.X2,
+                                       budget, kind, sums)
                 except CostGuardExceeded as exc:
                     if kind is not MoveKind.ENDGAME:
                         raise
@@ -298,13 +329,21 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
         X1p, X2p = chosen.X1p, chosen.X2p
         state.X1 = X1p.prune()
         state.X2 = state.X1 if X2p is X1p else _shared(state.X1, X2p.prune())
-        state.k, state.tau = _k_tau(scoring_ref, state.X1, state.X2)
+        sums = {}
+        state.k, state.tau = _k_tau(scoring_ref, state.X1, state.X2, sums)
         state.trace[-1]["k_after"] = state.k
         state.snapshots.append((state.X1, state.X2))
         del state.snapshots[:-SNAPSHOT_CAP]
     state.stop_reason = "iteration limit"
     state.converged = state.k <= eps_d
     return state
+
+
+def _heavy_span(X: Dist, theta: float = 0.5) -> SubgroupBasis:
+    """extract_subgroup's H: the span of the offsets from the mode of the
+    points within a factor theta of the maximum weight."""
+    idx, w = X.items()
+    return span(idx[w >= theta * w.max()] ^ idx[np.argmax(w)], X.n)
 
 
 def extract_subgroup(X: Dist, theta: float = 0.5) -> SubgroupCertificate:
@@ -315,10 +354,7 @@ def extract_subgroup(X: Dist, theta: float = 0.5) -> SubgroupCertificate:
     certificate grades H against X itself, so both distances equal
     d[X; U_H] and the reference distance is d[X; X].
     """
-    idx, w = X.items()
-    x_star = idx[np.argmax(w)]
-    heavy = idx[w >= theta * w.max()]
-    H = span([int(x ^ x_star) for x in heavy], X.n)
+    H = _heavy_span(X, theta)
     d = rdist(X, uniform_on_subgroup(H))
     k0 = rdist(X, X)
     return SubgroupCertificate(H, d, d, k0, 2.0 * d <= 11.0 * k0 + 1e-6)
@@ -339,8 +375,7 @@ def _to_coords(X: Dist, V: SubgroupBasis, a0: int) -> Dist:
 def _reduce(laws: Sequence[Dist], shifts: Sequence[int]) -> Tuple[SubgroupBasis, List[Dist]]:
     """V, the span of the shifted supports X ^ a, and each X ^ a in V's
     coordinates."""
-    V = span(np.concatenate([X.support() ^ a for X, a in zip(laws, shifts)]).tolist(),
-             laws[0].n)
+    V = span(np.concatenate([X.support() ^ a for X, a in zip(laws, shifts)]), laws[0].n)
     return V, [_to_coords(X, V, a) for X, a in zip(laws, shifts)]
 
 
@@ -383,7 +418,7 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
     Y01, Y02 = Y[0], Y[-1]
     inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_d=eps_d,
                     budget=budget, max_iter=max_iter)
-    Hr = extract_subgroup(inner.X1).H
+    Hr = _heavy_span(inner.X1)
     UH = uniform_on_subgroup(Hr)
     d1 = rdist(Y01, UH)
     d2 = d1 if Y02 is Y01 else rdist(Y02, UH)

@@ -7,7 +7,7 @@ container instead of inside the elements, so 2^n-length tables stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,16 +31,18 @@ class CostGuardExceeded(ValueError):
 ENUMERATE_RANK = 24  # enumerate and enumerate_array list at most 2^24 members
 
 
-def _rref(vectors: Iterable[int]) -> Tuple[int, ...]:
-    """Reduce to row-echelon form over GF(2), leading bits strictly decreasing."""
+def _rref(v: np.ndarray) -> Tuple[int, ...]:
+    """Reduced row-echelon basis over GF(2) of the span of the nonnegative
+    int64 words v, leading bits strictly decreasing."""
     rows: List[int] = []
-    for v in vectors:
-        for r in rows:
-            if v ^ r < v:
-                v ^= r
-        if v:
-            rows.append(v)
-            rows.sort(reverse=True)
+    # the largest word is the next row; every word is at most it, so the
+    # words that carry its leading bit are those it shifts to 1, and
+    # clearing that bit from them leaves every word below it
+    top = int(v.max(initial=0))
+    while top:
+        rows.append(top)
+        v = v ^ (v >> (top.bit_length() - 1)) * top
+        top = int(v.max())
     # back-substitute so each pivot appears in exactly one row
     for i, r in enumerate(rows):
         pivot = 1 << (r.bit_length() - 1)
@@ -64,7 +66,7 @@ class SubgroupBasis:
     def __post_init__(self) -> None:
         if any(r >= (1 << self.ambient_dim) for r in self.rows):
             raise ValueError("basis row exceeds ambient dimension")
-        if self.rows != _rref(self.rows):
+        if self.rows != _rref(np.array(self.rows, dtype=np.int64)):
             raise ValueError("rows are not in canonical reduced form")
 
     @property
@@ -148,12 +150,18 @@ class SubgroupBasis:
         return SubgroupBasis(self.ambient_dim, rows)
 
 
-def span(elems: Iterable[int], n: int) -> SubgroupBasis:
-    """RREF basis of the GF(2) span of `elems` inside F_2^n."""
-    elems = list(elems)
-    if any(e < 0 or e >= (1 << n) for e in elems):
+def span(elems: Union[Sequence[int], np.ndarray], n: int) -> SubgroupBasis:
+    """RREF basis of the GF(2) span of `elems` (ints or an int64 array)
+    inside F_2^n, n <= 62."""
+    if n > 62:
+        raise ValueError("span needs n <= 62: elements are int64 words")
+    try:
+        v = np.asarray(elems, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("element exceeds ambient dimension") from None
+    if (v >> n).any():   # a negative word shifts to -1
         raise ValueError("element exceeds ambient dimension")
-    return SubgroupBasis(n, _rref(elems))
+    return SubgroupBasis(n, _rref(v))
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,12 @@ class IneqReport:
 
 
 def rdist(X: Dist, Y: Dist) -> float:
-    return entropy(xor_convolve(X, Y)) - 0.5 * X.entropy() - 0.5 * Y.entropy()
+    return _rdist_of(xor_convolve(X, Y), X, Y)
+
+
+def _rdist_of(XY: Dist, X: Dist, Y: Dist) -> float:
+    """d[X; Y] from XY, the law of X' ^ Y'."""
+    return entropy(XY) - 0.5 * X.entropy() - 0.5 * Y.entropy()
 
 
 def one(X: Dist) -> List[Tuple[float, Dist]]:
@@ -270,13 +275,6 @@ class RefPair:
                                 np.r_[i + 2, np.zeros_like(i), np.ones_like(j)],
                                 np.r_[j, i, j] + 2).reshape(3, -1)
         return d + self.eta * d1 + self.eta * d2
-
-    def tau_parts(self, X1: Dist, X2: Dist) -> Tuple[float, float, float]:
-        """d[X1; X2], d[X01; X1] and d[X02; X2], the last taken as the
-        second when X2 is X1 and X02 is X01."""
-        d1 = rdist(self.X01, X1)
-        same = X2 is X1 and self.X02 is self.X01
-        return rdist(X1, X2), d1, d1 if same else rdist(self.X02, X2)
 
 
 # -- inequality corpus ------------------------------------------------------

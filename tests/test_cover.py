@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import entropic_pfr.cover as cover_mod
+import entropic_pfr.descent as descent_mod
 from entropic_pfr.cover import (CosetCover, SetInput, best_shift,
                                 doubling_constant, load_set, pfr_pipeline,
                                 ruzsa_cover, save_set)
@@ -288,6 +289,41 @@ def test_pipeline_falls_back_to_snapshots(monkeypatch):
     assert cover.covers(A.points)
     # the stalled descent also leaves a diagnostics dump in the report
     assert "bounds" in report["diagnostics"]
+
+
+def test_fallback_picks_the_snapshot_covers_without_distances(monkeypatch):
+    # the fallback reads only each snapshot's subgroup: it takes no
+    # distance and picks the cover extract_subgroup's H gives
+    # at c = 4 only the first two snapshots certify, with two translates
+    # each, and the terminal pair does not
+    A = SetInput(6, tuple(random_coset_union(make_rng(5), 6, 2, 3)))
+    UA = A.uniform()
+    laws = [UA, uniform_on(A.points[:4], 6), uniform_on(A.points[:2], 6),
+            uniform_on_subgroup(span([1, 2], 6)), uniform_on([A.points[0]], 6),
+            uniform_on(list(range(64)), 6)]
+    K = doubling_constant(A)
+    cover, source = None, "terminal"
+    for back, Y in enumerate(reversed(laws[:-1]), 1):
+        cand, _ = cover_mod._assemble_cover(A, extract_subgroup(Y).H, K, 4.0)
+        if cand.certified and (cover is None or len(cand.translates) < len(cover.translates)):
+            cover, source = cand, f"{back} steps back"
+    assert source == "4 steps back"
+
+    def stalled(X01, X02, **kw):
+        st = DescentState(RefPair(UA, UA), laws[-1], laws[-1], 1.0, 1.0)
+        st.snapshots = [(Y, Y) for Y in laws]
+        st.stop_reason = "iteration limit"
+        return st, cert
+
+    def no_distance(X, Y):
+        raise AssertionError("the fallback took a distance")
+
+    cert = extract_subgroup(laws[-1])
+    monkeypatch.setattr(cover_mod, "entropic_pfr", stalled)
+    monkeypatch.setattr(cover_mod, "diagnostics", lambda ref, X1, X2: {})
+    monkeypatch.setattr(descent_mod, "rdist", no_distance)
+    got, report = pfr_pipeline(A, c_exponent=4.0)
+    assert (got, report["cover_source"]) == (cover, source)
 
 
 def test_covers_matches_brute_force():

@@ -1,4 +1,6 @@
 """Candidate generation, the descent loop, and subgroup extraction."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,75 @@ def test_a_symmetric_iteration_scores_two_classes_by_taus(monkeypatch):
         assert len(calls) == sum(per_iter)
         seen.update(per_iter)
     assert seen == {2, 4}
+
+
+def test_k_tau_is_rdist_and_ref_tau():
+    rng = make_rng(37)
+    cases = symmetric_cases() + [(random_ref(rng, 4), random_dist(rng, 4),
+                                  random_dist(rng, 4))]
+    for ref, X1, X2 in cases:
+        X2 = descent._shared(X1, X2)
+        k, tau = descent._k_tau(replace(ref, X02=descent._shared(ref.X01, ref.X02)),
+                                X1, X2, {})
+        assert (k, tau) == (rdist(X1, X2), ref.tau(X1, X2))
+    # at the swapped start tau collapses to (1 + 2 eta) d
+    ref = random_ref(rng, 4)
+    k, tau = descent._k_tau(ref, ref.X02, ref.X01, {})
+    assert tau == pytest.approx((1 + 2 * ref.eta) * k, abs=1e-14)
+
+
+def test_each_sum_of_the_pair_is_taken_once_per_iteration(monkeypatch):
+    calls = []
+    def counting(A, B):
+        calls.append((A, B))   # held, so no id passes to a later law
+        return xor_convolve(A, B)
+    monkeypatch.setattr(descent, "xor_convolve", counting)
+    rng = make_rng(38)
+    unequal = (random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5))
+    for ref, X1, X2 in symmetric_cases() + [unequal]:
+        calls.clear()
+        st = descend(ref, X1, X2)
+        assert st.trace
+        assert not any(A is C and B is D
+                       for k, (A, B) in enumerate(calls) for C, D in calls[:k])
+    # the first iteration of a symmetric pair: _k_tau's d[X1; X1], sum-self
+    # and the fibre-cross top values read one X1 * X1
+    ref, X1, X2 = symmetric_cases()[1]
+    calls.clear()
+    st = descend(ref, X1, X2, max_iter=1)
+    assert st.X2 is st.X1 and len(st.trace) == 1
+    assert sum(A is X1 and B is X1 for A, B in calls) == 1
+
+
+def test_one_call_for_all_classes_scores_what_each_class_scores_alone():
+    rng = make_rng(39)
+    kinds = CLASS_ORDER[:-1]   # the endgame guard trips on one case
+    for ref, X1, X2 in symmetric_cases() + [(random_ref(rng, 4), random_dist(rng, 4),
+                                             random_dist(rng, 4))]:
+        for X2 in (X2, descent._shared(X1, X2)):
+            alone = [mv for k in kinds for mv in scored_alone(ref, X1, X2, k)]
+            together = generate_candidates(ref, X1, X2, kinds=kinds)
+            assert [(mv.kind, mv.params, mv.tau) for mv in together] == [
+                (mv.kind, mv.params, mv.tau) for mv in alone]
+            assert [_law_key(mv.X1p) + _law_key(mv.X2p) for mv in together] == [
+                _law_key(mv.X1p) + _law_key(mv.X2p) for mv in alone]
+
+
+def test_entropic_pfr_takes_only_the_distances_it_reads(monkeypatch):
+    calls = []
+    def counting(X, Y):
+        calls.append((X, Y))
+        return rdist(X, Y)
+    monkeypatch.setattr(descent, "rdist", counting)
+    UA = uniform_on(random_coset_union(make_rng(21), 6, 2, 3), 6)
+    X01, X02 = demo_pair(2)
+    for inputs, taken in (((UA, UA), 2), ((X01, X02), 3)):
+        calls.clear()
+        st, cert = entropic_pfr(*inputs)
+        # d1 (and d2) against U_H, and k0; not extract_subgroup's d[X; U_H]
+        # and d[X; X] at the endpoint
+        assert len(calls) == taken
+        assert cert.H == extract_subgroup(st.X1).H
 
 
 def test_entropic_pfr_carries_byte_equal_inputs_once():

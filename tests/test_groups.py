@@ -20,6 +20,63 @@ def brute_span(elems, n):
     return out
 
 
+def rref_loop(vectors):
+    """The scalar elimination span used before it worked on arrays: each
+    vector against each row, then back-substitution."""
+    rows = []
+    for v in vectors:
+        for r in rows:
+            if v ^ r < v:
+                v ^= r
+        if v:
+            rows.append(v)
+            rows.sort(reverse=True)
+    for i, r in enumerate(rows):
+        pivot = 1 << (r.bit_length() - 1)
+        for j in range(i):
+            if rows[j] & pivot:
+                rows[j] ^= r
+    return tuple(rows)
+
+
+def test_span_matches_the_scalar_elimination_up_to_62_bits():
+    rng = np.random.default_rng(31)
+    cases = [(0, []), (5, []), (5, [0, 0, 0]), (62, [0]), (62, [(1 << 62) - 1] * 3),
+             (6, list(range(64))), (62, [1 << i for i in range(62)])]
+    for _ in range(150):
+        n = int(rng.integers(1, 63))
+        m = int(rng.integers(0, 40))
+        rank = int(rng.integers(0, n + 1))
+        # rank-deficient draws: sums of a few random generators, with zeros
+        # and duplicates mixed in
+        gens = rng.integers(0, 1 << n, size=rank, dtype=np.int64)
+        pick = rng.integers(0, 2, size=(m, rank)).astype(bool)
+        v = np.bitwise_xor.reduce(np.where(pick, gens, 0), axis=1) if rank else np.zeros(m, np.int64)
+        v = np.r_[v, v[:2], 0]
+        cases.append((n, v.tolist()))
+        cases.append((n, rng.integers(0, 1 << n, size=m, dtype=np.int64).tolist()))
+    for n, vecs in cases:
+        want = rref_loop(vecs)
+        assert span(vecs, n).rows == want
+        assert span(np.array(vecs, dtype=np.int64), n).rows == want
+    assert span(list(range(64)), 6).rank == 6
+    assert span([1 << i for i in range(62)], 62).rank == 62
+
+
+def test_span_refuses_elements_outside_the_group_and_n_past_62():
+    for bad in ([5, -1], [0, 64], [1 << 40]):
+        for elems in (bad, np.array(bad, dtype=np.int64)):
+            with pytest.raises(ValueError, match="exceeds ambient"):
+                span(elems, 6)
+    # past int64 too: a ValueError, not numpy's OverflowError
+    with pytest.raises(ValueError, match="exceeds ambient"):
+        span([3, 1 << 70], 6)
+    with pytest.raises(ValueError, match="exceeds ambient"):
+        span(np.array([1, 1 << 62], dtype=np.int64), 62)
+    with pytest.raises(ValueError, match="n <= 62"):
+        span([1], 63)
+
+
 def test_span_matches_brute_closure():
     rng = np.random.default_rng(7)
     for _ in range(40):

@@ -241,8 +241,6 @@ def test_ref_pair_validation_and_tau():
     # at the swapped start the tau value collapses to (1 + 2 eta) d
     tau0 = ref.tau(X02, X01)
     assert tau0 == pytest.approx((1 + 2 * ref.eta) * rdist(X01, X02), abs=1e-12)
-    k, a, b = ref.tau_parts(X02, X01)
-    assert tau0 == pytest.approx(k + ref.eta * (a + b), abs=1e-14)
     with pytest.raises(ValueError):
         RefPair(X01, X02, eta=0.0)
     with pytest.raises(ValueError):
