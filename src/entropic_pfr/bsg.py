@@ -17,8 +17,11 @@ are translates by t, so the twins (alpha, beta) and (beta, alpha) share one
 tau and only alpha < beta is scored; bsg_check uses this given Z = A ^ B.
 The U <-> V swap fixes each slice S = s, so there U | V = t has the law of
 V | U = t and W | V = t that of W | U = t: endgame_choices drops the
-gamma = V rows, which repeat the gamma = U rows. abstract_endgame takes a
-general (T1, T2) law and scores all three gammas.
+gamma = V rows, which repeat the gamma = U rows. When X2 is X1 the four
+summands are i.i.d. and S3 permutes U, V, W inside each slice: the swap
+X2 <-> X~1 exchanges U and W, so (U, V) | W = t has the law of
+(W, V) | U = t, and endgame_choices drops the gamma = W rows too.
+abstract_endgame takes a general (T1, T2) law and scores all three gammas.
 """
 from __future__ import annotations
 
@@ -201,7 +204,8 @@ def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
 
 # (gamma, alpha, beta) in tie order, alpha < beta. Slices of the (U, V, S)
 # law are symmetric in U and V, so there the gamma = V triple repeats the
-# gamma = U one.
+# gamma = U one; for a pair of one law they are symmetric in U, V and W,
+# and the gamma = U triple stands for all three.
 _TRIPLES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 _UVS_TRIPLES = (_TRIPLES[0], _TRIPLES[2])
 
@@ -260,19 +264,24 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     return _choices(ref, J.n, keys, w, np.array([0, len(keys)]), _TRIPLES)[0]
 
 
-def endgame_choices(ref: RefPair, J: JointDist, values) -> List[EndgameChoice]:
-    """The endgame choice in the slice S = s of J, for each s in values.
+def endgame_choices(ref: RefPair, tabs: EndgameTables, values) -> List[EndgameChoice]:
+    """The endgame choice in the slice S = s of tabs.joint_UVS, for each s
+    in values.
 
-    J is the three-axis law of (U, V, S). S is its highest axis, so each
-    slice is one run of the ascending keys, normalized as condition does;
-    every slice is scored in one batched pass. Each slice is symmetric in
-    U and V, so only gamma = U and gamma = W are scored: a choice is that
-    of abstract_endgame(ref, J.condition("S", s)), except that where
-    round-off puts a gamma = V row strictly lowest, its gamma = U twin
-    (the same t, tau and laws up to round-off) is picked in its place.
+    S is the highest axis of the (U, V, S) law, so each slice is one run of
+    the ascending keys, normalized as condition does; every slice is scored
+    in one batched pass. Each slice is symmetric in U and V, so only
+    gamma = U and gamma = W are scored; when tabs.X2 is tabs.X1 each slice
+    is symmetric in U, V and W, and only gamma = U is scored. A choice is
+    that of abstract_endgame(ref, J.condition("S", s)), except where
+    round-off puts a dropped row strictly lowest. Its gamma = U twin at the
+    same t ties it exactly, and so does the gamma = U row at t ^ s
+    (swapping (X1, X2) with (X~1, X~2) fixes S and adds s to U and V), so
+    the first least gamma = U row is picked in its place: the same tau up
+    to round-off, and the dropped row's laws, T1p and T2p exchanged for a
+    gamma = W row, and translated by s for the row at t ^ s.
     """
-    if J.arity != 3:
-        raise ValueError("endgame_choices needs the three-axis law of (U, V, S)")
+    J = tabs.joint_UVS
     n = J.n
     keys, w = J.items()
     values = np.asarray(values, dtype=np.int64)
@@ -285,7 +294,8 @@ def endgame_choices(ref: RefPair, J: JointDist, values) -> List[EndgameChoice]:
         return []
     uv = np.concatenate([keys[a:b] for a, b in zip(lo, hi)]) & ((1 << (2 * n)) - 1)
     ws = np.concatenate([w[a:b] / w[a:b].sum() for a, b in zip(lo, hi)])
-    return _choices(ref, n, uv, ws, np.r_[0, np.cumsum(hi - lo)], _UVS_TRIPLES)
+    triples = _TRIPLES[:1] if tabs.X2 is tabs.X1 else _UVS_TRIPLES
+    return _choices(ref, n, uv, ws, np.r_[0, np.cumsum(hi - lo)], triples)
 
 
 def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
@@ -312,7 +322,8 @@ def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
     among the given (gamma, alpha, beta) triples in tie order.
 
     abstract_endgame passes all of _TRIPLES; endgame_choices passes
-    _UVS_TRIPLES, which drops gamma = V. For each gamma the rows are the
+    _UVS_TRIPLES, which drops gamma = V, or for a pair of one law the
+    gamma = U triple alone. For each gamma the rows are the
     (slice, t) pairs, each one law L = T_alpha | T_gamma = t, whose tau
     _row_taus scores once for both twins; each row's arithmetic does not
     depend on the rows beside it (the batch contract of dists.fwht). The

@@ -22,7 +22,9 @@ A pair of byte-equal laws is held as one object, and so is the reference
 pair. While X1 is X2, X1 + X2 is X1 + X1 and the self fibres are the cross
 fibres, whatever the references: descent scores sum-self and fibre-cross
 and copies their moves into sum-cross and fibre-self, which come later in
-tie order and so are never picked.
+tie order and so are never picked. Its endgame scores only the gamma = U
+rows of each slice of S: with four i.i.d. summands, the gamma = V and
+gamma = W rows repeat them (bsg.endgame_choices).
 
 Each sum of the pair's laws is taken once per iteration: the sums that
 d and tau of a new pair read (X1 + X2, X01 + X1, X02 + X2) are kept, by
@@ -193,10 +195,10 @@ def _class_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
                  kind: MoveKind, sums: _Sums) -> List[Move]:
     """generate_candidates for one class, its sums of the pair from sums."""
     if kind == MoveKind.ENDGAME:
-        J = endgame_tables(X1, X2).joint_UVS
-        values = _top_support(J.marginal_dist("S"), budget)
+        tabs = endgame_tables(X1, X2)
+        values = _top_support(tabs.joint_UVS.marginal_dist("S"), budget)
         return [Move(kind, (s,) + ch.choice, ch, ch.tau)
-                for s, ch in zip(values, endgame_choices(ref, J, values))]
+                for s, ch in zip(values, endgame_choices(ref, tabs, values))]
     if kind == MoveKind.SUM_SELF:
         laws = [_sum(sums, X1, X1)]
         if X2 is not X1:
@@ -264,7 +266,8 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     (X2 is X1), and so are byte-equal references; state.ref stays the
     caller's. While X2 is X1, the sum-cross and fibre-self candidates are
     copies of the sum-self and fibre-cross moves: their taus and counts are
-    the ones scoring would give, and their per_class_s is the copy's time.
+    the ones scoring would give, and their per_class_s is the copy's time;
+    the endgame scores the gamma = U rows of each slice alone.
 
     Each sum of the pair is taken once per iteration, first by the d and
     tau of the pair after the move, so the time of a sum that those read

@@ -66,7 +66,12 @@ class SubgroupBasis:
     def __post_init__(self) -> None:
         if any(r >= (1 << self.ambient_dim) for r in self.rows):
             raise ValueError("basis row exceeds ambient dimension")
-        if self.rows != _rref(np.array(self.rows, dtype=np.int64)):
+        # the form _rref returns: nonzero rows, leading bits strictly
+        # decreasing, and each pivot bit in its own row alone
+        leads = [r.bit_length() - 1 for r in self.rows]
+        pivots = sum(1 << b for b in leads if b >= 0)
+        if (not all(r > 0 and r & pivots == 1 << b for r, b in zip(self.rows, leads))
+                or any(a <= b for a, b in zip(leads, leads[1:]))):
             raise ValueError("rows are not in canonical reduced form")
 
     @property

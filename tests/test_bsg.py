@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from entropic_pfr import dists, ruzsa
-from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice,
+from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice, EndgameTables,
                               abstract_endgame, bsg_check, cond_indep_trials,
                               endgame_bound, endgame_choices, endgame_tables,
-                              trials_entropy_gap, _UVS_TRIPLES, _choices,
-                              _row_taus, _uvs_sparse, _uvs_spectral)
+                              trials_entropy_gap, _TRIPLES, _UVS_TRIPLES,
+                              _choices, _row_taus, _uvs_sparse, _uvs_spectral)
 from entropic_pfr.descent import _top_support
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
@@ -323,26 +323,46 @@ def _one_slice(ref, Js, triples):
     return _choices(ref, Js.n, keys, w, np.array([0, len(keys)]), triples)[0]
 
 
-def _assert_choices_match_slices(ref, J, budget):
-    """endgame_choices is bit for bit the one-slice choice among the same two
-    triples, and abstract_endgame's up to a gamma = V win by round-off,
-    which maps to its gamma = U twin."""
+def _assert_choices_match_slices(ref, tabs, budget):
+    """endgame_choices is bit for bit the one-slice choice among the triples
+    it scores, gamma = U and gamma = W (gamma = U alone when tabs.X2 is
+    tabs.X1), and abstract_endgame's up to a win by round-off of a dropped
+    row, which maps to its gamma = U twin, the two laws exchanged for a
+    gamma = W row.
+
+    The twin is the row at the same t. The row at t ^ s ties it exactly
+    too: swapping (X1, X2) with (X~1, X~2) fixes S and adds s to U and V,
+    so V | U = t ^ s is V | U = t translated by s. For one law, dropped
+    W rows win by round-off often enough that the least U row falls on
+    either, and its laws are then the translates; for two laws the
+    gamma = V wins of these cases all map to the row at t."""
+    one_law = tabs.X2 is tabs.X1
+    J, n = tabs.joint_UVS, tabs.X1.n
     values = _top_support(J.marginal_dist("S"), budget)
-    batched = endgame_choices(ref, J, values)
+    batched = endgame_choices(ref, tabs, values)
     assert len(batched) == len(values)
     for s, ch in zip(values, batched):
         Js = J.condition("S", s)
-        assert _bits(ch) == _bits(_one_slice(ref, Js, _UVS_TRIPLES))
+        triples = _TRIPLES[:1] if one_law else _UVS_TRIPLES
+        assert _bits(ch) == _bits(_one_slice(ref, Js, triples))
         full = abstract_endgame(ref, Js)
         gamma, _, _, t = full.choice
-        assert ch.choice == ((0, 1, 2, t) if gamma == 1 else full.choice)
+        swapped = one_law and gamma == 2
+        if gamma == 1 or swapped:
+            assert ch.choice[:3] == (0, 1, 2)
+            assert ch.choice[3] in ((t, t ^ s) if one_law else (t,))
+        else:
+            assert ch.choice == full.choice
         assert ch.tau == pytest.approx(full.tau, abs=1e-12)
-        for a, b in ((ch.T1p, full.T1p), (ch.T2p, full.T2p)):
-            assert np.allclose(a.dense(), b.dense(), rtol=0, atol=1e-12)
+        laws = (full.T2p, full.T1p) if swapped else (full.T1p, full.T2p)
+        at = np.arange(1 << n) ^ ch.choice[3] ^ t
+        for a, b in zip((ch.T1p, ch.T2p), laws):
+            assert np.allclose(a.dense(), b.dense()[at], rtol=0, atol=1e-12)
 
 
 def _random_uvs_cases(seed):
-    """(ref, (U, V, S) law, took the spectral cube) on random pairs, n = 3-6."""
+    """(ref, tables, took the spectral cube) on random pairs of two laws,
+    n = 3-6."""
     rng = make_rng(seed)
     for trial in range(12):
         n = 3 + trial % 4
@@ -352,16 +372,32 @@ def _random_uvs_cases(seed):
         X1, X2 = mk(), mk()
         spectral = (3 * n <= ENDGAME_DENSE_BITS
                     and (X1.support_size() * X2.support_size()) ** 2 > 8 ** n)
-        yield RefPair(mk(), mk()), endgame_tables(X1, X2).joint_UVS, spectral
+        yield RefPair(mk(), mk()), endgame_tables(X1, X2), spectral
+
+
+def _one_law_cases(seed):
+    """(ref, tables of the pair (X, X) by _uvs_spectral and by _uvs_sparse),
+    n = 3-6."""
+    rng = make_rng(seed)
+    for trial in range(8):
+        n = 3 + trial % 4
+        size = int(rng.integers(2, 1 + min(1 << n, 10)))
+        mk = lambda: Dist.from_sparse(rng.choice(1 << n, size, replace=False),
+                                      rng.random(size), n=n)
+        X, ref = mk(), RefPair(mk(), mk())
+        for build in (_uvs_spectral, _uvs_sparse):
+            yield ref, EndgameTables(build(X, X), X, X)
 
 
 @pytest.mark.parametrize("budget", [4, 64])
 def test_endgame_choices_equal_the_per_slice_choices_bitwise(budget):
     paths = set()
-    for ref, J, spectral in _random_uvs_cases(62):
+    for ref, tabs, spectral in _random_uvs_cases(62):
         paths.add(spectral)
-        _assert_choices_match_slices(ref, J, budget)
+        _assert_choices_match_slices(ref, tabs, budget)
     assert paths == {True, False}   # the spectral cube and the enumeration
+    for ref, tabs in _one_law_cases(71):    # each law by both constructions
+        _assert_choices_match_slices(ref, tabs, budget)
 
 
 def test_gamma_v_rows_repeat_the_gamma_u_rows():
@@ -385,13 +421,29 @@ def test_gamma_v_rows_repeat_the_gamma_u_rows():
                 assert np.allclose(taus_v, taus_u, rtol=0, atol=1e-12)
 
 
+def test_gamma_w_rows_of_one_law_repeat_the_gamma_u_rows():
+    # with X2 = X1 the four summands are i.i.d.; swapping X2 with X~1
+    # exchanges U and W and fixes V and S, so in every slice U | W = t has
+    # the law of W | U = t, a translate of V | U = t: the rows, and the
+    # row taus, of gamma = W are those of gamma = U
+    for ref, tabs in _one_law_cases(72):
+        J, n = tabs.joint_UVS, tabs.X1.n
+        for s in _top_support(J.marginal_dist("S"), 8):
+            keys, w = J.condition("S", s).items()
+            u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
+            rows_u, taus_u, _, _ = _row_taus(ref, n, sl, u, v, w)
+            rows_w, taus_w, _, _ = _row_taus(ref, n, sl, u ^ v, u, w)
+            assert np.array_equal(rows_w, rows_u)
+            assert np.allclose(taus_w, taus_u, rtol=0, atol=1e-12)
+
+
 def test_endgame_choices_break_exact_ties_as_the_slices_do():
     # for U uniform on a subgroup H, U, V and S are independent and uniform
     # on H: in every slice all candidates tie, and the first one wins
     U = uniform_on([0, 3, 5, 6], 3)
-    J = endgame_tables(U, U).joint_UVS
-    _assert_choices_match_slices(RefPair(U, U), J, 64)
-    chs = endgame_choices(RefPair(U, U), J, [6, 0, 5])
+    tabs = endgame_tables(U, U)
+    _assert_choices_match_slices(RefPair(U, U), tabs, 64)
+    chs = endgame_choices(RefPair(U, U), tabs, [6, 0, 5])
     assert [ch.choice for ch in chs] == [(0, 1, 2, 0)] * 3
 
 
@@ -427,14 +479,34 @@ def _row_counts(J, values):
 def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
     # eight rows of 2^n per chunk: chunks end inside and between slices
     calls = _count_runs(monkeypatch)
-    for ref, J, _ in _random_uvs_cases(63):
+    for ref, tabs, _ in _random_uvs_cases(63):
+        J = tabs.joint_UVS
         monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
         values = _top_support(J.marginal_dist("S"), 64)
         del calls[:]
-        endgame_choices(ref, J, values)
+        endgame_choices(ref, tabs, values)
         assert all(dense and rows <= 8 for dense, rows in calls)
         assert len(calls) == sum(-(-_row_counts(J, values) // 8)) > 2
-        _assert_choices_match_slices(ref, J, 64)
+        _assert_choices_match_slices(ref, tabs, 64)
+
+
+def test_a_pair_of_one_law_scores_only_the_gamma_u_rows(monkeypatch):
+    # one row per chunk: each chunk is one call, so the calls count the
+    # rows scored, gamma = U and gamma = W for two laws, gamma = U for one
+    calls = _count_runs(monkeypatch)
+    rng = make_rng(73)
+    for n in (3, 4, 5):
+        mk = lambda: Dist.from_sparse(rng.choice(1 << n, 6, replace=False),
+                                      rng.random(6), n=n)
+        X, Y, ref = mk(), mk(), RefPair(mk(), mk())
+        monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 1 << n)
+        for tabs, scored in ((endgame_tables(X, Y), [1, 1]),
+                             (endgame_tables(X, X), [1, 0])):
+            values = _top_support(tabs.joint_UVS.marginal_dist("S"), 64)
+            del calls[:]
+            endgame_choices(ref, tabs, values)
+            assert calls and all(dense and rows == 1 for dense, rows in calls)
+            assert len(calls) == _row_counts(tabs.joint_UVS, values) @ scored
 
 
 def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
@@ -463,7 +535,8 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
         compared += all([_compare_with_oracle(ref, J, ch) for ch in (a, b)])
     # at n = 4 another (gamma, t) comes within 1e-9 of the least tau
     assert compared == 2
-    for ref, J, _ in _random_uvs_cases(66):
+    for ref, tabs, _ in _random_uvs_cases(66):
+        J = tabs.joint_UVS
         n = J.n
         if n > 5:
             continue
@@ -485,17 +558,18 @@ def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):
     u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
     H = np.array([0, u, v, u ^ v])
     mk = lambda: Dist.from_sparse(H ^ int(rng.integers(1 << n)), rng.random(4), n=n)
-    J = endgame_tables(mk(), mk()).joint_UVS
-    _assert_choices_match_slices(RefPair(mk(), mk()), J, 64)
+    tabs = endgame_tables(mk(), mk())
+    _assert_choices_match_slices(RefPair(mk(), mk()), tabs, 64)
     assert calls and not any(dense for dense, _ in calls)
 
 
 def test_endgame_choices_reject_a_value_of_zero_mass():
     # S = X1 ^ X2 ^ X~1 ^ X~2 lies in the subgroup {0, 1}: S = 2 has no mass
     X = uniform_on([0, 1], 3)
-    J = endgame_tables(X, X).joint_UVS
+    tabs = endgame_tables(X, X)
+    J = tabs.joint_UVS
     with pytest.raises(ValueError, match="S=2 has zero mass"):
-        endgame_choices(RefPair(X, X), J, [0, 2])
+        endgame_choices(RefPair(X, X), tabs, [0, 2])
     with pytest.raises(ValueError, match="S=2 has zero mass"):
         J.condition("S", 2)
 

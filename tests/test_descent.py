@@ -264,7 +264,7 @@ def test_guard_skipped_class_counts_no_candidates():
 def test_descend_raises_endgame_errors_that_are_not_guards(monkeypatch):
     # only CostGuardExceeded marks the endgame as skipped; any other error
     # is a fault and must reach the caller
-    def broken(ref, J, values):
+    def broken(ref, tabs, values):
         raise ValueError("not a cost guard")
     monkeypatch.setattr(descent, "endgame_choices", broken)
     rng = make_rng(12)

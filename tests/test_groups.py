@@ -111,6 +111,11 @@ def test_rows_must_be_reduced():
         SubgroupBasis(4, (3, 1))
     with pytest.raises(ValueError):
         SubgroupBasis(2, (4,))
+    # zero rows, equal or rising leading bits and negative words are not
+    # canonical either
+    for rows in ((0,), (2, 3), (1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            SubgroupBasis(4, rows)
     assert SubgroupBasis(4, (2, 1)).rank == 2
 
 
