@@ -15,8 +15,7 @@ from .ruzsa import (IneqReport, RefPair, check_cond_distance,
                     cond_rdist, cond_rdist_via_joint, rdist, rdist_matrix)
 from .fibring import FibringReport, cor_sum_pair, fibring_decompose, pair_dist
 from .bsg import (BsgReport, EndgameChoice, EndgameTables, abstract_endgame,
-                  bsg_check, cond_indep_trials, endgame_bound, endgame_tables,
-                  trials_entropy_gap)
+                  bsg_check, endgame_tables)
 from .descent import (DescentState, Move, MoveKind, SubgroupCertificate,
                       descend, diagnostics, entropic_pfr, extract_subgroup,
                       generate_candidates)

@@ -1,13 +1,15 @@
-"""Entropic Balog-Szemeredi-Gowers, conditionally independent trials, and
-the endgame tables over the sum variables U, V, W, S.
+"""Entropic Balog-Szemeredi-Gowers and the endgame tables over the sum
+variables U, V, W, S.
 
 Given independent X1, X2 and fresh copies X~1, X~2:
 
     U = X1 ^ X2,  V = X~1 ^ X2,  W = X1 ^ X~1,  S = X1 ^ X2 ^ X~1 ^ X~2,
 
-so U ^ V ^ W = 0 and S is the sum of all four. The joint law of (U, V, S)
-determines every entropy the endgame estimates need; swapping X1 with X~1
-exchanges U and V while fixing S, which forces I[W:U|S] = I[V:W|S] exactly.
+so U ^ V ^ W = 0 and S is the sum of all four. Each of U, V, W is
+independent of S minus itself, so every information the endgame estimates
+need reads H[U, V, S], H[S] and the two-fold sums X1 * X2, X1 * X1 and
+X2 * X2; swapping X1 with X~1 exchanges U and V while fixing W and S,
+which forces I[W:U|S] = I[V:W|S] exactly.
 
 Descent conditions (U, V, S) on its heaviest values of S and takes the
 abstract endgame choice in each slice; endgame_choices scores all of those
@@ -31,20 +33,18 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dists import CostGuardExceeded, Dist, JointDist, _clean_wht_output, fwht
-from .ruzsa import RefPair, rdist, rdist_matrix, rdist_runs
+from .dists import (CostGuardExceeded, Dist, JointDist, _clean_wht_output, _runs,
+                    fwht, xor_convolve)
+from .ruzsa import RefPair, _rdist_of, rdist_runs
 
 __all__ = [
     "BsgReport",
     "bsg_check",
-    "cond_indep_trials",
-    "trials_entropy_gap",
     "EndgameTables",
     "endgame_tables",
     "EndgameChoice",
     "abstract_endgame",
     "endgame_choices",
-    "endgame_bound",
 ]
 
 ENDGAME_DENSE_BITS = 21   # spectral path: one length-8^n transform
@@ -74,7 +74,7 @@ def bsg_check(J: JointDist, a=0, b=1) -> BsgReport:
     """
     J3 = J.pushforward([[a], [b], [a, b]], ["A", "B", "Z"])
     keys, w = J3.items()
-    cut = np.r_[0, np.flatnonzero(np.diff(keys >> (2 * J.n))) + 1, len(keys)]
+    cut = _runs(keys >> (2 * J.n))
     d = rdist_runs(J.n, J3.axis_values(keys, 0), w, cut)[0]
     lhs = float(np.add.reduceat(w, cut[:-1]) @ d)
     i_ab = J.mutual_info(a, b)
@@ -83,57 +83,44 @@ def bsg_check(J: JointDist, a=0, b=1) -> BsgReport:
     return BsgReport(lhs, i_ab, rhs, rhs - lhs)
 
 
-def cond_indep_trials(J: JointDist, x=0, y=1) -> JointDist:
-    """Two trials of X that are independent conditionally on Y.
-
-    p(x1, x2, y) = p(x1, y) p(x2, y) / p(y); axes come back as (X1, X2, Y).
-    """
-    M = J.marginal([x, y])
-    n = M.n
-    parts = M.slices(0, 1)
-    keys_out: List[np.ndarray] = []
-    w_out: List[np.ndarray] = []
-    for (yval,), mass, law in parts:
-        idx, w = law.items()
-        pair = (idx[:, None] | (idx[None, :] << n)).ravel()
-        keys_out.append(pair | (yval << (2 * n)))
-        w_out.append(mass * np.outer(w, w).ravel())
-    return JointDist(n, 3, ["X1", "X2", "Y"],
-                     keys=np.concatenate(keys_out), w=np.concatenate(w_out))
-
-
-def trials_entropy_gap(J: JointDist, x=0, y=1) -> float:
-    """H[X1, X2, Y] - (2 H[X, Y] - H[Y]); identically zero."""
-    T = cond_indep_trials(J, x, y)
-    M = J.marginal([x, y])
-    return T.entropy() - (2.0 * M.entropy() - M.entropy(1))
-
-
 # -- endgame tables ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class EndgameTables:
-    """The (U, V, S) law of a pair; its informations are computed on read."""
+    """The (U, V, S) law of a pair; its informations are computed on read.
+
+    U, S ^ U and V, S ^ V are pairs of independent copies of C = X1 * X2,
+    so H[U, S] = H[V, S] = 2 H[C]; W and S ^ W are independent, of laws D.
+    """
     joint_UVS: JointDist
     X1: Dist
     X2: Dist
 
     @cached_property
+    def C(self) -> Dist:
+        """X1 * X2, the law of U and of V."""
+        return xor_convolve(self.X1, self.X2)
+
+    @cached_property
+    def D(self) -> Tuple[Dist, Dist]:
+        """(X1 * X1, X2 * X2), the laws of W and of S ^ W."""
+        return xor_convolve(self.X1, self.X1), xor_convolve(self.X2, self.X2)
+
+    @cached_property
     def I1(self) -> float:
-        """I[U : V | S]."""
-        return self.joint_UVS.cond_mutual_info("U", "V", "S")
+        """I[U : V | S] = 4 H[C] - H[U, V, S] - H[S]."""
+        return 4.0 * self.C.entropy() - self.joint_UVS.entropy() - self.H_S
 
     @cached_property
     def I2(self) -> float:
-        """I[W : U | S]."""
-        JW = self.joint_UVS.pushforward([["U", "V"], ["U"], ["S"]], ["W", "U", "S"])
-        return JW.cond_mutual_info("W", "U", "S")
+        """I[W : U | S] = I1 - 2 H[C] + H[D1] + H[D2]."""
+        D1, D2 = self.D
+        return self.I1 - 2.0 * self.C.entropy() + D1.entropy() + D2.entropy()
 
-    @cached_property
+    @property
     def I3(self) -> float:
-        """I[V : W | S]."""
-        JW = self.joint_UVS.pushforward([["V"], ["U", "V"], ["S"]], ["V", "W", "S"])
-        return JW.cond_mutual_info("V", "W", "S")
+        """I[V : W | S], which is I2: the U <-> V swap fixes W and S."""
+        return self.I2
 
     @cached_property
     def H_S(self) -> float:
@@ -142,7 +129,7 @@ class EndgameTables:
     @cached_property
     def k(self) -> float:
         """d[X1; X2]."""
-        return rdist(self.X1, self.X2)
+        return _rdist_of(self.C, self.X1, self.X2)
 
 
 def _uvs_spectral(X1: Dist, X2: Dist) -> JointDist:
@@ -232,21 +219,6 @@ class EndgameChoice:
         return Dist(self.n, idx=self.entries[1], w=self.entries[2])
 
 
-def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
-    """delta + (eta/3)(delta + Sigma), a bound on the endgame's psi.
-
-    psi = tau - eta (d[X01; X1] + d[X02; X2]) for abstract_endgame(ref, J);
-    delta sums the pairwise mutual informations of the triple, Sigma the
-    distance increments from the reference pair to the T's.
-    """
-    J3 = J.pushforward([[0], [1], [0, 1]])
-    delta = J3.mutual_info(0, 1) + J3.mutual_info(0, 2) + J3.mutual_info(1, 2)
-    R = rdist_matrix([ref.X01, ref.X02], [J3.marginal_dist(j) for j in range(3)])
-    sigma = float(R[0].sum() - 3.0 * rdist(ref.X01, X1)
-                  + R[1].sum() - 3.0 * rdist(ref.X02, X2))
-    return delta + (ref.eta / 3.0) * (delta + sigma)
-
-
 def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     """Pick the conditioned pair of least tau from a triple summing to zero.
 
@@ -308,7 +280,7 @@ def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
     key = (sl << n) | given
     order = np.argsort(key, kind="stable")
     key = key[order]
-    bounds = np.r_[0, np.flatnonzero(np.diff(key)) + 1, len(key)]
+    bounds = _runs(key)
     rows = key[bounds[:-1]]
     del key
     d, d1, d2 = rdist_runs(n, law[order], w[order], bounds, [ref.X01, ref.X02])

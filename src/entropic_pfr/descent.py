@@ -47,11 +47,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bsg import EndgameChoice, endgame_choices, endgame_tables
-from .dists import (CostGuardExceeded, Dist, _fibres, uniform_on_subgroup,
-                    xor_convolve)
+from .dists import (CostGuardExceeded, Dist, _cross_fibres, _cross_runs, _runs,
+                    uniform_on_subgroup, xor_convolve)
 from .groups import SubgroupBasis, span
-from .ruzsa import (ETA_DEFAULT, RefPair, _law_key, _rdist_of, cond_rdist, one,
-                    rdist, slices_of)
+from .ruzsa import (ETA_DEFAULT, RefPair, _law_key, _rdist_of, cond_rdist, rdist,
+                    rdist_runs)
 
 __all__ = [
     "MoveKind",
@@ -457,64 +457,52 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     unchanged by translating any of the four laws and by an injective linear
     map, so each law is shifted by its own smallest support point and all
     four are carried into F_2^r, V the span of the shifted supports and r
-    its rank. The distance increments need a 4-axis joint over F_2^r, so
-    r >= 16 raises CostGuardExceeded.
+    its rank. Beyond the (U, V, S) law of endgame_tables, which holds its
+    own cost guards, every law read is a two-fold sum or a fibre of one:
+    given S = s, U and V have the law proportional to C(u) C(u ^ s), and W
+    the law proportional to D1(w) D2(w ^ s) (EndgameTables.C and .D).
     """
     laws = (ref.X01, ref.X02, X1, X2)
     V, (Y01, Y02, X1, X2) = _reduce(laws, [int(X.support()[0]) for X in laws])
-    if 4 * V.rank > 62:
-        raise CostGuardExceeded("diagnostics key bits", 4 * V.rank,
-                                "diagnostics keys need 4r <= 62")
-    ref = RefPair(Y01, Y02, ref.eta)
     eta = ref.eta
     tabs = endgame_tables(X1, X2)
-    k = tabs.k
-    I1, I2, I3 = tabs.I1, tabs.I2, tabs.I3
+    k, I1, I2, I3, H_S = tabs.k, tabs.I1, tabs.I2, tabs.I3, tabs.H_S
     H1 = X1.entropy()
     H2 = X2.entropy()
+    (D1, D2), C = tabs.D, tabs.C
 
-    J = tabs.joint_UVS
     # d[X1 + X~2; X2 + X~1] and its conditioned partner, from the pair
     # fibring identity: the two sums plus I1 recover 2k exactly.
-    C12 = xor_convolve(X1, X2)
-    d_sums = rdist(C12, C12)
+    d_sums = rdist(C, C)
     d_cond = cond_rdist(_cross_fibres(X1, X2), _cross_fibres(X2, X1))
     entries: Dict[str, object] = {
-        "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": tabs.H_S,
+        "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": H_S,
         "sum_dist": d_sums, "cond_sum_dist": d_cond,
     }
     bounds = {
         "sum_split_identity": (d_sums + d_cond + I1, 2.0 * k),
-        "sum_entropy_bound": (tabs.H_S, 0.5 * H1 + 0.5 * H2 + (2.0 + eta) * k - I1),
+        "sum_entropy_bound": (H_S, 0.5 * H1 + 0.5 * H2 + (2.0 + eta) * k - I1),
         "first_info_bound": (I1, 2.0 * eta * k),
-        "self_info_bound": (I2, eta * (rdist(X1, X1) + rdist(X2, X2))),
+        "self_info_bound": (I2, eta * (_rdist_of(D1, X1, X1) + _rdist_of(D2, X2, X2))),
         "info_total_bound": (I1 + I2 + I3,
                              6.0 * eta * k - ((1.0 - 5.0 * eta) / (1.0 - eta))
                              * (2.0 * eta * k - I1)),
     }
-    # distance increments d[X0_i; A | S] - d[X0_i; X_i] for A in {U, V, W}
-    JW = J.pushforward([["U"], ["V"], ["U", "V"], ["S"]], ["U", "V", "W", "S"])
-    slices = [slices_of(JW, A, "S") for A in ("U", "V", "W")]
-    inc_total = 0.0
-    for X0, Xi in ((ref.X01, X1), (ref.X02, X2)):
-        base = rdist(X0, Xi)
-        for sl in slices:
-            inc_total += cond_rdist(one(X0), sl) - base
+    # distance increments d[X0_i; A | S] - d[X0_i; X_i] for A in {U, V, W};
+    # V | S has the law of U | S, so its increments are U's, counted twice
+    inc_total = -3.0 * (rdist(Y01, X1) + rdist(Y02, X2))
+    for A, B, times in ((C, C, 2.0), (D1, D2, 1.0)):
+        s, col, w = _cross_runs(A, B)
+        cut = _runs(s)
+        _, d1, d2 = rdist_runs(V.rank, col, w, cut, [Y01, Y02])
+        inc_total += times * float(np.add.reduceat(w, cut[:-1]) @ (d1 + d2))
     bounds["cond_dist_increment_bound"] = (
-        inc_total, 3.0 * tabs.H_S - 1.5 * (H1 + H2))
+        inc_total, 3.0 * H_S - 1.5 * (H1 + H2))
     bounds["increment_vs_k_bound"] = (
-        3.0 * tabs.H_S - 1.5 * (H1 + H2),
+        3.0 * H_S - 1.5 * (H1 + H2),
         (6.0 - 3.0 * eta) * k + 3.0 * (2.0 * eta * k - I1))
     entries["bounds"] = {
         name: {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "holds": rhs - lhs >= -1e-9}
         for name, (lhs, rhs) in bounds.items()
     }
     return entries
-
-
-def _cross_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
-    """Slices (mass, law of A | A ^ B~ = g) cut from the enumerated pairs,
-    |A| |B| <= 2^14 once diagnostics' endgame_tables has passed its guard."""
-    (ia, wa), (ib, wb) = A.items(), B.items()
-    g = (ia[:, None] ^ ib[None, :]).ravel()
-    return _fibres(g, np.repeat(ia, len(ib)), np.outer(wa, wb).ravel(), A.n)

@@ -296,13 +296,19 @@ class Dist:
         return f"Dist(n={self.n}, support={self.support_size()}, H={self.entropy():.4f})"
 
 
+def _runs(vals: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of equal values in sorted vals: run r is
+    vals[cut[r]:cut[r + 1]]."""
+    return np.r_[0, np.flatnonzero(np.diff(vals)) + 1, len(vals)]
+
+
 def _conditionals(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
                   n: int) -> List[Tuple[int, float, Dist]]:
     """Conditional laws of idx given vals, vals sorted ascending: one
     (value, mass, law on F_2^n) per run of equal values."""
-    cuts = np.flatnonzero(np.diff(vals)) + 1
+    cut = _runs(vals)
     return [(int(vals[lo]), float(w[lo:hi].sum()), Dist(n, idx=idx[lo:hi], w=w[lo:hi]))
-            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(vals)])]
+            for lo, hi in zip(cut[:-1], cut[1:])]
 
 
 def _fibres(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
@@ -313,6 +319,22 @@ def _fibres(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
     order = np.argsort(vals, kind="stable")
     return [(mass, law) for _, mass, law
             in _conditionals(vals[order], idx[order], w[order], n)]
+
+
+def _cross_runs(A: Dist, B: Dist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support pairs (a, b) of A and an independent B~ of B's law,
+    stable-sorted by g = a ^ b: the sorted g, each pair's a and its weight
+    A(a) B(b). The run (_runs) of one g holds the law of A | A ^ B~ = g."""
+    (ia, wa), (ib, wb) = A.items(), B.items()
+    g = (ia[:, None] ^ ib[None, :]).ravel()
+    order = np.argsort(g, kind="stable")
+    return g[order], np.repeat(ia, len(ib))[order], np.outer(wa, wb).ravel()[order]
+
+
+def _cross_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
+    """One (mass, law of A | A ^ B~ = g) per value g of A ^ B~, ascending,
+    cut from _cross_runs."""
+    return [(mass, law) for _, mass, law in _conditionals(*_cross_runs(A, B), A.n)]
 
 
 def uniform_on(S: Iterable[int], n: int) -> Dist:

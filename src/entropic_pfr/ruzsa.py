@@ -22,7 +22,9 @@ import numpy as np
 from .dists import (
     Dist,
     JointDist,
+    _cross_fibres,
     _entropy_rows,
+    _entropy_weights,
     conv_entropy,
     entropy,
     fwht,
@@ -311,23 +313,25 @@ def check_sum_shift(X: Dist, Y: Dist, Z: Dist) -> IneqReport:
 
 
 def check_sum_shift_cond(X: Dist, Y: Dist, Z: Dist) -> IneqReport:
-    """d[X; Y|Y+Z] - d[X;Y] <= (H[Y+Z] - H[Z])/2 for independent Y, Z."""
-    J = JointDist.independent_product([Y, Z], ["Y", "Z"])
-    YS = J.pushforward([["Y"], ["Y", "Z"]], ["Y", "S"])
-    lhs = cond_rdist(one(X), slices_of(YS, "Y", "S")) - rdist(X, Y)
-    rhs = 0.5 * (YS.entropy("S") - Z.entropy())
+    """d[X; Y|Y+Z] - d[X;Y] <= (H[Y+Z] - H[Z])/2 for independent Y, Z.
+
+    The masses of the fibres Y | Y + Z = s are the law of Y + Z."""
+    fibres = _cross_fibres(Y, Z)
+    lhs = cond_rdist(one(X), fibres) - rdist(X, Y)
+    rhs = 0.5 * (_entropy_weights([p for p, _ in fibres]) - Z.entropy())
     return IneqReport("sum-shift-cond", lhs, rhs)
 
 
 def check_double_shift(X: Dist, Y: Dist, Z: Dist, Zp: Dist) -> IneqReport:
     """d[X; Y+Z | Y+Z+Z'] - d[X;Y] <= (H[Y+Z+Z'] + H[Y+Z] - H[Y] - H[Z'])/2.
 
-    Y, Z, Z' independent.
+    Y, Z, Z' independent; T = Y + Z is conditioned as in check_sum_shift_cond.
     """
-    J = JointDist.independent_product([Y, Z, Zp], ["Y", "Z", "Zp"])
-    TU = J.pushforward([["Y", "Z"], ["Y", "Z", "Zp"]], ["T", "U"])
-    lhs = cond_rdist(one(X), slices_of(TU, "T", "U")) - rdist(X, Y)
-    rhs = 0.5 * (TU.entropy("U") + TU.entropy("T") - Y.entropy() - Zp.entropy())
+    T = xor_convolve(Y, Z)
+    fibres = _cross_fibres(T, Zp)
+    lhs = cond_rdist(one(X), fibres) - rdist(X, Y)
+    rhs = 0.5 * (_entropy_weights([p for p, _ in fibres]) + T.entropy()
+                 - Y.entropy() - Zp.entropy())
     return IneqReport("double-shift", lhs, rhs)
 
 

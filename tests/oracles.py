@@ -1,0 +1,159 @@
+"""Second implementations the tests compare the package against.
+
+The library reads the endgame informations, the diagnostics and the
+sum-conditioned checks off two-fold sums. The paths here build the joint
+laws instead (pushforwards of the (U, V, S) law, a 4-axis (U, V, W, S)
+joint, product joints) and cut them with JointDist.slices. Also here are
+constructions only the tests use: conditionally independent trials and a
+bound on the abstract endgame's psi.
+"""
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from entropic_pfr.bsg import endgame_tables
+from entropic_pfr.descent import _reduce
+from entropic_pfr.dists import Dist, JointDist, xor_convolve
+from entropic_pfr.ruzsa import (IneqReport, RefPair, cond_rdist, one, rdist,
+                                rdist_matrix, slices_of)
+
+
+# -- the endgame informations and diagnostics through pushforwards ------------
+
+def endgame_informations(J: JointDist) -> Tuple[float, float, float]:
+    """I[U : V | S], I[W : U | S] and I[V : W | S] of the (U, V, S) law J,
+    each a conditional mutual information of a pushforward."""
+    I1 = J.cond_mutual_info("U", "V", "S")
+    JW = J.pushforward([["U", "V"], ["U"], ["S"]], ["W", "U", "S"])
+    I2 = JW.cond_mutual_info("W", "U", "S")
+    JW = J.pushforward([["V"], ["U", "V"], ["S"]], ["V", "W", "S"])
+    I3 = JW.cond_mutual_info("V", "W", "S")
+    return I1, I2, I3
+
+
+def product_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
+    """(mass, law of A | A ^ B~ = g) cut from the product joint of A and B."""
+    J = JointDist.independent_product([A, B], ["A", "B"])
+    return slices_of(J.pushforward([["A"], ["A", "B"]], ["A", "G"]), "A", "G")
+
+
+def diagnostics_via_joints(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
+    """descent.diagnostics with every law cut from a joint: I1-I3 from
+    endgame_informations, the sum fibres from product joints and the
+    distance increments from slices of the 4-axis (U, V, W, S) pushforward,
+    which packs 4r key bits and so needs r <= 15."""
+    laws = (ref.X01, ref.X02, X1, X2)
+    _, (Y01, Y02, X1, X2) = _reduce(laws, [int(X.support()[0]) for X in laws])
+    eta = ref.eta
+    J = endgame_tables(X1, X2).joint_UVS
+    k = rdist(X1, X2)
+    I1, I2, I3 = endgame_informations(J)
+    H_S = J.entropy("S")
+    H1, H2 = X1.entropy(), X2.entropy()
+    C12 = xor_convolve(X1, X2)
+    d_sums = rdist(C12, C12)
+    d_cond = cond_rdist(product_fibres(X1, X2), product_fibres(X2, X1))
+    entries: Dict[str, object] = {
+        "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": H_S,
+        "sum_dist": d_sums, "cond_sum_dist": d_cond,
+    }
+    bounds = {
+        "sum_split_identity": (d_sums + d_cond + I1, 2.0 * k),
+        "sum_entropy_bound": (H_S, 0.5 * H1 + 0.5 * H2 + (2.0 + eta) * k - I1),
+        "first_info_bound": (I1, 2.0 * eta * k),
+        "self_info_bound": (I2, eta * (rdist(X1, X1) + rdist(X2, X2))),
+        "info_total_bound": (I1 + I2 + I3,
+                             6.0 * eta * k - ((1.0 - 5.0 * eta) / (1.0 - eta))
+                             * (2.0 * eta * k - I1)),
+    }
+    JW = J.pushforward([["U"], ["V"], ["U", "V"], ["S"]], ["U", "V", "W", "S"])
+    slices = [slices_of(JW, A, "S") for A in ("U", "V", "W")]
+    inc_total = 0.0
+    for X0, Xi in ((Y01, X1), (Y02, X2)):
+        base = rdist(X0, Xi)
+        for sl in slices:
+            inc_total += cond_rdist(one(X0), sl) - base
+    bounds["cond_dist_increment_bound"] = (inc_total, 3.0 * H_S - 1.5 * (H1 + H2))
+    bounds["increment_vs_k_bound"] = (
+        3.0 * H_S - 1.5 * (H1 + H2),
+        (6.0 - 3.0 * eta) * k + 3.0 * (2.0 * eta * k - I1))
+    entries["bounds"] = {
+        name: {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "holds": rhs - lhs >= -1e-9}
+        for name, (lhs, rhs) in bounds.items()
+    }
+    return entries
+
+
+def diagnostics_gap(got: Dict[str, object], want: Dict[str, object]) -> float:
+    """The largest deviation of any entry and any bound's lhs, rhs and slack;
+    the two reports must name the same entries and bounds."""
+    assert set(got) == set(want)
+    assert set(got["bounds"]) == set(want["bounds"])
+    gap = max(abs(got[key] - want[key]) for key in want if key != "bounds")
+    for name, b in want["bounds"].items():
+        gap = max(gap, *(abs(got["bounds"][name][part] - b[part])
+                         for part in ("lhs", "rhs", "slack")))
+    return gap
+
+
+# -- the sum-conditioned checks through product joints -----------------------
+
+def sum_shift_cond_via_joint(X: Dist, Y: Dist, Z: Dist) -> IneqReport:
+    """ruzsa.check_sum_shift_cond on the product joint of (Y, Z)."""
+    J = JointDist.independent_product([Y, Z], ["Y", "Z"])
+    YS = J.pushforward([["Y"], ["Y", "Z"]], ["Y", "S"])
+    lhs = cond_rdist(one(X), slices_of(YS, "Y", "S")) - rdist(X, Y)
+    rhs = 0.5 * (YS.entropy("S") - Z.entropy())
+    return IneqReport("sum-shift-cond", lhs, rhs)
+
+
+def double_shift_via_joint(X: Dist, Y: Dist, Z: Dist, Zp: Dist) -> IneqReport:
+    """ruzsa.check_double_shift on the product joint of (Y, Z, Z')."""
+    J = JointDist.independent_product([Y, Z, Zp], ["Y", "Z", "Zp"])
+    TU = J.pushforward([["Y", "Z"], ["Y", "Z", "Zp"]], ["T", "U"])
+    lhs = cond_rdist(one(X), slices_of(TU, "T", "U")) - rdist(X, Y)
+    rhs = 0.5 * (TU.entropy("U") + TU.entropy("T") - Y.entropy() - Zp.entropy())
+    return IneqReport("double-shift", lhs, rhs)
+
+
+# -- constructions only the tests use ----------------------------------------
+
+def cond_indep_trials(J: JointDist, x=0, y=1) -> JointDist:
+    """Two trials of X that are independent conditionally on Y.
+
+    p(x1, x2, y) = p(x1, y) p(x2, y) / p(y); axes come back as (X1, X2, Y).
+    """
+    M = J.marginal([x, y])
+    n = M.n
+    parts = M.slices(0, 1)
+    keys_out: List[np.ndarray] = []
+    w_out: List[np.ndarray] = []
+    for (yval,), mass, law in parts:
+        idx, w = law.items()
+        pair = (idx[:, None] | (idx[None, :] << n)).ravel()
+        keys_out.append(pair | (yval << (2 * n)))
+        w_out.append(mass * np.outer(w, w).ravel())
+    return JointDist(n, 3, ["X1", "X2", "Y"],
+                     keys=np.concatenate(keys_out), w=np.concatenate(w_out))
+
+
+def trials_entropy_gap(J: JointDist, x=0, y=1) -> float:
+    """H[X1, X2, Y] - (2 H[X, Y] - H[Y]); identically zero."""
+    T = cond_indep_trials(J, x, y)
+    M = J.marginal([x, y])
+    return T.entropy() - (2.0 * M.entropy() - M.entropy(1))
+
+
+def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
+    """delta + (eta/3)(delta + Sigma), a bound on the endgame's psi.
+
+    psi = tau - eta (d[X01; X1] + d[X02; X2]) for abstract_endgame(ref, J);
+    delta sums the pairwise mutual informations of the triple, Sigma the
+    distance increments from the reference pair to the T's.
+    """
+    J3 = J.pushforward([[0], [1], [0, 1]])
+    delta = J3.mutual_info(0, 1) + J3.mutual_info(0, 2) + J3.mutual_info(1, 2)
+    R = rdist_matrix([ref.X01, ref.X02], [J3.marginal_dist(j) for j in range(3)])
+    sigma = float(R[0].sum() - 3.0 * rdist(ref.X01, X1)
+                  + R[1].sum() - 3.0 * rdist(ref.X02, X2))
+    return delta + (ref.eta / 3.0) * (delta + sigma)

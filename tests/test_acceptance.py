@@ -24,6 +24,7 @@ from entropic_pfr.ruzsa import (ETA_DEFAULT, RefPair, check_cond_distance,
                                 check_ruzsa_diff, check_submodularity,
                                 check_sum_shift, check_sum_shift_cond,
                                 check_triangle, rdist)
+from oracles import diagnostics_gap, diagnostics_via_joints
 
 ETA = ETA_DEFAULT
 
@@ -267,12 +268,17 @@ def test_10_terminal_state_estimates(capsys):
 
     stalled = 0
     worst_i1 = -np.inf
+    # every terminal state's diagnostics against the pushforward oracle
+    worst_gap = 0.0
     ok = True
     for ref, st in runs:
+        diag = diagnostics(ref, st.X1, st.X2)
+        worst_gap = max(worst_gap, diagnostics_gap(
+            diag, diagnostics_via_joints(ref, st.X1, st.X2)))
         if st.k > 1e-6:
             stalled += 1
             ok &= not st.converged
-            ok &= "bounds" in diagnostics(ref, st.X1, st.X2)
+            ok &= "bounds" in diag
         else:
             ok &= st.converged
             I1 = endgame_tables(st.X1, st.X2).I1
@@ -284,7 +290,11 @@ def test_10_terminal_state_estimates(capsys):
     ref = RefPair(X01, X02)
     st = descend(ref, X02, X01, eps_d=1e-6, max_iter=1)
     forced = diagnostics(ref, st.X1, st.X2)
+    worst_gap = max(worst_gap, diagnostics_gap(
+        forced, diagnostics_via_joints(ref, st.X1, st.X2)))
     ok &= not st.converged and st.k > 1e-6 and "bounds" in forced
+    ok &= worst_gap <= 1e-12
     report(capsys, 10, ok,
            f"{len(runs)} runs, {stalled} non-converged (each dumped), "
-           f"worst I1 - 2*eta*k {worst_i1:.2e}, forced stall dumped")
+           f"worst I1 - 2*eta*k {worst_i1:.2e}, forced stall dumped, "
+           f"diagnostics within {worst_gap:.2e} of the pushforward oracle")

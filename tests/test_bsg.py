@@ -9,14 +9,15 @@ import pytest
 
 from entropic_pfr import dists, ruzsa
 from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice, EndgameTables,
-                              abstract_endgame, bsg_check, cond_indep_trials,
-                              endgame_bound, endgame_choices, endgame_tables,
-                              trials_entropy_gap, _TRIPLES, _UVS_TRIPLES,
+                              abstract_endgame, bsg_check, endgame_choices,
+                              endgame_tables, _TRIPLES, _UVS_TRIPLES,
                               _choices, _row_taus, _uvs_sparse, _uvs_spectral)
 from entropic_pfr.descent import _top_support
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
 from entropic_pfr.ruzsa import RefPair, rdist, rdist_pairs
+from oracles import (cond_indep_trials, endgame_bound, endgame_informations,
+                     trials_entropy_gap)
 
 
 def brute_uvs_table(X1, X2):
@@ -65,6 +66,11 @@ def test_endgame_informations_and_symmetry():
         J = t.joint_UVS
         assert t.I1 == pytest.approx(J.cond_mutual_info("U", "V", "S"),
                                      abs=1e-12)
+        # I2 and I3 from the pushforwards of the joint to (W, U, S) and
+        # (V, W, S); the tables read them off the two-fold sums
+        _, I2, I3 = endgame_informations(J)
+        assert t.I2 == pytest.approx(I2, abs=1e-12)
+        assert t.I3 == pytest.approx(I3, abs=1e-12)
 
 
 def test_spectral_and_sparse_constructions_agree():

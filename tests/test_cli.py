@@ -4,13 +4,15 @@ import json
 import pytest
 
 import entropic_pfr.cli as cli
+from entropic_pfr.bsg import endgame_tables
 from entropic_pfr.cli import SUITES, main
 from entropic_pfr.cover import SetInput, save_set
 from entropic_pfr.dists import CostGuardExceeded, uniform_on
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import (make_rng, random_coset_union, random_dist,
                                   random_joint)
-from entropic_pfr.ruzsa import IneqReport
+from entropic_pfr.ruzsa import IneqReport, rdist
+from oracles import endgame_informations
 
 
 def run(capsys, argv):
@@ -158,6 +160,19 @@ def test_endgame_subcommand(capsys, tmp_path):
     row = json.loads(lines[0])
     assert row["k"] == pytest.approx(0.0, abs=1e-12)
     assert row["I2"] == pytest.approx(row["I3"], abs=1e-10)
+    # a random pair against the pushforward oracle
+    rng = make_rng(6)
+    X1, X2 = random_dist(rng, 4), random_dist(rng, 4)
+    a, b = dist_file(tmp_path, "e1.json", X1), dist_file(tmp_path, "e2.json", X2)
+    code, lines = run(capsys, ["endgame", "--x1", a, "--x2", b])
+    assert code == 0
+    row = json.loads(lines[0])
+    J = endgame_tables(X1, X2).joint_UVS
+    want = dict(zip(["I1", "I2", "I3"], endgame_informations(J)),
+                k=rdist(X1, X2), H_S=J.entropy("S"))
+    assert set(row) == set(want)
+    for key, value in want.items():
+        assert row[key] == pytest.approx(value, rel=0, abs=1e-12), key
 
 
 def test_descend_converges_on_coset_pair(capsys, tmp_path):

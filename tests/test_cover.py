@@ -16,6 +16,7 @@ from entropic_pfr.dists import (CostGuardExceeded, fwht, uniform_on,
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import make_rng, random_coset_union, random_subgroup
 from entropic_pfr.ruzsa import RefPair, rdist
+from oracles import diagnostics_gap, diagnostics_via_joints
 from test_descent import random_embedding, tau_path
 
 
@@ -412,7 +413,7 @@ def test_pipeline_records_only_cost_guards_from_diagnostics(monkeypatch):
         return st, extract_subgroup(U)
 
     def guarded(ref, X1, X2):
-        raise CostGuardExceeded("diagnostics key bits", 64, "too wide")
+        raise CostGuardExceeded("ENDGAME_SUPPORT_CAP", 6400 ** 2, "too wide")
 
     def broken(ref, X1, X2):
         raise ValueError("not a cost guard")
@@ -456,9 +457,9 @@ def test_pipeline_is_blind_to_injective_affine_embeddings(N):
 
 
 def test_pipeline_diagnostics_run_in_span_coordinates():
-    # 12 random points of F_2^6 moved into F_2^16, where 4n = 64 key bits
-    # would trip the diagnostics guard: the diagnostics read the span of
-    # the laws instead, so a stalled run reports what it reports at n = 6
+    # 12 random points of F_2^6 moved into F_2^16: the diagnostics read the
+    # span of the laws, so a stalled run reports what it reports at n = 6,
+    # and both agree with the pushforward oracle
     pts = np.random.default_rng(3).choice(64, size=12, replace=False)
     f = random_embedding(make_rng(16), 6, 16)
     _, report = pfr_pipeline(SetInput(6, tuple(int(p) for p in pts)), max_iter=0)
@@ -474,3 +475,6 @@ def test_pipeline_diagnostics_run_in_span_coordinates():
         assert got["holds"] == b["holds"], name
         for part in ("lhs", "rhs", "slack"):
             assert got[part] == pytest.approx(b[part], rel=0, abs=1e-12), name
+    st_N = report_N["descent"]
+    assert diagnostics_gap(diag_N, diagnostics_via_joints(
+        st_N.ref, st_N.X1, st_N.X2)) <= 1e-12

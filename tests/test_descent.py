@@ -15,6 +15,7 @@ from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.groups import LinearMap, span
 from entropic_pfr.randgen import make_rng, random_coset_union, random_dist
 from entropic_pfr.ruzsa import ETA_DEFAULT, RefPair, _law_key, rdist
+from oracles import diagnostics_gap, diagnostics_via_joints
 
 
 def random_ref(rng, n: int) -> RefPair:
@@ -528,18 +529,43 @@ def test_converged_state_satisfies_minimizer_bounds():
                            / (1.0 - eta) + 1e-6)
 
 
-def test_diagnostics_guard_on_key_bits():
-    # the 4-axis joint of the distance increments packs 4r bits per key, r
-    # the rank of the span of the shifted supports: 0 and the 16 unit
-    # vectors span all of F_2^16
-    X = uniform_on([0] + [1 << b for b in range(16)], 16)
-    with pytest.raises(CostGuardExceeded, match="4r <= 62") as err:
-        diagnostics(RefPair(X, X), X, X)
-    assert (err.value.guard, err.value.size) == ("diagnostics key bits", 64)
+def test_diagnostics_run_on_a_span_of_sixteen_dimensions():
+    # references on 0 and the 16 unit vectors span all of F_2^16, where the
+    # 4-axis (U, V, W, S) joint of the pushforward path would need 64 key
+    # bits; the fibres of the two-fold sums need no packed keys
+    ref = RefPair(*[uniform_on([0] + [1 << b for b in range(16)], 16)] * 2)
+    X1, X2 = uniform_on([0, 1, 6, 40], 16), uniform_on([3, 5, 9], 16)
+    d = diagnostics(ref, X1, X2)
+    assert set(d) == {"k", "I1", "I2", "I3", "H_S", "sum_dist",
+                      "cond_sum_dist", "bounds"}
+    assert set(d["bounds"]) == {
+        "sum_split_identity", "sum_entropy_bound", "first_info_bound",
+        "self_info_bound", "info_total_bound", "cond_dist_increment_bound",
+        "increment_vs_k_bound"}
+    for b in d["bounds"].values():
+        assert set(b) == {"lhs", "rhs", "slack", "holds"}
+        assert all(np.isfinite(b[part]) for part in ("lhs", "rhs", "slack"))
+    assert d["I3"] == d["I2"]
+    assert abs(d["bounds"]["sum_split_identity"]["slack"]) <= 1e-9
     # sparse laws at n = 16 on small cosets span few dimensions and run
     mk = coset_law_maker(make_rng(13), 16)
     X1, X2 = mk(), mk()
     assert diagnostics(RefPair(X1, X2), X1, X2)["bounds"]
+
+
+def test_diagnostics_match_the_pushforward_oracle():
+    # random pairs and references at n = 3-6; every fourth pair is one law
+    # twice, held as one object or as two
+    rng = make_rng(98)
+    worst = 0.0
+    for i in range(48):
+        n = 3 + i % 4
+        X1 = random_dist(rng, n)
+        X2 = random_dist(rng, n) if i % 4 else (X1 if i % 8 else Dist(n, dense=X1.dense()))
+        ref = random_ref(rng, n) if i % 3 else RefPair(X1, X1)
+        worst = max(worst, diagnostics_gap(diagnostics(ref, X1, X2),
+                                           diagnostics_via_joints(ref, X1, X2)))
+    assert worst <= 1e-12
 
 
 # -- descent in the intrinsic dimension ---------------------------------------

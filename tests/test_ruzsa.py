@@ -20,6 +20,7 @@ from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 cond_rdist_via_joint, one, rdist,
                                 rdist_matrix, rdist_one_many, rdist_paired,
                                 rdist_pairs, rdist_runs, slices_of)
+from oracles import double_shift_via_joint, sum_shift_cond_via_joint
 
 
 def test_distance_of_three_point_uniform_with_itself():
@@ -303,3 +304,20 @@ def test_sum_shift_entropy_forms():
     assert r.rhs >= -1e-12
     assert r.lhs == pytest.approx(
         rdist(X, xor_convolve(Y, Z)) - rdist(X, Y), abs=1e-12)
+
+
+def test_sum_conditioned_checks_match_the_product_joint_oracle():
+    # check_sum_shift_cond and check_double_shift cut their fibres from the
+    # support pairs; the oracle cuts them from the product joint
+    rng = make_rng(40)
+    worst = 0.0
+    for n in range(8):
+        for _ in range(12):
+            X, Y, Z, Zp = (random_dist(rng, n) for _ in range(4))
+            for got, want in ((check_sum_shift_cond(X, Y, Z),
+                               sum_shift_cond_via_joint(X, Y, Z)),
+                              (check_double_shift(X, Y, Z, Zp),
+                               double_shift_via_joint(X, Y, Z, Zp))):
+                assert got.name == want.name and got.holds == want.holds
+                worst = max(worst, abs(got.lhs - want.lhs), abs(got.rhs - want.rhs))
+    assert worst <= 1e-12
