@@ -24,6 +24,7 @@ summands are i.i.d. and S3 permutes U, V, W inside each slice: the swap
 X2 <-> X~1 exchanges U and W, so (U, V) | W = t has the law of
 (W, V) | U = t, and endgame_choices drops the gamma = W rows too.
 abstract_endgame takes a general (T1, T2) law and scores all three gammas.
+Both pick the first row within ruzsa.TIE_TOL of the least tau, in tie order.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dists import (CostGuardExceeded, Dist, JointDist, _clean_wht_output, _runs,
                     fwht, xor_convolve)
-from .ruzsa import RefPair, _rdist_of, rdist_runs
+from .ruzsa import RefPair, _first_least, _rdist_of, rdist_runs
 
 __all__ = [
     "BsgReport",
@@ -189,10 +190,8 @@ def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
 
 # -- the abstract endgame choice ---------------------------------------------
 
-# (gamma, alpha, beta) in tie order, alpha < beta. Slices of the (U, V, S)
-# law are symmetric in U and V, so there the gamma = V triple repeats the
-# gamma = U one; for a pair of one law they are symmetric in U, V and W,
-# and the gamma = U triple stands for all three.
+# (gamma, alpha, beta) in tie order, alpha < beta; endgame_choices drops
+# the triples that repeat gamma = U in its slices (see above).
 _TRIPLES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 _UVS_TRIPLES = (_TRIPLES[0], _TRIPLES[2])
 
@@ -225,10 +224,10 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     J is the two-axis law of (T1, T2); T3 := T1 ^ T2. For each gamma, the
     other two members alpha < beta and each t in the support of T_gamma,
     score (T_alpha | T_gamma = t, T_beta | T_gamma = t) by its tau and
-    return the exact minimizer, first in (gamma, t) order on ties; the twin
-    (beta, alpha) has the same tau and is not scored. Only the support of
-    J, which is all J stores, is visited. J need not be symmetric, so all
-    three gammas are scored.
+    return the first row in (gamma, t) order within TIE_TOL of the least;
+    the twin (beta, alpha) has the same tau and is not scored. Only the
+    support of J, which is all J stores, is visited. J need not be
+    symmetric, so all three gammas are scored.
     """
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
@@ -242,16 +241,10 @@ def endgame_choices(ref: RefPair, tabs: EndgameTables, values) -> List[EndgameCh
 
     S is the highest axis of the (U, V, S) law, so each slice is one run of
     the ascending keys, normalized as condition does; every slice is scored
-    in one batched pass. Each slice is symmetric in U and V, so only
-    gamma = U and gamma = W are scored; when tabs.X2 is tabs.X1 each slice
-    is symmetric in U, V and W, and only gamma = U is scored. A choice is
-    that of abstract_endgame(ref, J.condition("S", s)), except where
-    round-off puts a dropped row strictly lowest. Its gamma = U twin at the
-    same t ties it exactly, and so does the gamma = U row at t ^ s
-    (swapping (X1, X2) with (X~1, X~2) fixes S and adds s to U and V), so
-    the first least gamma = U row is picked in its place: the same tau up
-    to round-off, and the dropped row's laws, T1p and T2p exchanged for a
-    gamma = W row, and translated by s for the row at t ^ s.
+    in one batched pass, by its gamma = U and gamma = W rows, or gamma = U
+    alone when tabs.X2 is tabs.X1. Each dropped row ties, in exact
+    arithmetic, the gamma = U row at its t, which comes first in tie order,
+    so each choice is abstract_endgame(ref, J.condition("S", s)), bit for bit.
     """
     J = tabs.joint_UVS
     n = J.n
@@ -293,32 +286,25 @@ def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
     keys[start[j]:start[j + 1]], ascending, with weights of mass one,
     among the given (gamma, alpha, beta) triples in tie order.
 
-    abstract_endgame passes all of _TRIPLES; endgame_choices passes
-    _UVS_TRIPLES, which drops gamma = V, or for a pair of one law the
-    gamma = U triple alone. For each gamma the rows are the
-    (slice, t) pairs, each one law L = T_alpha | T_gamma = t, whose tau
-    _row_taus scores once for both twins; each row's arithmetic does not
-    depend on the rows beside it (the batch contract of dists.fwht). The
-    first least row of each slice is read from _row_taus's sort, and only
-    its entries are kept, copied; its Dists are built when read.
+    For each gamma the rows are the (slice, t) pairs, each one law
+    L = T_alpha | T_gamma = t, scored once for both twins by _row_taus; a
+    row's arithmetic does not depend on the rows beside it (the batch
+    contract of dists.fwht). Each slice picks by ruzsa._first_least over
+    its rows in (triple, t) order and keeps a copy of the picked row's
+    entries, read from _row_taus's sort; its Dists are built when read.
     """
-    m = len(start) - 1
-    vals = [keys & ((1 << n) - 1), keys >> n]
+    m, mask = len(start) - 1, (1 << n) - 1
+    vals = [keys & mask, keys >> n]
     vals.append(vals[0] ^ vals[1])
     sl = np.repeat(np.arange(m), np.diff(start))     # slice of each entry
-    low, arg, kept = [], [], []
-    for gamma, alpha, beta in triples:
-        rows, taus, order, bounds = _row_taus(ref, n, sl, vals[gamma], vals[alpha], w)
-        row_sl = rows >> n
-        first = np.searchsorted(row_sl, np.arange(m))   # t ascending within
-        least = np.minimum.reduceat(taus, first)
-        hit = np.flatnonzero(taus == least[row_sl])
-        win = hit[np.searchsorted(hit, first)]          # first least row
-        low.append(least)
-        arg.append(rows[win] & ((1 << n) - 1))
-        kept.append([(vals[alpha][e], vals[beta][e], w[e])
-                     for e in (order[bounds[r]:bounds[r + 1]] for r in win)])
-        del order    # not held while the next gamma sorts
-    pick = np.argmin(low, axis=0)    # first least in tie order
-    return [EndgameChoice(float(low[c][j]), (*triples[c], int(arg[c][j])), n, kept[c][j])
-            for j, c in enumerate(pick)]
+    rows, taus, order, bounds = zip(*(_row_taus(ref, n, sl, vals[g], vals[a], w)
+                                      for g, a, _ in triples))
+    first = np.cumsum([0] + [len(r) for r in rows])  # each triple's first row
+    rows, taus = np.concatenate(rows), np.concatenate(taus)
+    by_slice = np.argsort(rows >> n, kind="stable")  # (slice, triple, t)
+    win = by_slice[_first_least(taus[by_slice], _runs(rows[by_slice] >> n))]
+    tri = np.searchsorted(first, win, "right") - 1   # each pick's triple
+    es = [order[c][bounds[c][r]:bounds[c][r + 1]] for c, r in zip(tri, win - first[tri])]
+    return [EndgameChoice(float(taus[i]), (*triples[c], int(rows[i]) & mask), n,
+                          (vals[triples[c][1]][e], vals[triples[c][2]][e], w[e]))
+            for i, c, e in zip(win.tolist(), tri.tolist(), es)]

@@ -30,14 +30,14 @@ from .ruzsa import (ETA_DEFAULT, check_cond_distance, check_double_shift,
 
 # suite -> (its check's name, looked up on each trial so that a replaced module
 # function is the check run; its draws in order, None for a Dist and labels
-# for a joint; the --dim range it can draw and pack into 62-bit keys)
+# for a joint; the --dim range it can draw, every key it packs in 62 bits)
 _SUITES = {
     "triangle": ("check_triangle", [None] * 3, (0, 62)),
     "madiman": ("check_madiman", [None] * 3, (0, 62)),
     "cond-distance": ("check_cond_distance", [["X", "Z"], ["Y", "W"]], (1, 31)),
     "sum-shift": ("check_sum_shift", [None] * 3, (0, 62)),
-    "sum-shift-cond": ("check_sum_shift_cond", [None] * 3, (0, 31)),
-    "double-shift": ("check_double_shift", [None] * 4, (0, 20)),
+    "sum-shift-cond": ("check_sum_shift_cond", [None] * 3, (0, 62)),
+    "double-shift": ("check_double_shift", [None] * 4, (0, 62)),
     "ruzsa-diff": ("check_ruzsa_diff", [None] * 2, (0, 62)),
     "submodularity": ("check_submodularity", [["A", "B", "C"]], (1, 20)),
     "bsg": ("bsg_check", [["A", "B"]], (1, 20)),   # keys of (A, B, A ^ B)

@@ -13,10 +13,10 @@ and fibre classes, each distinct law transformed once per class; the
 endgame scores all of its slices of S in one pass (bsg.endgame_choices).
 A class whose table construction trips a cost guard (CostGuardExceeded
 only) is skipped for that iteration and the skip is recorded in the
-trace, next to each class's wall time and candidate count. Candidates are
-compared by tau, values within TIE_TOL counting as ties, with ties resolved
-by class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame),
-then by parameter order.
+trace, next to each class's wall time and candidate count. The pick is
+the first candidate within ruzsa.TIE_TOL of the least tau, in class order
+(sum-self, fibre-cross, sum-cross, fibre-self, endgame), then parameter
+order: the tie rule the endgame applies inside its slices.
 
 A pair of byte-equal laws is held as one object, and so is the reference
 pair. While X1 is X2, X1 + X2 is X1 + X1 and the self fibres are the cross
@@ -50,8 +50,8 @@ from .bsg import EndgameChoice, endgame_choices, endgame_tables
 from .dists import (CostGuardExceeded, Dist, _cross_fibres, _cross_runs, _runs,
                     uniform_on_subgroup, xor_convolve)
 from .groups import SubgroupBasis, span
-from .ruzsa import (ETA_DEFAULT, RefPair, _law_key, _rdist_of, cond_rdist, rdist,
-                    rdist_runs)
+from .ruzsa import (ETA_DEFAULT, RefPair, _first_least, _law_key, _rdist_of,
+                    cond_rdist, rdist, rdist_runs)
 
 __all__ = [
     "MoveKind",
@@ -70,9 +70,6 @@ EPS_D = 1e-4
 BUDGET = 64
 MAX_ITER = 200
 SNAPSHOT_CAP = 16
-# A later candidate displaces the incumbent only when lower by more than
-# this, so round-off in one class's arithmetic cannot reorder the classes.
-TIE_TOL = 1e-12
 
 
 class MoveKind(str, Enum):
@@ -226,11 +223,10 @@ def _class_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
 
 
 def _best(moves: Sequence[Move]) -> Optional[Move]:
-    best = None
-    for mv in moves:       # input order implements the tie-break
-        if best is None or mv.tau < best.tau - TIE_TOL:
-            best = mv
-    return best
+    """The first move within ruzsa.TIE_TOL of the least tau, in input order."""
+    if not moves:
+        return None
+    return moves[_first_least(np.array([mv.tau for mv in moves]), np.array([0, len(moves)]))[0]]
 
 
 def _k_tau(ref: RefPair, X1: Dist, X2: Dist,
@@ -254,13 +250,13 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             budget: int = BUDGET, max_iter: int = MAX_ITER) -> DescentState:
     """Greedy tau minimization from the given pair.
 
-    Each iteration scores every class and takes the single move that lowers
-    tau the most, provided the drop exceeds eps_step; it stops when
-    d[X1; X2] <= eps_d (converged), no move helps, or max_iter is hit.
-    Each trace row records per class the best tau, the wall time
-    (per_class_s) and the number of candidates (per_class_candidates; 0
-    for a class the cost guard skipped), and for each skipped class the
-    name and size of the guard that tripped (guard_trips).
+    Each iteration scores every class and takes the move _best picks if
+    it lowers tau by more than eps_step; it stops when d[X1; X2] <= eps_d
+    (converged), no move helps, or max_iter is hit. Each trace row records
+    per class the least tau, the wall time (per_class_s) and the number of
+    candidates (per_class_candidates; 0 for a class the cost guard
+    skipped), and for each skipped class the name and size of the guard
+    that tripped (guard_trips).
 
     A byte-equal pair, at the start or after a move, is held as one object
     (X2 is X1), and so are byte-equal references; state.ref stays the
@@ -311,7 +307,7 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             per_class_s[kind.value] = perf_counter() - t0
             per_class_candidates[kind.value] = len(got)
             if got:
-                per_class[kind.value] = _best(got).tau
+                per_class[kind.value] = min(mv.tau for mv in got)
             moves += got
         chosen = _best(moves)
         if chosen is None or chosen.tau >= state.tau - eps_step:

@@ -42,7 +42,7 @@ DENSE_BITS = 24
 TABLE_SLACK = 8  # _group counts into a table of at most this many entries per key
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
-PRODUCT_SUPPORT_CAP = 1 << 26  # joint_product refuses larger product supports
+PRODUCT_SUPPORT_CAP = 1 << 26  # joint_product and _cross_runs refuse larger products
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -324,8 +324,12 @@ def _fibres(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
 def _cross_runs(A: Dist, B: Dist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support pairs (a, b) of A and an independent B~ of B's law,
     stable-sorted by g = a ^ b: the sorted g, each pair's a and its weight
-    A(a) B(b). The run (_runs) of one g holds the law of A | A ^ B~ = g."""
+    A(a) B(b). The run (_runs) of one g holds the law of A | A ^ B~ = g.
+    More than PRODUCT_SUPPORT_CAP pairs raise CostGuardExceeded."""
     (ia, wa), (ib, wb) = A.items(), B.items()
+    if len(ia) * len(ib) > PRODUCT_SUPPORT_CAP:
+        raise CostGuardExceeded("PRODUCT_SUPPORT_CAP", len(ia) * len(ib),
+                                "support pair enumeration too large")
     g = (ia[:, None] ^ ib[None, :]).ravel()
     order = np.argsort(g, kind="stable")
     return g[order], np.repeat(ia, len(ib))[order], np.outer(wa, wb).ravel()[order]

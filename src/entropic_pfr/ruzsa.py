@@ -247,6 +247,20 @@ def slices_of(J: JointDist, target, given) -> List[Tuple[float, Dist]]:
 
 # -- the reference pair and tau --------------------------------------------
 
+TIE_TOL = 1e-12
+
+
+def _first_least(taus: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """The tie rule of every pick: for each nonempty run
+    taus[cut[r]:cut[r + 1]], in tie order, the index of its first entry
+    within TIE_TOL of the run's least, so that round-off, which differs
+    between scoring paths, cannot reorder taus that tie."""
+    starts = cut[:-1]
+    least = np.minimum.reduceat(taus, starts)
+    hit = np.flatnonzero(taus <= np.repeat(least + TIE_TOL, cut[1:] - starts))
+    return hit[hit.searchsorted(starts)]
+
+
 @dataclass(frozen=True)
 class RefPair:
     """The fixed pair (X01, X02) every tau evaluation refers back to."""

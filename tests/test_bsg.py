@@ -10,8 +10,7 @@ import pytest
 from entropic_pfr import dists, ruzsa
 from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice, EndgameTables,
                               abstract_endgame, bsg_check, endgame_choices,
-                              endgame_tables, _TRIPLES, _UVS_TRIPLES,
-                              _choices, _row_taus, _uvs_sparse, _uvs_spectral)
+                              endgame_tables, _row_taus, _uvs_sparse, _uvs_spectral)
 from entropic_pfr.descent import _top_support
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
@@ -158,8 +157,8 @@ def brute_endgame_choice(ref, J):
 
     Every permutation (gamma, alpha, beta) is scored. Given T_gamma = t,
     T_beta is T_alpha translated by t, so each pair of twins must agree;
-    the first least row is returned as its alpha < beta twin, the one the
-    library reports.
+    the first row within TIE_TOL of the least is returned as its
+    alpha < beta twin, the one the library reports.
     """
     n = J.n
     keys, w = J.items()
@@ -189,9 +188,10 @@ def brute_endgame_choice(ref, J):
     for (gamma, alpha, beta, t), r in by_key.items():
         assert r[0] == pytest.approx(by_key[gamma, beta, alpha, t][0], abs=1e-12)
     best = min(rows, key=lambda r: r[0])
-    # first strict minimum in generation order, as the library breaks ties
+    # the first row within TIE_TOL of the least in generation order, as the
+    # library breaks ties
     for r in rows:
-        if r[0] <= best[0] + 1e-15:
+        if r[0] <= best[0] + ruzsa.TIE_TOL:
             gamma, t = r[1][0], r[1][3]
             return by_key[(gamma, *(i for i in range(3) if i != gamma), t)], rows
     raise AssertionError
@@ -323,47 +323,18 @@ def _bits(ch):
     return ch.choice, ch.tau.hex(), laws
 
 
-def _one_slice(ref, Js, triples):
-    """_choices on the single (U, V) slice Js."""
-    keys, w = Js.items()
-    return _choices(ref, Js.n, keys, w, np.array([0, len(keys)]), triples)[0]
-
-
 def _assert_choices_match_slices(ref, tabs, budget):
-    """endgame_choices is bit for bit the one-slice choice among the triples
-    it scores, gamma = U and gamma = W (gamma = U alone when tabs.X2 is
-    tabs.X1), and abstract_endgame's up to a win by round-off of a dropped
-    row, which maps to its gamma = U twin, the two laws exchanged for a
-    gamma = W row.
-
-    The twin is the row at the same t. The row at t ^ s ties it exactly
-    too: swapping (X1, X2) with (X~1, X~2) fixes S and adds s to U and V,
-    so V | U = t ^ s is V | U = t translated by s. For one law, dropped
-    W rows win by round-off often enough that the least U row falls on
-    either, and its laws are then the translates; for two laws the
-    gamma = V wins of these cases all map to the row at t."""
-    one_law = tabs.X2 is tabs.X1
-    J, n = tabs.joint_UVS, tabs.X1.n
+    """endgame_choices is bit for bit abstract_endgame on each conditioned
+    slice. It scores gamma = U and gamma = W only (gamma = U alone when
+    tabs.X2 is tabs.X1), but every dropped row ties, in exact arithmetic,
+    the gamma = U row at its t, which comes first in tie order, and the
+    TIE_TOL pick does not split such ties by round-off."""
+    J = tabs.joint_UVS
     values = _top_support(J.marginal_dist("S"), budget)
     batched = endgame_choices(ref, tabs, values)
     assert len(batched) == len(values)
     for s, ch in zip(values, batched):
-        Js = J.condition("S", s)
-        triples = _TRIPLES[:1] if one_law else _UVS_TRIPLES
-        assert _bits(ch) == _bits(_one_slice(ref, Js, triples))
-        full = abstract_endgame(ref, Js)
-        gamma, _, _, t = full.choice
-        swapped = one_law and gamma == 2
-        if gamma == 1 or swapped:
-            assert ch.choice[:3] == (0, 1, 2)
-            assert ch.choice[3] in ((t, t ^ s) if one_law else (t,))
-        else:
-            assert ch.choice == full.choice
-        assert ch.tau == pytest.approx(full.tau, abs=1e-12)
-        laws = (full.T2p, full.T1p) if swapped else (full.T1p, full.T2p)
-        at = np.arange(1 << n) ^ ch.choice[3] ^ t
-        for a, b in zip((ch.T1p, ch.T2p), laws):
-            assert np.allclose(a.dense(), b.dense()[at], rtol=0, atol=1e-12)
+        assert _bits(ch) == _bits(abstract_endgame(ref, J.condition("S", s)))
 
 
 def _random_uvs_cases(seed):
@@ -553,6 +524,33 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
             for x, y in zip(a[:1] + a[2:], b[:1] + b[2:]):
                 assert np.array_equal(x, y)     # rows, order, bounds
             assert np.allclose(a[1], b[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [62, 66, 7, 71])
+def test_endgame_picks_do_not_depend_on_the_scoring_path(monkeypatch, seed):
+    # rows that tie in exact arithmetic (translated rows, the rows at t and
+    # t ^ s, the U/V and U/W twins) differ by round-off, and the round-off
+    # differs between dense chunks, one Dist per row (BATCH_BITS = n - 1)
+    # and one row per chunk (BATCH_ELEMS = 2^n); the TIE_TOL pick makes
+    # the same choice on every path, batched or one slice at a time
+    calls, bits, elems = _count_runs(monkeypatch), ruzsa.BATCH_BITS, ruzsa.BATCH_ELEMS
+    cases = [c[:2] for c in _random_uvs_cases(seed)] + list(_one_law_cases(seed))
+    for ref, tabs in cases:
+        J, n = tabs.joint_UVS, tabs.X1.n
+        values = _top_support(J.marginal_dist("S"), 64)
+        picks = []
+        for b, e in ((bits, elems), (n - 1, elems), (bits, 1 << n)):
+            monkeypatch.setattr(ruzsa, "BATCH_BITS", b)
+            monkeypatch.setattr(ruzsa, "BATCH_ELEMS", e)
+            del calls[:]
+            picks.append(endgame_choices(ref, tabs, values))
+            picks.append([abstract_endgame(ref, J.condition("S", s)) for s in values])
+            assert calls and all(dense == (b >= n) and (e == elems or rows == 1)
+                                 for dense, rows in calls)
+        for chs in zip(*picks):
+            assert len({ch.choice for ch in chs}) == 1
+            taus = [ch.tau for ch in chs]
+            assert max(taus) - min(taus) <= 1e-12
 
 
 def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):

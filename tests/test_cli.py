@@ -229,12 +229,15 @@ def test_cost_guards_end_in_one_json_line(capsys, tmp_path):
 
 
 def test_check_past_dense_bits_ends_in_one_json_line(capsys):
-    # the guard trips before the first draw, not after a 2^30-point one
-    code, lines = run(capsys, ["check", "--suite", "triangle", "--dim", "30"])
-    assert code == 1
-    assert [json.loads(ln) for ln in lines] == [
-        {"error": "ambient dimension 30 out of range", "guard": "DENSE_BITS",
-         "size": 30}]
+    # the guard trips before the first draw, not after a 2^30-point one;
+    # the sum-conditioned checks pack no product keys, so --dim 30 is no
+    # usage error for them either
+    for suite in ("triangle", "sum-shift-cond", "double-shift"):
+        code, lines = run(capsys, ["check", "--suite", suite, "--dim", "30"])
+        assert code == 1
+        assert [json.loads(ln) for ln in lines] == [
+            {"error": "ambient dimension 30 out of range", "guard": "DENSE_BITS",
+             "size": 30}]
 
 
 def test_other_errors_still_propagate(tmp_path):

@@ -46,6 +46,13 @@ def test_class_order_wins_ties_within_rounding():
     assert _best([early, late]) is early
     clear = Move(MoveKind.ENDGAME, (), (X, X), early.tau - 1e-9)
     assert _best([early, clear]) is clear
+    # a chain of steps under TIE_TOL: the pick is the first move within
+    # TIE_TOL of the least, not the last one lower than an incumbent by
+    # more than TIE_TOL
+    chain = [Move(kind, (), (X, X), early.tau - k * 0.6e-12)
+             for k, kind in enumerate(CLASS_ORDER[:3])]
+    assert _best(chain) is chain[1]
+    assert _best([]) is None
 
 
 def coset_law_maker(rng, n):
@@ -320,7 +327,7 @@ def test_mirrored_classes_score_what_each_class_scores_alone():
         assert st.ref is ref
         row = st.trace[0]
         got = {k: scored_alone(ref, X1, X2, k) for k in CLASS_ORDER}
-        assert row["per_class_tau"] == {k.value: _best(mv).tau
+        assert row["per_class_tau"] == {k.value: min(m.tau for m in mv)
                                         for k, mv in got.items() if mv}
         assert row["per_class_candidates"] == {k.value: len(mv)
                                                for k, mv in got.items()}

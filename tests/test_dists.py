@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropic_pfr import dists
-from entropic_pfr.dists import (CostGuardExceeded, Dist, JointDist, _fibres, _group,
+from entropic_pfr.dists import (CostGuardExceeded, Dist, JointDist, _cross_runs, _fibres, _group,
                                 conv_entropy, dense_from_csv, entropy, fwht,
                                 joint_product, load_dist,
                                 pushforward_dist, uniform_on,
@@ -419,6 +419,21 @@ def test_independent_product_and_joint_product(monkeypatch):
     with pytest.raises(ValueError, match="dimension mismatch") as err:
         joint_product(J, JointDist.from_mapping({(0, 1): 1.0}, 3, ["X", "Y"]))
     assert not isinstance(err.value, CostGuardExceeded)
+
+
+def test_cross_runs_refuse_too_many_support_pairs(monkeypatch):
+    # 8193^2 support pairs exceed PRODUCT_SUPPORT_CAP = 2^26: refused
+    # before any pair is formed
+    X = uniform_on(range(8193), 14)
+    with pytest.raises(CostGuardExceeded, match="too large") as err:
+        _cross_runs(X, X)
+    assert (err.value.guard, err.value.size) == ("PRODUCT_SUPPORT_CAP", 8193 ** 2)
+    # the cap itself is allowed
+    monkeypatch.setattr(dists, "PRODUCT_SUPPORT_CAP", 20)
+    Y, Z = uniform_on(range(4), 3), uniform_on(range(5), 3)
+    assert len(_cross_runs(Y, Z)[0]) == 20
+    with pytest.raises(CostGuardExceeded):
+        _cross_runs(Z, Z)
 
 
 def test_dense_bits_guards_are_typed():
