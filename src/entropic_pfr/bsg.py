@@ -13,30 +13,38 @@ which forces I[W:U|S] = I[V:W|S] exactly.
 
 Descent conditions (U, V, S) on its heaviest values of S and takes the
 abstract endgame choice in each slice; endgame_choices scores all of those
-slices in one batched pass, and abstract_endgame is its one-slice case.
+slices in one batched pass without building the (U, V, S) law, and
+abstract_endgame, the choice on one (T1, T2) law, is its oracle.
 Given T_gamma = t in a triple with T1 ^ T2 ^ T3 = 0, the other two members
 are translates by t, so the twins (alpha, beta) and (beta, alpha) share one
 tau and only alpha < beta is scored; bsg_check uses this given Z = A ^ B.
-The U <-> V swap fixes each slice S = s, so there U | V = t has the law of
-V | U = t and W | V = t that of W | U = t: endgame_choices drops the
-gamma = V rows, which repeat the gamma = U rows. When X2 is X1 the four
-summands are i.i.d. and S3 permutes U, V, W inside each slice: the swap
-X2 <-> X~1 exchanges U and W, so (U, V) | W = t has the law of
-(W, V) | U = t, and endgame_choices drops the gamma = W rows too.
-abstract_endgame takes a general (T1, T2) law and scores all three gammas.
-Both pick the first row within ruzsa.TIE_TOL of the least tau, in tie order.
+Given S = s, U = t fixes X1 ^ X2 = t and X~1 ^ X~2 = t ^ s, two
+independent events, so the row V | U = t is the sum of two fibres of
+X1 * X2, and likewise W = t makes U | W = t the sum of a fibre of X1 * X1
+and one of X2 * X2: endgame_choices scores each row as a product of two
+fibre spectra. The U <-> V swap fixes each slice S = s, so there U | V = t
+has the law of V | U = t and W | V = t that of W | U = t: endgame_choices
+drops the gamma = V rows, which repeat the gamma = U rows. Swapping both
+pairs, (X1, X2) with (X~1, X~2), fixes S and W and adds s to U and V, so
+the gamma = U row at t ^ s is the row at t translated by s, and only
+t <= t ^ s is scored. When X2 is X1 the four summands are i.i.d. and S3
+permutes U, V, W inside each slice: the swap X2 <-> X~1 exchanges U and
+W, so (U, V) | W = t has the law of (W, V) | U = t, and endgame_choices
+drops the gamma = W rows too. abstract_endgame takes a general (T1, T2)
+law and scores all three gammas. Both pick the first row within
+ruzsa.TIE_TOL of the least tau, in tie order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dists import (CostGuardExceeded, Dist, JointDist, _clean_wht_output, _runs,
-                    fwht, xor_convolve)
-from .ruzsa import RefPair, _first_least, _rdist_of, rdist_runs
+from .dists import (CostGuardExceeded, Dist, JointDist, _clean_wht_output, _cross_runs,
+                    _runs, fwht, xor_convolve)
+from .ruzsa import RefPair, _first_least, _rdist_of, rdist_run_sums, rdist_runs
 
 __all__ = [
     "BsgReport",
@@ -150,12 +158,6 @@ def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
     n = X1.n
     i1, w1 = X1.items()
     i2, w2 = X2.items()
-    if 3 * n > 62:
-        raise CostGuardExceeded("endgame key bits", 3 * n, "endgame keys need 3n <= 62")
-    size = (len(i1) * len(i2)) ** 2
-    if size > ENDGAME_SUPPORT_CAP:
-        raise CostGuardExceeded("ENDGAME_SUPPORT_CAP", size,
-                                "endgame support enumeration too large")
     # Full 4-fold product over (x1, x2, x~1, x~2), mapped to (u, v, s).
     x1 = i1[:, None, None, None]
     x2 = i2[None, :, None, None]
@@ -170,21 +172,34 @@ def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
     return JointDist(n, 3, ["U", "V", "S"], keys=keys, w=w)
 
 
+def _endgame_guard(X1: Dist, X2: Dist) -> bool:
+    """Whether endgame_tables takes the spectral cube. Where it would
+    enumerate the four-fold support product instead, raise
+    CostGuardExceeded past ENDGAME_SUPPORT_CAP entries or 62 key bits:
+    descent's endgame trips the same guard on the same pairs."""
+    n = X1.n
+    size = (X1.support_size() * X2.support_size()) ** 2
+    if 3 * n <= ENDGAME_DENSE_BITS and size > 8 ** n:
+        return True
+    if 3 * n > 62:
+        raise CostGuardExceeded("endgame key bits", 3 * n, "endgame keys need 3n <= 62")
+    if size > ENDGAME_SUPPORT_CAP:
+        raise CostGuardExceeded("ENDGAME_SUPPORT_CAP", size,
+                                "endgame support enumeration too large")
+    return False
+
+
 def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
     """Joint law of (U, V, S); I1, I2, I3, H_S and k are computed on read.
 
     Up to n = 7, pairs whose four-fold support product outnumbers the 8^n
     cube go through one Walsh-Hadamard transform on 3n bits; all others
     enumerate that product, which raises CostGuardExceeded past
-    ENDGAME_SUPPORT_CAP entries or 62 key bits.
+    ENDGAME_SUPPORT_CAP entries or 62 key bits (_endgame_guard).
     """
     if X1.n != X2.n:
         raise ValueError("dimension mismatch")
-    if (3 * X1.n <= ENDGAME_DENSE_BITS
-            and (X1.support_size() * X2.support_size()) ** 2 > 8 ** X1.n):
-        J = _uvs_spectral(X1, X2)
-    else:
-        J = _uvs_sparse(X1, X2)
+    J = _uvs_spectral(X1, X2) if _endgame_guard(X1, X2) else _uvs_sparse(X1, X2)
     return EndgameTables(J, X1, X2)
 
 
@@ -200,22 +215,29 @@ _UVS_TRIPLES = (_TRIPLES[0], _TRIPLES[2])
 class EndgameChoice:
     """The conditioned pair abstract_endgame picks, with its tau.
 
-    The pair is kept as the chosen row's entries on F_2^n, T_alpha and
-    T_beta values with their weights; the Dists T1p and T2p are built from
-    them on first read.
+    T_alpha is kept as the law of x ^ y ^ shift for independent x and y,
+    each given by its values and weights (y a point mass at 0 for a row of
+    a (T1, T2) law), and T_beta = T_alpha ^ t; the Dists T1p and T2p are
+    built from them on first read.
     """
     tau: float
     choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t), alpha < beta
     n: int
-    entries: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    summands: Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    shift: int
+
+    def _law(self, shift: int) -> Dist:
+        (x, wx), (y, wy) = self.summands
+        return Dist(self.n, idx=(x[:, None] ^ y[None, :]).ravel() ^ shift,
+                    w=np.outer(wx, wy).ravel())
 
     @cached_property
     def T1p(self) -> Dist:
-        return Dist(self.n, idx=self.entries[0], w=self.entries[2])
+        return self._law(self.shift)
 
     @cached_property
     def T2p(self) -> Dist:
-        return Dist(self.n, idx=self.entries[1], w=self.entries[2])
+        return self._law(self.shift ^ self.choice[3])
 
 
 def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
@@ -232,35 +254,101 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     if J.arity != 2:
         raise ValueError("abstract_endgame needs the two-axis law of (T1, T2)")
     keys, w = J.items()
-    return _choices(ref, J.n, keys, w, np.array([0, len(keys)]), _TRIPLES)[0]
+    n, mask = J.n, (1 << J.n) - 1
+    vals = [keys & mask, keys >> n]
+    vals.append(vals[0] ^ vals[1])
+    sl = np.zeros_like(keys)
+    rows, taus, order, bounds = zip(*(_row_taus(ref, n, sl, vals[g], vals[a], w)
+                                      for g, a, _ in _TRIPLES))
+    first = np.cumsum([0] + [len(r) for r in rows])  # each triple's first row
+    rows, taus = np.concatenate(rows), np.concatenate(taus)
+    win = int(_first_least(taus, np.array([0, len(taus)]))[0])
+    c = int(np.searchsorted(first, win, "right")) - 1
+    r = win - first[c]
+    e = order[c][bounds[c][r]:bounds[c][r + 1]]
+    g, a, b = _TRIPLES[c]
+    return EndgameChoice(float(taus[win]), (g, a, b, int(rows[win])), n,
+                         ((vals[a][e], w[e]), (np.zeros(1, dtype=np.int64), np.ones(1))), 0)
 
 
-def endgame_choices(ref: RefPair, tabs: EndgameTables, values) -> List[EndgameChoice]:
-    """The endgame choice in the slice S = s of tabs.joint_UVS, for each s
-    in values.
+def endgame_choices(ref: RefPair, X1: Dist, X2: Dist, values) -> List[EndgameChoice]:
+    """The endgame choice in the slice S = s of the pair's (U, V, S) law, for
+    each s in values, scored from fibres of the two-fold sums: no (U, V, S)
+    law is built.
 
-    S is the highest axis of the (U, V, S) law, so each slice is one run of
-    the ascending keys, normalized as condition does; every slice is scored
-    in one batched pass, by its gamma = U and gamma = W rows, or gamma = U
-    alone when tabs.X2 is tabs.X1. Each dropped row ties, in exact
-    arithmetic, the gamma = U row at its t, which comes first in tie order,
-    so each choice is abstract_endgame(ref, J.condition("S", s)), bit for bit.
+    Let A_g be the law of X2 given X1 ^ X2 = g, a run of
+    dists._cross_runs(X2, X1); X1 given that sum is A_g ^ g. Given S = s,
+    the gamma = U row at t, V | U = t, conditions X1 ^ X2 = t and
+    X~1 ^ X~2 = t ^ s, so it is A_t * A_{t^s} translated by t ^ s. The row
+    at t ^ s is that law translated by s, with the same tau, so only
+    t <= t ^ s is scored, the first of the two in tie order. The gamma = W
+    row at t, U | W = t, is E_t * F_{t^s}, E and F the fibres of X1 * X1
+    and of X2 * X2; when X2 is X1 it repeats the gamma = U row at t and is
+    not scored. Every row is scored by one ruzsa.rdist_run_sums call, and
+    each slice picks the first row in (gamma, t) order within TIE_TOL of
+    its least tau: the choice abstract_endgame makes on J.condition("S", s),
+    scored by other arithmetic. The cost guard is the caller's
+    (_endgame_guard). A value outside [0, 2^n) or of zero mass raises
+    ValueError.
     """
-    J = tabs.joint_UVS
-    n = J.n
-    keys, w = J.items()
+    if X1.n != X2.n:
+        raise ValueError("dimension mismatch")
     values = np.asarray(values, dtype=np.int64)
-    lo = np.searchsorted(keys, values << (2 * n))
-    hi = np.searchsorted(keys, (values + 1) << (2 * n))
-    missing = values[lo == hi]
-    if len(missing):
-        raise ValueError(f"conditioning event {J.labels[2]}={missing[0]} has zero mass")
-    if not len(lo):
+    bad = values[(values < 0) | (values >> X1.n != 0)]
+    if len(bad):
+        raise ValueError(f"S={bad[0]} lies outside F_2^{X1.n}")
+    out = _slice_choices(ref, X1, X2, values)
+    for s, ch in zip(values.tolist(), out):
+        if ch is None:
+            raise ValueError(f"conditioning event S={s} has zero mass")
+    return out
+
+
+def _slice_choices(ref: RefPair, X1: Dist, X2: Dist,
+                   values: np.ndarray) -> List[Optional[EndgameChoice]]:
+    """endgame_choices on values in [0, 2^n), with None for a value of zero
+    mass."""
+    if not len(values):
         return []
-    uv = np.concatenate([keys[a:b] for a, b in zip(lo, hi)]) & ((1 << (2 * n)) - 1)
-    ws = np.concatenate([w[a:b] / w[a:b].sum() for a, b in zip(lo, hi)])
-    triples = _TRIPLES[:1] if tabs.X2 is tabs.X1 else _UVS_TRIPLES
-    return _choices(ref, n, uv, ws, np.r_[0, np.cumsum(hi - lo)], triples)
+    n, mask = X1.n, (1 << X1.n) - 1
+    # the fibres of X1 * X2 (family 0) and, for two laws, of X1 * X1 (1)
+    # and X2 * X2 (2), as runs of one ascending key (family, g)
+    fams = [_cross_runs(A, B) for A, B in ([(X2, X1)] if X2 is X1
+                                           else [(X2, X1), (X1, X1), (X2, X2)])]
+    key = np.concatenate([(f << n) | g for f, (g, _, _) in enumerate(fams)])
+    col, w = (np.concatenate(z) for z in list(zip(*fams))[1:])
+    cut = _runs(key)
+    run_key = key[cut[:-1]]
+
+    def rows(f: int, h: int, half: bool):
+        """(slice, t, run of f at t, run of h at t ^ s) for every slice s
+        and t with both runs, in (slice, t) order; t <= t ^ s if half."""
+        lo, hi = np.searchsorted(run_key, [f << n, (f + 1) << n])
+        t = run_key[lo:hi] & mask
+        ts = (h << n) | (t[None, :] ^ values[:, None])
+        at = np.minimum(np.searchsorted(run_key, ts), len(run_key) - 1)
+        hit = run_key[at] == ts
+        if half:
+            hit &= t <= (ts & mask)
+        sl, c = np.nonzero(hit)
+        return sl, t[c], lo + c, at[sl, c]
+
+    out: List[Optional[EndgameChoice]] = [None] * len(values)
+    parts = [rows(0, 0, True)] + ([] if X2 is X1 else [rows(1, 2, False)])
+    if not len(parts[0][0]):
+        return out
+    tri = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
+    sl, t, i, j = (np.concatenate(z) for z in zip(*parts))
+    d, d1, d2 = rdist_run_sums(n, col, w, cut, i, j, [ref.X01, ref.X02])
+    taus = d + ref.eta * d1 + ref.eta * d2
+    by_slice = np.argsort(sl, kind="stable")   # (slice, gamma, t)
+    win = by_slice[_first_least(taus[by_slice], _runs(sl[by_slice]))]
+    for r in win.tolist():
+        x, y = (slice(cut[k], cut[k + 1]) for k in (i[r], j[r]))
+        shift = int(t[r] ^ values[sl[r]]) if tri[r] == 0 else 0
+        out[sl[r]] = EndgameChoice(float(taus[r]), (*_UVS_TRIPLES[tri[r]], int(t[r])), n,
+                                   ((col[x], w[x]), (col[y], w[y])), shift)
+    return out
 
 
 def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
@@ -278,33 +366,3 @@ def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
     del key
     d, d1, d2 = rdist_runs(n, law[order], w[order], bounds, [ref.X01, ref.X02])
     return rows, d + ref.eta * d1 + ref.eta * d2, order, bounds
-
-
-def _choices(ref: RefPair, n: int, keys: np.ndarray, w: np.ndarray,
-             start: np.ndarray, triples) -> List[EndgameChoice]:
-    """The endgame choice on each slice j, the packed (T1, T2) keys
-    keys[start[j]:start[j + 1]], ascending, with weights of mass one,
-    among the given (gamma, alpha, beta) triples in tie order.
-
-    For each gamma the rows are the (slice, t) pairs, each one law
-    L = T_alpha | T_gamma = t, scored once for both twins by _row_taus; a
-    row's arithmetic does not depend on the rows beside it (the batch
-    contract of dists.fwht). Each slice picks by ruzsa._first_least over
-    its rows in (triple, t) order and keeps a copy of the picked row's
-    entries, read from _row_taus's sort; its Dists are built when read.
-    """
-    m, mask = len(start) - 1, (1 << n) - 1
-    vals = [keys & mask, keys >> n]
-    vals.append(vals[0] ^ vals[1])
-    sl = np.repeat(np.arange(m), np.diff(start))     # slice of each entry
-    rows, taus, order, bounds = zip(*(_row_taus(ref, n, sl, vals[g], vals[a], w)
-                                      for g, a, _ in triples))
-    first = np.cumsum([0] + [len(r) for r in rows])  # each triple's first row
-    rows, taus = np.concatenate(rows), np.concatenate(taus)
-    by_slice = np.argsort(rows >> n, kind="stable")  # (slice, triple, t)
-    win = by_slice[_first_least(taus[by_slice], _runs(rows[by_slice] >> n))]
-    tri = np.searchsorted(first, win, "right") - 1   # each pick's triple
-    es = [order[c][bounds[c][r]:bounds[c][r + 1]] for c, r in zip(tri, win - first[tri])]
-    return [EndgameChoice(float(taus[i]), (*triples[c], int(rows[i]) & mask), n,
-                          (vals[triples[c][1]][e], vals[triples[c][2]][e], w[e]))
-            for i, c, e in zip(win.tolist(), tri.tolist(), es)]

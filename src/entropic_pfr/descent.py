@@ -10,13 +10,18 @@ certifies small distance from both reference distributions.
 Each iteration scores the full candidate list, all five classes at once,
 and accepts the single best strict decrease. RefPair.taus scores the sum
 and fibre classes, each distinct law transformed once per class; the
-endgame scores all of its slices of S in one pass (bsg.endgame_choices).
-A class whose table construction trips a cost guard (CostGuardExceeded
-only) is skipped for that iteration and the skip is recorded in the
-trace, next to each class's wall time and candidate count. The pick is
-the first candidate within ruzsa.TIE_TOL of the least tau, in class order
-(sum-self, fibre-cross, sum-cross, fibre-self, endgame), then parameter
-order: the tie rule the endgame applies inside its slices.
+endgame reads the law of S as C * C, C = X1 + X2, and scores all of its
+slices of S in one pass from fibres of the two-fold sums
+(bsg.endgame_choices), with no (U, V, S) table. It is skipped where the
+endgame tables' cost guard trips (bsg._endgame_guard, checked before
+C * C is taken); only a CostGuardExceeded counts as a skip, which the
+trace records next to each class's wall time and candidate count. The
+pick is the first candidate within ruzsa.TIE_TOL of the least tau, in
+class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame), then
+parameter order: the tie rule the endgame applies inside its slices.
+Parameter order follows _top_support, which takes masses within TIE_TOL
+as tied and orders them by value, so round-off in a law of conditioning
+values, such as C * C for S, cannot change the pick.
 
 A pair of byte-equal laws is held as one object, and so is the reference
 pair. While X1 is X2, X1 + X2 is X1 + X1 and the self fibres are the cross
@@ -24,13 +29,15 @@ fibres, whatever the references: descent scores sum-self and fibre-cross
 and copies their moves into sum-cross and fibre-self, which come later in
 tie order and so are never picked. Its endgame scores only the gamma = U
 rows of each slice of S: with four i.i.d. summands, the gamma = V and
-gamma = W rows repeat them (bsg.endgame_choices).
+gamma = W rows repeat them (bsg.endgame_choices). For one law,
+entropic_pfr's k0 is descent's starting d[X1; X2] (state.k_start).
 
 Each sum of the pair's laws is taken once per iteration: the sums that
 d and tau of a new pair read (X1 + X2, X01 + X1, X02 + X2) are kept, by
-the identity of their operands, for the sum classes and the fibre classes'
-top values, and dropped with the pair at the next move. While X1 is X2,
-the one self sum X1 + X1 serves d[X1; X2], sum-self and fibre-cross.
+the identity of their operands, for the sum classes, the fibre classes'
+top values and the endgame's C, and dropped with the pair at the next
+move. While X1 is X2, the one self sum X1 + X1 serves d[X1; X2],
+sum-self, fibre-cross and the endgame.
 
 descend works in its inputs' own coordinates. entropic_pfr first carries
 both inputs, by one common shift and the coordinates of their span, into
@@ -46,11 +53,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bsg import EndgameChoice, endgame_choices, endgame_tables
+from .bsg import EndgameChoice, _endgame_guard, _slice_choices, endgame_tables
 from .dists import (CostGuardExceeded, Dist, _cross_fibres, _cross_runs, _runs,
                     uniform_on_subgroup, xor_convolve)
 from .groups import SubgroupBasis, span
-from .ruzsa import (ETA_DEFAULT, RefPair, _first_least, _law_key, _rdist_of,
+from .ruzsa import (ETA_DEFAULT, TIE_TOL, RefPair, _first_least, _law_key, _rdist_of,
                     cond_rdist, rdist, rdist_runs)
 
 __all__ = [
@@ -126,6 +133,8 @@ class DescentState:
     # dimension of the affine span of the inputs, which entropic_pfr
     # descends in; None for a state built by descend itself
     intrinsic_dim: Optional[int] = None
+    # d[X1; X2] of the starting pair; k is overwritten by each move
+    k_start: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -138,10 +147,18 @@ class SubgroupCertificate:
 
 
 def _top_support(X: Dist, count: int) -> List[int]:
-    """Support points by descending mass, index ascending on ties."""
+    """Support points by descending mass, index ascending among masses that
+    tie: each within ruzsa.TIE_TOL of the one before. Round-off, which
+    differs between ways of computing a law, cannot reorder tied masses."""
     idx, w = X.items()
     order = np.lexsort((idx, -w))
-    return [int(g) for g in idx[order][:count]]
+    # the first count points and those tied with the last of them
+    ws = w[order]
+    gap = ws[:-1] - ws[1:] > TIE_TOL
+    end = count + int(np.argmax(gap[count - 1:])) if gap[count - 1:].any() else len(ws)
+    head = order[:end]
+    tied = np.cumsum(np.concatenate(([0], gap[:end - 1])))     # one id per run of ties
+    return [int(g) for g in idx[head[np.lexsort((idx[head], tied))]][:count]]
 
 
 def _fibre_law(base: Dist, shift: Dist, g: int) -> Optional[Dist]:
@@ -192,10 +209,14 @@ def _class_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
                  kind: MoveKind, sums: _Sums) -> List[Move]:
     """generate_candidates for one class, its sums of the pair from sums."""
     if kind == MoveKind.ENDGAME:
-        tabs = endgame_tables(X1, X2)
-        values = _top_support(tabs.joint_UVS.marginal_dist("S"), budget)
+        _endgame_guard(X1, X2)
+        C = _sum(sums, X1, X2)
+        # the law of S; a value that C * C holds by round-off alone has no
+        # slice and is dropped
+        values = _top_support(_sum(sums, C, C), budget)
         return [Move(kind, (s,) + ch.choice, ch, ch.tau)
-                for s, ch in zip(values, endgame_choices(ref, tabs, values))]
+                for s, ch in zip(values, _slice_choices(ref, X1, X2, np.array(values)))
+                if ch is not None]
     if kind == MoveKind.SUM_SELF:
         laws = [_sum(sums, X1, X1)]
         if X2 is not X1:
@@ -273,7 +294,8 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     scoring_ref = replace(ref, X02=_shared(ref.X01, ref.X02))
     # the sums of the current pair, from its _k_tau to its scoring
     sums: _Sums = {}
-    state = DescentState(ref, X1, X2, *_k_tau(scoring_ref, X1, X2, sums))
+    k, tau = _k_tau(scoring_ref, X1, X2, sums)
+    state = DescentState(ref, X1, X2, k, tau, k_start=k)
     state.snapshots.append((X1, X2))
     # with X2 == X1, X1 + X2 is X1 + X1 and X1 | X1 + X1 is X1 | X1 + X2
     twin = {MoveKind.SUM_CROSS: MoveKind.SUM_SELF,
@@ -421,7 +443,8 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
     UH = uniform_on_subgroup(Hr)
     d1 = rdist(Y01, UH)
     d2 = d1 if Y02 is Y01 else rdist(Y02, UH)
-    k0 = rdist(Y01, Y02)
+    # for one law descent's start (Y02, Y01) took d[Y01; Y02] by rdist's arithmetic
+    k0 = inner.k_start if Y02 is Y01 else rdist(Y01, Y02)
     ok = (d1 + d2 <= 11.0 * k0 + 1e-6
           and d1 <= 6.0 * k0 + 1e-6 and d2 <= 6.0 * k0 + 1e-6)
     H = span([V.from_coords(h) for h in Hr.rows], X01.n)

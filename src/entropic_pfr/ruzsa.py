@@ -43,6 +43,7 @@ __all__ = [
     "rdist_paired",
     "rdist_pairs",
     "rdist_runs",
+    "rdist_run_sums",
     "cond_rdist",
     "cond_rdist_via_joint",
     "one",
@@ -141,6 +142,28 @@ def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
     return _product_entropies(S, a, S, b)[inv] - 0.5 * h[i] - 0.5 * h[j]
 
 
+def _self_and_refs(laws: Sequence[Dist], refs: Sequence[Dist]) -> np.ndarray:
+    """d[L; L], then d[R; L] for each R in refs, as rows over the laws L,
+    through one rdist_pairs call."""
+    q, k = len(refs), np.arange(len(laws)) + len(refs)
+    return rdist_pairs([*refs, *laws], np.r_[k, np.repeat(np.arange(q), len(laws))],
+                       np.tile(k, q + 1)).reshape(q + 1, len(laws))
+
+
+def _dense_runs(n: int, col: np.ndarray, w: np.ndarray,
+                cut: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct laws of the runs col[cut[r]:cut[r + 1]] on F_2^n, with
+    weights w of any scale, as dense rows of mass one, and each run's row:
+    runs of equal bytes share one."""
+    k = np.arange(len(cut) - 1)
+    laws = np.bincount(np.repeat(k << n, np.diff(cut)) + col[cut[0]:cut[-1]],
+                       weights=w[cut[0]:cut[-1]], minlength=len(k) << n).reshape(len(k), -1)
+    laws /= laws.sum(axis=1, keepdims=True)
+    _, first, back = np.unique(laws.view(np.dtype((np.void, laws[0].nbytes))).ravel(),
+                               return_index=True, return_inverse=True)
+    return laws[first], back
+
+
 def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
                refs: Sequence[Dist] = ()) -> np.ndarray:
     """d[L; L], then d[R; L] for each R in refs, as rows over the runs r,
@@ -149,12 +172,10 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     BATCH_BITS the runs are dense rows, built BATCH_ELEMS entries at a time
     and scored against the spectra of the distinct references, taken once;
     above it each run is one Dist, scored by rdist_pairs."""
-    m, q = len(cut) - 1, len(refs)
+    m = len(cut) - 1
     if n > BATCH_BITS:
-        laws = [Dist(n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
-        k = np.arange(m) + q
-        return rdist_pairs([*refs, *laws], np.r_[k, np.repeat(np.arange(q), m)],
-                           np.tile(k, q + 1)).reshape(q + 1, m)
+        return _self_and_refs([Dist(n, idx=col[a:b], w=w[a:b])
+                               for a, b in zip(cut[:-1], cut[1:])], refs)
     # equal references are scored once; their rows are copied back at the end
     u, refs = _distinct(refs)
     q = len(refs)
@@ -164,15 +185,9 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     out = np.empty((q + 1, m))
     step = max(1, BATCH_ELEMS >> n)
     for lo in range(0, m, step):
-        c = cut[lo:lo + step + 1]
-        k = np.arange(len(c) - 1)
-        laws = np.bincount(np.repeat(k << n, np.diff(c)) + col[c[0]:c[-1]],
-                           weights=w[c[0]:c[-1]], minlength=len(k) << n).reshape(len(k), -1)
-        laws /= laws.sum(axis=1, keepdims=True)
         # rows of equal bytes are scored once and scattered back
-        _, first, back = np.unique(laws.view(np.dtype((np.void, laws[0].nbytes))).ravel(),
-                                   return_index=True, return_inverse=True)
-        laws, k = laws[first], np.arange(len(first))
+        laws, back = _dense_runs(n, col, w, cut[lo:lo + step + 1])
+        k = np.arange(len(laws))
         h, S = _entropy_rows(laws), fwht(laws)
         del laws
         # row 0 pairs each run with itself, row 1 + r with reference r
@@ -180,6 +195,107 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
         for r, (T, t, ht) in enumerate(pairs):
             d = _product_entropies(T, t, S, k) - 0.5 * ht - 0.5 * h
             out[r, lo:lo + len(back)] = d[back]
+    return out[np.r_[0, 1 + u]]
+
+
+def _unordered(i: np.ndarray, j: np.ndarray, m: int):
+    """The distinct unordered pairs of the m runs among (i[k], j[k]), as
+    (a, b) with a <= b, ascending, and each k's pair."""
+    pairs, inv = np.unique(np.minimum(i, j) * m + np.maximum(i, j), return_inverse=True)
+    return (*np.divmod(pairs, m), inv)
+
+
+def _take_runs(col: np.ndarray, w: np.ndarray, cut: np.ndarray, runs: np.ndarray):
+    """col, w and cut of the given runs alone, in that order."""
+    size = cut[runs + 1] - cut[runs]
+    at = np.repeat(cut[runs] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    return col[at], w[at], np.r_[0, np.cumsum(size)]
+
+
+def _run_chunks(a: np.ndarray, b: np.ndarray, cap: int) -> List[int]:
+    """Bounds of consecutive chunks of the pairs of runs (a[k], b[k]) that
+    each read at most cap >= 2 distinct runs, each as long as it can be."""
+    bounds, seen = [0], set()
+    for k, pair in enumerate(zip(a.tolist(), b.tolist())):
+        if len(seen) + len(set(pair) - seen) > cap:
+            bounds.append(k)
+            seen = set()
+        seen.update(pair)
+    return bounds + [len(a)]
+
+
+def _run_sums_stack(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                    x: np.ndarray, y: np.ndarray, R: np.ndarray, hr: np.ndarray,
+                    step: int) -> np.ndarray:
+    """rdist_run_sums on the runs of cut as one stack after the dense
+    references R, of entropies hr: each distinct pair's product of spectra
+    is scored with its own square and its products with the references,
+    step pairs at a time."""
+    q = len(R)
+    laws, back = _dense_runs(n, col, w, cut)
+    S = fwht(np.vstack([R, laws]))
+    del laws
+    x, y = back[x] + q, back[y] + q
+    pairs, inv = np.unique(np.minimum(x, y) * len(S) + np.maximum(x, y), return_inverse=True)
+    x, y = np.divmod(pairs, len(S))
+    d = np.empty((q + 1, len(pairs)))
+    for lo in range(0, len(pairs), step):
+        # one stack: the spectra of the sums, of their sums with themselves
+        # and of their sums with each reference
+        k = len(x[lo:lo + step])
+        P = np.empty((q + 2, k, S.shape[1]))
+        np.multiply(S[x[lo:lo + step]], S[y[lo:lo + step]], out=P[0])
+        np.multiply(P[0], P[0], out=P[1])
+        np.multiply(S[:q, None], P[0], out=P[2:])
+        H = conv_entropy(P.reshape(-1, S.shape[1])).reshape(q + 2, k)
+        d[0, lo:lo + k] = H[1] - H[0]
+        d[1:, lo:lo + k] = H[2:] - 0.5 * hr - 0.5 * H[0]
+    return d[:, inv]
+
+
+def rdist_run_sums(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                   i, j, refs: Sequence[Dist] = ()) -> np.ndarray:
+    """d[L; L], then d[R; L] for each R in refs, as rows over k, L the law
+    of x ^ y for independent x and y of the laws of the runs i[k] and j[k]
+    of col, with weights w, cut as in rdist_runs: the sum of two
+    conditional laws, such as a row of the endgame. Runs of byte-equal laws
+    count as one, and so does a pair of the same two runs in either order.
+    Up to BATCH_BITS the distinct references and runs are dense rows,
+    transformed as one stack, and each distinct pair's product of spectra
+    is scored as the law of its sum, with its own square and its products
+    with the references in the same stack, at least one pair and at most
+    BATCH_ELEMS entries at a time. A stack holds at most BATCH_ELEMS
+    entries: when the runs do not fit, the distinct pairs are walked in
+    chunks that each read at most that many entries of runs and
+    references, and each chunk is one stack. Above BATCH_BITS each pair's
+    sum is one Dist, scored by rdist_pairs."""
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    if not len(i):
+        return np.zeros((len(refs) + 1, 0))
+    m = len(cut) - 1
+    if n > BATCH_BITS:
+        a, b, inv = _unordered(i, j, m)
+        runs = {r: Dist(n, idx=col[cut[r]:cut[r + 1]], w=w[cut[r]:cut[r + 1]])
+                for r in np.union1d(a, b).tolist()}
+        return _self_and_refs([xor_convolve(runs[x], runs[y])
+                               for x, y in zip(a.tolist(), b.tolist())], refs)[:, inv]
+    u, refs = _distinct(refs)
+    q = len(refs)
+    R = np.stack([X.dense() for X in refs]) if q else np.empty((0, 1 << n))
+    hr = _entropy_rows(R)[:, None]
+    rows = BATCH_ELEMS >> n
+    step = max(1, rows // (q + 2))
+    if m + q <= rows:
+        out = _run_sums_stack(n, col, w, cut, i, j, R, hr, step)
+    else:
+        a, b, inv = _unordered(i, j, m)
+        bounds = _run_chunks(a, b, max(2, rows - q))
+        chunks = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            runs, at = np.unique(np.r_[a[lo:hi], b[lo:hi]], return_inverse=True)
+            chunks.append(_run_sums_stack(n, *_take_runs(col, w, cut, runs),
+                                          *at.reshape(2, -1), R, hr, step))
+        out = np.hstack(chunks)[:, inv]
     return out[np.r_[0, 1 + u]]
 
 

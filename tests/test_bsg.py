@@ -7,7 +7,7 @@ direct enumeration over all four source variables and compare entry-wise.
 import numpy as np
 import pytest
 
-from entropic_pfr import dists, ruzsa
+from entropic_pfr import bsg, dists, ruzsa
 from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice, EndgameTables,
                               abstract_endgame, bsg_check, endgame_choices,
                               endgame_tables, _row_taus, _uvs_sparse, _uvs_spectral)
@@ -317,24 +317,33 @@ def test_abstract_endgame_prefers_earlier_choice_on_exact_tie():
     assert ch.choice == (0, 1, 2, 0)
 
 
-def _bits(ch):
-    """Everything an EndgameChoice holds, as exact bytes and ints."""
-    laws = [(idx.tobytes(), w.tobytes()) for idx, w in (ch.T1p.items(), ch.T2p.items())]
-    return ch.choice, ch.tau.hex(), laws
+def _law_gap(A, B):
+    """The largest weight gap of two laws of equal support, else inf."""
+    (ia, wa), (ib, wb) = A.items(), B.items()
+    return float(np.abs(wa - wb).max()) if np.array_equal(ia, ib) else np.inf
 
 
 def _assert_choices_match_slices(ref, tabs, budget):
-    """endgame_choices is bit for bit abstract_endgame on each conditioned
-    slice. It scores gamma = U and gamma = W only (gamma = U alone when
-    tabs.X2 is tabs.X1), but every dropped row ties, in exact arithmetic,
-    the gamma = U row at its t, which comes first in tie order, and the
-    TIE_TOL pick does not split such ties by round-off."""
+    """endgame_choices makes abstract_endgame's choice on each conditioned
+    slice: equal choice tuples, taus within 1e-12, and laws of equal
+    support with weights within 1e-12. The
+    arithmetic differs by design: endgame_choices scores each row as a
+    product of two fibre spectra, and it drops the gamma = U rows at
+    t ^ s > t, the gamma = V rows and, when tabs.X2 is tabs.X1, the
+    gamma = W rows. Every dropped row ties, in exact arithmetic, a row
+    scored before it in tie order, and the TIE_TOL pick does not split
+    such ties by round-off."""
     J = tabs.joint_UVS
     values = _top_support(J.marginal_dist("S"), budget)
-    batched = endgame_choices(ref, tabs, values)
+    batched = endgame_choices(ref, tabs.X1, tabs.X2, values)
     assert len(batched) == len(values)
+    gap = 0.0
     for s, ch in zip(values, batched):
-        assert _bits(ch) == _bits(abstract_endgame(ref, J.condition("S", s)))
+        one = abstract_endgame(ref, J.condition("S", s))
+        assert ch.choice == one.choice
+        gap = max(gap, abs(ch.tau - one.tau),
+                  _law_gap(ch.T1p, one.T1p), _law_gap(ch.T2p, one.T2p))
+    assert gap <= 1e-12
 
 
 def _random_uvs_cases(seed):
@@ -367,7 +376,7 @@ def _one_law_cases(seed):
 
 
 @pytest.mark.parametrize("budget", [4, 64])
-def test_endgame_choices_equal_the_per_slice_choices_bitwise(budget):
+def test_endgame_choices_equal_the_per_slice_choices(budget):
     paths = set()
     for ref, tabs, spectral in _random_uvs_cases(62):
         paths.add(spectral)
@@ -420,70 +429,139 @@ def test_endgame_choices_break_exact_ties_as_the_slices_do():
     U = uniform_on([0, 3, 5, 6], 3)
     tabs = endgame_tables(U, U)
     _assert_choices_match_slices(RefPair(U, U), tabs, 64)
-    chs = endgame_choices(RefPair(U, U), tabs, [6, 0, 5])
+    chs = endgame_choices(RefPair(U, U), U, U, [6, 0, 5])
     assert [ch.choice for ch in chs] == [(0, 1, 2, 0)] * 3
 
 
 def _count_runs(monkeypatch):
-    """Record (dense, rows) for every batch ruzsa.rdist_runs scores from now
-    on: (True, rows) per chunk of dense rows, (False, laws) per list of
-    Dists it hands to rdist_pairs."""
-    calls, pairs, products = [], ruzsa.rdist_pairs, ruzsa._product_entropies
+    """Record (dense, rows) for every batch the ruzsa kernels score from
+    now on: (True, rows) per stack of dense spectra turned into entropies,
+    (False, laws) per list of Dists handed to rdist_pairs."""
+    calls, pairs, entropies = [], ruzsa.rdist_pairs, ruzsa.conv_entropy
 
     def counted_pairs(laws, i, j):
         calls.append((False, len(laws)))
         return pairs(laws, i, j)
 
-    def counted_products(S, a, T, b):
-        if S is T:    # the self distances: one call per chunk of rows
-            calls.append((True, len(a)))
-        return products(S, a, T, b)
+    def counted_entropies(spec):
+        calls.append((True, len(spec)))
+        return entropies(spec)
     monkeypatch.setattr(ruzsa, "rdist_pairs", counted_pairs)
-    monkeypatch.setattr(ruzsa, "_product_entropies", counted_products)
+    monkeypatch.setattr(ruzsa, "conv_entropy", counted_entropies)
     return calls
 
 
 def _row_counts(J, values):
-    """The number of (slice, t) rows of gamma = U and of gamma = W."""
+    """The number of (slice, t) rows of gamma = U with t <= t ^ s, and of
+    gamma = W, in the slices S = s of J."""
     n, counts = J.n, np.zeros(2, dtype=int)
     for s in values:
         keys, _ = J.condition("S", s).items()
         u, v = keys & ((1 << n) - 1), keys >> n
-        counts += len(np.unique(u)), len(np.unique(u ^ v))
+        t = np.unique(u)
+        counts += np.count_nonzero(t <= t ^ s), len(np.unique(u ^ v))
     return counts
 
 
+def _stacks_of_two_pairs(n, col, w, cut, i, j):
+    """The product stacks rdist_run_sums scores at BATCH_ELEMS = 8 << n with
+    two references: in each chunk of at most six runs, the distinct
+    unordered pairs of distinct laws, two pairs a stack."""
+    m = len(cut) - 1
+    a, b = np.divmod(np.unique(np.minimum(i, j) * m + np.maximum(i, j)), m)
+    bounds, count = ruzsa._run_chunks(a, b, 6), 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        runs, at = np.unique(np.r_[a[lo:hi], b[lo:hi]], return_inverse=True)
+        law = ruzsa._dense_runs(n, *ruzsa._take_runs(col, w, cut, runs))[1][at].reshape(2, -1)
+        count += -(-np.unique(np.sort(law, axis=0), axis=1).shape[1] // 2)
+    return count, len(bounds) - 1
+
+
 def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
-    # eight rows of 2^n per chunk: chunks end inside and between slices
-    calls = _count_runs(monkeypatch)
+    # eight rows of 2^n per stack: a chunk reads at most six runs besides
+    # the two references, and each stack scores two pairs, four rows a
+    # pair (the sum, its self sum and its sums with the references), so
+    # stacks end inside and between slices
+    calls, chunks, args = _count_runs(monkeypatch), [], []
+    kernel = bsg.rdist_run_sums
+
+    def recorded(*a):
+        args.append(a)
+        return kernel(*a)
+    monkeypatch.setattr(bsg, "rdist_run_sums", recorded)
     for ref, tabs, _ in _random_uvs_cases(63):
         J = tabs.joint_UVS
         monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
         values = _top_support(J.marginal_dist("S"), 64)
-        del calls[:]
-        endgame_choices(ref, tabs, values)
-        assert all(dense and rows <= 8 for dense, rows in calls)
-        assert len(calls) == sum(-(-_row_counts(J, values) // 8)) > 2
+        del calls[:], args[:]
+        endgame_choices(ref, tabs.X1, tabs.X2, values)
+        (n, col, w, cut, i, j, _), = args
+        stacks, runs = _stacks_of_two_pairs(n, col, w, cut, i, j)
+        assert len(calls) == stacks
+        assert all(dense and rows in (4, 8) for dense, rows in calls)
+        chunks.append(runs)
         _assert_choices_match_slices(ref, tabs, 64)
+    assert min(chunks) > 1
 
 
 def test_a_pair_of_one_law_scores_only_the_gamma_u_rows(monkeypatch):
-    # one row per chunk: each chunk is one call, so the calls count the
-    # rows scored, gamma = U and gamma = W for two laws, gamma = U for one
-    calls = _count_runs(monkeypatch)
+    # the rows handed to the kernel: the gamma = U rows at t <= t ^ s (every
+    # row of the slice S = 0), and for two laws every gamma = W row
+    scored, kernel = [], bsg.rdist_run_sums
+
+    def counted(n, col, w, cut, i, j, refs):
+        scored.append(len(i))
+        return kernel(n, col, w, cut, i, j, refs)
+    monkeypatch.setattr(bsg, "rdist_run_sums", counted)
     rng = make_rng(73)
+    halved = 0
     for n in (3, 4, 5):
         mk = lambda: Dist.from_sparse(rng.choice(1 << n, 6, replace=False),
                                       rng.random(6), n=n)
         X, Y, ref = mk(), mk(), RefPair(mk(), mk())
-        monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 1 << n)
-        for tabs, scored in ((endgame_tables(X, Y), [1, 1]),
-                             (endgame_tables(X, X), [1, 0])):
-            values = _top_support(tabs.joint_UVS.marginal_dist("S"), 64)
-            del calls[:]
-            endgame_choices(ref, tabs, values)
-            assert calls and all(dense and rows == 1 for dense, rows in calls)
-            assert len(calls) == _row_counts(tabs.joint_UVS, values) @ scored
+        for tabs, weights in ((endgame_tables(X, Y), [1, 1]),
+                              (endgame_tables(X, X), [1, 0])):
+            J = tabs.joint_UVS
+            values = _top_support(J.marginal_dist("S"), 64)
+            assert 0 in values
+            del scored[:]
+            endgame_choices(ref, tabs.X1, tabs.X2, values)
+            assert scored == [_row_counts(J, values) @ weights]
+            every_u = sum(len(np.unique(J.condition("S", s).items()[0] & ((1 << n) - 1)))
+                          for s in values)
+            halved += _row_counts(J, values)[0] < every_u
+    assert halved == 6
+
+
+def test_slice_rows_are_sums_of_two_fibres():
+    # given S = s, V | U = t is A_t * A_{t^s} translated by t ^ s, A_g the
+    # law of X2 given X1 ^ X2 = g, and U | W = t is E_t * F_{t^s}, E and F
+    # the fibres of X1 * X1 and X2 * X2: one law and two laws, n = 3-5
+    rng = make_rng(74)
+    for n in (3, 4, 5):
+        mk = lambda: Dist.from_sparse(rng.choice(1 << n, 5, replace=False),
+                                      rng.random(5), n=n)
+        X, Y = mk(), mk()
+        for X1, X2 in ((X, Y), (X, X)):
+            A, E, F = (_fibre_laws(P, Q) for P, Q in ((X2, X1), (X1, X1), (X2, X2)))
+            J = _uvs_sparse(X1, X2)
+            for s in _top_support(J.marginal_dist("S"), 64):
+                keys, w = J.condition("S", s).items()
+                u, v = keys & ((1 << n) - 1), keys >> n
+                for given, law, fibres in ((u, v, (A, A)), (u ^ v, u, (E, F))):
+                    for t in np.unique(given):
+                        row = Dist(n, idx=law[given == t], w=w[given == t])
+                        L = dists.xor_convolve(fibres[0][t], fibres[1][t ^ s])
+                        if fibres[0] is A:
+                            L = L.translate(t ^ s)
+                        assert np.abs(row.dense() - L.dense()).max() <= 1e-14
+
+
+def _fibre_laws(P, Q):
+    """{g: the law of P | P ^ Q~ = g} for independent P and Q~ ~ Q."""
+    g, col, w = dists._cross_runs(P, Q)
+    cut = dists._runs(g)
+    return {int(g[a]): Dist(P.n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])}
 
 
 def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
@@ -531,8 +609,9 @@ def test_endgame_picks_do_not_depend_on_the_scoring_path(monkeypatch, seed):
     # rows that tie in exact arithmetic (translated rows, the rows at t and
     # t ^ s, the U/V and U/W twins) differ by round-off, and the round-off
     # differs between dense chunks, one Dist per row (BATCH_BITS = n - 1)
-    # and one row per chunk (BATCH_ELEMS = 2^n); the TIE_TOL pick makes
-    # the same choice on every path, batched or one slice at a time
+    # and one row per chunk (BATCH_ELEMS = 2^n; endgame_choices then
+    # stacks one pair's four rows); the TIE_TOL pick makes the same choice
+    # on every path, from fibres or one slice at a time
     calls, bits, elems = _count_runs(monkeypatch), ruzsa.BATCH_BITS, ruzsa.BATCH_ELEMS
     cases = [c[:2] for c in _random_uvs_cases(seed)] + list(_one_law_cases(seed))
     for ref, tabs in cases:
@@ -543,14 +622,17 @@ def test_endgame_picks_do_not_depend_on_the_scoring_path(monkeypatch, seed):
             monkeypatch.setattr(ruzsa, "BATCH_BITS", b)
             monkeypatch.setattr(ruzsa, "BATCH_ELEMS", e)
             del calls[:]
-            picks.append(endgame_choices(ref, tabs, values))
+            picks.append(endgame_choices(ref, tabs.X1, tabs.X2, values))
             picks.append([abstract_endgame(ref, J.condition("S", s)) for s in values])
-            assert calls and all(dense == (b >= n) and (e == elems or rows == 1)
+            assert calls and all(dense == (b >= n) and (e == elems or rows in (1, 4))
                                  for dense, rows in calls)
         for chs in zip(*picks):
             assert len({ch.choice for ch in chs}) == 1
             taus = [ch.tau for ch in chs]
             assert max(taus) - min(taus) <= 1e-12
+            for ch in chs[1:]:
+                assert _law_gap(ch.T1p, chs[0].T1p) <= 1e-12
+                assert _law_gap(ch.T2p, chs[0].T2p) <= 1e-12
 
 
 def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):
@@ -573,7 +655,13 @@ def test_endgame_choices_reject_a_value_of_zero_mass():
     tabs = endgame_tables(X, X)
     J = tabs.joint_UVS
     with pytest.raises(ValueError, match="S=2 has zero mass"):
-        endgame_choices(RefPair(X, X), tabs, [0, 2])
+        endgame_choices(RefPair(X, X), X, X, [0, 2])
+    # a value past F_2^n would read another family's fibres as its rows
+    Y = uniform_on([0, 3], 3)
+    for X1, X2 in ((X, X), (X, Y)):
+        for s in (1 << 3, -1):
+            with pytest.raises(ValueError, match=f"S={s} lies outside F_2"):
+                endgame_choices(RefPair(X1, X2), X1, X2, [0, s])
     with pytest.raises(ValueError, match="S=2 has zero mass"):
         J.condition("S", 2)
 

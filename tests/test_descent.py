@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entropic_pfr import descent
+from entropic_pfr import bsg, descent
+from entropic_pfr.bsg import endgame_tables
 from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, Move, MoveKind,
                                   _best, _from_coords, _to_coords, descend,
                                   diagnostics, entropic_pfr, extract_subgroup,
@@ -272,13 +273,117 @@ def test_guard_skipped_class_counts_no_candidates():
 def test_descend_raises_endgame_errors_that_are_not_guards(monkeypatch):
     # only CostGuardExceeded marks the endgame as skipped; any other error
     # is a fault and must reach the caller
-    def broken(ref, tabs, values):
+    def broken(ref, X1, X2, values):
         raise ValueError("not a cost guard")
-    monkeypatch.setattr(descent, "endgame_choices", broken)
+    monkeypatch.setattr(descent, "_slice_choices", broken)
     rng = make_rng(12)
     X1, X2 = random_dist(rng, 3), random_dist(rng, 3)
     with pytest.raises(ValueError, match="not a cost guard"):
         descend(random_ref(rng, 3), X1, X2, max_iter=1)
+
+
+def test_descend_takes_the_endgame_move_without_the_endgame_tables(monkeypatch):
+    # demo 3's first move is an endgame move (acceptance 7); descent scores
+    # it from fibres of the two-fold sums and never builds the (U, V, S) law
+    def refused(X1, X2):
+        raise AssertionError("descent built the endgame tables")
+    monkeypatch.setattr(bsg, "endgame_tables", refused)
+    monkeypatch.setattr(descent, "endgame_tables", refused)
+    X01, X02 = demo_pair(3)
+    st = descend(RefPair(X01, X02), X02, X01, max_iter=1)
+    assert st.trace[0]["kind"] == "endgame"
+    assert st.trace[0]["per_class_candidates"]["endgame"] == descent.BUDGET
+
+
+def _trip(f):
+    """(guard, size) of the CostGuardExceeded f() raises, or None."""
+    try:
+        f()
+    except CostGuardExceeded as exc:
+        return exc.guard, exc.size
+    return None
+
+
+def test_the_endgame_guard_trips_where_the_endgame_tables_do(monkeypatch):
+    # pairs on both sides of ENDGAME_SUPPORT_CAP at n = 8 (lowered to
+    # (8 * 8)^2, so that the pair on it builds a small table), one past the
+    # real cap, the spectral cube at n = 5, and 63 key bits at n = 21:
+    # descent's endgame trips the guard, name and size, of endgame_tables,
+    # and trips it before it takes X1 * X2 * X1 * X2
+    rng = make_rng(40)
+
+    def mk(n, m):
+        return Dist.from_sparse(rng.choice(1 << n, m, replace=False), rng.random(m), n=n)
+    cap = bsg.ENDGAME_SUPPORT_CAP
+    cases = [((mk(8, 8), mk(8, 8)), 64 ** 2), ((mk(8, 9), mk(8, 8)), 64 ** 2),
+             ((mk(8, 65), mk(8, 64)), cap), ((mk(5, 20), mk(5, 20)), cap),
+             ((mk(21, 2), mk(21, 2)), cap)]
+    seen = []
+    for (X1, X2), at in cases:
+        monkeypatch.setattr(bsg, "ENDGAME_SUPPORT_CAP", at)
+        ref = RefPair(X1, X2)
+        want = _trip(lambda: endgame_tables(X1, X2))
+        sums = {}
+        got = _trip(lambda: descent._class_moves(ref, X1, X2, 4, MoveKind.ENDGAME, sums))
+        assert got == want
+        assert (not sums) == (want is not None)
+        seen.append(want)
+    assert seen == [None, ("ENDGAME_SUPPORT_CAP", 72 ** 2),
+                    ("ENDGAME_SUPPORT_CAP", (65 * 64) ** 2), None, ("endgame key bits", 63)]
+
+
+def test_top_support_orders_tied_masses_by_value():
+    # masses within TIE_TOL of the one before tie and go by value, so
+    # round-off cannot reorder them; a gap past TIE_TOL orders by mass
+    X = Dist.from_sparse([7, 5, 2, 6, 1, 0, 3],
+                         [0.1, 0.3, 0.3 + 4e-16, 0.3 - 4e-16, 0.2, 0.2 - 5e-12, 1e-3], n=3)
+    assert descent._top_support(X, 8) == [2, 5, 6, 1, 0, 7, 3]
+    assert descent._top_support(X, 2) == [2, 5]
+
+
+def test_the_endgame_slices_do_not_depend_on_how_the_law_of_s_is_taken():
+    # on a uniform set P(S = s) ties exactly across many s, and C * C and
+    # the (U, V, S) marginal split those ties by different round-off; the
+    # endgame conditions on the same values in the same order from either,
+    # where an order by exact mass differs
+    split = 0
+    for seed, n in ((21, 6), (22, 7), (23, 8)):
+        UA = uniform_on(random_coset_union(make_rng(seed), n, 3, 3, 0.5), n)
+        C = xor_convolve(UA, UA)
+        laws = [xor_convolve(C, C), endgame_tables(UA, UA).joint_UVS.marginal_dist("S")]
+        assert np.array_equal(laws[0].support(), laws[1].support())
+        assert descent._top_support(laws[0], 64) == descent._top_support(laws[1], 64)
+        exact = [np.lexsort((X.items()[0], -X.items()[1])) for X in laws]
+        split += not np.array_equal(*exact)
+        ref = RefPair(UA, UA)
+        moves = generate_candidates(ref, UA, UA, 64, [MoveKind.ENDGAME])
+        values = descent._top_support(laws[1], 64)
+        assert [mv.params for mv in moves] == [
+            (s,) + ch.choice for s, ch in zip(values, bsg.endgame_choices(ref, UA, UA, values))]
+    assert split
+
+
+def test_the_endgame_drops_a_value_that_c_c_holds_by_round_off(monkeypatch):
+    # X1 and X2 on the two cosets of an index-2 subgroup H at n = 6: S lies
+    # in H, and C * C, C = X1 + X2, goes through the transform. A value off
+    # H that round-off left in C * C has no slice: descent drops it and
+    # scores the other values as before, where endgame_choices refuses it
+    rng = make_rng(41)
+    n = 6
+    H = np.array([x for x in range(1 << n) if bin(x & 0b100001).count("1") % 2 == 0])
+    X1 = Dist.from_sparse(rng.choice(H, 20, replace=False), rng.random(20), n=n)
+    X2 = Dist.from_sparse(rng.choice(H, 20, replace=False) ^ 1, rng.random(20), n=n)
+    assert xor_convolve(X1, X2).support_size() ** 2 >= n << n
+    ref = RefPair(X1, X2)
+    moves = generate_candidates(ref, X1, X2, 8, [MoveKind.ENDGAME])
+    assert len(moves) == 8 and np.isin([mv.params[0] for mv in moves], H).all()
+    top = descent._top_support
+    monkeypatch.setattr(descent, "_top_support", lambda X, count: [1] + top(X, count - 1))
+    got = generate_candidates(ref, X1, X2, 8, [MoveKind.ENDGAME])
+    assert [mv.params for mv in got] == [mv.params for mv in moves[:7]]
+    assert np.allclose([mv.tau for mv in got], [mv.tau for mv in moves[:7]], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="S=1 has zero mass"):
+        bsg.endgame_choices(ref, X1, X2, [1] + top(xor_convolve(*[xor_convolve(X1, X2)] * 2), 7))
 
 
 # -- symmetric pairs ----------------------------------------------------------
@@ -436,13 +541,18 @@ def test_entropic_pfr_takes_only_the_distances_it_reads(monkeypatch):
     monkeypatch.setattr(descent, "rdist", counting)
     UA = uniform_on(random_coset_union(make_rng(21), 6, 2, 3), 6)
     X01, X02 = demo_pair(2)
-    for inputs, taken in (((UA, UA), 2), ((X01, X02), 3)):
+    for inputs, taken in (((UA, UA), 1), ((X01, X02), 3)):
         calls.clear()
         st, cert = entropic_pfr(*inputs)
-        # d1 (and d2) against U_H, and k0; not extract_subgroup's d[X; U_H]
-        # and d[X; X] at the endpoint
+        # d1 (and d2) against U_H, and k0 for two laws; not
+        # extract_subgroup's d[X; U_H] and d[X; X] at the endpoint
         assert len(calls) == taken
         assert cert.H == extract_subgroup(st.X1).H
+    # for one law k0 is descent's starting d, bit for bit rdist in the span
+    a0 = int(UA.support()[0])
+    _, (Y,) = descent._reduce([UA], [a0])
+    st, cert = entropic_pfr(UA, UA)
+    assert cert.k0 == st.k_start == rdist(Y, Y)
 
 
 def test_entropic_pfr_carries_byte_equal_inputs_once():

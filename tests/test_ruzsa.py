@@ -19,7 +19,8 @@ from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 check_xor_lower, cond_rdist,
                                 cond_rdist_via_joint, one, rdist,
                                 rdist_matrix, rdist_one_many, rdist_paired,
-                                rdist_pairs, rdist_runs, slices_of)
+                                rdist_pairs, rdist_run_sums, rdist_runs,
+                                slices_of)
 from oracles import double_shift_via_joint, sum_shift_cond_via_joint
 
 
@@ -189,6 +190,81 @@ def test_rdist_runs_scores_repeated_runs_once(rows_per_chunk, monkeypatch):
     del rows[:]
     assert np.array_equal(scored(order), one)
     assert rows[0] == 1
+
+
+@pytest.mark.parametrize("bits", [None, 4])
+def test_rdist_run_sums_scores_each_distinct_sum_once(bits, monkeypatch):
+    # against rdist on the sums built by xor_convolve, on dense spectra and,
+    # past BATCH_BITS, on one Dist per sum. Run 3 is byte-equal to run 1,
+    # so the pairs (0, 1), (1, 0) and (0, 3) are one sum, bit for bit
+    rng = make_rng(38)
+    n = 5
+    runs = [(np.sort(rng.choice(1 << n, 4, replace=False)), rng.random(4))
+            for _ in range(3)]
+    runs.append(runs[1])
+    col, w = (np.concatenate(z) for z in zip(*runs))
+    cut = np.arange(len(runs) + 1) * 4
+    i, j = [0, 1, 0, 2, 3, 2], [1, 0, 3, 2, 2, 0]
+    refs = [random_dist(rng, n), random_dist(rng, n)]
+    if bits:
+        monkeypatch.setattr(ruzsa, "BATCH_BITS", bits)
+    rows = _forward_rows(monkeypatch)
+    got = rdist_run_sums(n, col, w, cut, i, j, refs)
+    laws = [Dist(n, idx=c, w=x) for c, x in runs]
+    sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
+    want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert rdist_run_sums(n, col, w, cut, i, j).shape == (1, 6)
+    if not bits:
+        # the two references and the three distinct runs, as one stack
+        assert rows[0] == 5
+        assert np.array_equal(got[:, [0, 0]], got[:, [1, 2]])
+
+
+def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
+    # 40 pairs over 12 runs. At BATCH_ELEMS = 8 << n, with two references,
+    # a chunk reads at most six runs: every stack the kernel transforms or
+    # scores has at most 8 rows of 2^n, and the distances are, bit for bit,
+    # those of the one stack at the default BATCH_ELEMS
+    rng = make_rng(39)
+    n = 5
+    runs = [(np.sort(rng.choice(1 << n, 3, replace=False)), rng.random(3))
+            for _ in range(12)]
+    col, w = (np.concatenate(z) for z in zip(*runs))
+    cut = np.arange(len(runs) + 1) * 3
+    i, j = rng.integers(0, len(runs), (2, 40))
+    refs = [random_dist(rng, n), random_dist(rng, n)]
+    rows = _forward_rows(monkeypatch)
+    want = rdist_run_sums(n, col, w, cut, i, j, refs)
+    assert rows == [2 + len(runs)]
+    del rows[:]
+    scored, entropies = [], ruzsa.conv_entropy
+
+    def counted(spec):
+        scored.append(len(spec))
+        return entropies(spec)
+    monkeypatch.setattr(ruzsa, "conv_entropy", counted)
+    monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << n)
+    assert np.array_equal(rdist_run_sums(n, col, w, cut, i, j, refs), want)
+    assert len(rows) > 2 and max(rows) <= 8 and max(scored) <= 8
+
+
+def test_run_chunks_cover_the_pairs_in_order():
+    # consecutive chunks, each reading at most cap runs, each as long as
+    # the next pair allows
+    rng = make_rng(40)
+    m = 30
+    pairs = np.unique(np.sort(rng.integers(0, m, (80, 2)), axis=1) @ [m, 1])
+    a, b = np.divmod(pairs, m)
+    for cap in (2, 3, 7, m):
+        bounds = ruzsa._run_chunks(a, b, cap)
+        assert bounds[0] == 0 and bounds[-1] == len(a)
+        assert all(x < y for x, y in zip(bounds[:-1], bounds[1:]))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert len(np.union1d(a[lo:hi], b[lo:hi])) <= cap
+            if hi < len(a):
+                assert len(np.union1d(a[lo:hi + 1], b[lo:hi + 1])) > cap
+        assert (len(bounds) == 2) == (cap == m)
 
 
 def test_a_law_and_its_translate_stay_two_rows(monkeypatch):
