@@ -213,7 +213,8 @@ _UVS_TRIPLES = (_TRIPLES[0], _TRIPLES[2])
 
 @dataclass(frozen=True, eq=False)
 class EndgameChoice:
-    """The conditioned pair abstract_endgame picks, with its tau.
+    """The conditioned pair abstract_endgame picks, with its tau and its
+    scored d[T1p; T2p].
 
     T_alpha is kept as the law of x ^ y ^ shift for independent x and y,
     each given by its values and weights (y a point mass at 0 for a row of
@@ -221,6 +222,7 @@ class EndgameChoice:
     built from them on first read.
     """
     tau: float
+    d: float
     choice: Tuple[int, int, int, int]   # (gamma, alpha, beta, t), alpha < beta
     n: int
     summands: Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -258,16 +260,16 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     vals = [keys & mask, keys >> n]
     vals.append(vals[0] ^ vals[1])
     sl = np.zeros_like(keys)
-    rows, taus, order, bounds = zip(*(_row_taus(ref, n, sl, vals[g], vals[a], w)
-                                      for g, a, _ in _TRIPLES))
+    rows, taus, d, order, bounds = zip(*(_row_taus(ref, n, sl, vals[g], vals[a], w)
+                                         for g, a, _ in _TRIPLES))
     first = np.cumsum([0] + [len(r) for r in rows])  # each triple's first row
-    rows, taus = np.concatenate(rows), np.concatenate(taus)
+    rows, taus, d = (np.concatenate(z) for z in (rows, taus, d))
     win = int(_first_least(taus, np.array([0, len(taus)]))[0])
     c = int(np.searchsorted(first, win, "right")) - 1
     r = win - first[c]
     e = order[c][bounds[c][r]:bounds[c][r + 1]]
     g, a, b = _TRIPLES[c]
-    return EndgameChoice(float(taus[win]), (g, a, b, int(rows[win])), n,
+    return EndgameChoice(float(taus[win]), float(d[win]), (g, a, b, int(rows[win])), n,
                          ((vals[a][e], w[e]), (np.zeros(1, dtype=np.int64), np.ones(1))), 0)
 
 
@@ -340,24 +342,26 @@ def _slice_choices(ref: RefPair, X1: Dist, X2: Dist,
     tri = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
     sl, t, i, j = (np.concatenate(z) for z in zip(*parts))
     d, d1, d2 = rdist_run_sums(n, col, w, cut, i, j, [ref.X01, ref.X02])
-    taus = d + ref.eta * d1 + ref.eta * d2
+    taus = ref.tau_of(d, d1, d2)
     by_slice = np.argsort(sl, kind="stable")   # (slice, gamma, t)
     win = by_slice[_first_least(taus[by_slice], _runs(sl[by_slice]))]
     for r in win.tolist():
         x, y = (slice(cut[k], cut[k + 1]) for k in (i[r], j[r]))
         shift = int(t[r] ^ values[sl[r]]) if tri[r] == 0 else 0
-        out[sl[r]] = EndgameChoice(float(taus[r]), (*_UVS_TRIPLES[tri[r]], int(t[r])), n,
+        out[sl[r]] = EndgameChoice(float(taus[r]), float(d[r]),
+                                   (*_UVS_TRIPLES[tri[r]], int(t[r])), n,
                                    ((col[x], w[x]), (col[y], w[y])), shift)
     return out
 
 
 def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
               law: np.ndarray, w: np.ndarray):
-    """(rows, taus, order, bounds): the rows (slice << n | t) of the entries'
-    (slice, given) pairs, ascending, from one stable sort; row r's entries
-    order[bounds[r]:bounds[r + 1]], in input order; and each row's tau
-    d[L; L] + eta d[X01; L] + eta d[X02; L], L the law of its entries' law
-    values, scored from those runs by ruzsa.rdist_runs."""
+    """(rows, taus, d, order, bounds): the rows (slice << n | t) of the
+    entries' (slice, given) pairs, ascending, from one stable sort; each
+    row's tau d[L; L] + eta d[X01; L] + eta d[X02; L] and its d[L; L], L the
+    law of its entries' law values, scored from those runs by
+    ruzsa.rdist_runs; and row r's entries order[bounds[r]:bounds[r + 1]],
+    in input order."""
     key = (sl << n) | given
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -365,4 +369,4 @@ def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
     rows = key[bounds[:-1]]
     del key
     d, d1, d2 = rdist_runs(n, law[order], w[order], bounds, [ref.X01, ref.X02])
-    return rows, d + ref.eta * d1 + ref.eta * d2, order, bounds
+    return rows, ref.tau_of(d, d1, d2), d, order, bounds

@@ -8,8 +8,11 @@ close enough to zero is essentially a coset pair, and the subgroup it spans
 certifies small distance from both reference distributions.
 
 Each iteration scores the full candidate list, all five classes at once,
-and accepts the single best strict decrease. RefPair.taus scores the sum
-and fibre classes, each distinct law transformed once per class; the
+and accepts the single best strict decrease. The laws of the sum and fibre
+classes are built first, a side's fibre laws cut in one pass over its top
+values, and one RefPair.parts call scores them all, each distinct law
+transformed once per iteration; it returns each candidate's d beside its
+tau, and the state's k and tau after a move are the accepted move's. The
 endgame reads the law of S as C * C, C = X1 + X2, and scores all of its
 slices of S in one pass from fibres of the two-fold sums
 (bsg.endgame_choices), with no (U, V, S) table. It is skipped where the
@@ -32,12 +35,11 @@ rows of each slice of S: with four i.i.d. summands, the gamma = V and
 gamma = W rows repeat them (bsg.endgame_choices). For one law,
 entropic_pfr's k0 is descent's starting d[X1; X2] (state.k_start).
 
-Each sum of the pair's laws is taken once per iteration: the sums that
-d and tau of a new pair read (X1 + X2, X01 + X1, X02 + X2) are kept, by
-the identity of their operands, for the sum classes, the fibre classes'
+Each sum of the pair's laws is taken once per iteration: a sum is kept,
+by the identity of its operands, for the sum classes, the fibre classes'
 top values and the endgame's C, and dropped with the pair at the next
-move. While X1 is X2, the one self sum X1 + X1 serves d[X1; X2],
-sum-self, fibre-cross and the endgame.
+move. While X1 is X2, the one self sum X1 + X1 serves sum-self,
+fibre-cross and the endgame.
 
 descend works in its inputs' own coordinates. entropic_pfr first carries
 both inputs, by one common shift and the coordinates of their span, into
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,18 +96,21 @@ CLASS_ORDER = [MoveKind.SUM_SELF, MoveKind.FIBRE_CROSS, MoveKind.SUM_CROSS,
                MoveKind.FIBRE_SELF, MoveKind.ENDGAME]
 
 
-@dataclass(frozen=True)
-class Move:
-    """A scored candidate: the pair (X1p, X2p) it moves to, and its tau.
+class Move(NamedTuple):
+    """A scored candidate: the pair (X1p, X2p) it moves to, its tau, and
+    the d[X1p; X2p] that tau was scored with.
 
     An endgame move holds its EndgameChoice in place of the pair, and that
     builds the laws only when they are read: descent reads them only for
-    the move it accepts.
+    the move it accepts. Descent builds a Move for every candidate and
+    every mirrored copy, about 130 per iteration on a coset union; a
+    NamedTuple takes a third of the time a frozen dataclass takes to build.
     """
     kind: MoveKind
     params: Tuple[int, ...]
     pair: Union[Tuple[Dist, Dist], EndgameChoice]
     tau: float
+    d: float
 
     @property
     def X1p(self) -> Dist:
@@ -133,7 +138,8 @@ class DescentState:
     # dimension of the affine span of the inputs, which entropic_pfr
     # descends in; None for a state built by descend itself
     intrinsic_dim: Optional[int] = None
-    # d[X1; X2] of the starting pair; k is overwritten by each move
+    # d[X1; X2] of the starting pair, scored as the candidates are; k is
+    # overwritten by each move
     k_start: Optional[float] = None
 
 
@@ -161,21 +167,32 @@ def _top_support(X: Dist, count: int) -> List[int]:
     return [int(g) for g in idx[head[np.lexsort((idx[head], tied))]][:count]]
 
 
-def _fibre_law(base: Dist, shift: Dist, g: int) -> Optional[Dist]:
-    """Law proportional to base(x) * shift(x ^ g); None when disjoint."""
+def _fibre_laws(base: Dist, shift: Dist, tops: Sequence[int]) -> Dict[int, Dist]:
+    """The law proportional to base(x) * shift(x ^ g) for each g of tops,
+    cut in one pass over tops: a g whose fibre is empty gets no law, and
+    byte-equal fibres share one Dist."""
     idx, w = base.items()
     sidx, sw = shift.items()
     # shift's weight at each x ^ g, zero where x ^ g is off its support
-    at = idx ^ g
+    at = idx ^ np.array(tops, dtype=np.int64)[:, None]
     pos = sidx.searchsorted(at)
-    w = w * np.where(sidx.take(pos, mode="clip") == at, sw.take(pos, mode="clip"), 0.0)
-    if not w.any():
-        return None
-    return Dist(base.n, idx=idx, w=w)
+    rows = w * np.where(sidx.take(pos, mode="clip") == at, sw.take(pos, mode="clip"), 0.0)
+    laws: Dict[bytes, Dist] = {}
+    out: Dict[int, Dist] = {}
+    for g, row, live in zip(tops, rows, rows.any(axis=1)):
+        if live:
+            key = row.tobytes()
+            if key not in laws:
+                laws[key] = Dist(base.n, idx=idx, w=row)
+            out[g] = laws[key]
+    return out
 
 
 # xor_convolve(A, B) by the ids of A and B, holding both operands
 _Sums = Dict[Tuple[int, int], Tuple[Dist, Dist, Dist]]
+# a sum or fibre class before scoring: each candidate's params, the laws
+# the class reads, and each candidate's pair as indices into them
+_Built = Tuple[List[Tuple[int, ...]], List[Dist], np.ndarray, np.ndarray]
 
 
 def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
@@ -186,14 +203,18 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
     Fibre classes take the top sqrt(budget) conditioning values per side by
     probability mass and pair each fibre law of X1 with each of X2; the
     endgame conditions on the heaviest budget values of the four-fold sum S
-    and scores all of those slices at once; the other classes score their
-    pairs by ref.taus. Each sum of the pair is taken once across the
-    classes, and when X2 is X1 one family of fibre laws serves as both
-    sides.
+    and scores all of those slices at once. The sum and fibre classes are
+    built first and scored together by one RefPair.parts call, as descend
+    scores them. Each sum of the pair is taken once across the classes,
+    and when X2 is X1 one family of fibre laws serves as both sides.
     """
     sums: _Sums = {}
-    return [mv for kind in CLASS_ORDER if kinds is None or kind in kinds
-            for mv in _class_moves(ref, X1, X2, budget, kind, sums)]
+    asked = [kind for kind in CLASS_ORDER if kinds is None or kind in kinds]
+    moves = _scored(ref, {kind: _class_laws(X1, X2, budget, kind, sums)
+                          for kind in asked if kind is not MoveKind.ENDGAME})
+    if MoveKind.ENDGAME in asked:
+        moves += _endgame_moves(ref, X1, X2, budget, sums)
+    return moves
 
 
 def _sum(sums: _Sums, A: Dist, B: Dist) -> Dist:
@@ -205,42 +226,65 @@ def _sum(sums: _Sums, A: Dist, B: Dist) -> Dist:
     return sums[key][2]
 
 
-def _class_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
-                 kind: MoveKind, sums: _Sums) -> List[Move]:
-    """generate_candidates for one class, its sums of the pair from sums."""
-    if kind == MoveKind.ENDGAME:
-        _endgame_guard(X1, X2)
-        C = _sum(sums, X1, X2)
-        # the law of S; a value that C * C holds by round-off alone has no
-        # slice and is dropped
-        values = _top_support(_sum(sums, C, C), budget)
-        return [Move(kind, (s,) + ch.choice, ch, ch.tau)
-                for s, ch in zip(values, _slice_choices(ref, X1, X2, np.array(values)))
-                if ch is not None]
+def _class_laws(X1: Dist, X2: Dist, budget: int, kind: MoveKind,
+                sums: _Sums) -> _Built:
+    """The unscored candidates of a sum or fibre class, its sums of the
+    pair from sums."""
     if kind == MoveKind.SUM_SELF:
         laws = [_sum(sums, X1, X1)]
         if X2 is not X1:
             laws.append(_sum(sums, X2, X2))
-        params, i, j = [()], [0], [len(laws) - 1]
-    elif kind == MoveKind.SUM_CROSS:
-        params, laws, i, j = [()], [_sum(sums, X1, X2)], [0], [0]
-    else:
-        # fibres of X1 over X1 ^ Y1 = g and of X2 over X2 ^ Y2 = g'
-        m = max(1, int(np.sqrt(budget)))
-        cross = kind == MoveKind.FIBRE_CROSS
-        Y1, Y2 = (X2, X1) if cross else (X1, X2)
-        tops1 = _top_support(_sum(sums, X1, Y1), m)
-        A = {g: a for g in tops1 if (a := _fibre_law(X1, Y1, g)) is not None}
-        B, laws = A, [*A.values()]
-        if X2 is not X1:
-            tops2 = tops1 if cross else _top_support(_sum(sums, X2, Y2), m)
-            B = {g: b for g in tops2 if (b := _fibre_law(X2, Y2, g)) is not None}
-            laws += B.values()
-        params = [(g, gp) for g in A for gp in B]
-        i, j = (np.indices((len(A), len(B))).reshape(2, -1)
-                + [[0], [len(laws) - len(B)]])
-    return [Move(kind, prm, (laws[a], laws[b]), float(t))
-            for prm, a, b, t in zip(params, i, j, ref.taus(laws, i, j))]
+        return [()], laws, np.array([0]), np.array([len(laws) - 1])
+    if kind == MoveKind.SUM_CROSS:
+        return [()], [_sum(sums, X1, X2)], np.array([0]), np.array([0])
+    # fibres of X1 over X1 ^ Y1 = g and of X2 over X2 ^ Y2 = g'
+    m = max(1, int(np.sqrt(budget)))
+    cross = kind == MoveKind.FIBRE_CROSS
+    Y1, Y2 = (X2, X1) if cross else (X1, X2)
+    tops1 = _top_support(_sum(sums, X1, Y1), m)
+    A = B = _fibre_laws(X1, Y1, tops1)
+    laws = [*A.values()]
+    if X2 is not X1:
+        tops2 = tops1 if cross else _top_support(_sum(sums, X2, Y2), m)
+        B = _fibre_laws(X2, Y2, tops2)
+        laws += B.values()
+    i, j = np.indices((len(A), len(B))).reshape(2, -1)
+    return [(g, gp) for g in A for gp in B], laws, i, j + len(laws) - len(B)
+
+
+def _scored(ref: RefPair, built: Dict[MoveKind, _Built]) -> List[Move]:
+    """The moves of the built classes, in their order, every class scored
+    by one RefPair.parts call on all of their laws."""
+    laws: List[Dist] = []
+    kinds: List[MoveKind] = []
+    params: List[Tuple[int, ...]] = []
+    i, j = [], []
+    for kind, (prm, L, a, b) in built.items():
+        kinds += [kind] * len(prm)
+        params += prm
+        i.append(a + len(laws))
+        j.append(b + len(laws))
+        laws += L
+    if not kinds:
+        return []
+    i, j = np.concatenate(i), np.concatenate(j)
+    d, d1, d2 = ref.parts(laws, i, j)
+    pairs = [(laws[x], laws[y]) for x, y in zip(i.tolist(), j.tolist())]
+    return list(map(Move, kinds, params, pairs, ref.tau_of(d, d1, d2).tolist(), d.tolist()))
+
+
+def _endgame_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
+                   sums: _Sums) -> List[Move]:
+    """The endgame class, scored by its own kernel (bsg._slice_choices), its
+    sums of the pair from sums."""
+    _endgame_guard(X1, X2)
+    C = _sum(sums, X1, X2)
+    # the law of S; a value that C * C holds by round-off alone has no
+    # slice and is dropped
+    values = _top_support(_sum(sums, C, C), budget)
+    return [Move(MoveKind.ENDGAME, (s,) + ch.choice, ch, ch.tau, ch.d)
+            for s, ch in zip(values, _slice_choices(ref, X1, X2, np.array(values)))
+            if ch is not None]
 
 
 def _best(moves: Sequence[Move]) -> Optional[Move]:
@@ -250,15 +294,12 @@ def _best(moves: Sequence[Move]) -> Optional[Move]:
     return moves[_first_least(np.array([mv.tau for mv in moves]), np.array([0, len(moves)]))[0]]
 
 
-def _k_tau(ref: RefPair, X1: Dist, X2: Dist,
-           sums: _Sums) -> Tuple[float, float]:
-    """d[X1; X2], and tau in RefPair.tau's order, each sum taken from sums;
-    d[X02; X2] is d[X01; X1] when X2 is X1 and X02 is X01."""
-    def d(X: Dist, Y: Dist) -> float:
-        return _rdist_of(_sum(sums, X, Y), X, Y)
-    k, d1 = d(X1, X2), d(ref.X01, X1)
-    d2 = d1 if X2 is X1 and ref.X02 is ref.X01 else d(ref.X02, X2)
-    return k, k + ref.eta * d1 + ref.eta * d2
+def _pair_score(ref: RefPair, X1: Dist, X2: Dist) -> Tuple[float, float]:
+    """d[X1; X2] and tau, by the RefPair.parts call that scores the
+    candidates; a pair of one law is one law."""
+    laws = [X1] if X2 is X1 else [X1, X2]
+    d, d1, d2 = ref.parts(laws, [0], [len(laws) - 1])[:, 0]
+    return float(d), float(ref.tau_of(d, d1, d2))
 
 
 def _shared(X1: Dist, X2: Dist) -> Dist:
@@ -279,6 +320,14 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     skipped), and for each skipped class the name and size of the guard
     that tripped (guard_trips).
 
+    The sum and fibre classes are built, then scored together by one
+    RefPair.parts call, whose time is the row's scoring_s; their
+    per_class_s is the time to build their laws, and the endgame's is its
+    whole time. The state's k and tau after a move are the d and tau the
+    accepted move was scored with; where prune() drops mass from its laws,
+    the pruned pair is scored again by the same call, as is the starting
+    pair (state.k_start).
+
     A byte-equal pair, at the start or after a move, is held as one object
     (X2 is X1), and so are byte-equal references; state.ref stays the
     caller's. While X2 is X1, the sum-cross and fibre-self candidates are
@@ -286,15 +335,12 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
     the ones scoring would give, and their per_class_s is the copy's time;
     the endgame scores the gamma = U rows of each slice alone.
 
-    Each sum of the pair is taken once per iteration, first by the d and
-    tau of the pair after the move, so the time of a sum that those read
-    (such as X1 + X1 while X2 is X1) falls outside every per_class_s.
+    Each sum of the pair is taken once per iteration, by the first class
+    that reads it, and its time falls in that class's per_class_s.
     """
     X2 = _shared(X1, X2)
     scoring_ref = replace(ref, X02=_shared(ref.X01, ref.X02))
-    # the sums of the current pair, from its _k_tau to its scoring
-    sums: _Sums = {}
-    k, tau = _k_tau(scoring_ref, X1, X2, sums)
+    k, tau = _pair_score(scoring_ref, X1, X2)
     state = DescentState(ref, X1, X2, k, tau, k_start=k)
     state.snapshots.append((X1, X2))
     # with X2 == X1, X1 + X2 is X1 + X1 and X1 | X1 + X1 is X1 | X1 + X2
@@ -305,32 +351,34 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             state.converged = True
             state.stop_reason = "distance below eps_d"
             return state
-        moves: List[Move] = []
+        X1, X2 = state.X1, state.X2
+        mirrored = twin if X2 is X1 else {}
+        sums: _Sums = {}
+        seconds: Dict[MoveKind, float] = {}
+        built: Dict[MoveKind, _Built] = {}
+        for kind in CLASS_ORDER[:-1]:
+            if kind not in mirrored:
+                t0 = perf_counter()
+                built[kind] = _class_laws(X1, X2, budget, kind, sums)
+                seconds[kind] = perf_counter() - t0
+        t0 = perf_counter()
+        scored = _scored(scoring_ref, built)
+        scoring_s = perf_counter() - t0
+        got = {kind: [mv for mv in scored if mv.kind is kind] for kind in CLASS_ORDER}
+        for kind, of in mirrored.items():
+            t0 = perf_counter()
+            got[kind] = [Move(kind, *mv[1:]) for mv in got[of]]
+            seconds[kind] = perf_counter() - t0
         skipped: List[str] = []
         guard_trips: Dict[str, dict] = {}
-        per_class: Dict[str, float] = {}
-        per_class_s: Dict[str, float] = {}
-        per_class_candidates: Dict[str, int] = {}
-        for kind in CLASS_ORDER:
-            t0 = perf_counter()
-            if state.X2 is state.X1 and kind in twin:
-                got = [Move(kind, mv.params, mv.pair, mv.tau)
-                       for mv in moves if mv.kind is twin[kind]]
-            else:
-                try:
-                    got = _class_moves(scoring_ref, state.X1, state.X2,
-                                       budget, kind, sums)
-                except CostGuardExceeded as exc:
-                    if kind is not MoveKind.ENDGAME:
-                        raise
-                    got = []
-                    skipped.append(kind.value)
-                    guard_trips[kind.value] = {"guard": exc.guard, "size": exc.size}
-            per_class_s[kind.value] = perf_counter() - t0
-            per_class_candidates[kind.value] = len(got)
-            if got:
-                per_class[kind.value] = min(mv.tau for mv in got)
-            moves += got
+        t0 = perf_counter()
+        try:
+            got[MoveKind.ENDGAME] = _endgame_moves(scoring_ref, X1, X2, budget, sums)
+        except CostGuardExceeded as exc:
+            skipped.append(MoveKind.ENDGAME.value)
+            guard_trips[MoveKind.ENDGAME.value] = {"guard": exc.guard, "size": exc.size}
+        seconds[MoveKind.ENDGAME] = perf_counter() - t0
+        moves = [mv for kind in CLASS_ORDER for mv in got[kind]]
         chosen = _best(moves)
         if chosen is None or chosen.tau >= state.tau - eps_step:
             state.stop_reason = "no improving move"
@@ -341,17 +389,23 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             "params": list(chosen.params),
             "tau_before": state.tau,
             "tau_after": chosen.tau,
-            "per_class_tau": per_class,
-            "per_class_s": per_class_s,
-            "per_class_candidates": per_class_candidates,
+            "per_class_tau": {kind.value: min(mv.tau for mv in got[kind])
+                              for kind in CLASS_ORDER if got[kind]},
+            "per_class_s": {kind.value: seconds[kind] for kind in CLASS_ORDER},
+            "scoring_s": scoring_s,
+            "per_class_candidates": {kind.value: len(got[kind]) for kind in CLASS_ORDER},
             "skipped_classes": skipped,
             "guard_trips": guard_trips,
         })
         X1p, X2p = chosen.X1p, chosen.X2p
-        state.X1 = X1p.prune()
-        state.X2 = state.X1 if X2p is X1p else _shared(state.X1, X2p.prune())
-        sums = {}
-        state.k, state.tau = _k_tau(scoring_ref, state.X1, state.X2, sums)
+        P1 = X1p.prune()
+        P2 = P1 if X2p is X1p else X2p.prune()
+        state.X1, state.X2 = P1, _shared(P1, P2)
+        if P1 is X1p and P2 is X2p:
+            state.k, state.tau = chosen.d, chosen.tau
+        else:
+            # prune() dropped mass: the pair it left has its own d and tau
+            state.k, state.tau = _pair_score(scoring_ref, state.X1, state.X2)
         state.trace[-1]["k_after"] = state.k
         state.snapshots.append((state.X1, state.X2))
         del state.snapshots[:-SNAPSHOT_CAP]
@@ -443,7 +497,7 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
     UH = uniform_on_subgroup(Hr)
     d1 = rdist(Y01, UH)
     d2 = d1 if Y02 is Y01 else rdist(Y02, UH)
-    # for one law descent's start (Y02, Y01) took d[Y01; Y02] by rdist's arithmetic
+    # for one law descent scored its start (Y02, Y01) by RefPair.parts
     k0 = inner.k_start if Y02 is Y01 else rdist(Y01, Y02)
     ok = (d1 + d2 <= 11.0 * k0 + 1e-6
           and d1 <= 6.0 * k0 + 1e-6 and d2 <= 6.0 * k0 + 1e-6)

@@ -395,18 +395,20 @@ class RefPair:
         return self.X01.n
 
     def tau(self, X1: Dist, X2: Dist) -> float:
-        return (rdist(X1, X2)
-                + self.eta * rdist(self.X01, X1)
-                + self.eta * rdist(self.X02, X2))
+        return self.tau_of(rdist(X1, X2), rdist(self.X01, X1), rdist(self.X02, X2))
 
-    def taus(self, laws: Sequence[Dist], i, j) -> np.ndarray:
-        """tau[laws[i[k]]; laws[j[k]]] for every k, through one rdist_pairs
-        call with the references first, so each law is transformed once."""
-        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        d, d1, d2 = rdist_pairs([self.X01, self.X02, *laws],
-                                np.r_[i + 2, np.zeros_like(i), np.ones_like(j)],
-                                np.r_[j, i, j] + 2).reshape(3, -1)
+    def tau_of(self, d, d1, d2):
+        """tau from its parts d[X1; X2], d[X01; X1] and d[X02; X2]."""
         return d + self.eta * d1 + self.eta * d2
+
+    def parts(self, laws: Sequence[Dist], i, j) -> np.ndarray:
+        """The parts d, d1, d2 of tau[laws[i[k]]; laws[j[k]]] for every k, as
+        rows, through one rdist_pairs call with the references first, so
+        each distinct law is transformed once."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        return rdist_pairs([self.X01, self.X02, *laws],
+                           np.r_[i + 2, np.zeros_like(i), np.ones_like(j)],
+                           np.r_[j, i, j] + 2).reshape(3, -1)
 
 
 # -- inequality corpus ------------------------------------------------------

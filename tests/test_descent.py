@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entropic_pfr import bsg, descent
+from entropic_pfr import bsg, descent, ruzsa
 from entropic_pfr.bsg import endgame_tables
 from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, Move, MoveKind,
                                   _best, _from_coords, _to_coords, descend,
                                   diagnostics, entropic_pfr, extract_subgroup,
                                   generate_candidates)
-from entropic_pfr.dists import (CostGuardExceeded, Dist, uniform_on,
+from entropic_pfr.dists import (CostGuardExceeded, Dist, fwht, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
 from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.groups import LinearMap, span
@@ -40,17 +40,18 @@ def test_class_order_covers_every_kind():
 
 def test_class_order_wins_ties_within_rounding():
     # the later class is lower only by round-off: the earlier class stays
+    # (d[X; X] = 0 on a subgroup; _best reads only tau)
     X = uniform_on([0, 1], 2)
-    early = Move(MoveKind.FIBRE_CROSS, (), (X, X), 0.12206803207423446)
-    late = Move(MoveKind.ENDGAME, (), (X, X), 0.12206803207423446 - 1e-16)
+    early = Move(MoveKind.FIBRE_CROSS, (), (X, X), 0.12206803207423446, 0.0)
+    late = Move(MoveKind.ENDGAME, (), (X, X), 0.12206803207423446 - 1e-16, 0.0)
     assert late.tau < early.tau
     assert _best([early, late]) is early
-    clear = Move(MoveKind.ENDGAME, (), (X, X), early.tau - 1e-9)
+    clear = Move(MoveKind.ENDGAME, (), (X, X), early.tau - 1e-9, 0.0)
     assert _best([early, clear]) is clear
     # a chain of steps under TIE_TOL: the pick is the first move within
     # TIE_TOL of the least, not the last one lower than an incumbent by
     # more than TIE_TOL
-    chain = [Move(kind, (), (X, X), early.tau - k * 0.6e-12)
+    chain = [Move(kind, (), (X, X), early.tau - k * 0.6e-12, 0.0)
              for k, kind in enumerate(CLASS_ORDER[:3])]
     assert _best(chain) is chain[1]
     assert _best([]) is None
@@ -148,20 +149,33 @@ def test_fibre_moves_are_conditioned_translates():
 
 
 def test_fibre_law_matches_the_dense_product():
+    # descent._fibre_laws cuts a side's fibres in one pass over its top values
     n = 17
     rng = make_rng(17)
     X, Y = random_dist(rng, n, 3000), random_dist(rng, n, 3000)
     p, q = X.dense(), Y.dense()
     for base, shift, dense in ((X, X, p), (X, Y, q)):
-        for g in X.support()[:4] ^ shift.support()[7]:
+        gs = [int(g) for g in X.support()[:4] ^ shift.support()[7]]
+        laws = descent._fibre_laws(base, shift, gs)
+        assert list(laws) == gs
+        for g, law in laws.items():
             raw = p * dense[np.arange(1 << n) ^ g]
-            law = descent._fibre_law(base, shift, int(g))
             assert np.array_equal(law.support(), np.flatnonzero(raw))
             np.testing.assert_allclose(law.dense(), raw / raw.sum(),
                                        rtol=1e-15, atol=0)
-    # a law on the lower half of F_2^n meets none of its top-bit translates
+    # a law on the lower half of F_2^n meets none of its top-bit translates:
+    # that g gets no law, and g = 0 in the same pass keeps its own
     low = Dist(n, idx=X.support() % (1 << (n - 1)), w=X.items()[1])
-    assert descent._fibre_law(low, low, 1 << (n - 1)) is None
+    laws = descent._fibre_laws(low, low, [1 << (n - 1), 0])
+    assert list(laws) == [0]
+    raw = low.dense() ** 2
+    np.testing.assert_allclose(laws[0].dense(), raw / raw.sum(), rtol=1e-15, atol=0)
+    # on a subgroup every fibre over one of its elements is the uniform law:
+    # byte-equal fibres are one Dist
+    U = uniform_on_subgroup(span([3, 5, 16], 6))
+    laws = descent._fibre_laws(U, U, [int(h) for h in U.support()])
+    assert len(laws) == 8 and len({id(L) for L in laws.values()}) == 1
+    assert _law_key(laws[0]) == _law_key(U)
 
 
 def test_kinds_filter_restricts_classes():
@@ -254,6 +268,7 @@ def test_trace_reports_time_and_candidates_per_class():
     classes = [k.value for k in CLASS_ORDER]
     assert list(row["per_class_s"]) == classes
     assert all(t >= 0.0 for t in row["per_class_s"].values())
+    assert row["scoring_s"] >= 0.0
     assert row["per_class_candidates"] == {
         k.value: len(generate_candidates(ref, X1, X2, 16, [k])) for k in CLASS_ORDER}
     assert row["per_class_candidates"]["endgame"] > 0
@@ -324,7 +339,7 @@ def test_the_endgame_guard_trips_where_the_endgame_tables_do(monkeypatch):
         ref = RefPair(X1, X2)
         want = _trip(lambda: endgame_tables(X1, X2))
         sums = {}
-        got = _trip(lambda: descent._class_moves(ref, X1, X2, 4, MoveKind.ENDGAME, sums))
+        got = _trip(lambda: descent._endgame_moves(ref, X1, X2, 4, sums))
         assert got == want
         assert (not sums) == (want is not None)
         seen.append(want)
@@ -439,8 +454,14 @@ def test_mirrored_classes_score_what_each_class_scores_alone():
         chosen = _best([mv for k in CLASS_ORDER for mv in got[k]])
         assert (row["kind"], row["params"], row["tau_after"]) == (
             chosen.kind.value, list(chosen.params), chosen.tau)
-        assert row["tau_before"] == ref.tau(X1, X2)
-        assert row["k_after"] == rdist(chosen.X1p.prune(), chosen.X2p.prune())
+        # the start is scored by the call that scores the candidates
+        assert row["tau_before"] == descent._pair_score(ref, X1, descent._shared(X1, X2))[1]
+        assert row["tau_before"] == pytest.approx(ref.tau(X1, X2), abs=1e-12)
+        # after the move, k is the d the move was scored with (no law of
+        # these moves loses mass to prune)
+        assert chosen.X1p.prune() is chosen.X1p and chosen.X2p.prune() is chosen.X2p
+        assert row["k_after"] == chosen.d == st.k
+        assert row["k_after"] == pytest.approx(rdist(chosen.X1p, chosen.X2p), abs=1e-12)
         # a symmetric pair's cross sum ties its self sum exactly
         tau = row["per_class_tau"]
         mirrored = _law_key(X1) == _law_key(X2)
@@ -461,39 +482,162 @@ def test_a_byte_equal_pair_is_held_as_one_law():
     assert all(A is B for A, B in st.snapshots)
 
 
-def test_a_symmetric_iteration_scores_two_classes_by_taus(monkeypatch):
-    calls = []
-    taus = RefPair.taus
-    def counting_taus(self, *args):
-        calls.append(self)
-        return taus(self, *args)
-    monkeypatch.setattr(RefPair, "taus", counting_taus)
+def test_a_symmetric_iteration_builds_two_classes_for_one_scoring_call(monkeypatch):
+    built = []
+    class_laws = descent._class_laws
+    def counting(X1, X2, *args):
+        built.append((X1, X2))
+        return class_laws(X1, X2, *args)
+    monkeypatch.setattr(descent, "_class_laws", counting)
     seen = set()
     for ref, X1, X2 in symmetric_cases():
-        calls.clear()
+        built.clear()
         st = descend(ref, X1, X2)
         # each scored pair is the snapshot before its row, and the last
         # one too when no move improved it
         scored = st.snapshots[:len(st.trace) + (st.stop_reason == "no improving move")]
         per_iter = [2 if A is B else 4 for A, B in scored]
-        assert len(calls) == sum(per_iter)
+        assert built == [(A, B) for (A, B), m in zip(scored, per_iter) for _ in range(m)]
         seen.update(per_iter)
     assert seen == {2, 4}
 
 
-def test_k_tau_is_rdist_and_ref_tau():
+def test_the_pair_score_is_rdist_and_ref_tau():
     rng = make_rng(37)
     cases = symmetric_cases() + [(random_ref(rng, 4), random_dist(rng, 4),
                                   random_dist(rng, 4))]
     for ref, X1, X2 in cases:
         X2 = descent._shared(X1, X2)
-        k, tau = descent._k_tau(replace(ref, X02=descent._shared(ref.X01, ref.X02)),
-                                X1, X2, {})
-        assert (k, tau) == (rdist(X1, X2), ref.tau(X1, X2))
+        k, tau = descent._pair_score(replace(ref, X02=descent._shared(ref.X01, ref.X02)),
+                                     X1, X2)
+        assert k == pytest.approx(rdist(X1, X2), abs=1e-12)
+        assert tau == pytest.approx(ref.tau(X1, X2), abs=1e-12)
+        # bit for bit the parts RefPair.parts gives the pair
+        d, d1, d2 = ref.parts([X1, X2], [0], [1])[:, 0]
+        assert (k, tau) == (d, ref.tau_of(d, d1, d2))
     # at the swapped start tau collapses to (1 + 2 eta) d
     ref = random_ref(rng, 4)
-    k, tau = descent._k_tau(ref, ref.X02, ref.X01, {})
+    k, tau = descent._pair_score(ref, ref.X02, ref.X01)
     assert tau == pytest.approx((1 + 2 * ref.eta) * k, abs=1e-14)
+
+
+def _record_picks(monkeypatch):
+    """The candidates of every iteration, as descent hands them to _best."""
+    seen = []
+    best = descent._best
+    def recording(moves):
+        seen.append(list(moves))
+        return best(moves)
+    monkeypatch.setattr(descent, "_best", recording)
+    return seen
+
+
+def test_the_one_pass_scores_every_candidate_as_its_class_alone(monkeypatch):
+    # every tau and d of one iteration's one scoring call, bit for bit the
+    # numbers RefPair.parts gives each class's laws alone; for one law the
+    # mirrored classes are the scores of their own laws too
+    picks = _record_picks(monkeypatch)
+    rng = make_rng(41)
+    cases = symmetric_cases() + [(random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5))]
+    shapes = set()
+    for ref, X1, X2 in cases:
+        picks.clear()
+        st = descend(ref, X1, X2, max_iter=3)
+        assert picks
+        for moves, (A, B) in zip(picks, st.snapshots):
+            shapes.add(A is B)
+            sums = {}
+            for kind in CLASS_ORDER[:-1]:
+                params, laws, i, j = descent._class_laws(A, B, descent.BUDGET, kind, sums)
+                d, d1, d2 = ref.parts(laws, i, j)
+                got = [mv for mv in moves if mv.kind is kind]
+                assert [mv.params for mv in got] == params
+                assert [mv.tau for mv in got] == ref.tau_of(d, d1, d2).tolist()
+                assert [mv.d for mv in got] == d.tolist()
+                assert [_law_key(mv.X1p) + _law_key(mv.X2p) for mv in got] == [
+                    _law_key(laws[x]) + _law_key(laws[y]) for x, y in zip(i, j)]
+            endgame = [mv for mv in moves if mv.kind is MoveKind.ENDGAME]
+            assert [(mv.params, mv.tau, mv.d) for mv in endgame] == [
+                (mv.params, mv.tau, mv.d) for mv in scored_alone(ref, A, B, MoveKind.ENDGAME)]
+    assert shapes == {True, False}
+
+
+def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkeypatch):
+    events, rows, chosen = [], [], []
+    parts, pair_score, best = RefPair.parts, descent._pair_score, descent._best
+    def counting_parts(self, laws, i, j):
+        rows.clear()
+        out = parts(self, laws, i, j)
+        # one stack of the distinct laws, references included, each once
+        keys = {_law_key(L) for L in (self.X01, self.X02, *laws)}
+        assert len(rows) == 1 and len(rows[0]) == len(set(rows[0])) == len(keys)
+        events.append("parts")
+        return out
+    def counting_pair(*args):
+        events.append("pair")
+        return pair_score(*args)
+    def picking(moves):
+        events.append("pick")
+        chosen.append(best(moves))
+        return chosen[-1]
+    def transform(a):
+        rows.append([r.tobytes() for r in np.atleast_2d(a)])
+        return fwht(a)
+    monkeypatch.setattr(RefPair, "parts", counting_parts)
+    monkeypatch.setattr(descent, "_pair_score", counting_pair)
+    monkeypatch.setattr(descent, "_best", picking)
+    monkeypatch.setattr(ruzsa, "fwht", transform)
+    rng = make_rng(42)
+    cases = symmetric_cases() + [(random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5)),
+                                 tiny_weight_case(9)]
+    rescored = 0
+    for ref, X1, X2 in cases:
+        events.clear()
+        chosen.clear()
+        st = descend(ref, X1, X2)
+        assert st.trace
+        # the start is scored; then each iteration makes one scoring call
+        # before its pick, and a move whose laws prune() changed is scored
+        # again after it
+        pruned = [mv.X1p.prune() is not mv.X1p or mv.X2p.prune() is not mv.X2p
+                  for mv in chosen[:len(st.trace)]]
+        want = ["pair", "parts"] + [e for p in pruned
+                                    for e in ["parts", "pick"] + ["pair", "parts"] * p]
+        if st.stop_reason == "no improving move":
+            want += ["parts", "pick"]
+        assert events == want
+        rescored += sum(pruned)
+    assert rescored
+
+
+def tiny_weight_case(seed: int):
+    """(ref, X1, X2) on F_2^4, X1 and X2 5-point laws with one weight 1e-7:
+    products of that point with itself fall below prune()'s floor of 1e-13
+    of the largest weight. The first move prunes at seeds 2 (an endgame
+    move) and 9 (fibre-cross)."""
+    rng = make_rng(seed)
+    n = 4
+    def tiny():
+        idx = rng.choice(1 << n, 5, replace=False)
+        w = rng.random(5)
+        w[0] = 1e-7
+        return Dist(n, idx=idx, w=w)
+    ref = RefPair(random_dist(rng, n), random_dist(rng, n))
+    return ref, tiny(), tiny()
+
+
+def test_a_move_whose_laws_prune_drops_is_scored_again():
+    for seed, kind in ((2, MoveKind.ENDGAME), (9, MoveKind.FIBRE_CROSS)):
+        ref, X1, X2 = tiny_weight_case(seed)
+        st = descend(ref, X1, X2, max_iter=1)
+        row = st.trace[0]
+        assert row["kind"] == kind.value
+        chosen = [mv for mv in generate_candidates(ref, X1, X2)
+                  if mv.kind is kind and list(mv.params) == row["params"]][0]
+        assert chosen.X1p.prune() is not chosen.X1p or chosen.X2p.prune() is not chosen.X2p
+        assert st.k == row["k_after"] != chosen.d
+        assert st.k == pytest.approx(rdist(st.X1, st.X2), abs=1e-12)
+        assert st.tau == pytest.approx(ref.tau(st.X1, st.X2), abs=1e-12)
 
 
 def test_each_sum_of_the_pair_is_taken_once_per_iteration(monkeypatch):
@@ -510,8 +654,8 @@ def test_each_sum_of_the_pair_is_taken_once_per_iteration(monkeypatch):
         assert st.trace
         assert not any(A is C and B is D
                        for k, (A, B) in enumerate(calls) for C, D in calls[:k])
-    # the first iteration of a symmetric pair: _k_tau's d[X1; X1], sum-self
-    # and the fibre-cross top values read one X1 * X1
+    # the first iteration of a symmetric pair: sum-self and the fibre-cross
+    # top values read one X1 * X1
     ref, X1, X2 = symmetric_cases()[1]
     calls.clear()
     st = descend(ref, X1, X2, max_iter=1)
@@ -548,11 +692,13 @@ def test_entropic_pfr_takes_only_the_distances_it_reads(monkeypatch):
         # extract_subgroup's d[X; U_H] and d[X; X] at the endpoint
         assert len(calls) == taken
         assert cert.H == extract_subgroup(st.X1).H
-    # for one law k0 is descent's starting d, bit for bit rdist in the span
+    # for one law k0 is descent's starting d, scored as its candidates are:
+    # bit for bit the d of RefPair.parts in the span, rdist's within 1e-12
     a0 = int(UA.support()[0])
     _, (Y,) = descent._reduce([UA], [a0])
     st, cert = entropic_pfr(UA, UA)
-    assert cert.k0 == st.k_start == rdist(Y, Y)
+    assert cert.k0 == st.k_start == RefPair(Y, Y).parts([Y], [0], [0])[0, 0]
+    assert cert.k0 == pytest.approx(rdist(Y, Y), abs=1e-12)
 
 
 def test_entropic_pfr_carries_byte_equal_inputs_once():

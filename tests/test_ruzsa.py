@@ -82,8 +82,9 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
     assert rdist_matrix([], ys).shape == (0, 5)
     with pytest.raises(ValueError):
         rdist_paired(xs, ys)
-    # rdist_pairs on repeated and reversed index pairs, and taus on the same
-    # pairs: n = 5 stacks dense rows, n = 17 scores the Dists pair by pair
+    # rdist_pairs on repeated and reversed index pairs, and the parts of tau
+    # on the same pairs: n = 5 stacks dense rows, n = 17 scores the Dists
+    # pair by pair
     i = np.array([0, 1, 1, 2, 5, 3, 3, 0, 4])
     j = np.array([1, 0, 1, 4, 2, 3, 0, 5, 4])
     for n in (5, 17):
@@ -91,7 +92,9 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
                 else [random_dist(rng, n) for _ in range(8)])
         ref = RefPair(laws.pop(), laws.pop())
         D = rdist_pairs(laws, i, j)
-        T = ref.taus(laws, i, j)
+        P = ref.parts(laws, i, j)
+        assert np.array_equal(P[0], D)
+        T = ref.tau_of(*P)
         for k in range(len(i)):
             X, Y = laws[i[k]], laws[j[k]]
             assert D[k] == pytest.approx(rdist(X, Y), abs=1e-11)
@@ -109,7 +112,7 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(ruzsa, "BATCH_ELEMS", 2 << n)
             assert np.array_equal(rdist_pairs(laws, i, j), D)
-            assert np.array_equal(ref.taus(laws, i, j), T)
+            assert np.array_equal(ref.parts(laws, i, j), P)
             assert np.array_equal(rdist_runs(n, col, w, cut, refs), runs)
     assert rdist_pairs(laws, [], []).shape == (0,)
     with pytest.raises(ValueError):
@@ -150,12 +153,12 @@ def test_rdist_pairs_scores_repeated_laws_once(n, monkeypatch):
     i, j = np.indices((8, 8)).reshape(2, -1)
     want = rdist_pairs(base, of[i], of[j])
     ref = RefPair(base[3], base[0])
-    want_t = ref.taus(base, of[i], of[j])
+    want_p = ref.parts(base, of[i], of[j])
     calls = []
     monkeypatch.setattr(ruzsa, "rdist", lambda X, Y: calls.append(1) or rdist(X, Y))
     rows = _forward_rows(monkeypatch)
     assert np.array_equal(rdist_pairs(laws, i, j), want)
-    assert np.array_equal(ref.taus(laws, i, j), want_t)
+    assert np.array_equal(ref.parts(laws, i, j), want_p)
     # the references are laws 3 and 0 again: each call sees 5 distinct laws,
     # 15 unordered pairs
     if n > ruzsa.BATCH_BITS:
