@@ -29,10 +29,10 @@ values, such as C * C for S, cannot change the pick.
 A pair of byte-equal laws is held as one object, and so is the reference
 pair. While X1 is X2, X1 + X2 is X1 + X1 and the self fibres are the cross
 fibres, whatever the references: descent scores sum-self and fibre-cross
-and copies their moves into sum-cross and fibre-self, which come later in
-tie order and so are never picked. Its endgame scores only the gamma = U
-rows of each slice of S: with four i.i.d. summands, the gamma = V and
-gamma = W rows repeat them (bsg.endgame_choices). For one law,
+alone, and sum-cross and fibre-self, which would repeat them later in tie
+order and so could never be picked, are not built. Its endgame scores only
+the gamma = U rows of each slice of S: with four i.i.d. summands, the
+gamma = V and gamma = W rows repeat them (bsg.endgame_choices). For one law,
 entropic_pfr's k0 is descent's starting d[X1; X2] (state.k_start).
 
 Each sum of the pair's laws is taken once per iteration: a sum is kept,
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,10 +101,9 @@ class Move(NamedTuple):
     the d[X1p; X2p] that tau was scored with.
 
     An endgame move holds its EndgameChoice in place of the pair, and that
-    builds the laws only when they are read: descent reads them only for
-    the move it accepts. Descent builds a Move for every candidate and
-    every mirrored copy, about 130 per iteration on a coset union; a
-    NamedTuple takes a third of the time a frozen dataclass takes to build.
+    builds the laws only when they are read. Descent picks from the scored
+    taus and builds a Move for its pick alone; generate_candidates builds
+    one for every candidate.
     """
     kind: MoveKind
     params: Tuple[int, ...]
@@ -193,6 +192,9 @@ _Sums = Dict[Tuple[int, int], Tuple[Dist, Dist, Dist]]
 # a sum or fibre class before scoring: each candidate's params, the laws
 # the class reads, and each candidate's pair as indices into them
 _Built = Tuple[List[Tuple[int, ...]], List[Dist], np.ndarray, np.ndarray]
+# the classes scored: each class's span of the candidates, their taus, and
+# the candidate at an index built as a Move
+_Scored = Tuple[Dict[MoveKind, slice], np.ndarray, Callable[[int], Move]]
 
 
 def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
@@ -210,10 +212,11 @@ def generate_candidates(ref: RefPair, X1: Dist, X2: Dist,
     """
     sums: _Sums = {}
     asked = [kind for kind in CLASS_ORDER if kinds is None or kind in kinds]
-    moves = _scored(ref, {kind: _class_laws(X1, X2, budget, kind, sums)
-                          for kind in asked if kind is not MoveKind.ENDGAME})
+    _, tau, move = _scored(ref, {kind: _class_laws(X1, X2, budget, kind, sums)
+                                 for kind in asked if kind is not MoveKind.ENDGAME})
+    moves = [move(k) for k in range(len(tau))]
     if MoveKind.ENDGAME in asked:
-        moves += _endgame_moves(ref, X1, X2, budget, sums)
+        moves += [_endgame_move(*sc) for sc in _endgame_choices(ref, X1, X2, budget, sums)]
     return moves
 
 
@@ -252,46 +255,45 @@ def _class_laws(X1: Dist, X2: Dist, budget: int, kind: MoveKind,
     return [(g, gp) for g in A for gp in B], laws, i, j + len(laws) - len(B)
 
 
-def _scored(ref: RefPair, built: Dict[MoveKind, _Built]) -> List[Move]:
-    """The moves of the built classes, in their order, every class scored
-    by one RefPair.parts call on all of their laws."""
+def _scored(ref: RefPair, built: Dict[MoveKind, _Built]) -> _Scored:
+    """The built classes, in their order, every class scored by one
+    RefPair.parts call on all of their laws: each class's span of the
+    candidates, their taus, and move(k), candidate k built as a Move."""
     laws: List[Dist] = []
+    spans: Dict[MoveKind, slice] = {}
     kinds: List[MoveKind] = []
     params: List[Tuple[int, ...]] = []
     i, j = [], []
     for kind, (prm, L, a, b) in built.items():
+        spans[kind] = slice(len(kinds), len(kinds) + len(prm))
         kinds += [kind] * len(prm)
         params += prm
-        i.append(a + len(laws))
-        j.append(b + len(laws))
+        i += (a + len(laws)).tolist()
+        j += (b + len(laws)).tolist()
         laws += L
-    if not kinds:
-        return []
-    i, j = np.concatenate(i), np.concatenate(j)
-    d, d1, d2 = ref.parts(laws, i, j)
-    pairs = [(laws[x], laws[y]) for x, y in zip(i.tolist(), j.tolist())]
-    return list(map(Move, kinds, params, pairs, ref.tau_of(d, d1, d2).tolist(), d.tolist()))
+    d, d1, d2 = ref.parts(laws, i, j) if kinds else np.zeros((3, 0))
+    tau = ref.tau_of(d, d1, d2)
+
+    def move(k: int) -> Move:
+        return Move(kinds[k], params[k], (laws[i[k]], laws[j[k]]), float(tau[k]), float(d[k]))
+    return spans, tau, move
 
 
-def _endgame_moves(ref: RefPair, X1: Dist, X2: Dist, budget: int,
-                   sums: _Sums) -> List[Move]:
-    """The endgame class, scored by its own kernel (bsg._slice_choices), its
-    sums of the pair from sums."""
+def _endgame_choices(ref: RefPair, X1: Dist, X2: Dist, budget: int,
+                     sums: _Sums) -> List[Tuple[int, EndgameChoice]]:
+    """The endgame class as (s, choice) per slice S = s, scored by its own
+    kernel (bsg._slice_choices), its sums of the pair from sums."""
     _endgame_guard(X1, X2)
     C = _sum(sums, X1, X2)
     # the law of S; a value that C * C holds by round-off alone has no
     # slice and is dropped
     values = _top_support(_sum(sums, C, C), budget)
-    return [Move(MoveKind.ENDGAME, (s,) + ch.choice, ch, ch.tau, ch.d)
-            for s, ch in zip(values, _slice_choices(ref, X1, X2, np.array(values)))
+    return [(s, ch) for s, ch in zip(values, _slice_choices(ref, X1, X2, np.array(values)))
             if ch is not None]
 
 
-def _best(moves: Sequence[Move]) -> Optional[Move]:
-    """The first move within ruzsa.TIE_TOL of the least tau, in input order."""
-    if not moves:
-        return None
-    return moves[_first_least(np.array([mv.tau for mv in moves]), np.array([0, len(moves)]))[0]]
+def _endgame_move(s: int, ch: EndgameChoice) -> Move:
+    return Move(MoveKind.ENDGAME, (s,) + ch.choice, ch, ch.tau, ch.d)
 
 
 def _pair_score(ref: RefPair, X1: Dist, X2: Dist) -> Tuple[float, float]:
@@ -312,9 +314,11 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
             budget: int = BUDGET, max_iter: int = MAX_ITER) -> DescentState:
     """Greedy tau minimization from the given pair.
 
-    Each iteration scores every class and takes the move _best picks if
-    it lowers tau by more than eps_step; it stops when d[X1; X2] <= eps_d
-    (converged), no move helps, or max_iter is hit. Each trace row records
+    Each iteration scores every class, picks by the tie rule
+    (ruzsa._first_least over the taus in class order) and, if the pick
+    lowers tau by more than eps_step, builds its Move, the only one it
+    builds, and takes it. It stops when d[X1; X2] <= eps_d (converged), no
+    move helps, or max_iter is hit. Each trace row records
     per class the least tau, the wall time (per_class_s) and the number of
     candidates (per_class_candidates; 0 for a class the cost guard
     skipped), and for each skipped class the name and size of the guard
@@ -330,10 +334,11 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
 
     A byte-equal pair, at the start or after a move, is held as one object
     (X2 is X1), and so are byte-equal references; state.ref stays the
-    caller's. While X2 is X1, the sum-cross and fibre-self candidates are
-    copies of the sum-self and fibre-cross moves: their taus and counts are
-    the ones scoring would give, and their per_class_s is the copy's time;
-    the endgame scores the gamma = U rows of each slice alone.
+    caller's. While X2 is X1, the sum-cross and fibre-self candidates would
+    repeat the sum-self and fibre-cross ones and are not built: the trace
+    reads their least tau and count from that twin, the ones scoring would
+    give, and their per_class_s is 0.0; the endgame scores the gamma = U
+    rows of each slice alone.
 
     Each sum of the pair is taken once per iteration, by the first class
     that reads it, and its time falls in that class's per_class_s.
@@ -362,38 +367,39 @@ def descend(ref: RefPair, X1: Dist, X2: Dist, *,
                 built[kind] = _class_laws(X1, X2, budget, kind, sums)
                 seconds[kind] = perf_counter() - t0
         t0 = perf_counter()
-        scored = _scored(scoring_ref, built)
+        spans, taus, move = _scored(scoring_ref, built)
         scoring_s = perf_counter() - t0
-        got = {kind: [mv for mv in scored if mv.kind is kind] for kind in CLASS_ORDER}
-        for kind, of in mirrored.items():
-            t0 = perf_counter()
-            got[kind] = [Move(kind, *mv[1:]) for mv in got[of]]
-            seconds[kind] = perf_counter() - t0
         skipped: List[str] = []
         guard_trips: Dict[str, dict] = {}
+        endgame: List[Tuple[int, EndgameChoice]] = []
         t0 = perf_counter()
         try:
-            got[MoveKind.ENDGAME] = _endgame_moves(scoring_ref, X1, X2, budget, sums)
+            endgame = _endgame_choices(scoring_ref, X1, X2, budget, sums)
         except CostGuardExceeded as exc:
             skipped.append(MoveKind.ENDGAME.value)
             guard_trips[MoveKind.ENDGAME.value] = {"guard": exc.guard, "size": exc.size}
         seconds[MoveKind.ENDGAME] = perf_counter() - t0
-        moves = [mv for kind in CLASS_ORDER for mv in got[kind]]
-        chosen = _best(moves)
-        if chosen is None or chosen.tau >= state.tau - eps_step:
+        # each class's taus; a mirrored class reads its twin's, which come
+        # first in tie order, so the pick is never one of its candidates
+        by_class = {kind: taus[spans[mirrored.get(kind, kind)]] for kind in CLASS_ORDER[:-1]}
+        by_class[MoveKind.ENDGAME] = np.array([ch.tau for _, ch in endgame])
+        picked = np.r_[taus, by_class[MoveKind.ENDGAME]]
+        pick = int(_first_least(picked, np.array([0, len(picked)]))[0]) if len(picked) else -1
+        if pick < 0 or picked[pick] >= state.tau - eps_step:
             state.stop_reason = "no improving move"
             return state
+        chosen = move(pick) if pick < len(taus) else _endgame_move(*endgame[pick - len(taus)])
         state.trace.append({
             "iter": it,
             "kind": chosen.kind.value,
             "params": list(chosen.params),
             "tau_before": state.tau,
             "tau_after": chosen.tau,
-            "per_class_tau": {kind.value: min(mv.tau for mv in got[kind])
-                              for kind in CLASS_ORDER if got[kind]},
-            "per_class_s": {kind.value: seconds[kind] for kind in CLASS_ORDER},
+            "per_class_tau": {kind.value: float(t.min())
+                              for kind, t in by_class.items() if len(t)},
+            "per_class_s": {kind.value: seconds.get(kind, 0.0) for kind in CLASS_ORDER},
             "scoring_s": scoring_s,
-            "per_class_candidates": {kind.value: len(got[kind]) for kind in CLASS_ORDER},
+            "per_class_candidates": {kind.value: len(t) for kind, t in by_class.items()},
             "skipped_classes": skipped,
             "guard_trips": guard_trips,
         })

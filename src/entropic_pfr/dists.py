@@ -53,7 +53,11 @@ def fwht(a: np.ndarray) -> np.ndarray:
 
     The arithmetic is fixed: radix-2 butterflies (lo + hi, lo - hi) in
     stages h = 1, 2, 4, ..., each entry the float64 sum or difference of
-    two entries of the stage before. No butterfly reads another row, so
+    two entries of the stage before. They run in constant geometry: each
+    stage reads entries 2k and 2k + 1 of every row and writes lo + hi to k
+    and lo - hi to k + n/2, two numpy calls per stage in one row layout.
+    That pairs the operands the in-place stage h pairs, so the bits are
+    those of the in-place stages. No butterfly reads another row, so
     every row's bits are those of its own 1-D transform, whatever the rows
     beside it. Batched callers (ruzsa.rdist_pairs, ruzsa.rdist_runs) rely
     on that to chunk their stacks and to transform each distinct law once,
@@ -67,27 +71,16 @@ def fwht(a: np.ndarray) -> np.ndarray:
     if n == 1:
         return a.copy()
     out = np.empty(a.shape)
-    rows, res = a.reshape(-1, n), out.reshape(-1, n)
-    m = len(rows)
-    # A stack of 4 rows or more is worked in (n, m) layout, so every inner
-    # loop runs along the rows; the first stage reads the rows transposed
-    # and the last writes them back. Fewer rows keep the (m, n) layout.
-    if m >= 4:
-        src, last, work, trail = rows.T, res.T, out.reshape(n, m), (m,)
-    else:
-        src, last, work, trail = rows, res, res, ()
-    spare = np.empty(work.shape)
-    stages = n.bit_length() - 1
-    h = 1
+    src, res = a.reshape(-1, n), out.reshape(-1, n)
+    spare = np.empty(res.shape)
+    half, stages = n // 2, n.bit_length() - 1
     for s in range(stages):
-        # alternate between spare and work so that the last stage reads spare
-        dst = last if s == stages - 1 else (spare, work)[(stages - s) % 2]
-        shape = (-1, 2, h) + trail   # a view of every dst: no copy to write into
-        x, y = src.reshape(shape), dst.reshape(shape)
-        lo, hi = x[:, 0], x[:, 1]
-        np.add(lo, hi, out=y[:, 0])
-        np.subtract(lo, hi, out=y[:, 1])
-        src, h = dst, 2 * h
+        # alternate between res and spare so that the last stage writes res
+        dst = (res, spare)[(stages - 1 - s) % 2]
+        lo, hi = src[:, 0::2], src[:, 1::2]
+        np.add(lo, hi, out=dst[:, :half])
+        np.subtract(lo, hi, out=dst[:, half:])
+        src = dst
     return out
 
 

@@ -4,18 +4,18 @@ The library reads the endgame informations, the diagnostics and the
 sum-conditioned checks off two-fold sums. The paths here build the joint
 laws instead (pushforwards of the (U, V, S) law, a 4-axis (U, V, W, S)
 joint, product joints) and cut them with JointDist.slices. Also here are
-constructions only the tests use: conditionally independent trials and a
-bound on the abstract endgame's psi.
+constructions only the tests use: conditionally independent trials, a
+bound on the abstract endgame's psi, and the pick over a list of moves.
 """
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from entropic_pfr.bsg import endgame_tables
-from entropic_pfr.descent import _reduce
+from entropic_pfr.descent import Move, _reduce
 from entropic_pfr.dists import Dist, JointDist, xor_convolve
-from entropic_pfr.ruzsa import (IneqReport, RefPair, cond_rdist, one, rdist,
-                                rdist_matrix, slices_of)
+from entropic_pfr.ruzsa import (IneqReport, RefPair, _first_least, cond_rdist, one,
+                                rdist, rdist_matrix, slices_of)
 
 
 # -- the endgame informations and diagnostics through pushforwards ------------
@@ -157,3 +157,13 @@ def endgame_bound(ref: RefPair, J: JointDist, X1: Dist, X2: Dist) -> float:
     sigma = float(R[0].sum() - 3.0 * rdist(ref.X01, X1)
                   + R[1].sum() - 3.0 * rdist(ref.X02, X2))
     return delta + (ref.eta / 3.0) * (delta + sigma)
+
+
+# -- descent's pick over the oracle's move list --------------------------------
+
+def best_move(moves: Sequence[Move]) -> Optional[Move]:
+    """The first move within ruzsa.TIE_TOL of the least tau, in input order:
+    descent's pick over generate_candidates' list."""
+    if not moves:
+        return None
+    return moves[_first_least(np.array([mv.tau for mv in moves]), np.array([0, len(moves)]))[0]]

@@ -7,7 +7,7 @@ import pytest
 from entropic_pfr import bsg, descent, ruzsa
 from entropic_pfr.bsg import endgame_tables
 from entropic_pfr.descent import (CLASS_ORDER, SNAPSHOT_CAP, Move, MoveKind,
-                                  _best, _from_coords, _to_coords, descend,
+                                  _from_coords, _to_coords, descend,
                                   diagnostics, entropic_pfr, extract_subgroup,
                                   generate_candidates)
 from entropic_pfr.dists import (CostGuardExceeded, Dist, fwht, uniform_on,
@@ -16,7 +16,7 @@ from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.groups import LinearMap, span
 from entropic_pfr.randgen import make_rng, random_coset_union, random_dist
 from entropic_pfr.ruzsa import ETA_DEFAULT, RefPair, _law_key, rdist
-from oracles import diagnostics_gap, diagnostics_via_joints
+from oracles import best_move, diagnostics_gap, diagnostics_via_joints
 
 
 def random_ref(rng, n: int) -> RefPair:
@@ -40,21 +40,21 @@ def test_class_order_covers_every_kind():
 
 def test_class_order_wins_ties_within_rounding():
     # the later class is lower only by round-off: the earlier class stays
-    # (d[X; X] = 0 on a subgroup; _best reads only tau)
+    # (d[X; X] = 0 on a subgroup; the pick reads only tau)
     X = uniform_on([0, 1], 2)
     early = Move(MoveKind.FIBRE_CROSS, (), (X, X), 0.12206803207423446, 0.0)
     late = Move(MoveKind.ENDGAME, (), (X, X), 0.12206803207423446 - 1e-16, 0.0)
     assert late.tau < early.tau
-    assert _best([early, late]) is early
+    assert best_move([early, late]) is early
     clear = Move(MoveKind.ENDGAME, (), (X, X), early.tau - 1e-9, 0.0)
-    assert _best([early, clear]) is clear
+    assert best_move([early, clear]) is clear
     # a chain of steps under TIE_TOL: the pick is the first move within
     # TIE_TOL of the least, not the last one lower than an incumbent by
     # more than TIE_TOL
     chain = [Move(kind, (), (X, X), early.tau - k * 0.6e-12, 0.0)
              for k, kind in enumerate(CLASS_ORDER[:3])]
-    assert _best(chain) is chain[1]
-    assert _best([]) is None
+    assert best_move(chain) is chain[1]
+    assert best_move([]) is None
 
 
 def coset_law_maker(rng, n):
@@ -339,7 +339,7 @@ def test_the_endgame_guard_trips_where_the_endgame_tables_do(monkeypatch):
         ref = RefPair(X1, X2)
         want = _trip(lambda: endgame_tables(X1, X2))
         sums = {}
-        got = _trip(lambda: descent._endgame_moves(ref, X1, X2, 4, sums))
+        got = _trip(lambda: descent._endgame_choices(ref, X1, X2, 4, sums))
         assert got == want
         assert (not sums) == (want is not None)
         seen.append(want)
@@ -451,7 +451,7 @@ def test_mirrored_classes_score_what_each_class_scores_alone():
                                         for k, mv in got.items() if mv}
         assert row["per_class_candidates"] == {k.value: len(mv)
                                                for k, mv in got.items()}
-        chosen = _best([mv for k in CLASS_ORDER for mv in got[k]])
+        chosen = best_move([mv for k in CLASS_ORDER for mv in got[k]])
         assert (row["kind"], row["params"], row["tau_after"]) == (
             chosen.kind.value, list(chosen.params), chosen.tau)
         # the start is scored by the call that scores the candidates
@@ -521,50 +521,76 @@ def test_the_pair_score_is_rdist_and_ref_tau():
     assert tau == pytest.approx((1 + 2 * ref.eta) * k, abs=1e-14)
 
 
-def _record_picks(monkeypatch):
-    """The candidates of every iteration, as descent hands them to _best."""
-    seen = []
-    best = descent._best
-    def recording(moves):
-        seen.append(list(moves))
-        return best(moves)
-    monkeypatch.setattr(descent, "_best", recording)
+def _record_scoring(monkeypatch):
+    """Each iteration's scores, as descent takes them: the sum and fibre
+    classes from _scored, and the endgame's (s, choice) pairs, [] where
+    its guard trips."""
+    seen = {"scores": [], "endgame": []}
+    scored, choices = descent._scored, descent._endgame_choices
+    def scoring(*args):
+        seen["scores"].append(scored(*args))
+        return seen["scores"][-1]
+    def choosing(*args):
+        seen["endgame"].append([])
+        seen["endgame"][-1] = choices(*args)
+        return seen["endgame"][-1]
+    monkeypatch.setattr(descent, "_scored", scoring)
+    monkeypatch.setattr(descent, "_endgame_choices", choosing)
     return seen
+
+
+def _record_moves(monkeypatch):
+    """Every Move descent builds."""
+    built = []
+    def building(*args):
+        built.append(Move(*args))
+        return built[-1]
+    monkeypatch.setattr(descent, "Move", building)
+    return built
+
+
+# with X2 is X1 these classes are not built; their twin stands for them
+TWIN = {MoveKind.SUM_CROSS: MoveKind.SUM_SELF, MoveKind.FIBRE_SELF: MoveKind.FIBRE_CROSS}
 
 
 def test_the_one_pass_scores_every_candidate_as_its_class_alone(monkeypatch):
     # every tau and d of one iteration's one scoring call, bit for bit the
     # numbers RefPair.parts gives each class's laws alone; for one law the
-    # mirrored classes are the scores of their own laws too
-    picks = _record_picks(monkeypatch)
+    # twin of a class that is not built scores what that class's own laws do
+    seen = _record_scoring(monkeypatch)
     rng = make_rng(41)
     cases = symmetric_cases() + [(random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5))]
     shapes = set()
     for ref, X1, X2 in cases:
-        picks.clear()
+        seen["scores"].clear()
+        seen["endgame"].clear()
         st = descend(ref, X1, X2, max_iter=3)
-        assert picks
-        for moves, (A, B) in zip(picks, st.snapshots):
+        # copies: the oracle calls below are recorded too
+        taken = list(zip(seen["scores"], seen["endgame"], st.snapshots))
+        assert taken and len(seen["scores"]) == len(seen["endgame"])
+        for (spans, taus, move), endgame, (A, B) in taken:
             shapes.add(A is B)
+            assert set(spans) == set(CLASS_ORDER[:-1]) - (set(TWIN) if A is B else set())
             sums = {}
             for kind in CLASS_ORDER[:-1]:
                 params, laws, i, j = descent._class_laws(A, B, descent.BUDGET, kind, sums)
                 d, d1, d2 = ref.parts(laws, i, j)
-                got = [mv for mv in moves if mv.kind is kind]
+                at = spans[TWIN[kind] if A is B and kind in TWIN else kind]
+                got = [move(k) for k in range(at.start, at.stop)]
+                assert taus[at].tolist() == [mv.tau for mv in got]
                 assert [mv.params for mv in got] == params
                 assert [mv.tau for mv in got] == ref.tau_of(d, d1, d2).tolist()
                 assert [mv.d for mv in got] == d.tolist()
                 assert [_law_key(mv.X1p) + _law_key(mv.X2p) for mv in got] == [
                     _law_key(laws[x]) + _law_key(laws[y]) for x, y in zip(i, j)]
-            endgame = [mv for mv in moves if mv.kind is MoveKind.ENDGAME]
-            assert [(mv.params, mv.tau, mv.d) for mv in endgame] == [
+            assert [((s,) + ch.choice, ch.tau, ch.d) for s, ch in endgame] == [
                 (mv.params, mv.tau, mv.d) for mv in scored_alone(ref, A, B, MoveKind.ENDGAME)]
     assert shapes == {True, False}
 
 
 def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkeypatch):
-    events, rows, chosen = [], [], []
-    parts, pair_score, best = RefPair.parts, descent._pair_score, descent._best
+    events, rows = [], []
+    parts, pair_score, first_least = RefPair.parts, descent._pair_score, descent._first_least
     def counting_parts(self, laws, i, j):
         rows.clear()
         out = parts(self, laws, i, j)
@@ -576,17 +602,17 @@ def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkey
     def counting_pair(*args):
         events.append("pair")
         return pair_score(*args)
-    def picking(moves):
+    def picking(taus, cut):
         events.append("pick")
-        chosen.append(best(moves))
-        return chosen[-1]
+        return first_least(taus, cut)
     def transform(a):
         rows.append([r.tobytes() for r in np.atleast_2d(a)])
         return fwht(a)
     monkeypatch.setattr(RefPair, "parts", counting_parts)
     monkeypatch.setattr(descent, "_pair_score", counting_pair)
-    monkeypatch.setattr(descent, "_best", picking)
+    monkeypatch.setattr(descent, "_first_least", picking)
     monkeypatch.setattr(ruzsa, "fwht", transform)
+    chosen = _record_moves(monkeypatch)
     rng = make_rng(42)
     cases = symmetric_cases() + [(random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5)),
                                  tiny_weight_case(9)]
@@ -595,12 +621,12 @@ def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkey
         events.clear()
         chosen.clear()
         st = descend(ref, X1, X2)
-        assert st.trace
+        assert st.trace and len(chosen) == len(st.trace)
         # the start is scored; then each iteration makes one scoring call
         # before its pick, and a move whose laws prune() changed is scored
         # again after it
         pruned = [mv.X1p.prune() is not mv.X1p or mv.X2p.prune() is not mv.X2p
-                  for mv in chosen[:len(st.trace)]]
+                  for mv in chosen]
         want = ["pair", "parts"] + [e for p in pruned
                                     for e in ["parts", "pick"] + ["pair", "parts"] * p]
         if st.stop_reason == "no improving move":
@@ -608,6 +634,78 @@ def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkey
         assert events == want
         rescored += sum(pruned)
     assert rescored
+
+
+def every_candidate(ref, X1, X2):
+    """generate_candidates' moves of every class, none for an endgame whose
+    guard trips."""
+    return (generate_candidates(ref, X1, X2, kinds=CLASS_ORDER[:-1])
+            + scored_alone(ref, X1, X2, MoveKind.ENDGAME))
+
+
+def test_each_accepted_move_is_the_oracle_pick(monkeypatch):
+    # each iteration's move and its trace's least taus and counts, bit for
+    # bit those of the pick over generate_candidates' list, for one law and
+    # for two, with and without an endgame, and with an endgame pick
+    chosen = _record_moves(monkeypatch)
+    rng = make_rng(43)
+    X01, X02 = demo_pair(3)
+    cases = symmetric_cases() + [(random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5)),
+                                 (RefPair(X01, X02), X02, X01)]
+    shapes, kinds = set(), set()
+    for ref, X1, X2 in cases:
+        chosen.clear()
+        st = descend(ref, X1, X2, max_iter=4)
+        assert st.trace and len(chosen) == len(st.trace)
+        for row, mv, (A, B) in zip(st.trace, chosen, st.snapshots):
+            shapes.add(A is B)
+            kinds.add(mv.kind)
+            moves = every_candidate(ref, A, B)
+            want = best_move(moves)
+            assert (mv.kind, mv.params, mv.tau, mv.d) == (want.kind, want.params, want.tau, want.d)
+            assert (row["kind"], row["params"], row["tau_after"]) == (
+                want.kind.value, list(want.params), want.tau)
+            got = {k: [m for m in moves if m.kind is k] for k in CLASS_ORDER}
+            assert row["per_class_tau"] == {k.value: min(m.tau for m in mvs)
+                                            for k, mvs in got.items() if mvs}
+            assert row["per_class_candidates"] == {k.value: len(mvs) for k, mvs in got.items()}
+            if A is B:
+                assert all(row["per_class_s"][k.value] == 0.0 for k in TWIN)
+    assert shapes == {True, False} and MoveKind.ENDGAME in kinds
+
+
+def test_descent_builds_one_move_per_iteration(monkeypatch):
+    # the accepted move alone, not one per candidate: on a coset union past
+    # the endgame's support cap, on a pair of two laws whose endgame is
+    # scored, and on the demo pair whose first move is the endgame's
+    built = _record_moves(monkeypatch)
+    X01, X02 = demo_pair(3)
+    rng = make_rng(44)
+    rows = []
+    for ref, X1, X2 in (symmetric_cases()[1], (RefPair(X01, X02), X02, X01),
+                        (random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5))):
+        built.clear()
+        st = descend(ref, X1, X2)
+        assert [(mv.kind.value, list(mv.params)) for mv in built] == [
+            (row["kind"], row["params"]) for row in st.trace]
+        rows += st.trace
+    assert len(rows) > 3 and {row["kind"] for row in rows} >= {"sum-self", "endgame"}
+    assert any(row["per_class_candidates"]["endgame"] for row in rows)
+    assert any(row["skipped_classes"] for row in rows)
+
+
+def test_a_converged_start_builds_no_candidate(monkeypatch):
+    # a pair already within eps_d returns before its first iteration: no
+    # class is built and the trace is empty
+    def refused(*args):
+        raise AssertionError("descent built a class")
+    monkeypatch.setattr(descent, "_class_laws", refused)
+    monkeypatch.setattr(descent, "_endgame_choices", refused)
+    UH = uniform_on_subgroup(span([3, 5, 9], 6))
+    for X1, X2 in ((UH, UH), (UH, rebuilt(UH)), (UH, Dist(6, idx=UH.support() ^ 6, w=UH.items()[1]))):
+        st = descend(RefPair(UH, UH), X1, X2)
+        assert st.trace == [] and st.converged
+        assert st.stop_reason == "distance below eps_d" and st.k == st.k_start <= descent.EPS_D
 
 
 def tiny_weight_case(seed: int):

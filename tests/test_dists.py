@@ -162,13 +162,17 @@ def test_fwht_matches_direct_transform():
 
 
 def test_fwht_batches_rows_independently():
-    # heights on both sides of the switch to the transposed layout, a 3-D
-    # stack and strided views: every row equals, bitwise, the butterfly and
-    # its own 1-D transform, and the input is neither changed nor shared
+    # short and tall stacks, long rows, a 3-D stack and strided views:
+    # every row of the constant-geometry stages equals, bitwise, the in-place
+    # butterfly and its own 1-D transform, and the input is neither changed
+    # nor shared
     rng = make_rng(14)
     shapes = [(m, 1 << k) for m in (1, 2, 3, 4, 7, 8, 9, 64, 300) for k in range(11)]
-    stacks = [rng.normal(size=shape) for shape in shapes + [(3, 5, 64)]]
+    shapes += [(m, 1 << k) for m in (1, 3) for k in (12, 14, 16)]
+    shapes += [(1305, 32), (2050, 32), (3, 5, 64)]
+    stacks = [rng.normal(size=shape) for shape in shapes]
     stacks += [rng.normal(size=(m, 64))[:, ::2] for m in (3, 9)]
+    stacks += [rng.normal(size=(256, 5)).T, rng.normal(size=(20, 2048))[::3, 512:1536]]
     for rows in stacks:
         before = rows.copy()
         batched = fwht(rows)
