@@ -1,5 +1,5 @@
-"""Entropic Balog-Szemeredi-Gowers and the endgame tables over the sum
-variables U, V, W, S.
+"""Entropic Balog-Szemeredi-Gowers and the endgame over the sum variables
+U, V, W, S.
 
 Given independent X1, X2 and fresh copies X~1, X~2:
 
@@ -9,30 +9,23 @@ so U ^ V ^ W = 0 and S is the sum of all four. Each of U, V, W is
 independent of S minus itself, so every information the endgame estimates
 need reads H[U, V, S], H[S] and the two-fold sums X1 * X2, X1 * X1 and
 X2 * X2; swapping X1 with X~1 exchanges U and V while fixing W and S,
-which forces I[W:U|S] = I[V:W|S] exactly.
+which forces I[W:U|S] = I[V:W|S] exactly. No (U, V, S) law is built:
+EndgameTables reads H[U, V, S] from pairs of fibres of X1 * X2.
 
-Descent conditions (U, V, S) on its heaviest values of S and takes the
-abstract endgame choice in each slice; endgame_choices scores all of those
-slices in one batched pass without building the (U, V, S) law, and
-abstract_endgame, the choice on one (T1, T2) law, is its oracle.
-Given T_gamma = t in a triple with T1 ^ T2 ^ T3 = 0, the other two members
-are translates by t, so the twins (alpha, beta) and (beta, alpha) share one
-tau and only alpha < beta is scored; bsg_check uses this given Z = A ^ B.
-Given S = s, U = t fixes X1 ^ X2 = t and X~1 ^ X~2 = t ^ s, two
-independent events, so the row V | U = t is the sum of two fibres of
-X1 * X2, and likewise W = t makes U | W = t the sum of a fibre of X1 * X1
-and one of X2 * X2: endgame_choices scores each row as a product of two
-fibre spectra. The U <-> V swap fixes each slice S = s, so there U | V = t
-has the law of V | U = t and W | V = t that of W | U = t: endgame_choices
-drops the gamma = V rows, which repeat the gamma = U rows. Swapping both
-pairs, (X1, X2) with (X~1, X~2), fixes S and W and adds s to U and V, so
-the gamma = U row at t ^ s is the row at t translated by s, and only
-t <= t ^ s is scored. When X2 is X1 the four summands are i.i.d. and S3
-permutes U, V, W inside each slice: the swap X2 <-> X~1 exchanges U and
-W, so (U, V) | W = t has the law of (W, V) | U = t, and endgame_choices
-drops the gamma = W rows too. abstract_endgame takes a general (T1, T2)
-law and scores all three gammas. Both pick the first row within
-ruzsa.TIE_TOL of the least tau, in tie order.
+Descent takes the abstract endgame choice in each of its heaviest slices
+S = s. endgame_choices scores them all in one batched pass, each row the
+sum of two fibres of the two-fold sums, and abstract_endgame, the choice
+on one (T1, T2) law, is its oracle. Given T_gamma = t in a triple with
+T1 ^ T2 ^ T3 = 0, the other two members are translates by t, so the twins
+(alpha, beta) and (beta, alpha) share one tau and only alpha < beta is
+scored; bsg_check uses this given Z = A ^ B. In a slice, the U <-> V swap
+makes the gamma = V rows repeat the gamma = U rows, and swapping (X1, X2)
+with (X~1, X~2), which adds s to U and V, makes the gamma = U row at t ^ s
+the row at t translated by s. When X2 is X1 the four summands are i.i.d.,
+and the swap X2 <-> X~1, which exchanges U and W, makes the gamma = W rows
+repeat the gamma = U rows too. endgame_choices scores none of the repeats;
+abstract_endgame scores all three gammas of a general (T1, T2) law. Both
+pick the first row within ruzsa.TIE_TOL of the least tau, in tie order.
 """
 from __future__ import annotations
 
@@ -42,9 +35,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dists import (CostGuardExceeded, Dist, JointDist, _clean_wht_output, _cross_runs,
-                    _runs, fwht, xor_convolve)
-from .ruzsa import RefPair, _first_least, _rdist_of, rdist_run_sums, rdist_runs
+from .dists import CostGuardExceeded, Dist, JointDist, _cross_runs, _runs, xor_convolve
+from .ruzsa import (RefPair, _first_least, _rdist_of, _run_pair_entropy, rdist_run_sums,
+                    rdist_runs)
 
 __all__ = [
     "BsgReport",
@@ -56,7 +49,6 @@ __all__ = [
     "endgame_choices",
 ]
 
-ENDGAME_DENSE_BITS = 21   # spectral path: one length-8^n transform
 ENDGAME_SUPPORT_CAP = 1 << 24
 
 
@@ -96,12 +88,13 @@ def bsg_check(J: JointDist, a=0, b=1) -> BsgReport:
 
 @dataclass(frozen=True)
 class EndgameTables:
-    """The (U, V, S) law of a pair; its informations are computed on read.
-
-    U, S ^ U and V, S ^ V are pairs of independent copies of C = X1 * X2,
-    so H[U, S] = H[V, S] = 2 H[C]; W and S ^ W are independent, of laws D.
-    """
-    joint_UVS: JointDist
+    """The endgame informations of a pair, computed from X1 and X2 on first
+    read. U, S ^ U and V, S ^ V are pairs of independent copies of
+    C = X1 * X2, so H[U, S] = H[V, S] = 2 H[C], and S has the law C * C; W
+    and S ^ W are independent, of laws D. Given U = u and S ^ U = u', V is
+    A_u * A_u' translated by u', A_g the law of X2 given X1 ^ X2 = g, a run
+    of dists._cross_runs(X2, X1): H[U, V, S] is 2 H[C] plus the sum over
+    u, u' of C(u) C(u') H[A_u * A_u']."""
     X1: Dist
     X2: Dist
 
@@ -117,14 +110,18 @@ class EndgameTables:
 
     @cached_property
     def I1(self) -> float:
-        """I[U : V | S] = 4 H[C] - H[U, V, S] - H[S]."""
-        return 4.0 * self.C.entropy() - self.joint_UVS.entropy() - self.H_S
+        """I[U : V | S] = 4 H[C] - H[U, V, S] - H[S]; its cost guard counts
+        the fibre pairs and the sums C, D and C * C, all taken after it."""
+        g, col, w = _cross_runs(self.X2, self.X1)
+        cut = _runs(g)   # one run per point of C
+        a, b, c = self.X1.support_size(), self.X2.support_size(), len(cut) - 1
+        pairs = _run_pair_entropy(self.X1.n, col, w, cut, ((a, b), (a, a), (b, b), (c, c)))
+        return 2.0 * self.C.entropy() - pairs - self.H_S
 
     @cached_property
     def I2(self) -> float:
         """I[W : U | S] = I1 - 2 H[C] + H[D1] + H[D2]."""
-        D1, D2 = self.D
-        return self.I1 - 2.0 * self.C.entropy() + D1.entropy() + D2.entropy()
+        return self.I1 - 2.0 * self.C.entropy() + self.D[0].entropy() + self.D[1].entropy()
 
     @property
     def I3(self) -> float:
@@ -133,7 +130,8 @@ class EndgameTables:
 
     @cached_property
     def H_S(self) -> float:
-        return self.joint_UVS.entropy("S")
+        """H[S] = H[C * C]."""
+        return xor_convolve(self.C, self.C).entropy()
 
     @cached_property
     def k(self) -> float:
@@ -141,66 +139,22 @@ class EndgameTables:
         return _rdist_of(self.C, self.X1, self.X2)
 
 
-def _uvs_spectral(X1: Dist, X2: Dist) -> JointDist:
-    n = X1.n
-    a = np.arange(1 << n)
-    s1 = fwht(X1.dense())
-    s2 = fwht(X2.dense())
-    T = a[:, None] ^ a[None, :]
-    cube = (s1[T][:, None, :]            # alpha ^ gamma over (gamma, ., alpha)
-            * s1[T][:, :, None]          # beta ^ gamma over (gamma, beta, .)
-            * s2[T[:, :, None] ^ a[None, None, :]]
-            * s2[a][:, None, None])
-    return JointDist(n, 3, ["U", "V", "S"], dense=_clean_wht_output(cube.ravel(), "endgame"))
-
-
-def _uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
-    n = X1.n
-    i1, w1 = X1.items()
-    i2, w2 = X2.items()
-    # Full 4-fold product over (x1, x2, x~1, x~2), mapped to (u, v, s).
-    x1 = i1[:, None, None, None]
-    x2 = i2[None, :, None, None]
-    t1 = i1[None, None, :, None]
-    t2 = i2[None, None, None, :]
-    uu = (x1 ^ x2)
-    vv = (t1 ^ x2)
-    ss = (x1 ^ x2 ^ t1 ^ t2)
-    keys = (uu | (vv << n) | (ss << (2 * n))).ravel()
-    w = (w1[:, None, None, None] * w2[None, :, None, None]
-         * w1[None, None, :, None] * w2[None, None, None, :]).ravel()
-    return JointDist(n, 3, ["U", "V", "S"], keys=keys, w=w)
-
-
-def _endgame_guard(X1: Dist, X2: Dist) -> bool:
-    """Whether endgame_tables takes the spectral cube. Where it would
-    enumerate the four-fold support product instead, raise
-    CostGuardExceeded past ENDGAME_SUPPORT_CAP entries or 62 key bits:
-    descent's endgame trips the same guard on the same pairs."""
-    n = X1.n
+def _endgame_guard(X1: Dist, X2: Dist) -> None:
+    """Descent's endgame guard: (|X1| |X2|)^2 past ENDGAME_SUPPORT_CAP."""
     size = (X1.support_size() * X2.support_size()) ** 2
-    if 3 * n <= ENDGAME_DENSE_BITS and size > 8 ** n:
-        return True
-    if 3 * n > 62:
-        raise CostGuardExceeded("endgame key bits", 3 * n, "endgame keys need 3n <= 62")
     if size > ENDGAME_SUPPORT_CAP:
         raise CostGuardExceeded("ENDGAME_SUPPORT_CAP", size,
                                 "endgame support enumeration too large")
-    return False
 
 
 def endgame_tables(X1: Dist, X2: Dist) -> EndgameTables:
-    """Joint law of (U, V, S); I1, I2, I3, H_S and k are computed on read.
-
-    Up to n = 7, pairs whose four-fold support product outnumbers the 8^n
-    cube go through one Walsh-Hadamard transform on 3n bits; all others
-    enumerate that product, which raises CostGuardExceeded past
-    ENDGAME_SUPPORT_CAP entries or 62 key bits (_endgame_guard).
-    """
+    """The endgame informations of (X1, X2). I1 is read here, so past its
+    cost guard this raises CostGuardExceeded before any sum is formed."""
     if X1.n != X2.n:
         raise ValueError("dimension mismatch")
-    J = _uvs_spectral(X1, X2) if _endgame_guard(X1, X2) else _uvs_sparse(X1, X2)
-    return EndgameTables(J, X1, X2)
+    tables = EndgameTables(X1, X2)
+    tables.I1   # the guarded work
+    return tables
 
 
 # -- the abstract endgame choice ---------------------------------------------

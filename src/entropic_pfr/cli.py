@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.set_defaults(fn=cmd_entropy)
 
-    p = sub.add_parser("endgame", help="sum-variable tables for a pair")
+    p = sub.add_parser("endgame", help="endgame informations of a pair")
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.set_defaults(fn=cmd_endgame)

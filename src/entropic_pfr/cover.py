@@ -185,8 +185,8 @@ def pfr_pipeline(A: SetInput, *, c_exponent: float = 12.0,
     eps_d, recent pairs along its trace are retried as subgroup sources and
     the certified cover with the fewest translates wins; if none certifies,
     the terminal cover is reported with certified = False plus diagnostics,
-    or the guard's message when the terminal pair's (U, V, S) law trips an
-    endgame cost guard (bsg.endgame_tables), the one cost diagnostics guards.
+    or the guard's message when the terminal pair trips the fibre-pair
+    cost guard of bsg.endgame_tables, the one cost diagnostics guards.
     """
     UA = A.uniform()
     K = doubling_constant(A)

@@ -15,9 +15,9 @@ transformed once per iteration; it returns each candidate's d beside its
 tau, and the state's k and tau after a move are the accepted move's. The
 endgame reads the law of S as C * C, C = X1 + X2, and scores all of its
 slices of S in one pass from fibres of the two-fold sums
-(bsg.endgame_choices), with no (U, V, S) table. It is skipped where the
-endgame tables' cost guard trips (bsg._endgame_guard, checked before
-C * C is taken); only a CostGuardExceeded counts as a skip, which the
+(bsg.endgame_choices), with no (U, V, S) table. It is skipped where
+(|X1| |X2|)^2 passes ENDGAME_SUPPORT_CAP (bsg._endgame_guard, checked
+before C * C is taken); only a CostGuardExceeded counts as a skip, which the
 trace records next to each class's wall time and candidate count. The
 pick is the first candidate within ruzsa.TIE_TOL of the least tau, in
 class order (sum-self, fibre-cross, sum-cross, fibre-self, endgame), then
@@ -536,8 +536,8 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     unchanged by translating any of the four laws and by an injective linear
     map, so each law is shifted by its own smallest support point and all
     four are carried into F_2^r, V the span of the shifted supports and r
-    its rank. Beyond the (U, V, S) law of endgame_tables, which holds its
-    own cost guards, every law read is a two-fold sum or a fibre of one:
+    its rank. Every law read is a two-fold sum or a fibre of one: I1-I3
+    read pairs of fibres of C (endgame_tables, under its cost guard), and
     given S = s, U and V have the law proportional to C(u) C(u ^ s), and W
     the law proportional to D1(w) D2(w ^ s) (EndgameTables.C and .D).
     """
@@ -552,7 +552,7 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
 
     # d[X1 + X~2; X2 + X~1] and its conditioned partner, from the pair
     # fibring identity: the two sums plus I1 recover 2k exactly.
-    d_sums = rdist(C, C)
+    d_sums = H_S - C.entropy()
     d_cond = cond_rdist(_cross_fibres(X1, X2), _cross_fibres(X2, X1))
     entries: Dict[str, object] = {
         "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": H_S,

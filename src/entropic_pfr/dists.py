@@ -42,7 +42,7 @@ DENSE_BITS = 24
 TABLE_SLACK = 8  # _group counts into a table of at most this many entries per key
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
-PRODUCT_SUPPORT_CAP = 1 << 26  # joint_product and _cross_runs refuse larger products
+PRODUCT_SUPPORT_CAP = 1 << 26  # joint_product, _cross_runs and the endgame refuse more work
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -350,18 +350,21 @@ def entropy(X: Dist) -> float:
     return X.entropy()
 
 
-def xor_convolve(X: Dist, Y: Dist) -> Dist:
-    """Exact distribution of X' ^ Y' for independent copies.
+def _enum_bound(n: int) -> int:
+    """n 2^n: xor_convolve enumerates two supports whose sizes multiply below it."""
+    return (1 << n) * max(n, 1)
 
-    Pairs with a support product below n 2^n are convolved by pair
-    enumeration, the others through the Walsh-Hadamard transform in
-    O(n 2^n).
+
+def xor_convolve(X: Dist, Y: Dist) -> Dist:
+    """Exact distribution of X' ^ Y' for independent copies, by pair
+    enumeration below _enum_bound and through the Walsh-Hadamard transform
+    in O(n 2^n) above it.
     """
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     n = X.n
     (ix, wx), (iy, wy) = X.items(), Y.items()
-    if len(ix) * len(iy) < (1 << n) * max(n, 1):
+    if len(ix) * len(iy) < _enum_bound(n):
         return Dist(n, idx=(ix[:, None] ^ iy[None, :]).ravel(),
                     w=np.outer(wx, wy).ravel())
     # equal operands: one row, squared, the bits of a two-row stack

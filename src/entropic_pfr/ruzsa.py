@@ -19,18 +19,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .dists import (
-    Dist,
-    JointDist,
-    _cross_fibres,
-    _entropy_rows,
-    _entropy_weights,
-    conv_entropy,
-    entropy,
-    fwht,
-    joint_product,
-    xor_convolve,
-)
+from .dists import (PRODUCT_SUPPORT_CAP, CostGuardExceeded, Dist, JointDist, _cross_fibres,
+                    _entropy_rows, _entropy_weights, _enum_bound, _group, conv_entropy, entropy,
+                    fwht, joint_product, xor_convolve)
 
 __all__ = [
     "ETA_MAX",
@@ -132,9 +123,7 @@ def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
         raise ValueError("dimension mismatch")
     u, laws = _distinct(laws)
     i, j = u[i], u[j]
-    pairs, inv = np.unique(np.minimum(i, j) * len(laws) + np.maximum(i, j),
-                           return_inverse=True)
-    a, b = np.divmod(pairs, len(laws))
+    a, b, inv = _unordered(i, j, len(laws))
     if laws[0].n > BATCH_BITS:
         return np.array([rdist(laws[x], laws[y]) for x, y in zip(a, b)])[inv]
     S = np.stack([d.dense() for d in laws])
@@ -199,8 +188,8 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
 
 
 def _unordered(i: np.ndarray, j: np.ndarray, m: int):
-    """The distinct unordered pairs of the m runs among (i[k], j[k]), as
-    (a, b) with a <= b, ascending, and each k's pair."""
+    """The distinct unordered pairs among (i[k], j[k]), of values in [0, m),
+    as (a, b) with a <= b, ascending, and each k's pair."""
     pairs, inv = np.unique(np.minimum(i, j) * m + np.maximum(i, j), return_inverse=True)
     return (*np.divmod(pairs, m), inv)
 
@@ -235,11 +224,9 @@ def _run_sums_stack(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     laws, back = _dense_runs(n, col, w, cut)
     S = fwht(np.vstack([R, laws]))
     del laws
-    x, y = back[x] + q, back[y] + q
-    pairs, inv = np.unique(np.minimum(x, y) * len(S) + np.maximum(x, y), return_inverse=True)
-    x, y = np.divmod(pairs, len(S))
-    d = np.empty((q + 1, len(pairs)))
-    for lo in range(0, len(pairs), step):
+    x, y, inv = _unordered(back[x] + q, back[y] + q, len(S))
+    d = np.empty((q + 1, len(x)))
+    for lo in range(0, len(x), step):
         # one stack: the spectra of the sums, of their sums with themselves
         # and of their sums with each reference
         k = len(x[lo:lo + step])
@@ -297,6 +284,61 @@ def rdist_run_sums(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
                                           *at.reshape(2, -1), R, hr, step))
         out = np.hstack(chunks)[:, inv]
     return out[np.r_[0, 1 + u]]
+
+
+def _listed_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                          x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """H[x ^ y], x and y independent of the laws of the runs x[k] and y[k] of
+    mass one, for every k: sums keyed by pair, grouped once (dists._group)."""
+    sy = cut[y + 1] - cut[y]
+    size = (cut[x + 1] - cut[x]) * sy
+    pair = np.repeat(np.arange(len(x)), size)
+    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    a, b = cut[x][pair] + at // sy[pair], cut[y][pair] + at % sy[pair]
+    keys, p = _group((pair << n) | (col[a] ^ col[b]), w[a] * w[b], n + len(x).bit_length())
+    return -np.bincount(keys >> n, weights=p * np.log(p), minlength=len(x))
+
+
+def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                      sums: Sequence[Tuple[int, int]] = ()) -> float:
+    """The sum over ordered pairs (x, y) of runs of m_x m_y H[L_x * L_y], m_x
+    the mass w of run x and L_x its law, cut as in rdist_runs. Byte-equal
+    laws count as one, and each unordered pair of laws is scored once, in
+    blocks of at most BATCH_ELEMS entries of work: enumerated below
+    dists._enum_bound, else by rdist_pairs. The work, enumerated entries
+    plus 2^n a transformed pair, plus xor_convolve's on supports of each
+    size pair in sums, raises CostGuardExceeded past PRODUCT_SUPPORT_CAP
+    before any pair is scored; under it, with n <= DENSE_BITS, the keys of
+    _listed_sum_entropies fit in int64."""
+    mass = np.add.reduceat(w, cut[:-1])
+    w = w / np.repeat(mass, np.diff(cut))
+    key = np.array([col[a:b].tobytes() + w[a:b].tobytes()
+                    for a, b in zip(cut[:-1].tolist(), cut[1:].tolist())], dtype=object)
+    _, first, law = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(np.diff(cut)[first], kind="stable")   # by ascending size
+    m = np.bincount(law, weights=mass)[order]
+    col, w, cut = _take_runs(col, w, cut, first[order])
+    size, x, k = np.diff(cut), np.arange(len(first)), len(first)
+    H = -np.add.reduceat(w * np.log(w), cut[:-1])   # each law's entropy
+    # row x pairs law x with each y >= x, enumerated while y < j[x]
+    j = np.maximum(np.searchsorted(size, -(-_enum_bound(n) // size)), x)
+    ends = np.r_[0, np.cumsum(size * (cut[j] - cut[x]) + ((k - j) << n))]
+    work = int(ends[-1]) + sum(p * q if p * q < _enum_bound(n) else 1 << n for p, q in sums)
+    if work > PRODUCT_SUPPORT_CAP:
+        raise CostGuardExceeded("PRODUCT_SUPPORT_CAP", work, "fibre pair sums too large")
+    total, lo = 0.0, 0
+    while lo < k:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + BATCH_ELEMS, "right")) - 1)
+        c = k - x[lo:hi]
+        a, b = np.repeat(x[lo:hi], c), np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)
+        h, dense = np.empty(len(a)), b >= j[a]
+        h[~dense] = _listed_sum_entropies(n, col, w, cut, a[~dense], b[~dense])
+        runs, at = np.unique(np.r_[a[dense], b[dense]], return_inverse=True)
+        laws = [Dist(n, idx=col[cut[r]:cut[r + 1]], w=w[cut[r]:cut[r + 1]]) for r in runs.tolist()]
+        h[dense] = rdist_pairs(laws, *at.reshape(2, -1)) + 0.5 * (H[a[dense]] + H[b[dense]])
+        total += float((np.where(a == b, 1.0, 2.0) * m[a] * m[b]) @ h)
+        lo = hi
+    return total
 
 
 def _product_entropies(S: np.ndarray, a: np.ndarray, T: np.ndarray,

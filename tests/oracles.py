@@ -1,21 +1,75 @@
 """Second implementations the tests compare the package against.
 
 The library reads the endgame informations, the diagnostics and the
-sum-conditioned checks off two-fold sums. The paths here build the joint
-laws instead (pushforwards of the (U, V, S) law, a 4-axis (U, V, W, S)
-joint, product joints) and cut them with JointDist.slices. Also here are
-constructions only the tests use: conditionally independent trials, a
-bound on the abstract endgame's psi, and the pick over a list of moves.
+sum-conditioned checks off two-fold sums and pairs of their fibres. The
+paths here build the joint laws instead (the (U, V, S) law by an 8^n cube
+or by the four-fold support product, its pushforwards, a 4-axis
+(U, V, W, S) joint, product joints) and cut them with JointDist.slices.
+Also here are constructions only the tests use: conditionally independent
+trials, a bound on the abstract endgame's psi, and the pick over a list of
+moves.
 """
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from entropic_pfr.bsg import endgame_tables
 from entropic_pfr.descent import Move, _reduce
-from entropic_pfr.dists import Dist, JointDist, xor_convolve
+from entropic_pfr.dists import Dist, JointDist, _clean_wht_output, fwht, xor_convolve
 from entropic_pfr.ruzsa import (IneqReport, RefPair, _first_least, cond_rdist, one,
                                 rdist, rdist_matrix, slices_of)
+
+
+# -- the (U, V, S) law and its informations ------------------------------------
+
+def uvs_spectral(X1: Dist, X2: Dist) -> JointDist:
+    """The (U, V, S) law of a pair through one transform of the 8^n cube."""
+    n = X1.n
+    a = np.arange(1 << n)
+    s1 = fwht(X1.dense())
+    s2 = fwht(X2.dense())
+    T = a[:, None] ^ a[None, :]
+    cube = (s1[T][:, None, :]            # alpha ^ gamma over (gamma, ., alpha)
+            * s1[T][:, :, None]          # beta ^ gamma over (gamma, beta, .)
+            * s2[T[:, :, None] ^ a[None, None, :]]
+            * s2[a][:, None, None])
+    return JointDist(n, 3, ["U", "V", "S"], dense=_clean_wht_output(cube.ravel(), "endgame"))
+
+
+def uvs_sparse(X1: Dist, X2: Dist) -> JointDist:
+    """The (U, V, S) law of a pair from the four-fold support product."""
+    n = X1.n
+    i1, w1 = X1.items()
+    i2, w2 = X2.items()
+    # Full 4-fold product over (x1, x2, x~1, x~2), mapped to (u, v, s).
+    x1 = i1[:, None, None, None]
+    x2 = i2[None, :, None, None]
+    t1 = i1[None, None, :, None]
+    t2 = i2[None, None, None, :]
+    uu = (x1 ^ x2)
+    vv = (t1 ^ x2)
+    ss = (x1 ^ x2 ^ t1 ^ t2)
+    keys = (uu | (vv << n) | (ss << (2 * n))).ravel()
+    w = (w1[:, None, None, None] * w2[None, :, None, None]
+         * w1[None, None, :, None] * w2[None, None, None, :]).ravel()
+    return JointDist(n, 3, ["U", "V", "S"], keys=keys, w=w)
+
+
+def uvs_spectral_wins(X1: Dist, X2: Dist) -> bool:
+    """Whether the 8^n cube is the cheaper (U, V, S) builder: up to n = 7,
+    where the four-fold support product outnumbers it."""
+    return 3 * X1.n <= 21 and (X1.support_size() * X2.support_size()) ** 2 > 8 ** X1.n
+
+
+def uvs_table(X1: Dist, X2: Dist) -> JointDist:
+    """The (U, V, S) law of a pair by the cheaper builder."""
+    return (uvs_spectral if uvs_spectral_wins(X1, X2) else uvs_sparse)(X1, X2)
+
+
+def table_informations(X1: Dist, X2: Dist) -> Dict[str, float]:
+    """k, I1, I2, I3 and H_S of a pair read off its (U, V, S) table."""
+    J = uvs_table(X1, X2)
+    return dict(zip(["I1", "I2", "I3"], endgame_informations(J)),
+                k=rdist(X1, X2), H_S=J.entropy("S"))
 
 
 # -- the endgame informations and diagnostics through pushforwards ------------
@@ -45,7 +99,7 @@ def diagnostics_via_joints(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object
     laws = (ref.X01, ref.X02, X1, X2)
     _, (Y01, Y02, X1, X2) = _reduce(laws, [int(X.support()[0]) for X in laws])
     eta = ref.eta
-    J = endgame_tables(X1, X2).joint_UVS
+    J = uvs_table(X1, X2)
     k = rdist(X1, X2)
     I1, I2, I3 = endgame_informations(J)
     H_S = J.entropy("S")

@@ -13,7 +13,7 @@ from entropic_pfr import dists
 from entropic_pfr.bsg import bsg_check, endgame_tables
 from entropic_pfr.cover import SetInput, pfr_pipeline
 from entropic_pfr.descent import descend, diagnostics, entropic_pfr, extract_subgroup
-from entropic_pfr.dists import fwht, xor_convolve
+from entropic_pfr.dists import JointDist, fwht, xor_convolve
 from entropic_pfr.fibring import fibring_decompose
 from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.randgen import (make_rng, random_coset_union, random_dist,
@@ -24,7 +24,7 @@ from entropic_pfr.ruzsa import (ETA_DEFAULT, RefPair, check_cond_distance,
                                 check_ruzsa_diff, check_submodularity,
                                 check_sum_shift, check_sum_shift_cond,
                                 check_triangle, rdist)
-from oracles import diagnostics_gap, diagnostics_via_joints
+from oracles import diagnostics_gap, diagnostics_via_joints, endgame_informations, uvs_table
 
 ETA = ETA_DEFAULT
 
@@ -150,18 +150,25 @@ def brute_uvs(X1, X2):
 
 
 def test_04_endgame_tables_against_enumeration(capsys):
-    worst_tab, worst_sym = 0.0, 0.0
+    # the informations, read from pairs of fibres, against those of the
+    # enumerated (U, V, S) table, which also checks the table oracle
+    worst_tab, worst_info, worst_sym = 0.0, 0.0, 0.0
     for i in range(50):
         rng = make_rng(200 + i)
         n = 3 if i < 25 else 4
         X1, X2 = random_dist(rng, n), random_dist(rng, n)
         t = endgame_tables(X1, X2)
-        worst_tab = max(worst_tab,
-                        np.abs(t.joint_UVS.dense() - brute_uvs(X1, X2)).max())
+        brute = brute_uvs(X1, X2)
+        worst_tab = max(worst_tab, np.abs(uvs_table(X1, X2).dense() - brute).max())
+        J = JointDist(n, 3, ["U", "V", "S"], dense=brute)
+        want = (*endgame_informations(J), J.entropy("S"))
+        got = (t.I1, t.I2, t.I3, t.H_S)
+        worst_info = max(worst_info, *(abs(a - b) for a, b in zip(got, want)))
         worst_sym = max(worst_sym, abs(t.I2 - t.I3))
-    ok = worst_tab <= 1e-12 and worst_sym <= 1e-10
+    ok = worst_tab <= 1e-12 and worst_info <= 1e-12 and worst_sym <= 1e-10
     report(capsys, 4, ok, f"50 pairs at n = 3, 4, max table deviation "
-                          f"{worst_tab:.2e}, max |I2 - I3| {worst_sym:.2e}")
+                          f"{worst_tab:.2e}, max information deviation {worst_info:.2e}, "
+                          f"max |I2 - I3| {worst_sym:.2e}")
 
 
 def test_05_trials_entropy_formula(capsys):

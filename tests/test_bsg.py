@@ -1,22 +1,25 @@
-"""Endgame tables against 16^n enumeration, BSG, and the conditioned choice.
+"""The endgame informations against the (U, V, S) table, the table against
+16^n enumeration, BSG, and the conditioned choice.
 
-The spectral (U, V, S) construction is the one piece of the package with no
-second implementation inside the library, so the tests rebuild the joint by
-direct enumeration over all four source variables and compare entry-wise.
+The package reads H[U, V, S] from pairs of fibres and builds no (U, V, S)
+law. The table oracle (tests/oracles.py) builds it by an 8^n cube and by
+the four-fold support product, and the tests check both builders entry-wise
+against direct enumeration over all four source variables.
 """
 import numpy as np
 import pytest
 
 from entropic_pfr import bsg, dists, ruzsa
-from entropic_pfr.bsg import (ENDGAME_DENSE_BITS, EndgameChoice, EndgameTables,
-                              abstract_endgame, bsg_check, endgame_choices,
-                              endgame_tables, _row_taus, _uvs_sparse, _uvs_spectral)
-from entropic_pfr.descent import _top_support
+from entropic_pfr.bsg import (EndgameChoice, abstract_endgame, bsg_check, endgame_choices,
+                              endgame_tables, _row_taus)
+from entropic_pfr.descent import _top_support, diagnostics
 from entropic_pfr.dists import CostGuardExceeded, Dist, JointDist, uniform_on
+from entropic_pfr.groups import LinearMap, span
 from entropic_pfr.randgen import make_rng, random_dist, random_joint
 from entropic_pfr.ruzsa import RefPair, rdist, rdist_pairs
 from oracles import (cond_indep_trials, endgame_bound, endgame_informations,
-                     trials_entropy_gap)
+                     table_informations, trials_entropy_gap, uvs_sparse, uvs_spectral,
+                     uvs_spectral_wins, uvs_table)
 
 
 def brute_uvs_table(X1, X2):
@@ -40,13 +43,13 @@ def brute_uvs_table(X1, X2):
 
 
 def test_endgame_joint_matches_brute_enumeration():
+    # both builders of the table oracle
     rng = make_rng(50)
     for _ in range(5):
         X1 = random_dist(rng, 3)
         X2 = random_dist(rng, 3)
-        tabs = endgame_tables(X1, X2)
-        assert np.allclose(tabs.joint_UVS.dense(), brute_uvs_table(X1, X2),
-                           atol=1e-12)
+        for build in (uvs_spectral, uvs_sparse):
+            assert np.allclose(build(X1, X2).dense(), brute_uvs_table(X1, X2), atol=1e-12)
 
 
 def test_endgame_informations_and_symmetry():
@@ -60,9 +63,9 @@ def test_endgame_informations_and_symmetry():
         assert t.I2 == pytest.approx(t.I3, abs=1e-10)
         assert t.I1 >= -1e-10 and t.I2 >= -1e-10
         assert t.k == pytest.approx(rdist(X1, X2), abs=1e-12)
-        assert t.H_S == pytest.approx(t.joint_UVS.entropy("S"), abs=1e-12)
+        J = uvs_table(X1, X2)
+        assert t.H_S == pytest.approx(J.entropy("S"), abs=1e-12)
         # I1 recomputed from the joint directly
-        J = t.joint_UVS
         assert t.I1 == pytest.approx(J.cond_mutual_info("U", "V", "S"),
                                      abs=1e-12)
         # I2 and I3 from the pushforwards of the joint to (W, U, S) and
@@ -77,30 +80,97 @@ def test_spectral_and_sparse_constructions_agree():
     for n in (2, 3, 4):
         X1 = random_dist(rng, n)
         X2 = random_dist(rng, n)
-        A = _uvs_spectral(X1, X2)
-        B = _uvs_sparse(X1, X2)
+        A = uvs_spectral(X1, X2)
+        B = uvs_sparse(X1, X2)
         assert np.allclose(A.dense(), B.dense(), atol=1e-12)
 
 
-def test_endgame_support_guard_trips():
+def _sum_work(n, p, q):
+    """xor_convolve's work on supports of p and q points: p q entries
+    enumerated below n 2^n, else one transform of 2^n."""
+    return p * q if p * q < n << n else 1 << n
+
+
+def _guarded_work(X1, X2):
+    """The work endgame_tables bounds: over the unordered pairs of distinct
+    laws of X2 given X1 ^ X2, the work of their sum, plus that of the sums
+    X1 * X2, X1 * X1, X2 * X2 and C * C, C = X1 * X2."""
+    n, laws = X1.n, {}
+    for L in _fibre_laws(X2, X1).values():
+        laws[L.support().tobytes(), np.round(L.items()[1], 12).tobytes()] = L.support_size()
+    size = np.array(list(laws.values()))
+    work = np.triu(np.vectorize(_sum_work)(n, size[:, None], size[None, :]))
+    a, b = X1.support_size(), X2.support_size()
+    c = len({x ^ y for x in X1.support().tolist() for y in X2.support().tolist()})
+    return int(work.sum()) + sum(_sum_work(n, p, q) for p, q in ((a, b), (a, a), (b, b), (c, c)))
+
+
+def test_endgame_support_guard_trips(monkeypatch):
+    # the cap on the tables' own work, enumerated entries plus 2^n for each
+    # transform, over the pairs of fibre laws and the sums the tables take,
+    # trips past its value and not at it
     rng = make_rng(53)
-    # 3n > 21 forces the sparse path; support product squared over the cap
-    X1 = Dist.from_sparse(rng.choice(1 << 8, 80, replace=False),
-                          rng.random(80), n=8)
-    X2 = Dist.from_sparse(rng.choice(1 << 8, 80, replace=False),
-                          rng.random(80), n=8)
-    with pytest.raises(CostGuardExceeded,
-                       match="^endgame support enumeration too large$") as exc:
-        endgame_tables(X1, X2)
-    assert (exc.value.guard, exc.value.size) == ("ENDGAME_SUPPORT_CAP", 6400 ** 2)
+    n = 5
+    X1, X2 = (Dist.from_sparse(rng.choice(1 << n, 20, replace=False), rng.random(20), n=n)
+              for _ in range(2))
+    work = _guarded_work(X1, X2)
+    g, _, _ = dists._cross_runs(X2, X1)
+    sizes = np.diff(dists._runs(g))
+    assert (sizes ** 2 < n << n).any() and (sizes ** 2 >= n << n).any()   # both kinds
+    monkeypatch.setattr(ruzsa, "PRODUCT_SUPPORT_CAP", work)
+    assert endgame_tables(X1, X2).I1 == pytest.approx(table_informations(X1, X2)["I1"],
+                                                      abs=1e-12)
+    monkeypatch.setattr(ruzsa, "PRODUCT_SUPPORT_CAP", work - 1)
+    with pytest.raises(CostGuardExceeded, match="^fibre pair sums too large$") as exc:
+        endgame_tables(X1, X2).I1
+    assert (exc.value.guard, exc.value.size) == ("PRODUCT_SUPPORT_CAP", work)
+    monkeypatch.undo()
+    # a dense subset: 4096 fibres of about 256 points, nearly every pair
+    # transformed
+    X = uniform_on(np.random.default_rng(5).choice(1 << 12, 1024, replace=False), 12)
+    with pytest.raises(CostGuardExceeded) as exc:
+        endgame_tables(X, X).I1
+    assert exc.value.guard == "PRODUCT_SUPPORT_CAP" and exc.value.size > dists.PRODUCT_SUPPORT_CAP
     with pytest.raises(ValueError) as exc:
         endgame_tables(X1, random_dist(rng, 4))
     assert not isinstance(exc.value, CostGuardExceeded)
-    # past n = 20 the packed (U, V, S) key would not fit: a guard, not a crash
-    P = Dist.from_sparse([1, 2], [0.5, 0.5], n=21)
+
+
+def test_the_cost_guard_counts_the_sums_before_any_is_formed(monkeypatch):
+    # generic laws of 100 and 110 points in F_2^24: their fibres are point
+    # masses, about 6,000 pairs of one entry, but C * C would enumerate
+    # 11,000^2 sums, below 24 * 2^24, past the cap; the guard trips before
+    # xor_convolve forms C, D or C * C
+    rng = np.random.default_rng(7)
+    X1, X2 = (uniform_on(rng.choice(1 << 24, m, replace=False), 24) for m in (100, 110))
+
+    def refused(*args):
+        raise AssertionError("a sum was formed before the cost guard")
+    monkeypatch.setattr(bsg, "xor_convolve", refused)
+    with pytest.raises(CostGuardExceeded, match="^fibre pair sums too large$") as exc:
+        endgame_tables(X1, X2).I1
+    assert exc.value.guard == "PRODUCT_SUPPORT_CAP"
+    assert exc.value.size == _guarded_work(X1, X2) > dists.PRODUCT_SUPPORT_CAP
+    # the diagnostics of a stalled descent, in the span of rank 24 they
+    # reduce to, trip the same guard first
+    with pytest.raises(CostGuardExceeded, match="^fibre pair sums too large$"):
+        diagnostics(RefPair(X1, X2), X1, X2)
+
+
+def test_endgame_keys_fit_at_the_widest_dimension():
+    # n = 24, the widest a Dist takes: a random two-law pair at n = 6
+    # carried in by an injective linear map keeps its informations, with
+    # every pair of its fibre laws keyed on n + log2(pairs) bits; past
+    # DENSE_BITS no law is built, so no key can overflow
+    rng = make_rng(76)
+    X1, X2 = random_dist(rng, 6, 12), random_dist(rng, 6, 12)
+    f = LinearMap(6, 24, tuple(int(c) << 18 | int(c) for c in (1, 2, 4, 8, 16, 32)))
+    Y1, Y2 = (_relabelled(X, f, 0, 24) for X in (X1, X2))
+    t, u = endgame_tables(X1, X2), endgame_tables(Y1, Y2)
+    assert max(abs(getattr(t, key) - getattr(u, key)) for key in _INFORMATIONS) <= 1e-12
     with pytest.raises(CostGuardExceeded) as exc:
-        endgame_tables(P, P)
-    assert (exc.value.guard, exc.value.size) == ("endgame key bits", 63)
+        Dist(57, idx=np.array([1, 2]), w=np.array([0.5, 0.5]))
+    assert (exc.value.guard, exc.value.size) == ("DENSE_BITS", 57)
 
 
 def test_uniform_coset_pair_has_vanishing_informations():
@@ -109,6 +179,63 @@ def test_uniform_coset_pair_has_vanishing_informations():
     assert t.k == pytest.approx(0.0, abs=1e-12)
     assert t.I1 == pytest.approx(0.0, abs=1e-10)
     assert t.I2 == pytest.approx(0.0, abs=1e-10)
+
+
+_INFORMATIONS = ("k", "I1", "I2", "I3", "H_S")
+
+
+def _oracle_gap(X1, X2):
+    """The largest gap between endgame_tables and the table oracle over k,
+    I1, I2, I3 and H_S."""
+    t, want = endgame_tables(X1, X2), table_informations(X1, X2)
+    return max(abs(getattr(t, key) - want[key]) for key in _INFORMATIONS)
+
+
+def test_endgame_tables_match_the_table_oracle():
+    # pairs of two laws and of one law, n = 3-6, each table by the cheaper
+    # builder; both builders serve the one-law pairs
+    for _, X1, X2, _, _ in _random_uvs_cases(62):
+        assert _oracle_gap(X1, X2) <= 1e-12
+    for _, X, _, _ in _one_law_cases(71):
+        assert _oracle_gap(X, X) <= 1e-12
+
+
+def test_small_fibre_pairs_are_enumerated_not_transformed(monkeypatch):
+    # generic (14, 15) as a one-law pair: fibres of one or two points and
+    # one of 15, every pair far below 14 * 2^14 entries, so no pair reaches
+    # a dense 2^14-entry row (a dense-only kernel took about 13 s here)
+    scored, kernel = [], ruzsa.rdist_pairs
+
+    def counted(laws, i, j):
+        scored.append(len(i))
+        return kernel(laws, i, j)
+    monkeypatch.setattr(ruzsa, "rdist_pairs", counted)
+    X = uniform_on(np.random.default_rng(5).choice(2 ** 14, 15, replace=False), 14)
+    assert _oracle_gap(X, X) <= 1e-12
+    assert scored == [0]
+
+
+def _relabelled(X, f, shift, n=None):
+    idx, w = X.items()
+    return Dist(n or X.n, idx=np.array([f.apply(int(x)) ^ shift for x in idx]), w=w)
+
+
+def test_informations_are_blind_to_affine_relabelling():
+    # an injective linear map of F_2^6 onto itself, then a translation of
+    # each law: every information is unchanged
+    rng = make_rng(75)
+    n = 6
+    for _ in range(4):
+        X1, X2 = random_dist(rng, n), random_dist(rng, n)
+        cols = []
+        while len(cols) < n:
+            c = int(rng.integers(1, 1 << n))
+            if span(cols + [c], n).rank == len(cols) + 1:
+                cols.append(c)
+        f = LinearMap(n, n, tuple(cols))
+        Y1, Y2 = (_relabelled(X, f, int(rng.integers(1 << n))) for X in (X1, X2))
+        t, u = endgame_tables(X1, X2), endgame_tables(Y1, Y2)
+        assert max(abs(getattr(t, key) - getattr(u, key)) for key in _INFORMATIONS) <= 1e-12
 
 
 def test_bsg_inequality_holds_on_random_joints():
@@ -323,19 +450,18 @@ def _law_gap(A, B):
     return float(np.abs(wa - wb).max()) if np.array_equal(ia, ib) else np.inf
 
 
-def _assert_choices_match_slices(ref, tabs, budget):
+def _assert_choices_match_slices(ref, X1, X2, J, budget):
     """endgame_choices makes abstract_endgame's choice on each conditioned
-    slice: equal choice tuples, taus within 1e-12, and laws of equal
-    support with weights within 1e-12. The
+    slice of J, the (U, V, S) law of (X1, X2): equal choice tuples, taus
+    within 1e-12, and laws of equal support with weights within 1e-12. The
     arithmetic differs by design: endgame_choices scores each row as a
     product of two fibre spectra, and it drops the gamma = U rows at
-    t ^ s > t, the gamma = V rows and, when tabs.X2 is tabs.X1, the
-    gamma = W rows. Every dropped row ties, in exact arithmetic, a row
-    scored before it in tie order, and the TIE_TOL pick does not split
-    such ties by round-off."""
-    J = tabs.joint_UVS
+    t ^ s > t, the gamma = V rows and, when X2 is X1, the gamma = W rows.
+    Every dropped row ties, in exact arithmetic, a row scored before it in
+    tie order, and the TIE_TOL pick does not split such ties by
+    round-off."""
     values = _top_support(J.marginal_dist("S"), budget)
-    batched = endgame_choices(ref, tabs.X1, tabs.X2, values)
+    batched = endgame_choices(ref, X1, X2, values)
     assert len(batched) == len(values)
     gap = 0.0
     for s, ch in zip(values, batched):
@@ -347,8 +473,8 @@ def _assert_choices_match_slices(ref, tabs, budget):
 
 
 def _random_uvs_cases(seed):
-    """(ref, tables, took the spectral cube) on random pairs of two laws,
-    n = 3-6."""
+    """(ref, X1, X2, the table oracle's (U, V, S) law, whether the spectral
+    cube built it) on random pairs of two laws, n = 3-6."""
     rng = make_rng(seed)
     for trial in range(12):
         n = 3 + trial % 4
@@ -356,14 +482,12 @@ def _random_uvs_cases(seed):
         mk = lambda: Dist.from_sparse(rng.choice(1 << n, size, replace=False),
                                       rng.random(size), n=n)
         X1, X2 = mk(), mk()
-        spectral = (3 * n <= ENDGAME_DENSE_BITS
-                    and (X1.support_size() * X2.support_size()) ** 2 > 8 ** n)
-        yield RefPair(mk(), mk()), endgame_tables(X1, X2), spectral
+        yield RefPair(mk(), mk()), X1, X2, uvs_table(X1, X2), uvs_spectral_wins(X1, X2)
 
 
 def _one_law_cases(seed):
-    """(ref, tables of the pair (X, X) by _uvs_spectral and by _uvs_sparse),
-    n = 3-6."""
+    """(ref, X, X, the (U, V, S) law of (X, X) by uvs_spectral and by
+    uvs_sparse), n = 3-6."""
     rng = make_rng(seed)
     for trial in range(8):
         n = 3 + trial % 4
@@ -371,19 +495,19 @@ def _one_law_cases(seed):
         mk = lambda: Dist.from_sparse(rng.choice(1 << n, size, replace=False),
                                       rng.random(size), n=n)
         X, ref = mk(), RefPair(mk(), mk())
-        for build in (_uvs_spectral, _uvs_sparse):
-            yield ref, EndgameTables(build(X, X), X, X)
+        for build in (uvs_spectral, uvs_sparse):
+            yield ref, X, X, build(X, X)
 
 
 @pytest.mark.parametrize("budget", [4, 64])
 def test_endgame_choices_equal_the_per_slice_choices(budget):
     paths = set()
-    for ref, tabs, spectral in _random_uvs_cases(62):
+    for ref, X1, X2, J, spectral in _random_uvs_cases(62):
         paths.add(spectral)
-        _assert_choices_match_slices(ref, tabs, budget)
+        _assert_choices_match_slices(ref, X1, X2, J, budget)
     assert paths == {True, False}   # the spectral cube and the enumeration
-    for ref, tabs in _one_law_cases(71):    # each law by both constructions
-        _assert_choices_match_slices(ref, tabs, budget)
+    for ref, X1, X2, J in _one_law_cases(71):    # each law by both constructions
+        _assert_choices_match_slices(ref, X1, X2, J, budget)
 
 
 def test_gamma_v_rows_repeat_the_gamma_u_rows():
@@ -394,7 +518,7 @@ def test_gamma_v_rows_repeat_the_gamma_u_rows():
         mk = lambda: Dist.from_sparse(rng.choice(1 << n, 6, replace=False),
                                       rng.random(6), n=n)
         X1, X2, ref = mk(), mk(), RefPair(mk(), mk())
-        for J in (_uvs_spectral(X1, X2), _uvs_sparse(X1, X2)):
+        for J in (uvs_spectral(X1, X2), uvs_sparse(X1, X2)):
             for s in _top_support(J.marginal_dist("S"), 8):
                 keys, w = J.condition("S", s).items()
                 u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
@@ -412,8 +536,8 @@ def test_gamma_w_rows_of_one_law_repeat_the_gamma_u_rows():
     # exchanges U and W and fixes V and S, so in every slice U | W = t has
     # the law of W | U = t, a translate of V | U = t: the rows, and the
     # row taus, of gamma = W are those of gamma = U
-    for ref, tabs in _one_law_cases(72):
-        J, n = tabs.joint_UVS, tabs.X1.n
+    for ref, X, _, J in _one_law_cases(72):
+        n = X.n
         for s in _top_support(J.marginal_dist("S"), 8):
             keys, w = J.condition("S", s).items()
             u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
@@ -427,8 +551,7 @@ def test_endgame_choices_break_exact_ties_as_the_slices_do():
     # for U uniform on a subgroup H, U, V and S are independent and uniform
     # on H: in every slice all candidates tie, and the first one wins
     U = uniform_on([0, 3, 5, 6], 3)
-    tabs = endgame_tables(U, U)
-    _assert_choices_match_slices(RefPair(U, U), tabs, 64)
+    _assert_choices_match_slices(RefPair(U, U), U, U, uvs_table(U, U), 64)
     chs = endgame_choices(RefPair(U, U), U, U, [6, 0, 5])
     assert [ch.choice for ch in chs] == [(0, 1, 2, 0)] * 3
 
@@ -489,18 +612,17 @@ def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
         args.append(a)
         return kernel(*a)
     monkeypatch.setattr(bsg, "rdist_run_sums", recorded)
-    for ref, tabs, _ in _random_uvs_cases(63):
-        J = tabs.joint_UVS
+    for ref, X1, X2, J, _ in _random_uvs_cases(63):
         monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
         values = _top_support(J.marginal_dist("S"), 64)
         del calls[:], args[:]
-        endgame_choices(ref, tabs.X1, tabs.X2, values)
+        endgame_choices(ref, X1, X2, values)
         (n, col, w, cut, i, j, _), = args
         stacks, runs = _stacks_of_two_pairs(n, col, w, cut, i, j)
         assert len(calls) == stacks
         assert all(dense and rows in (4, 8) for dense, rows in calls)
         chunks.append(runs)
-        _assert_choices_match_slices(ref, tabs, 64)
+        _assert_choices_match_slices(ref, X1, X2, J, 64)
     assert min(chunks) > 1
 
 
@@ -519,13 +641,12 @@ def test_a_pair_of_one_law_scores_only_the_gamma_u_rows(monkeypatch):
         mk = lambda: Dist.from_sparse(rng.choice(1 << n, 6, replace=False),
                                       rng.random(6), n=n)
         X, Y, ref = mk(), mk(), RefPair(mk(), mk())
-        for tabs, weights in ((endgame_tables(X, Y), [1, 1]),
-                              (endgame_tables(X, X), [1, 0])):
-            J = tabs.joint_UVS
+        for X2, weights in ((Y, [1, 1]), (X, [1, 0])):
+            J = uvs_table(X, X2)
             values = _top_support(J.marginal_dist("S"), 64)
             assert 0 in values
             del scored[:]
-            endgame_choices(ref, tabs.X1, tabs.X2, values)
+            endgame_choices(ref, X, X2, values)
             assert scored == [_row_counts(J, values) @ weights]
             every_u = sum(len(np.unique(J.condition("S", s).items()[0] & ((1 << n) - 1)))
                           for s in values)
@@ -544,7 +665,7 @@ def test_slice_rows_are_sums_of_two_fibres():
         X, Y = mk(), mk()
         for X1, X2 in ((X, Y), (X, X)):
             A, E, F = (_fibre_laws(P, Q) for P, Q in ((X2, X1), (X1, X1), (X2, X2)))
-            J = _uvs_sparse(X1, X2)
+            J = uvs_sparse(X1, X2)
             for s in _top_support(J.marginal_dist("S"), 64):
                 keys, w = J.condition("S", s).items()
                 u, v = keys & ((1 << n) - 1), keys >> n
@@ -590,8 +711,7 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
         compared += all([_compare_with_oracle(ref, J, ch) for ch in (a, b)])
     # at n = 4 another (gamma, t) comes within 1e-9 of the least tau
     assert compared == 2
-    for ref, tabs, _ in _random_uvs_cases(66):
-        J = tabs.joint_UVS
+    for ref, _, _, J, _ in _random_uvs_cases(66):
         n = J.n
         if n > 5:
             continue
@@ -613,16 +733,16 @@ def test_endgame_picks_do_not_depend_on_the_scoring_path(monkeypatch, seed):
     # stacks one pair's four rows); the TIE_TOL pick makes the same choice
     # on every path, from fibres or one slice at a time
     calls, bits, elems = _count_runs(monkeypatch), ruzsa.BATCH_BITS, ruzsa.BATCH_ELEMS
-    cases = [c[:2] for c in _random_uvs_cases(seed)] + list(_one_law_cases(seed))
-    for ref, tabs in cases:
-        J, n = tabs.joint_UVS, tabs.X1.n
+    cases = [c[:4] for c in _random_uvs_cases(seed)] + list(_one_law_cases(seed))
+    for ref, X1, X2, J in cases:
+        n = J.n
         values = _top_support(J.marginal_dist("S"), 64)
         picks = []
         for b, e in ((bits, elems), (n - 1, elems), (bits, 1 << n)):
             monkeypatch.setattr(ruzsa, "BATCH_BITS", b)
             monkeypatch.setattr(ruzsa, "BATCH_ELEMS", e)
             del calls[:]
-            picks.append(endgame_choices(ref, tabs.X1, tabs.X2, values))
+            picks.append(endgame_choices(ref, X1, X2, values))
             picks.append([abstract_endgame(ref, J.condition("S", s)) for s in values])
             assert calls and all(dense == (b >= n) and (e == elems or rows in (1, 4))
                                  for dense, rows in calls)
@@ -644,16 +764,15 @@ def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):
     u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
     H = np.array([0, u, v, u ^ v])
     mk = lambda: Dist.from_sparse(H ^ int(rng.integers(1 << n)), rng.random(4), n=n)
-    tabs = endgame_tables(mk(), mk())
-    _assert_choices_match_slices(RefPair(mk(), mk()), tabs, 64)
+    X1, X2 = mk(), mk()
+    _assert_choices_match_slices(RefPair(mk(), mk()), X1, X2, uvs_table(X1, X2), 64)
     assert calls and not any(dense for dense, _ in calls)
 
 
 def test_endgame_choices_reject_a_value_of_zero_mass():
     # S = X1 ^ X2 ^ X~1 ^ X~2 lies in the subgroup {0, 1}: S = 2 has no mass
     X = uniform_on([0, 1], 3)
-    tabs = endgame_tables(X, X)
-    J = tabs.joint_UVS
+    J = uvs_table(X, X)
     with pytest.raises(ValueError, match="S=2 has zero mass"):
         endgame_choices(RefPair(X, X), X, X, [0, 2])
     # a value past F_2^n would read another family's fibres as its rows

@@ -1,18 +1,18 @@
 """Subcommand behaviour: JSON lines, exit codes, determinism, quiet mode."""
 import json
 
+import numpy as np
 import pytest
 
 import entropic_pfr.cli as cli
-from entropic_pfr.bsg import endgame_tables
 from entropic_pfr.cli import SUITES, main
 from entropic_pfr.cover import SetInput, save_set
-from entropic_pfr.dists import CostGuardExceeded, uniform_on
+from entropic_pfr.dists import PRODUCT_SUPPORT_CAP, CostGuardExceeded, uniform_on
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import (make_rng, random_coset_union, random_dist,
                                   random_joint)
-from entropic_pfr.ruzsa import IneqReport, rdist
-from oracles import endgame_informations
+from entropic_pfr.ruzsa import IneqReport
+from oracles import table_informations
 
 
 def run(capsys, argv):
@@ -167,12 +167,23 @@ def test_endgame_subcommand(capsys, tmp_path):
     code, lines = run(capsys, ["endgame", "--x1", a, "--x2", b])
     assert code == 0
     row = json.loads(lines[0])
-    J = endgame_tables(X1, X2).joint_UVS
-    want = dict(zip(["I1", "I2", "I3"], endgame_informations(J)),
-                k=rdist(X1, X2), H_S=J.entropy("S"))
+    want = table_informations(X1, X2)
     assert set(row) == set(want)
     for key, value in want.items():
         assert row[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+
+def test_endgame_subcommand_past_the_old_cap(capsys, tmp_path):
+    # 76 points: a (U, V, S) law of (76 * 76)^2 entries, past the cap that
+    # once refused the command; the tables read it from pairs of fibres
+    pts = random_coset_union(make_rng(1), 12, 5, 4, 0.6)
+    assert len(pts) == 76
+    a = dist_file(tmp_path, "stalled.json", uniform_on(pts, 12))
+    code, lines = run(capsys, ["endgame", "--x1", a, "--x2", a])
+    assert code == 0 and len(lines) == 1
+    row = json.loads(lines[0])
+    assert set(row) == {"k", "I1", "I2", "I3", "H_S"}
+    assert row["I1"] >= -1e-12 and row["I2"] == row["I3"]
 
 
 def test_descend_converges_on_coset_pair(capsys, tmp_path):
@@ -206,26 +217,51 @@ def test_descend_emits_diagnostics_when_stalled(capsys, tmp_path):
 
 
 def coset_union_file(tmp_path):
-    # uniform on three cosets of a rank-7 subgroup of F_2^12: 384 points,
-    # so the endgame's four-fold support product is far past its cap
+    # uniform on three cosets of a rank-7 subgroup of F_2^12: 384 points
     pts = random_coset_union(make_rng(21), 12, 7, 3)
     assert len(pts) == 384
     return dist_file(tmp_path, "union.json", uniform_on(pts, 12))
 
 
 def test_cost_guards_end_in_one_json_line(capsys, tmp_path):
-    a = coset_union_file(tmp_path)
-    size = (384 * 384) ** 2
+    # uniform on 1024 generic points of F_2^12: the endgame tables would
+    # transform nearly every pair of 4096 fibres of about 256 points, far
+    # past their cap, in F_2^12 and in the span diagnostics reduce to
+    X = uniform_on(np.random.default_rng(5).choice(1 << 12, 1024, replace=False), 12)
+    a = dist_file(tmp_path, "dense.json", X)
     code, lines = run(capsys, ["--quiet", "descend", "--x1", a, "--x2", a,
                                "--max-iter", "0"])
     rows = [json.loads(ln) for ln in lines]
     assert code == 1 and len(rows) == 2
     assert rows[0]["stop"] == "iteration limit"
-    assert rows[1] == {"error": "endgame support enumeration too large",
-                       "guard": "ENDGAME_SUPPORT_CAP", "size": size}
+    assert set(rows[1]) == {"error", "guard", "size"}
+    assert rows[1]["error"] == "fibre pair sums too large"
+    assert rows[1]["guard"] == "PRODUCT_SUPPORT_CAP"
+    assert rows[1]["size"] > PRODUCT_SUPPORT_CAP
     code, lines = run(capsys, ["endgame", "--x1", a, "--x2", a])
     assert code == 1
     assert [json.loads(ln) for ln in lines] == [rows[1]]
+
+
+def test_sums_past_the_cap_end_in_one_json_line(capsys, tmp_path):
+    # generic laws of 100 and 110 points in F_2^24: few fibre pairs, but
+    # C * C would enumerate 11,000^2 sums; the command refuses the pair in
+    # one guard line instead of forming them
+    rng = np.random.default_rng(7)
+    a, b = (dist_file(tmp_path, f"generic{m}.json",
+                      uniform_on(rng.choice(1 << 24, m, replace=False), 24))
+            for m in (100, 110))
+    code, lines = run(capsys, ["endgame", "--x1", a, "--x2", b])
+    rows = [json.loads(ln) for ln in lines]
+    assert code == 1 and len(rows) == 1
+    assert rows[0]["guard"] == "PRODUCT_SUPPORT_CAP" and rows[0]["size"] > PRODUCT_SUPPORT_CAP
+    # past DENSE_BITS no law is read, so no key of the tables can overflow
+    wide = tmp_path / "wide57.json"
+    wide.write_text(json.dumps({"dim": 57, "entries": [[1, 0.5], [2, 0.5]]}))
+    code, lines = run(capsys, ["endgame", "--x1", str(wide), "--x2", str(wide)])
+    assert code == 1
+    assert [json.loads(ln) for ln in lines] == [
+        {"error": "ambient dimension 57 out of range", "guard": "DENSE_BITS", "size": 57}]
 
 
 def test_check_past_dense_bits_ends_in_one_json_line(capsys):

@@ -16,7 +16,8 @@ from entropic_pfr.fixtures import demo_pair
 from entropic_pfr.groups import LinearMap, span
 from entropic_pfr.randgen import make_rng, random_coset_union, random_dist
 from entropic_pfr.ruzsa import ETA_DEFAULT, RefPair, _law_key, rdist
-from oracles import best_move, diagnostics_gap, diagnostics_via_joints
+from oracles import (best_move, diagnostics_gap, diagnostics_via_joints, table_informations,
+                     uvs_table)
 
 
 def random_ref(rng, n: int) -> RefPair:
@@ -24,8 +25,8 @@ def random_ref(rng, n: int) -> RefPair:
 
 
 def big_pair(seed: int):
-    # 80-point supports on 8 bits: (80*80)^2 and 3n both clear the endgame
-    # cost guards by a wide margin, while sums and fibres stay cheap
+    # 80-point supports on 8 bits: (80*80)^2 clears descent's endgame cost
+    # guard by a wide margin, while sums and fibres stay cheap
     rng = make_rng(seed)
     pts1 = rng.choice(256, size=80, replace=False)
     pts2 = rng.choice(256, size=80, replace=False)
@@ -319,12 +320,14 @@ def _trip(f):
     return None
 
 
-def test_the_endgame_guard_trips_where_the_endgame_tables_do(monkeypatch):
+def test_the_endgame_guard_trips_past_the_support_cap(monkeypatch):
     # pairs on both sides of ENDGAME_SUPPORT_CAP at n = 8 (lowered to
-    # (8 * 8)^2, so that the pair on it builds a small table), one past the
-    # real cap, the spectral cube at n = 5, and 63 key bits at n = 21:
-    # descent's endgame trips the guard, name and size, of endgame_tables,
-    # and trips it before it takes X1 * X2 * X1 * X2
+    # (8 * 8)^2 for the first two), one past the real cap, and two below
+    # it: 20-point laws at n = 5 and 2-point laws at n = 21. Descent's
+    # endgame trips the guard, name and size, on (|X1| |X2|)^2 alone, and
+    # trips it before it takes X1 * X2 * X1 * X2. The endgame tables bound
+    # their own work: at n = 21, where a (U, V, S) key would need 63 bits,
+    # they match the table oracle on the pair carried into its span.
     rng = make_rng(40)
 
     def mk(n, m):
@@ -336,15 +339,17 @@ def test_the_endgame_guard_trips_where_the_endgame_tables_do(monkeypatch):
     seen = []
     for (X1, X2), at in cases:
         monkeypatch.setattr(bsg, "ENDGAME_SUPPORT_CAP", at)
-        ref = RefPair(X1, X2)
-        want = _trip(lambda: endgame_tables(X1, X2))
         sums = {}
-        got = _trip(lambda: descent._endgame_choices(ref, X1, X2, 4, sums))
-        assert got == want
-        assert (not sums) == (want is not None)
-        seen.append(want)
+        got = _trip(lambda: descent._endgame_choices(RefPair(X1, X2), X1, X2, 4, sums))
+        assert (not sums) == (got is not None)
+        seen.append(got)
     assert seen == [None, ("ENDGAME_SUPPORT_CAP", 72 ** 2),
-                    ("ENDGAME_SUPPORT_CAP", (65 * 64) ** 2), None, ("endgame key bits", 63)]
+                    ("ENDGAME_SUPPORT_CAP", (65 * 64) ** 2), None, None]
+    X1, X2 = cases[-1][0]
+    _, (Y1, Y2) = descent._reduce([X1, X2], [int(X.support()[0]) for X in (X1, X2)])
+    tabs, want = endgame_tables(X1, X2), table_informations(Y1, Y2)
+    for key, value in want.items():
+        assert getattr(tabs, key) == pytest.approx(value, rel=0, abs=1e-12), key
 
 
 def test_top_support_orders_tied_masses_by_value():
@@ -365,7 +370,7 @@ def test_the_endgame_slices_do_not_depend_on_how_the_law_of_s_is_taken():
     for seed, n in ((21, 6), (22, 7), (23, 8)):
         UA = uniform_on(random_coset_union(make_rng(seed), n, 3, 3, 0.5), n)
         C = xor_convolve(UA, UA)
-        laws = [xor_convolve(C, C), endgame_tables(UA, UA).joint_UVS.marginal_dist("S")]
+        laws = [xor_convolve(C, C), uvs_table(UA, UA).marginal_dist("S")]
         assert np.array_equal(laws[0].support(), laws[1].support())
         assert descent._top_support(laws[0], 64) == descent._top_support(laws[1], 64)
         exact = [np.lexsort((X.items()[0], -X.items()[1])) for X in laws]
@@ -869,9 +874,22 @@ def test_diagnostics_structure_and_identity():
 
 
 def test_diagnostics_raises_past_cost_guard():
-    X1, X2 = big_pair(7)
-    with pytest.raises(CostGuardExceeded):
-        diagnostics(RefPair(X1, X2), X1, X2)
+    # 1024 generic points of F_2^12: the endgame tables would transform
+    # nearly every pair of 4096 fibres of about 256 points
+    X = uniform_on(np.random.default_rng(5).choice(1 << 12, 1024, replace=False), 12)
+    with pytest.raises(CostGuardExceeded) as exc:
+        diagnostics(RefPair(X, X), X, X)
+    assert exc.value.guard == "PRODUCT_SUPPORT_CAP"
+
+
+def test_diagnostics_report_every_bound_past_the_old_endgame_cap():
+    # a stalled 76-point union of four subsampled cosets: its (U, V, S)
+    # law would have (76 * 76)^2 entries, past ENDGAME_SUPPORT_CAP, which
+    # once refused these diagnostics
+    X = uniform_on(random_coset_union(make_rng(1), 12, 5, 4, 0.6), 12)
+    assert (X.support_size() ** 2) ** 2 > bsg.ENDGAME_SUPPORT_CAP
+    d = diagnostics(RefPair(X, X), X, X)
+    assert len(d["bounds"]) == 7 and "error" not in d
 
 
 def test_converged_state_satisfies_minimizer_bounds():
