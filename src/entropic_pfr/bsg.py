@@ -213,8 +213,7 @@ def abstract_endgame(ref: RefPair, J: JointDist) -> EndgameChoice:
     n, mask = J.n, (1 << J.n) - 1
     vals = [keys & mask, keys >> n]
     vals.append(vals[0] ^ vals[1])
-    sl = np.zeros_like(keys)
-    rows, taus, d, order, bounds = zip(*(_row_taus(ref, n, sl, vals[g], vals[a], w)
+    rows, taus, d, order, bounds = zip(*(_row_taus(ref, n, vals[g], vals[a], w)
                                          for g, a, _ in _TRIPLES))
     first = np.cumsum([0] + [len(r) for r in rows])  # each triple's first row
     rows, taus, d = (np.concatenate(z) for z in (rows, taus, d))
@@ -308,15 +307,13 @@ def _slice_choices(ref: RefPair, X1: Dist, X2: Dist,
     return out
 
 
-def _row_taus(ref: RefPair, n: int, sl: np.ndarray, given: np.ndarray,
-              law: np.ndarray, w: np.ndarray):
-    """(rows, taus, d, order, bounds): the rows (slice << n | t) of the
-    entries' (slice, given) pairs, ascending, from one stable sort; each
-    row's tau d[L; L] + eta d[X01; L] + eta d[X02; L] and its d[L; L], L the
-    law of its entries' law values, scored from those runs by
+def _row_taus(ref: RefPair, n: int, key: np.ndarray, law: np.ndarray, w: np.ndarray):
+    """(rows, taus, d, order, bounds): the rows of the entries' keys,
+    ascending, from one stable sort; each row's tau
+    d[L; L] + eta d[X01; L] + eta d[X02; L] and its d[L; L], L the law on
+    F_2^n of its entries' law values, scored from those runs by
     ruzsa.rdist_runs; and row r's entries order[bounds[r]:bounds[r + 1]],
     in input order."""
-    key = (sl << n) | given
     order = np.argsort(key, kind="stable")
     key = key[order]
     bounds = _runs(key)

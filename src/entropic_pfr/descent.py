@@ -56,11 +56,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from .bsg import EndgameChoice, _endgame_guard, _slice_choices, endgame_tables
-from .dists import (CostGuardExceeded, Dist, _cross_fibres, _cross_runs, _runs,
-                    uniform_on_subgroup, xor_convolve)
+from .dists import (CostGuardExceeded, Dist, _cross_fibres, _cross_runs, _entropy_weights, _runs,
+                    xor_convolve)
 from .groups import SubgroupBasis, span
 from .ruzsa import (ETA_DEFAULT, TIE_TOL, RefPair, _first_least, _law_key, _rdist_of,
-                    cond_rdist, rdist, rdist_runs)
+                    _rdists, cond_rdist, rdist)
 
 __all__ = [
     "MoveKind",
@@ -436,9 +436,18 @@ def extract_subgroup(X: Dist, theta: float = 0.5) -> SubgroupCertificate:
     d[X; U_H] and the reference distance is d[X; X].
     """
     H = _heavy_span(X, theta)
-    d = rdist(X, uniform_on_subgroup(H))
+    d = _rdist_uniform(X, H)
     k0 = rdist(X, X)
     return SubgroupCertificate(H, d, d, k0, 2.0 * d <= 11.0 * k0 + 1e-6)
+
+
+def _rdist_uniform(X: Dist, H: SubgroupBasis) -> float:
+    """d[X; U_H] in closed form: X ^ U_H is uniform on each coset of H, with
+    the coset's mass under X, so d = H[X mod H] + (rank H / 2) log 2 - H[X]/2.
+    The coset masses are summed over H.reduce of X's support."""
+    coset = np.unique(H.reduce(X.items()[0]), return_inverse=True)[1]
+    return float(_entropy_weights(np.bincount(coset, weights=X.items()[1]))
+                 + 0.5 * H.rank * np.log(2.0) - 0.5 * X.entropy())
 
 
 # Positions of the group elements in each kind's trace params; the other
@@ -500,13 +509,12 @@ def entropic_pfr(X01: Dist, X02: Dist, *, eta: float = ETA_DEFAULT,
     inner = descend(RefPair(Y01, Y02, eta), Y02, Y01, eps_d=eps_d,
                     budget=budget, max_iter=max_iter)
     Hr = _heavy_span(inner.X1)
-    UH = uniform_on_subgroup(Hr)
-    d1 = rdist(Y01, UH)
-    d2 = d1 if Y02 is Y01 else rdist(Y02, UH)
+    d1 = _rdist_uniform(Y01, Hr)
+    d2 = d1 if Y02 is Y01 else _rdist_uniform(Y02, Hr)
     # for one law descent scored its start (Y02, Y01) by RefPair.parts
     k0 = inner.k_start if Y02 is Y01 else rdist(Y01, Y02)
-    ok = (d1 + d2 <= 11.0 * k0 + 1e-6
-          and d1 <= 6.0 * k0 + 1e-6 and d2 <= 6.0 * k0 + 1e-6)
+    ok = bool(d1 + d2 <= 11.0 * k0 + 1e-6
+              and d1 <= 6.0 * k0 + 1e-6 and d2 <= 6.0 * k0 + 1e-6)
     H = span([V.from_coords(h) for h in Hr.rows], X01.n)
 
     def up(A: Dist, B: Dist) -> Tuple[Dist, Dist]:
@@ -573,8 +581,9 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     for A, B, times in ((C, C, 2.0), (D1, D2, 1.0)):
         s, col, w = _cross_runs(A, B)
         cut = _runs(s)
-        _, d1, d2 = rdist_runs(V.rank, col, w, cut, [Y01, Y02])
-        inc_total += times * float(np.add.reduceat(w, cut[:-1]) @ (d1 + d2))
+        d = _rdists(V.rank, np.repeat([0, 1], len(cut) - 1), np.tile(np.arange(2, len(cut) + 1), 2),
+                    [Y01, Y02], (col, w, cut))   # each fibre against each reference
+        inc_total += times * float(np.tile(np.add.reduceat(w, cut[:-1]), 2) @ d)
     bounds["cond_dist_increment_bound"] = (
         inc_total, 3.0 * H_S - 1.5 * (H1 + H2))
     bounds["increment_vs_k_bound"] = (

@@ -59,10 +59,9 @@ def fwht(a: np.ndarray) -> np.ndarray:
     That pairs the operands the in-place stage h pairs, so the bits are
     those of the in-place stages. No butterfly reads another row, so
     every row's bits are those of its own 1-D transform, whatever the rows
-    beside it. Batched callers (ruzsa.rdist_pairs, ruzsa.rdist_runs) rely
-    on that to chunk their stacks and to transform each distinct law once,
-    sharing its row with every equal law, as does xor_convolve for equal
-    operands.
+    beside it. The batched distance kernel (ruzsa._rdists) relies on that
+    to chunk its stacks and to transform each distinct law once, sharing
+    its row with every equal law, as does xor_convolve for equal operands.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
@@ -448,11 +447,6 @@ class JointDist:
         return JointDist(n, len(dists), labels, keys=keys, w=w)
 
     # -- plumbing ----------------------------------------------------------
-
-    @property
-    def is_dense(self) -> bool:
-        """Always False: only the support is stored."""
-        return False
 
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """Packed keys with positive mass (ascending) and their weights."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,9 @@ __all__ = [
 ETA_MAX = 1.0 / (4.0 + math.sqrt(17.0))
 ETA_DEFAULT = 1.0 / 9.0
 SLACK_TOL = 1e-9
-# Batched distances hold dense (rows, 2^n) laws, rows and products BATCH_ELEMS
-# entries at a time; above BATCH_BITS laws stay sparse Dists, pair by pair.
+# The batched distance kernel (_rdists) holds dense (rows, 2^n) laws and their
+# products BATCH_ELEMS entries at a time; above BATCH_BITS it scores sparse
+# Dists pair by pair.
 BATCH_BITS = 16
 BATCH_ELEMS = 1 << 21
 
@@ -106,39 +107,6 @@ def _distinct(laws: Sequence[Dist]) -> Tuple[np.ndarray, List[Dist]]:
     return u, [laws[x] for x in np.unique(u, return_index=True)[1]]
 
 
-def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
-    """d[laws[i[k]]; laws[j[k]]] for every k, each unordered pair once.
-
-    Laws of byte-equal support and weights count as one law, scored once.
-    Up to BATCH_BITS the distinct laws are stacked as dense rows, each
-    transformed once, and products are formed in place, BATCH_ELEMS entries
-    at a time; above it each pair is scored by rdist.
-    """
-    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    if i.shape != j.shape:
-        raise ValueError("length mismatch")
-    if not len(i):
-        return np.zeros(0)
-    if any(d.n != laws[0].n for d in laws):
-        raise ValueError("dimension mismatch")
-    u, laws = _distinct(laws)
-    i, j = u[i], u[j]
-    a, b, inv = _unordered(i, j, len(laws))
-    if laws[0].n > BATCH_BITS:
-        return np.array([rdist(laws[x], laws[y]) for x, y in zip(a, b)])[inv]
-    S = np.stack([d.dense() for d in laws])
-    h, S = _entropy_rows(S), fwht(S)
-    return _product_entropies(S, a, S, b)[inv] - 0.5 * h[i] - 0.5 * h[j]
-
-
-def _self_and_refs(laws: Sequence[Dist], refs: Sequence[Dist]) -> np.ndarray:
-    """d[L; L], then d[R; L] for each R in refs, as rows over the laws L,
-    through one rdist_pairs call."""
-    q, k = len(refs), np.arange(len(laws)) + len(refs)
-    return rdist_pairs([*refs, *laws], np.r_[k, np.repeat(np.arange(q), len(laws))],
-                       np.tile(k, q + 1)).reshape(q + 1, len(laws))
-
-
 def _dense_runs(n: int, col: np.ndarray, w: np.ndarray,
                 cut: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct laws of the runs col[cut[r]:cut[r + 1]] on F_2^n, with
@@ -153,52 +121,11 @@ def _dense_runs(n: int, col: np.ndarray, w: np.ndarray,
     return laws[first], back
 
 
-def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-               refs: Sequence[Dist] = ()) -> np.ndarray:
-    """d[L; L], then d[R; L] for each R in refs, as rows over the runs r,
-    L the law on F_2^n of the values col[cut[r]:cut[r + 1]] with weights w
-    (of any scale): a family of conditional laws, cut by one sort. Up to
-    BATCH_BITS the runs are dense rows, built BATCH_ELEMS entries at a time
-    and scored against the spectra of the distinct references, taken once;
-    above it each run is one Dist, scored by rdist_pairs."""
-    m = len(cut) - 1
-    if n > BATCH_BITS:
-        return _self_and_refs([Dist(n, idx=col[a:b], w=w[a:b])
-                               for a, b in zip(cut[:-1], cut[1:])], refs)
-    # equal references are scored once; their rows are copied back at the end
-    u, refs = _distinct(refs)
-    q = len(refs)
-    if q:
-        R = np.stack([X.dense() for X in refs])
-        hr, R = _entropy_rows(R), fwht(R)
-    out = np.empty((q + 1, m))
-    step = max(1, BATCH_ELEMS >> n)
-    for lo in range(0, m, step):
-        # rows of equal bytes are scored once and scattered back
-        laws, back = _dense_runs(n, col, w, cut[lo:lo + step + 1])
-        k = np.arange(len(laws))
-        h, S = _entropy_rows(laws), fwht(laws)
-        del laws
-        # row 0 pairs each run with itself, row 1 + r with reference r
-        pairs = [(S, k, h)] + [(R, np.full_like(k, r), hr[r]) for r in range(q)]
-        for r, (T, t, ht) in enumerate(pairs):
-            d = _product_entropies(T, t, S, k) - 0.5 * ht - 0.5 * h
-            out[r, lo:lo + len(back)] = d[back]
-    return out[np.r_[0, 1 + u]]
-
-
-def _unordered(i: np.ndarray, j: np.ndarray, m: int):
-    """The distinct unordered pairs among (i[k], j[k]), of values in [0, m),
-    as (a, b) with a <= b, ascending, and each k's pair."""
-    pairs, inv = np.unique(np.minimum(i, j) * m + np.maximum(i, j), return_inverse=True)
-    return (*np.divmod(pairs, m), inv)
-
-
 def _take_runs(col: np.ndarray, w: np.ndarray, cut: np.ndarray, runs: np.ndarray):
     """col, w and cut of the given runs alone, in that order."""
     size = cut[runs + 1] - cut[runs]
     at = np.repeat(cut[runs] - np.cumsum(size) + size, size) + np.arange(size.sum())
-    return col[at], w[at], np.r_[0, np.cumsum(size)]
+    return col[at], w[at], np.concatenate([[0], np.cumsum(size)])
 
 
 def _run_chunks(a: np.ndarray, b: np.ndarray, cap: int) -> List[int]:
@@ -213,31 +140,131 @@ def _run_chunks(a: np.ndarray, b: np.ndarray, cap: int) -> List[int]:
     return bounds + [len(a)]
 
 
-def _run_sums_stack(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-                    x: np.ndarray, y: np.ndarray, R: np.ndarray, hr: np.ndarray,
-                    step: int) -> np.ndarray:
-    """rdist_run_sums on the runs of cut as one stack after the dense
-    references R, of entropies hr: each distinct pair's product of spectra
-    is scored with its own square and its products with the references,
-    step pairs at a time."""
-    q = len(R)
-    laws, back = _dense_runs(n, col, w, cut)
-    S = fwht(np.vstack([R, laws]))
-    del laws
-    x, y, inv = _unordered(back[x] + q, back[y] + q, len(S))
-    d = np.empty((q + 1, len(x)))
-    for lo in range(0, len(x), step):
-        # one stack: the spectra of the sums, of their sums with themselves
-        # and of their sums with each reference
-        k = len(x[lo:lo + step])
-        P = np.empty((q + 2, k, S.shape[1]))
-        np.multiply(S[x[lo:lo + step]], S[y[lo:lo + step]], out=P[0])
-        np.multiply(P[0], P[0], out=P[1])
-        np.multiply(S[:q, None], P[0], out=P[2:])
-        H = conv_entropy(P.reshape(-1, S.shape[1])).reshape(q + 2, k)
-        d[0, lo:lo + k] = H[1] - H[0]
-        d[1:, lo:lo + k] = H[2:] - 0.5 * hr - 0.5 * H[0]
-    return d[:, inv]
+def _rdists(n: int, a, b, refs: Sequence[Dist] = (), runs=None, sums=((), ())) -> np.ndarray:
+    """d[E_a[k]; E_b[k]] for every k: the one kernel of the batched distances.
+
+    The elements E are the laws refs, then the laws of the runs
+    col[cut[r]:cut[r + 1]] of runs = (col, w, cut), with weights w of any
+    scale, then the laws of x ^ y for independent x and y of the laws of the
+    runs sums[0][s] and sums[1][s]. A sum is the second element of its
+    pairs and pairs only with itself or with a reference. Up to BATCH_BITS
+    the references, merged by _distinct, and the runs the pairs read,
+    merged by _dense_runs, are one stack of dense rows, each distinct row
+    transformed once. A reference's or run's entropy is read from its row;
+    a sum's spectrum is the product of its two runs' spectra, and its
+    entropy and its products with itself and with the references are
+    scored in the stack of that product. Products are formed in place and
+    each distinct one is scored once, by conv_entropy on at most
+    BATCH_ELEMS entries at a time, or on one sum's products when they hold
+    more. When the runs do not fit one stack of BATCH_ELEMS entries with
+    the references, the pairs are walked in chunks (_run_chunks), each one
+    stack. Above BATCH_BITS each element is one Dist, a sum taken by
+    xor_convolve, and each distinct pair is scored by rdist.
+    """
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    if not len(a):
+        return np.zeros(0)
+    col, w, cut = runs or (None, None, np.zeros(1, dtype=np.intp))
+    x, y = (np.asarray(s, dtype=np.intp) for s in sums)
+    m = len(cut) - 1
+    if n > BATCH_BITS:
+        run = [Dist(n, idx=col[s:t], w=w[s:t]) for s, t in zip(cut[:-1].tolist(), cut[1:].tolist())]
+        u, laws = _distinct([*refs, *run, *(xor_convolve(run[s], run[t]) for s, t in zip(x, y))])
+        i, j = np.sort([u[a], u[b]], axis=0)   # each distinct unordered pair once
+        pairs, inv = np.unique(i * len(laws) + j, return_inverse=True)
+        return np.array([rdist(laws[s], laws[t]) for s, t in zip(*divmod(pairs, len(laws)))])[inv]
+    u, refs = _distinct(refs)
+    q, rows = len(refs), BATCH_ELEMS >> n
+    R = np.stack([X.dense() for X in refs]) if q else np.empty((0, 1 << n))
+    if runs is None:   # references alone: one stack
+        return _stack_rdists(fwht(R), _entropy_rows(R), rows, q, u[a], u[b], None)
+    # each pair as two rows of the stack, runs numbered from q: its elements'
+    # rows, or a sum's two runs; and with sums its partner slot: -1 for no
+    # sum, 0 for the sum itself, 1 + r for the reference of row r
+    e1, e2 = (np.concatenate([u, q + np.arange(m), q + z]) for z in (x, y))
+    ends = np.where(b >= len(u) + m, e1[b], e1[a]), e2[b]
+    slot = np.where(b >= len(u) + m, np.where(a == b, 0, 1 + e1[a]), -1) if len(x) else None
+    cap, chunks = max(2, rows - q), [slice(None)]
+    if m > cap:   # a pair reads its two rows' runs; a reference comes first
+        lo = np.where(ends[0] >= q, *ends)
+        order = np.lexsort((ends[1], lo))
+        bounds = _run_chunks(lo[order], ends[1][order], cap)
+        chunks = [order[s:t] for s, t in zip(bounds[:-1], bounds[1:])]
+    out, stack_of = np.empty(len(a)), np.arange(q + m)
+    for k in chunks:
+        D, g = R, q + np.flatnonzero(np.bincount(np.concatenate([e[k] for e in ends]),
+                                                 minlength=q + m)[q:])
+        if len(g):   # the runs the chunk reads, after the references
+            D, back = _dense_runs(n, *(_take_runs(col, w, cut, g - q) if len(g) < m
+                                       else (col, w, cut)))
+            stack_of[g] = q + back
+            D = np.concatenate([R, D]) if q else D
+        h, F = _entropy_rows(D), fwht(D)
+        del D
+        out[k] = _stack_rdists(F, h, rows, q, *(stack_of[e[k]] for e in ends),
+                               None if slot is None else slot[k])
+    return out
+
+
+def _stack_rdists(F: np.ndarray, h: np.ndarray, rows: int, q: int, r1: np.ndarray,
+                  r2: np.ndarray, slot: Optional[np.ndarray]) -> np.ndarray:
+    """_rdists on one stack F of spectra, of entropies h, whose first q rows
+    are the references: pair k is the product of rows r1[k] and r2[k] when
+    there are no slots or slot[k] < 0, and else that product (a sum) times
+    itself (slot 0) or times reference slot[k] - 1."""
+    prod, inv = np.unique(np.minimum(r1, r2) * len(F) + np.maximum(r1, r2), return_inverse=True)
+    fa, fb = np.divmod(prod, len(F))
+    # each product's second products, by slot, and the first row of each in P
+    used = np.zeros((len(prod), 0 if slot is None else q + 1), dtype=bool)
+    stop = np.arange(len(prod) + 1)
+    if slot is not None:
+        two = slot >= 0
+        used[inv[two], slot[two]] = True
+        stop = np.concatenate([[0], np.cumsum(1 + used.sum(axis=1))])
+    H1, H2, lo = np.empty(len(prod)), np.empty(used.shape), 0
+    while lo < len(prod):
+        hi = max(lo + 1, int(np.searchsorted(stop, stop[lo] + rows, "right")) - 1)
+        P = np.empty((stop[hi] - stop[lo], F.shape[1]))
+        T, at = P[:hi - lo], hi - lo
+        np.multiply(np.take(F, fa[lo:hi], axis=0, out=T, mode="clip"), F[fb[lo:hi]], out=T)
+        for j in range(used.shape[1]):
+            sel = np.flatnonzero(used[lo:hi, j])
+            src = T if len(sel) == len(T) else T[sel]
+            np.multiply(src, src if j == 0 else F[j - 1], out=P[at:at + len(sel)])
+            at += len(sel)
+        H = conv_entropy(P)
+        H1[lo:hi] = H[:len(T)]
+        H2[lo:hi].T[used[lo:hi].T] = H[len(T):]
+        lo = hi
+    Hs = H1[inv]   # each pair's product's entropy, a sum's own
+    d = Hs - 0.5 * h[r1] - 0.5 * h[r2]
+    if slot is None:
+        return d
+    s, Hs = slot[two], Hs[two]
+    d[two] = H2[inv[two], s] - 0.5 * np.where(s == 0, Hs, h[s - 1]) - 0.5 * Hs
+    return d
+
+
+def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
+    """d[laws[i[k]]; laws[j[k]]] for every k, each unordered pair once: the
+    laws as references of _rdists, so byte-equal laws count as one."""
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    if i.shape != j.shape:
+        raise ValueError("length mismatch")
+    if len(i) and any(d.n != laws[0].n for d in laws):
+        raise ValueError("dimension mismatch")
+    return _rdists(laws[0].n if len(i) else 0, i, j, laws)
+
+
+def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+               refs: Sequence[Dist] = ()) -> np.ndarray:
+    """d[L; L], then d[R; L] for each R in refs, as rows over the runs r,
+    L the law on F_2^n of the values col[cut[r]:cut[r + 1]] with weights w
+    (of any scale): a family of conditional laws, cut by one sort, scored
+    by _rdists."""
+    q, k = len(refs), len(refs) + np.arange(len(cut) - 1)
+    return _rdists(n, np.concatenate([k, np.repeat(np.arange(q), len(k))]), np.tile(k, q + 1),
+                   refs, (col, w, cut)).reshape(q + 1, len(k))
 
 
 def rdist_run_sums(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
@@ -245,45 +272,12 @@ def rdist_run_sums(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     """d[L; L], then d[R; L] for each R in refs, as rows over k, L the law
     of x ^ y for independent x and y of the laws of the runs i[k] and j[k]
     of col, with weights w, cut as in rdist_runs: the sum of two
-    conditional laws, such as a row of the endgame. Runs of byte-equal laws
-    count as one, and so does a pair of the same two runs in either order.
-    Up to BATCH_BITS the distinct references and runs are dense rows,
-    transformed as one stack, and each distinct pair's product of spectra
-    is scored as the law of its sum, with its own square and its products
-    with the references in the same stack, at least one pair and at most
-    BATCH_ELEMS entries at a time. A stack holds at most BATCH_ELEMS
-    entries: when the runs do not fit, the distinct pairs are walked in
-    chunks that each read at most that many entries of runs and
-    references, and each chunk is one stack. Above BATCH_BITS each pair's
-    sum is one Dist, scored by rdist_pairs."""
-    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    if not len(i):
-        return np.zeros((len(refs) + 1, 0))
-    m = len(cut) - 1
-    if n > BATCH_BITS:
-        a, b, inv = _unordered(i, j, m)
-        runs = {r: Dist(n, idx=col[cut[r]:cut[r + 1]], w=w[cut[r]:cut[r + 1]])
-                for r in np.union1d(a, b).tolist()}
-        return _self_and_refs([xor_convolve(runs[x], runs[y])
-                               for x, y in zip(a.tolist(), b.tolist())], refs)[:, inv]
-    u, refs = _distinct(refs)
-    q = len(refs)
-    R = np.stack([X.dense() for X in refs]) if q else np.empty((0, 1 << n))
-    hr = _entropy_rows(R)[:, None]
-    rows = BATCH_ELEMS >> n
-    step = max(1, rows // (q + 2))
-    if m + q <= rows:
-        out = _run_sums_stack(n, col, w, cut, i, j, R, hr, step)
-    else:
-        a, b, inv = _unordered(i, j, m)
-        bounds = _run_chunks(a, b, max(2, rows - q))
-        chunks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            runs, at = np.unique(np.r_[a[lo:hi], b[lo:hi]], return_inverse=True)
-            chunks.append(_run_sums_stack(n, *_take_runs(col, w, cut, runs),
-                                          *at.reshape(2, -1), R, hr, step))
-        out = np.hstack(chunks)[:, inv]
-    return out[np.r_[0, 1 + u]]
+    conditional laws, such as a row of the endgame, scored by _rdists. Runs
+    of byte-equal laws count as one, and so does a pair of the same two runs
+    in either order."""
+    q, k = len(refs), len(refs) + len(cut) - 1 + np.arange(len(i))
+    return _rdists(n, np.concatenate([k, np.repeat(np.arange(q), len(k))]), np.tile(k, q + 1),
+                   refs, (col, w, cut), (i, j)).reshape(q + 1, len(k))
 
 
 def _listed_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
@@ -305,7 +299,7 @@ def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     the mass w of run x and L_x its law, cut as in rdist_runs. Byte-equal
     laws count as one, and each unordered pair of laws is scored once, in
     blocks of at most BATCH_ELEMS entries of work: enumerated below
-    dists._enum_bound, else by rdist_pairs. The work, enumerated entries
+    dists._enum_bound, else by _rdists. The work, enumerated entries
     plus 2^n a transformed pair, plus xor_convolve's on supports of each
     size pair in sums, raises CostGuardExceeded past PRODUCT_SUPPORT_CAP
     before any pair is scored; under it, with n <= DENSE_BITS, the keys of
@@ -333,25 +327,11 @@ def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
         a, b = np.repeat(x[lo:hi], c), np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)
         h, dense = np.empty(len(a)), b >= j[a]
         h[~dense] = _listed_sum_entropies(n, col, w, cut, a[~dense], b[~dense])
-        runs, at = np.unique(np.r_[a[dense], b[dense]], return_inverse=True)
-        laws = [Dist(n, idx=col[cut[r]:cut[r + 1]], w=w[cut[r]:cut[r + 1]]) for r in runs.tolist()]
-        h[dense] = rdist_pairs(laws, *at.reshape(2, -1)) + 0.5 * (H[a[dense]] + H[b[dense]])
+        h[dense] = (_rdists(n, a[dense], b[dense], runs=(col, w, cut))
+                    + 0.5 * (H[a[dense]] + H[b[dense]]))
         total += float((np.where(a == b, 1.0, 2.0) * m[a] * m[b]) @ h)
         lo = hi
     return total
-
-
-def _product_entropies(S: np.ndarray, a: np.ndarray, T: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """H[x ^ y] for the laws x, y with spectra S[a[k]], T[b[k]], for every k;
-    products are formed in place, BATCH_ELEMS entries at a time."""
-    H = np.empty(len(a))
-    step = max(1, BATCH_ELEMS // S.shape[1])
-    for lo in range(0, len(a), step):
-        P = S[a[lo:lo + step]]
-        P *= T[b[lo:lo + step]]
-        H[lo:lo + step] = conv_entropy(P)
-    return H
 
 
 def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:

@@ -204,12 +204,12 @@ def test_small_fibre_pairs_are_enumerated_not_transformed(monkeypatch):
     # generic (14, 15) as a one-law pair: fibres of one or two points and
     # one of 15, every pair far below 14 * 2^14 entries, so no pair reaches
     # a dense 2^14-entry row (a dense-only kernel took about 13 s here)
-    scored, kernel = [], ruzsa.rdist_pairs
+    scored, kernel = [], ruzsa._rdists
 
-    def counted(laws, i, j):
-        scored.append(len(i))
-        return kernel(laws, i, j)
-    monkeypatch.setattr(ruzsa, "rdist_pairs", counted)
+    def counted(n, a, b, *args, **kwargs):
+        scored.append(len(a))
+        return kernel(n, a, b, *args, **kwargs)
+    monkeypatch.setattr(ruzsa, "_rdists", counted)
     X = uniform_on(np.random.default_rng(5).choice(2 ** 14, 15, replace=False), 14)
     assert _oracle_gap(X, X) <= 1e-12
     assert scored == [0]
@@ -521,9 +521,9 @@ def test_gamma_v_rows_repeat_the_gamma_u_rows():
         for J in (uvs_spectral(X1, X2), uvs_sparse(X1, X2)):
             for s in _top_support(J.marginal_dist("S"), 8):
                 keys, w = J.condition("S", s).items()
-                u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
-                rows_u, taus_u, _, order_u, bounds_u = _row_taus(ref, n, sl, u, v, w)
-                rows_v, taus_v, _, order_v, bounds_v = _row_taus(ref, n, sl, v, u, w)
+                u, v = keys & ((1 << n) - 1), keys >> n
+                rows_u, taus_u, _, order_u, bounds_u = _row_taus(ref, n, u, v, w)
+                rows_v, taus_v, _, order_v, bounds_v = _row_taus(ref, n, v, u, w)
                 assert np.array_equal(rows_v, rows_u)
                 assert np.array_equal(bounds_v, bounds_u)
                 for a, b in zip(bounds_u[:-1], bounds_u[1:]):
@@ -540,9 +540,9 @@ def test_gamma_w_rows_of_one_law_repeat_the_gamma_u_rows():
         n = X.n
         for s in _top_support(J.marginal_dist("S"), 8):
             keys, w = J.condition("S", s).items()
-            u, v, sl = keys & ((1 << n) - 1), keys >> n, 0 * keys
-            rows_u, taus_u, *_ = _row_taus(ref, n, sl, u, v, w)
-            rows_w, taus_w, *_ = _row_taus(ref, n, sl, u ^ v, u, w)
+            u, v = keys & ((1 << n) - 1), keys >> n
+            rows_u, taus_u, *_ = _row_taus(ref, n, u, v, w)
+            rows_w, taus_w, *_ = _row_taus(ref, n, u ^ v, u, w)
             assert np.array_equal(rows_w, rows_u)
             assert np.allclose(taus_w, taus_u, rtol=0, atol=1e-12)
 
@@ -559,17 +559,17 @@ def test_endgame_choices_break_exact_ties_as_the_slices_do():
 def _count_runs(monkeypatch):
     """Record (dense, rows) for every batch the ruzsa kernels score from
     now on: (True, rows) per stack of dense spectra turned into entropies,
-    (False, laws) per list of Dists handed to rdist_pairs."""
-    calls, pairs, entropies = [], ruzsa.rdist_pairs, ruzsa.conv_entropy
+    (False, 1) per pair of Dists scored by rdist."""
+    calls, pair, entropies = [], ruzsa.rdist, ruzsa.conv_entropy
 
-    def counted_pairs(laws, i, j):
-        calls.append((False, len(laws)))
-        return pairs(laws, i, j)
+    def counted_pair(X, Y):
+        calls.append((False, 1))
+        return pair(X, Y)
 
     def counted_entropies(spec):
         calls.append((True, len(spec)))
         return entropies(spec)
-    monkeypatch.setattr(ruzsa, "rdist_pairs", counted_pairs)
+    monkeypatch.setattr(ruzsa, "rdist", counted_pair)
     monkeypatch.setattr(ruzsa, "conv_entropy", counted_entropies)
     return calls
 
@@ -718,7 +718,7 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
         keys, w = J.items()
         u, v, s = keys & ((1 << n) - 1), (keys >> n) & ((1 << n) - 1), keys >> (2 * n)
         for given, law in ((u, v), (u ^ v, u)):
-            a, b = both(n, lambda: _row_taus(ref, n, s, given, law, w))
+            a, b = both(n, lambda: _row_taus(ref, n, (s << n) | given, law, w))
             for x, y in zip(a[:1] + a[3:], b[:1] + b[3:]):
                 assert np.array_equal(x, y)     # rows, order, bounds
             assert np.allclose(a[1:3], b[1:3], rtol=0, atol=1e-12)   # taus, d
@@ -831,6 +831,6 @@ def test_bsg_check_past_batch_bits_scores_one_dist_per_slice(monkeypatch):
     J = JointDist(n, 2, ["A", "B"], keys=(a[:, None] | (b[None, :] << n)).ravel(),
                   w=rng.random(16))
     rep = bsg_check(J)
-    assert calls == [(False, 4)]
+    assert calls == [(False, 1)] * 4
     assert rep.holds
     assert rep.lhs == pytest.approx(_slice_lhs(J), abs=1e-12)

@@ -264,6 +264,22 @@ def test_sums_past_the_cap_end_in_one_json_line(capsys, tmp_path):
         {"error": "ambient dimension 57 out of range", "guard": "DENSE_BITS", "size": 57}]
 
 
+def test_descend_certifies_rank_24_without_enumerating_the_subgroup(capsys, tmp_path):
+    # generic laws of 100 and 110 points span all of F_2^24: descent stops
+    # at once, the rank-24 certificate reads d[X; U_H] in closed form (a
+    # uniform law on its 2^24 points took 24.5 s), and the diagnostics
+    # refuse the pair in one guard line
+    rng = np.random.default_rng(5)
+    a, b = (dist_file(tmp_path, f"generic{m}.json",
+                      uniform_on(rng.choice(1 << 24, m, replace=False), 24))
+            for m in (100, 110))
+    code, lines = run(capsys, ["--quiet", "descend", "--x1", a, "--x2", b, "--max-iter", "0"])
+    rows = [json.loads(ln) for ln in lines]
+    assert code == 1 and len(rows) == 2
+    assert rows[0]["bound_check"] is True and rows[0]["subgroup_rank"] == 24
+    assert rows[1]["guard"] == "PRODUCT_SUPPORT_CAP"
+
+
 def test_check_past_dense_bits_ends_in_one_json_line(capsys):
     # the guard trips before the first draw, not after a 2^30-point one;
     # the sum-conditioned checks pack no product keys, so --dim 30 is no

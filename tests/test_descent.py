@@ -781,18 +781,22 @@ def test_one_call_for_all_classes_scores_what_each_class_scores_alone():
 
 
 def test_entropic_pfr_takes_only_the_distances_it_reads(monkeypatch):
-    calls = []
+    calls, closed = [], descent._rdist_uniform
     def counting(X, Y):
         calls.append((X, Y))
         return rdist(X, Y)
+    def counting_closed(X, H):
+        calls.append((X, H))
+        return closed(X, H)
     monkeypatch.setattr(descent, "rdist", counting)
+    monkeypatch.setattr(descent, "_rdist_uniform", counting_closed)
     UA = uniform_on(random_coset_union(make_rng(21), 6, 2, 3), 6)
     X01, X02 = demo_pair(2)
     for inputs, taken in (((UA, UA), 1), ((X01, X02), 3)):
         calls.clear()
         st, cert = entropic_pfr(*inputs)
-        # d1 (and d2) against U_H, and k0 for two laws; not
-        # extract_subgroup's d[X; U_H] and d[X; X] at the endpoint
+        # d1 (and d2) against U_H, in closed form, and k0 for two laws;
+        # not extract_subgroup's d[X; U_H] and d[X; X] at the endpoint
         assert len(calls) == taken
         assert cert.H == extract_subgroup(st.X1).H
     # for one law k0 is descent's starting d, scored as its candidates are:
@@ -841,6 +845,25 @@ def test_extract_subgroup_point_mass():
     cert = extract_subgroup(uniform_on([13], 6))
     assert cert.H.rank == 0
     assert cert.d1 == 0.0 and cert.k0 == 0.0 and cert.bound_check
+
+
+def test_certificate_distance_in_closed_form_matches_rdist():
+    # d[X; U_H] = H[X mod H] + (rank H / 2) log 2 - H[X]/2 against rdist on
+    # the uniform law of H, from rank 0 to the full group, for point masses,
+    # uniform laws, random laws and cosets of H
+    rng = make_rng(101)
+    for n in range(1, 8):
+        for rank in sorted({0, n // 2, n}):
+            H = span(rng.choice(1 << n, rank, replace=False) if rank < n
+                     else [1 << b for b in range(n)], n)
+            UH = uniform_on_subgroup(H)
+            laws = [random_dist(rng, n), uniform_on([int(rng.integers(1 << n))], n),
+                    uniform_on(rng.choice(1 << n, 1 + (1 << n) // 2, replace=False), n),
+                    UH.translate(int(rng.integers(1 << n)))]
+            for X in laws:
+                d = descent._rdist_uniform(X, H)
+                assert type(d) is float
+                assert d == pytest.approx(rdist(X, UH), abs=1e-12)
 
 
 def test_entropic_pfr_certificates():

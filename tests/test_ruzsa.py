@@ -185,14 +185,15 @@ def test_rdist_runs_scores_repeated_runs_once(rows_per_chunk, monkeypatch):
     want = scored(range(4))[:, order]
     rows = _forward_rows(monkeypatch)
     assert np.array_equal(scored(order), want)
-    # the references, then the distinct runs of each chunk
-    assert rows == ([2, 4] if rows_per_chunk is None else [2, 2, 2, 2])
+    # one stack: the references and the distinct runs; or chunks of two
+    # runs, each stack the references and its distinct runs
+    assert rows == ([6] if rows_per_chunk is None else [4, 4, 4, 4])
     # equal references: one row, its distances copied, bit for bit
     one = scored(order)[[0, 1, 1]]
     refs[1] = refs[0]
     del rows[:]
     assert np.array_equal(scored(order), one)
-    assert rows[0] == 1
+    assert rows == ([5] if rows_per_chunk is None else [3, 3, 3, 3])
 
 
 @pytest.mark.parametrize("bits", [None, 4])
@@ -250,6 +251,39 @@ def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
     monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << n)
     assert np.array_equal(rdist_run_sums(n, col, w, cut, i, j, refs), want)
     assert len(rows) > 2 and max(rows) <= 8 and max(scored) <= 8
+
+
+@pytest.mark.parametrize("kind", ["reference", "run", "sum"])
+def test_every_element_kind_scores_alike_on_every_path(kind, monkeypatch):
+    # one stack, chunked stacks (BATCH_ELEMS = 2^n), the fallback of one Dist
+    # per element (BATCH_BITS = n - 1) and scalar rdist agree within 1e-12
+    # on references, runs and sums of two runs, with byte-equal copies
+    # among the laws and among the references, one of which is a run's law
+    rng = make_rng(42)
+    n = 5
+    runs = [(np.sort(rng.choice(1 << n, 5, replace=False)), rng.random(5)) for _ in range(4)]
+    runs += [runs[1], runs[3]]
+    col, w = (np.concatenate(z) for z in zip(*runs))
+    cut = np.arange(len(runs) + 1) * 5
+    laws = [Dist(n, idx=c, w=x) for c, x in runs]
+    refs = [random_dist(rng, n), laws[0], random_dist(rng, n)]
+    refs.append(refs[2])
+    i, j = np.array([0, 1, 4, 2, 3, 5, 1]), np.array([1, 4, 1, 2, 5, 0, 3])
+    if kind == "reference":
+        score = lambda: rdist_pairs(laws, i, j)
+        want = [rdist(laws[a], laws[b]) for a, b in zip(i, j)]
+    elif kind == "run":
+        score = lambda: rdist_runs(n, col, w, cut, refs)
+        want = [[rdist(L, L) for L in laws]] + [[rdist(R, L) for L in laws] for R in refs]
+    else:
+        sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
+        score = lambda: rdist_run_sums(n, col, w, cut, i, j, refs)
+        want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
+    for limit, value in ((None, None), ("BATCH_ELEMS", 1 << n), ("BATCH_BITS", n - 1)):
+        with monkeypatch.context() as mp:
+            if limit:
+                mp.setattr(ruzsa, limit, value)
+            assert np.allclose(score(), want, rtol=0, atol=1e-12)
 
 
 def test_run_chunks_cover_the_pairs_in_order():
