@@ -60,8 +60,9 @@ def fwht(a: np.ndarray) -> np.ndarray:
     those of the in-place stages. No butterfly reads another row, so
     every row's bits are those of its own 1-D transform, whatever the rows
     beside it. The batched distance kernel (ruzsa._rdists) relies on that
-    to chunk its stacks and to transform each distinct law once, sharing
-    its row with every equal law, as does xor_convolve for equal operands.
+    to cut its stacks of dense rows, references included, wherever
+    BATCH_ELEMS falls, and to transform each distinct law once, sharing its
+    row with every equal law, as does xor_convolve for equal operands.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
@@ -96,10 +97,10 @@ def _entropy_weights(w: np.ndarray) -> float:
 
 
 def _entropy_rows(w: np.ndarray) -> np.ndarray:
-    """Row-wise _entropy_weights; masks where it compacts, cheaper on many rows."""
-    mx = w.max(axis=-1, keepdims=True)
-    safe = np.where(w > ENTROPY_FLOOR * mx, w, 1.0)
-    return -np.einsum("...i,...i->...", safe, np.log(safe))
+    """Row-wise _entropy_weights; masks where it compacts, cheaper on many
+    rows. Overwrites w: its entries at the floor become 1.0."""
+    np.copyto(w, 1.0, where=w <= ENTROPY_FLOOR * w.max(axis=-1, keepdims=True))
+    return -np.einsum("...i,...i->...", w, np.log(w))
 
 
 def _clean_wht_output(spec: np.ndarray, context: str) -> np.ndarray:

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dists import (PRODUCT_SUPPORT_CAP, CostGuardExceeded, Dist, JointDist, _cross_fibres,
-                    _entropy_rows, _entropy_weights, _enum_bound, _group, conv_entropy, entropy,
+from .dists import (ENTROPY_FLOOR, PRODUCT_SUPPORT_CAP, CostGuardExceeded, Dist, JointDist,
+                    _cross_fibres, _entropy_weights, _enum_bound, _group, conv_entropy, entropy,
                     fwht, joint_product, xor_convolve)
 
 __all__ = [
@@ -55,10 +55,10 @@ __all__ = [
 ETA_MAX = 1.0 / (4.0 + math.sqrt(17.0))
 ETA_DEFAULT = 1.0 / 9.0
 SLACK_TOL = 1e-9
-# The batched distance kernel (_rdists) holds dense (rows, 2^n) laws and their
-# products BATCH_ELEMS entries at a time; above BATCH_BITS it scores sparse
-# Dists pair by pair.
-BATCH_BITS = 16
+# The batched distance kernel (_rdists) lists a sum or forms it from dense
+# (rows, 2^n) spectra by the support sizes of its summands (_list_bound), at
+# every n; it lists, stacks rows and scores products BATCH_ELEMS entries at
+# a time.
 BATCH_ELEMS = 1 << 21
 
 Slices = Sequence[Tuple[float, Dist]]
@@ -99,45 +99,65 @@ def _law_key(d: Dist) -> Tuple[bytes, ...]:
     return tuple(a.tobytes() for a in d.items())
 
 
-def _distinct(laws: Sequence[Dist]) -> Tuple[np.ndarray, List[Dist]]:
-    """Each law's id and the distinct laws: byte-equal laws share one id."""
+def _list_bound(n: int) -> int:
+    """2^n, the one enumerate-or-transform rule of the batched distances: a
+    sum of independent laws whose support sizes multiply below it is
+    listed, its support tuples enumerated, and any other is formed from
+    dense spectra, a transform of 2^n entries."""
+    return 1 << n
+
+
+def _grouped_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray):
+    """col, w and cut of the laws on F_2^n of the runs col[cut[r]:cut[r + 1]]
+    with weights w of any scale: each run's values ascending and distinct
+    (dists._group), its weights of mass one."""
+    size = np.diff(cut)
+    run = np.repeat(np.arange(len(size)), size)
+    key, w = _group((run << n) | col[cut[0]:cut[-1]], w[cut[0]:cut[-1]],
+                    n + len(size).bit_length())
+    cut = np.concatenate([[0], np.cumsum(np.bincount(key >> n, minlength=len(size)))])
+    w /= np.repeat(np.add.reduceat(w, cut[:-1]), np.diff(cut))
+    return key & ((1 << n) - 1), w, cut
+
+
+def _law_ids(col: np.ndarray, w: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """For each run, the first run of byte-equal values and weights."""
     ids: dict = {}
-    u = np.array([ids.setdefault(_law_key(d), len(ids)) for d in laws],
-                 dtype=np.intp)
-    return u, [laws[x] for x in np.unique(u, return_index=True)[1]]
+    return np.array([ids.setdefault((col[a:b].tobytes(), w[a:b].tobytes()), r)
+                     for r, (a, b) in enumerate(zip(cut[:-1].tolist(), cut[1:].tolist()))],
+                    dtype=np.intp)
 
 
-def _dense_runs(n: int, col: np.ndarray, w: np.ndarray,
-                cut: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct laws of the runs col[cut[r]:cut[r + 1]] on F_2^n, with
-    weights w of any scale, as dense rows of mass one, and each run's row:
-    runs of equal bytes share one."""
-    k = np.arange(len(cut) - 1)
-    laws = np.bincount(np.repeat(k << n, np.diff(cut)) + col[cut[0]:cut[-1]],
-                       weights=w[cut[0]:cut[-1]], minlength=len(k) << n).reshape(len(k), -1)
-    laws /= laws.sum(axis=1, keepdims=True)
-    _, first, back = np.unique(laws.view(np.dtype((np.void, laws[0].nbytes))).ravel(),
-                               return_index=True, return_inverse=True)
-    return laws[first], back
-
-
-def _take_runs(col: np.ndarray, w: np.ndarray, cut: np.ndarray, runs: np.ndarray):
-    """col, w and cut of the given runs alone, in that order."""
+def _dense_rows(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                runs: np.ndarray) -> np.ndarray:
+    """The laws of the given runs as dense rows of length 2^n, in that order."""
     size = cut[runs + 1] - cut[runs]
     at = np.repeat(cut[runs] - np.cumsum(size) + size, size) + np.arange(size.sum())
-    return col[at], w[at], np.concatenate([[0], np.cumsum(size)])
+    return np.bincount(np.repeat(np.arange(len(runs)) << n, size) + col[at], weights=w[at],
+                       minlength=len(runs) << n).reshape(len(runs), -1)
 
 
-def _run_chunks(a: np.ndarray, b: np.ndarray, cap: int) -> List[int]:
-    """Bounds of consecutive chunks of the pairs of runs (a[k], b[k]) that
-    each read at most cap >= 2 distinct runs, each as long as it can be."""
+def _run_entropies(w: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """The entropy of each run of weights w of mass one (cut[0] = 0), with
+    the floor of _entropy_weights."""
+    start, size = cut[:-1], np.diff(cut)
+    top = np.repeat(np.maximum.reduceat(w, start), size)
+    safe = np.where(w > ENTROPY_FLOOR * top, w, 1.0)
+    return -np.add.reduceat(safe * np.log(safe), start)
+
+
+def _run_chunks(reads: np.ndarray, cap: int) -> List[int]:
+    """Bounds of consecutive chunks of the items k, each reading the runs
+    reads[k] (-1 for none): each chunk reads at most cap distinct runs, or
+    one item's when they are more, and is as long as it can be."""
     bounds, seen = [0], set()
-    for k, pair in enumerate(zip(a.tolist(), b.tolist())):
-        if len(seen) + len(set(pair) - seen) > cap:
+    for k, item in enumerate(reads.tolist()):
+        more = seen.union(item) - {-1}
+        if seen and len(more) > cap:
             bounds.append(k)
-            seen = set()
-        seen.update(pair)
-    return bounds + [len(a)]
+            more = set(item) - {-1}
+        seen = more
+    return bounds + [len(reads)]
 
 
 def _rdists(n: int, a, b, refs: Sequence[Dist] = (), runs=None, sums=((), ())) -> np.ndarray:
@@ -146,103 +166,156 @@ def _rdists(n: int, a, b, refs: Sequence[Dist] = (), runs=None, sums=((), ())) -
     The elements E are the laws refs, then the laws of the runs
     col[cut[r]:cut[r + 1]] of runs = (col, w, cut), with weights w of any
     scale, then the laws of x ^ y for independent x and y of the laws of the
-    runs sums[0][s] and sums[1][s]. A sum is the second element of its
-    pairs and pairs only with itself or with a reference. Up to BATCH_BITS
-    the references, merged by _distinct, and the runs the pairs read,
-    merged by _dense_runs, are one stack of dense rows, each distinct row
-    transformed once. A reference's or run's entropy is read from its row;
-    a sum's spectrum is the product of its two runs' spectra, and its
-    entropy and its products with itself and with the references are
-    scored in the stack of that product. Products are formed in place and
-    each distinct one is scored once, by conv_entropy on at most
-    BATCH_ELEMS entries at a time, or on one sum's products when they hold
-    more. When the runs do not fit one stack of BATCH_ELEMS entries with
-    the references, the pairs are walked in chunks (_run_chunks), each one
-    stack. Above BATCH_BITS each element is one Dist, a sum taken by
-    xor_convolve, and each distinct pair is scored by rdist.
+    runs sums[0][s] and sums[1][s]. A sum pairs only with itself or with a
+    reference or run. The references join the runs, byte-equal laws are
+    merged (_law_ids) and so are sums of the same two laws in either
+    order, and each distinct unordered pair is scored once: the entropy of
+    its sum by _sum_entropies, which lists it or forms it from dense
+    spectra by the one rule _list_bound; a law's entropy from its weights,
+    a sum's as that of its two runs' sum.
     """
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     if not len(a):
         return np.zeros(0)
-    col, w, cut = runs or (None, None, np.zeros(1, dtype=np.intp))
-    x, y = (np.asarray(s, dtype=np.intp) for s in sums)
-    m = len(cut) - 1
-    if n > BATCH_BITS:
-        run = [Dist(n, idx=col[s:t], w=w[s:t]) for s, t in zip(cut[:-1].tolist(), cut[1:].tolist())]
-        u, laws = _distinct([*refs, *run, *(xor_convolve(run[s], run[t]) for s, t in zip(x, y))])
-        i, j = np.sort([u[a], u[b]], axis=0)   # each distinct unordered pair once
-        pairs, inv = np.unique(i * len(laws) + j, return_inverse=True)
-        return np.array([rdist(laws[s], laws[t]) for s, t in zip(*divmod(pairs, len(laws)))])[inv]
-    u, refs = _distinct(refs)
-    q, rows = len(refs), BATCH_ELEMS >> n
-    R = np.stack([X.dense() for X in refs]) if q else np.empty((0, 1 << n))
-    if runs is None:   # references alone: one stack
-        return _stack_rdists(fwht(R), _entropy_rows(R), rows, q, u[a], u[b], None)
-    # each pair as two rows of the stack, runs numbered from q: its elements'
-    # rows, or a sum's two runs; and with sums its partner slot: -1 for no
-    # sum, 0 for the sum itself, 1 + r for the reference of row r
-    e1, e2 = (np.concatenate([u, q + np.arange(m), q + z]) for z in (x, y))
-    ends = np.where(b >= len(u) + m, e1[b], e1[a]), e2[b]
-    slot = np.where(b >= len(u) + m, np.where(a == b, 0, 1 + e1[a]), -1) if len(x) else None
-    cap, chunks = max(2, rows - q), [slice(None)]
-    if m > cap:   # a pair reads its two rows' runs; a reference comes first
-        lo = np.where(ends[0] >= q, *ends)
-        order = np.lexsort((ends[1], lo))
-        bounds = _run_chunks(lo[order], ends[1][order], cap)
-        chunks = [order[s:t] for s, t in zip(bounds[:-1], bounds[1:])]
-    out, stack_of = np.empty(len(a)), np.arange(q + m)
-    for k in chunks:
-        D, g = R, q + np.flatnonzero(np.bincount(np.concatenate([e[k] for e in ends]),
-                                                 minlength=q + m)[q:])
-        if len(g):   # the runs the chunk reads, after the references
-            D, back = _dense_runs(n, *(_take_runs(col, w, cut, g - q) if len(g) < m
-                                       else (col, w, cut)))
-            stack_of[g] = q + back
-            D = np.concatenate([R, D]) if q else D
-        h, F = _entropy_rows(D), fwht(D)
-        del D
-        out[k] = _stack_rdists(F, h, rows, q, *(stack_of[e[k]] for e in ends),
-                               None if slot is None else slot[k])
+    if any(d.n != n for d in refs):
+        raise ValueError("dimension mismatch")
+    laws = [d.items() for d in refs]
+    size = np.array([len(v) for v, _ in laws], dtype=np.intp)
+    if runs is not None:
+        col, w, cut = _grouped_runs(n, *runs)
+        laws.append((col, w))
+        size = np.concatenate([size, np.diff(cut)])
+    col, w = (np.concatenate(z) for z in zip(*laws))
+    cut = np.concatenate([[0], np.cumsum(size)])
+    law = _law_ids(col, w, cut)
+    m, e, xy = len(cut) - 1, law, np.zeros(0, dtype=np.intp)
+    if len(sums[0]):   # the distinct sums (x, y), x <= y, numbered from m
+        x, y = (law[len(refs) + np.asarray(v, dtype=np.intp)] for v in sums)
+        xy, s = np.unique(np.minimum(x, y) * m + np.maximum(x, y), return_inverse=True)
+        e = np.concatenate([law, m + s.ravel()])
+    k = m + len(xy)
+    ea, eb = np.minimum(e[a], e[b]), np.maximum(e[a], e[b])   # a sum second
+    pair, inv = np.unique(ea * k + eb, return_inverse=True)
+    ea, eb = np.divmod(pair, k)
+    h = np.array([d.entropy() for d in refs])   # a law's entropy, then a sum's
+    if runs is not None:
+        h = np.concatenate([h, _run_entropies(w[cut[len(refs)]:], cut[len(refs):] - cut[len(refs)])])
+    if not len(xy):
+        H = _sum_entropies(n, col, w, cut, ea, eb)
+    else:   # each pair's sum as runs, then each distinct sum's own
+        x, y = np.divmod(xy, m)
+        f = np.stack([np.concatenate([ea, x]), np.concatenate([eb, y]),
+                      np.full(len(pair) + len(x), -1)])
+        summed = np.flatnonzero(eb >= m)
+        t, r = eb[summed] - m, ea[summed]
+        f[:, summed] = x[t], y[t], np.where(r < m, r, -1)
+        twice = np.zeros(len(f[0]), dtype=bool)
+        twice[summed] = r >= m
+        H = _sum_entropies(n, col, w, cut, *f, twice)
+        h = np.concatenate([h, H[len(pair):]])
+    return (H[:len(pair)] - 0.5 * h[ea] - 0.5 * h[eb])[inv.ravel()]
+
+
+def _sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray, x: np.ndarray,
+                   y: np.ndarray, z: Optional[np.ndarray] = None,
+                   twice: Optional[np.ndarray] = None) -> np.ndarray:
+    """H[L_x + L_y + L_z] for every k, L_r the law of run r (values
+    distinct, mass one) and the summands independent: no L_z where z is
+    None or z[k] < 0, and H[L_x + L_y + L_x' + L_y'] where twice[k]. A sum
+    whose summands' support sizes multiply below _list_bound(n) is listed
+    (_listed_sum_entropies), any other formed from dense spectra
+    (_dense_sum_entropies)."""
+    size = np.diff(cut).astype(float)
+    work, kinds = size[x] * size[y], [(None, (x, y))]
+    if z is not None:
+        work = work * np.where(z < 0, 1.0, size[z])
+        work = np.where(twice, work * work, work)
+        kinds = [(~twice & (z < 0), (x, y)), (z >= 0, (x, y, z)), (twice, (x, y, x, y))]
+    listed = work < _list_bound(n)
+    out = np.empty(len(x))
+    for kind, runs in kinds:
+        k = np.flatnonzero(listed if kind is None else kind & listed)
+        if len(k):
+            out[k] = _listed_sum_entropies(n, col, w, cut, *(r[k] for r in runs))
+    k = np.flatnonzero(~listed)
+    if len(k):
+        out[k] = _dense_sum_entropies(n, col, w, cut, x[k], y[k],
+                                      *(None if v is None else v[k] for v in (z, twice)))
     return out
 
 
-def _stack_rdists(F: np.ndarray, h: np.ndarray, rows: int, q: int, r1: np.ndarray,
-                  r2: np.ndarray, slot: Optional[np.ndarray]) -> np.ndarray:
-    """_rdists on one stack F of spectra, of entropies h, whose first q rows
-    are the references: pair k is the product of rows r1[k] and r2[k] when
-    there are no slots or slot[k] < 0, and else that product (a sum) times
-    itself (slot 0) or times reference slot[k] - 1."""
-    prod, inv = np.unique(np.minimum(r1, r2) * len(F) + np.maximum(r1, r2), return_inverse=True)
-    fa, fb = np.divmod(prod, len(F))
-    # each product's second products, by slot, and the first row of each in P
-    used = np.zeros((len(prod), 0 if slot is None else q + 1), dtype=bool)
-    stop = np.arange(len(prod) + 1)
-    if slot is not None:
-        two = slot >= 0
-        used[inv[two], slot[two]] = True
-        stop = np.concatenate([[0], np.cumsum(1 + used.sum(axis=1))])
-    H1, H2, lo = np.empty(len(prod)), np.empty(used.shape), 0
-    while lo < len(prod):
-        hi = max(lo + 1, int(np.searchsorted(stop, stop[lo] + rows, "right")) - 1)
-        P = np.empty((stop[hi] - stop[lo], F.shape[1]))
-        T, at = P[:hi - lo], hi - lo
-        np.multiply(np.take(F, fa[lo:hi], axis=0, out=T, mode="clip"), F[fb[lo:hi]], out=T)
-        for j in range(used.shape[1]):
-            sel = np.flatnonzero(used[lo:hi, j])
-            src = T if len(sel) == len(T) else T[sel]
-            np.multiply(src, src if j == 0 else F[j - 1], out=P[at:at + len(sel)])
-            at += len(sel)
-        H = conv_entropy(P)
-        H1[lo:hi] = H[:len(T)]
-        H2[lo:hi].T[used[lo:hi].T] = H[len(T):]
+def _listed_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                          *runs: np.ndarray) -> np.ndarray:
+    """H[L_1 + ... + L_c] for every k, L_i the law of the run runs[i][k]
+    (values distinct, mass one) and the summands independent: each sum
+    listed from its support tuples, keyed by k and grouped once
+    (dists._group), at most BATCH_ELEMS entries at a time, or one sum when
+    it holds more."""
+    span = np.diff(cut)
+    size = span[runs[0]]
+    for r in runs[1:]:
+        size = size * span[r]
+    ends = np.concatenate([[0], np.cumsum(size)])
+    out, lo = np.empty(len(size)), 0
+    while lo < len(size):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + BATCH_ELEMS, "right")) - 1)
+        item = np.repeat(np.arange(hi - lo), size[lo:hi])
+        at, key, p = np.arange(ends[hi] - ends[lo]) - (ends[lo:hi] - ends[lo])[item], 0, 1.0
+        for r in runs[:0:-1]:   # the last summand varies fastest
+            r = r[lo:hi][item]
+            at, e = np.divmod(at, span[r])
+            e += cut[r]
+            key, p = key ^ col[e], p * w[e]
+        at += cut[runs[0][lo:hi]][item]
+        key, p = key ^ col[at], p * w[at]
+        key, p = _group((item << n) | key, p, n + (hi - lo).bit_length())
+        out[lo:hi] = -np.bincount(key >> n, weights=p * np.log(p), minlength=hi - lo)
         lo = hi
-    Hs = H1[inv]   # each pair's product's entropy, a sum's own
-    d = Hs - 0.5 * h[r1] - 0.5 * h[r2]
-    if slot is None:
-        return d
-    s, Hs = slot[two], Hs[two]
-    d[two] = H2[inv[two], s] - 0.5 * np.where(s == 0, Hs, h[s - 1]) - 0.5 * Hs
-    return d
+    return out
+
+
+def _dense_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray, x: np.ndarray,
+                         y: np.ndarray, z: Optional[np.ndarray] = None,
+                         twice: Optional[np.ndarray] = None) -> np.ndarray:
+    """_sum_entropies from dense spectra. The runs the sums read are one
+    stack of rows, each transformed once, or, past BATCH_ELEMS entries, the
+    sums are walked in chunks (_run_chunks), each stack at most
+    BATCH_ELEMS entries or the rows of one sum. A sum's spectrum is the
+    product of its runs' (squared where twice), formed in place and scored
+    by conv_entropy at most BATCH_ELEMS entries at a time, or one sum when
+    a row holds more."""
+    out, rows = np.empty(len(x)), max(BATCH_ELEMS >> n, 1)
+    reads = [x, y] if z is None else [x, y, z]
+    kind = None if z is None else (z >= 0) + 2 * twice   # two rows, three, or two squared
+    g = np.flatnonzero(np.bincount(np.concatenate(reads) + 1, minlength=len(cut))[1:])
+    chunks = [np.arange(len(x))]
+    if len(g) > rows:
+        reads = np.stack(reads, axis=1)
+        top = -np.sort(-reads, axis=1)   # each sum's runs, largest first
+        order = np.lexsort(top.T[::-1])
+        chunks = np.split(order, _run_chunks(top[order], rows)[1:-1])
+    for c in chunks:
+        if len(chunks) > 1:
+            g = np.unique(reads[c])
+            g = g[g >= 0]
+        F = fwht(_dense_rows(n, col, w, cut, g))
+        three = two = len(c)
+        if kind is not None:
+            c = c[np.argsort(kind[c], kind="stable")]
+            three, two = np.searchsorted(kind[c], [1, 2]).tolist()
+            fz = np.searchsorted(g, z[c])
+        fx, fy = np.searchsorted(g, x[c]), np.searchsorted(g, y[c])
+        for lo in range(0, len(c), rows):
+            hi = min(lo + rows, len(c))
+            P = np.take(F, fx[lo:hi], axis=0)
+            P *= F[fy[lo:hi]]
+            s, t = min(max(three, lo), hi), min(max(two, lo), hi)
+            if s < t:
+                P[s - lo:t - lo] *= F[fz[s:t]]
+            P[t - lo:] *= P[t - lo:]
+            out[c[lo:hi]] = conv_entropy(P)
+        del F, P   # before the next chunk's stack is formed
+    return out
 
 
 def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
@@ -251,8 +324,6 @@ def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if i.shape != j.shape:
         raise ValueError("length mismatch")
-    if len(i) and any(d.n != laws[0].n for d in laws):
-        raise ValueError("dimension mismatch")
     return _rdists(laws[0].n if len(i) else 0, i, j, laws)
 
 
@@ -261,7 +332,7 @@ def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     """d[L; L], then d[R; L] for each R in refs, as rows over the runs r,
     L the law on F_2^n of the values col[cut[r]:cut[r + 1]] with weights w
     (of any scale): a family of conditional laws, cut by one sort, scored
-    by _rdists."""
+    by _rdists. A reference off F_2^n raises ValueError."""
     q, k = len(refs), len(refs) + np.arange(len(cut) - 1)
     return _rdists(n, np.concatenate([k, np.repeat(np.arange(q), len(k))]), np.tile(k, q + 1),
                    refs, (col, w, cut)).reshape(q + 1, len(k))
@@ -274,49 +345,33 @@ def rdist_run_sums(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     of col, with weights w, cut as in rdist_runs: the sum of two
     conditional laws, such as a row of the endgame, scored by _rdists. Runs
     of byte-equal laws count as one, and so does a pair of the same two runs
-    in either order."""
+    in either order. A reference off F_2^n raises ValueError."""
     q, k = len(refs), len(refs) + len(cut) - 1 + np.arange(len(i))
     return _rdists(n, np.concatenate([k, np.repeat(np.arange(q), len(k))]), np.tile(k, q + 1),
                    refs, (col, w, cut), (i, j)).reshape(q + 1, len(k))
-
-
-def _listed_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-                          x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """H[x ^ y], x and y independent of the laws of the runs x[k] and y[k] of
-    mass one, for every k: sums keyed by pair, grouped once (dists._group)."""
-    sy = cut[y + 1] - cut[y]
-    size = (cut[x + 1] - cut[x]) * sy
-    pair = np.repeat(np.arange(len(x)), size)
-    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    a, b = cut[x][pair] + at // sy[pair], cut[y][pair] + at % sy[pair]
-    keys, p = _group((pair << n) | (col[a] ^ col[b]), w[a] * w[b], n + len(x).bit_length())
-    return -np.bincount(keys >> n, weights=p * np.log(p), minlength=len(x))
 
 
 def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
                       sums: Sequence[Tuple[int, int]] = ()) -> float:
     """The sum over ordered pairs (x, y) of runs of m_x m_y H[L_x * L_y], m_x
     the mass w of run x and L_x its law, cut as in rdist_runs. Byte-equal
-    laws count as one, and each unordered pair of laws is scored once, in
-    blocks of at most BATCH_ELEMS entries of work: enumerated below
-    dists._enum_bound, else by _rdists. The work, enumerated entries
-    plus 2^n a transformed pair, plus xor_convolve's on supports of each
-    size pair in sums, raises CostGuardExceeded past PRODUCT_SUPPORT_CAP
-    before any pair is scored; under it, with n <= DENSE_BITS, the keys of
+    laws count as one, and each unordered pair of laws is scored once by
+    _sum_entropies, in blocks of at most BATCH_ELEMS entries of work. The
+    work, |L_x| |L_y| entries a listed pair and 2^n a transformed one
+    (_list_bound), plus xor_convolve's on supports of each size pair in
+    sums, raises CostGuardExceeded past PRODUCT_SUPPORT_CAP before any pair
+    is scored; under it, with n <= DENSE_BITS, the keys of
     _listed_sum_entropies fit in int64."""
     mass = np.add.reduceat(w, cut[:-1])
-    w = w / np.repeat(mass, np.diff(cut))
-    key = np.array([col[a:b].tobytes() + w[a:b].tobytes()
-                    for a, b in zip(cut[:-1].tolist(), cut[1:].tolist())], dtype=object)
-    _, first, law = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(np.diff(cut)[first], kind="stable")   # by ascending size
-    m = np.bincount(law, weights=mass)[order]
-    col, w, cut = _take_runs(col, w, cut, first[order])
-    size, x, k = np.diff(cut), np.arange(len(first)), len(first)
-    H = -np.add.reduceat(w * np.log(w), cut[:-1])   # each law's entropy
-    # row x pairs law x with each y >= x, enumerated while y < j[x]
-    j = np.maximum(np.searchsorted(size, -(-_enum_bound(n) // size)), x)
-    ends = np.r_[0, np.cumsum(size * (cut[j] - cut[x]) + ((k - j) << n))]
+    col, w, cut = _grouped_runs(n, col, w, cut)
+    law = _law_ids(col, w, cut)
+    m, first = np.bincount(law, weights=mass, minlength=len(law)), np.unique(law)
+    by_size = first[np.argsort(np.diff(cut)[first], kind="stable")]   # the laws by size
+    size, k, bound = np.diff(cut)[by_size], len(by_size), _list_bound(n)
+    at, x = np.r_[0, np.cumsum(size)], np.arange(k)
+    # row x pairs law x with each y >= x, listed while y < j[x], by size
+    j = np.maximum(np.searchsorted(size, -(-bound // size)), x)
+    ends = np.r_[0, np.cumsum(size * (at[j] - at[x]) + (k - j) * bound)]
     work = int(ends[-1]) + sum(p * q if p * q < _enum_bound(n) else 1 << n for p, q in sums)
     if work > PRODUCT_SUPPORT_CAP:
         raise CostGuardExceeded("PRODUCT_SUPPORT_CAP", work, "fibre pair sums too large")
@@ -324,11 +379,9 @@ def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
     while lo < k:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + BATCH_ELEMS, "right")) - 1)
         c = k - x[lo:hi]
-        a, b = np.repeat(x[lo:hi], c), np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)
-        h, dense = np.empty(len(a)), b >= j[a]
-        h[~dense] = _listed_sum_entropies(n, col, w, cut, a[~dense], b[~dense])
-        h[dense] = (_rdists(n, a[dense], b[dense], runs=(col, w, cut))
-                    + 0.5 * (H[a[dense]] + H[b[dense]]))
+        a = by_size[np.repeat(x[lo:hi], c)]
+        b = by_size[np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)]
+        h = _sum_entropies(n, col, w, cut, a, b)
         total += float((np.where(a == b, 1.0, 2.0) * m[a] * m[b]) @ h)
         lo = hi
     return total

@@ -91,6 +91,12 @@ def _sum_work(n, p, q):
     return p * q if p * q < n << n else 1 << n
 
 
+def _pair_work(n, p, q):
+    """The batched kernel's work on a pair of laws of p and q points: p q
+    entries listed below 2^n, else one transform of 2^n."""
+    return min(p * q, 1 << n)
+
+
 def _guarded_work(X1, X2):
     """The work endgame_tables bounds: over the unordered pairs of distinct
     laws of X2 given X1 ^ X2, the work of their sum, plus that of the sums
@@ -99,24 +105,25 @@ def _guarded_work(X1, X2):
     for L in _fibre_laws(X2, X1).values():
         laws[L.support().tobytes(), np.round(L.items()[1], 12).tobytes()] = L.support_size()
     size = np.array(list(laws.values()))
-    work = np.triu(np.vectorize(_sum_work)(n, size[:, None], size[None, :]))
+    work = np.triu(np.vectorize(_pair_work)(n, size[:, None], size[None, :]))
     a, b = X1.support_size(), X2.support_size()
     c = len({x ^ y for x in X1.support().tolist() for y in X2.support().tolist()})
     return int(work.sum()) + sum(_sum_work(n, p, q) for p, q in ((a, b), (a, a), (b, b), (c, c)))
 
 
 def test_endgame_support_guard_trips(monkeypatch):
-    # the cap on the tables' own work, enumerated entries plus 2^n for each
+    # the cap on the tables' own work, listed entries plus 2^n for each
     # transform, over the pairs of fibre laws and the sums the tables take,
-    # trips past its value and not at it
+    # trips past its value and not at it; at n = 6 the fibres of two
+    # 20-point laws have 3 to 9 points, so pairs of both kinds are scored
     rng = make_rng(53)
-    n = 5
+    n = 6
     X1, X2 = (Dist.from_sparse(rng.choice(1 << n, 20, replace=False), rng.random(20), n=n)
               for _ in range(2))
     work = _guarded_work(X1, X2)
     g, _, _ = dists._cross_runs(X2, X1)
     sizes = np.diff(dists._runs(g))
-    assert (sizes ** 2 < n << n).any() and (sizes ** 2 >= n << n).any()   # both kinds
+    assert (sizes ** 2 < 1 << n).any() and (sizes ** 2 >= 1 << n).any()   # both kinds
     monkeypatch.setattr(ruzsa, "PRODUCT_SUPPORT_CAP", work)
     assert endgame_tables(X1, X2).I1 == pytest.approx(table_informations(X1, X2)["I1"],
                                                       abs=1e-12)
@@ -202,17 +209,14 @@ def test_endgame_tables_match_the_table_oracle():
 
 def test_small_fibre_pairs_are_enumerated_not_transformed(monkeypatch):
     # generic (14, 15) as a one-law pair: fibres of one or two points and
-    # one of 15, every pair far below 14 * 2^14 entries, so no pair reaches
-    # a dense 2^14-entry row (a dense-only kernel took about 13 s here)
-    scored, kernel = [], ruzsa._rdists
-
-    def counted(n, a, b, *args, **kwargs):
-        scored.append(len(a))
-        return kernel(n, a, b, *args, **kwargs)
-    monkeypatch.setattr(ruzsa, "_rdists", counted)
+    # one of 15, every pair far below 2^14 entries, so every pair is listed
+    # and no dense 2^14-entry row is formed (a dense-only kernel took about
+    # 13 s here)
+    calls = _count_runs(monkeypatch)
+    monkeypatch.setattr(ruzsa, "fwht", lambda a: calls.append((True, len(a))) or dists.fwht(a))
     X = uniform_on(np.random.default_rng(5).choice(2 ** 14, 15, replace=False), 14)
     assert _oracle_gap(X, X) <= 1e-12
-    assert scored == [0]
+    assert calls and not any(dense for dense, _ in calls)
 
 
 def _relabelled(X, f, shift, n=None):
@@ -388,8 +392,8 @@ def test_abstract_endgame_sparse_input_at_n13_matches_oracle():
 
 
 def test_abstract_endgame_sparse_input_at_n18_matches_oracle(monkeypatch):
-    # past BATCH_BITS the conditional laws stay sparse and are scored pair
-    # by pair; dense rows would take |supp T_gamma| * 2^18 floats each.
+    # the conditional laws and the references have at most four points, so
+    # every sum is listed; dense rows would take 2^18 floats each.
     # Every law sits on a coset of H = {0, u, v, u ^ v}: generic points
     # would add without collisions and make tau blind to the reference pair.
     calls = _count_runs(monkeypatch)
@@ -559,17 +563,18 @@ def test_endgame_choices_break_exact_ties_as_the_slices_do():
 def _count_runs(monkeypatch):
     """Record (dense, rows) for every batch the ruzsa kernels score from
     now on: (True, rows) per stack of dense spectra turned into entropies,
-    (False, 1) per pair of Dists scored by rdist."""
-    calls, pair, entropies = [], ruzsa.rdist, ruzsa.conv_entropy
+    (False, sums) per call that lists sums."""
+    calls, lister, entropies = [], ruzsa._listed_sum_entropies, ruzsa.conv_entropy
 
-    def counted_pair(X, Y):
-        calls.append((False, 1))
-        return pair(X, Y)
+    def counted_list(*args):
+        out = lister(*args)
+        calls.append((False, len(out)))
+        return out
 
     def counted_entropies(spec):
         calls.append((True, len(spec)))
         return entropies(spec)
-    monkeypatch.setattr(ruzsa, "rdist", counted_pair)
+    monkeypatch.setattr(ruzsa, "_listed_sum_entropies", counted_list)
     monkeypatch.setattr(ruzsa, "conv_entropy", counted_entropies)
     return calls
 
@@ -586,44 +591,23 @@ def _row_counts(J, values):
     return counts
 
 
-def _stacks_of_two_pairs(n, col, w, cut, i, j):
-    """The product stacks rdist_run_sums scores at BATCH_ELEMS = 8 << n with
-    two references: in each chunk of at most six runs, the distinct
-    unordered pairs of distinct laws, two pairs a stack."""
-    m = len(cut) - 1
-    a, b = np.divmod(np.unique(np.minimum(i, j) * m + np.maximum(i, j)), m)
-    bounds, count = ruzsa._run_chunks(a, b, 6), 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        runs, at = np.unique(np.r_[a[lo:hi], b[lo:hi]], return_inverse=True)
-        law = ruzsa._dense_runs(n, *ruzsa._take_runs(col, w, cut, runs))[1][at].reshape(2, -1)
-        count += -(-np.unique(np.sort(law, axis=0), axis=1).shape[1] // 2)
-    return count, len(bounds) - 1
-
-
 def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
-    # eight rows of 2^n per stack: a chunk reads at most six runs besides
-    # the two references, and each stack scores two pairs, four rows a
-    # pair (the sum, its self sum and its sums with the references), so
-    # stacks end inside and between slices
-    calls, chunks, args = _count_runs(monkeypatch), [], []
-    kernel = bsg.rdist_run_sums
-
-    def recorded(*a):
-        args.append(a)
-        return kernel(*a)
-    monkeypatch.setattr(bsg, "rdist_run_sums", recorded)
+    # eight rows of 2^n per stack, references included: the dense sums of a
+    # call are walked in chunks, which end inside and between slices; every
+    # stack transformed and every block of products scored holds at most
+    # eight rows, and each slice makes abstract_endgame's choice
+    calls, stacks, transform = _count_runs(monkeypatch), [], ruzsa.fwht
+    monkeypatch.setattr(ruzsa, "fwht", lambda a: stacks.append(len(a)) or transform(a))
+    chunked = 0
     for ref, X1, X2, J, _ in _random_uvs_cases(63):
         monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << J.n)
-        values = _top_support(J.marginal_dist("S"), 64)
-        del calls[:], args[:]
-        endgame_choices(ref, X1, X2, values)
-        (n, col, w, cut, i, j, _), = args
-        stacks, runs = _stacks_of_two_pairs(n, col, w, cut, i, j)
-        assert len(calls) == stacks
-        assert all(dense and rows in (4, 8) for dense, rows in calls)
-        chunks.append(runs)
+        del calls[:], stacks[:]
+        endgame_choices(ref, X1, X2, _top_support(J.marginal_dist("S"), 64))
+        assert max(stacks, default=0) <= 8
+        assert all(rows <= 8 for dense, rows in calls if dense)
+        chunked += len(stacks) > 1
         _assert_choices_match_slices(ref, X1, X2, J, 64)
-    assert min(chunks) > 1
+    assert chunked == 11   # every case but one, whose sums are all listed
 
 
 def test_a_pair_of_one_law_scores_only_the_gamma_u_rows(monkeypatch):
@@ -685,20 +669,20 @@ def _fibre_laws(P, Q):
     return {int(g[a]): Dist(P.n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])}
 
 
-def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
-    # below BATCH_BITS the rows can also be cut one Dist each and scored
-    # pair by pair, as they are past it. On (T1, T2) laws both cuts match
-    # the exhaustive search; on (U, V, S) slices, whose translated rows tie
-    # up to round-off, every row's tau agrees.
-    calls, bits = _count_runs(monkeypatch), ruzsa.BATCH_BITS
+def test_listed_rows_score_as_the_dense_chunks(monkeypatch):
+    # the rows can be listed sum by sum or formed from dense chunks, by the
+    # bound of the one rule. On (T1, T2) laws both routes match the
+    # exhaustive search; on (U, V, S) slices, whose translated rows tie up
+    # to round-off, every row's tau agrees.
+    calls = _count_runs(monkeypatch)
 
     def both(n, f):
         out = []
-        for b in (bits, n - 1):
-            monkeypatch.setattr(ruzsa, "BATCH_BITS", b)
+        for bound in (1 << 62, 0):
+            monkeypatch.setattr(ruzsa, "_list_bound", lambda n, b=bound: b)
             del calls[:]
             out.append(f())
-            assert calls and all(dense == (b >= n) for dense, _ in calls)
+            assert calls and all(dense == (bound == 0) for dense, _ in calls)
         return out
 
     rng = make_rng(66)
@@ -728,24 +712,25 @@ def test_per_row_dists_score_as_the_dense_chunks(monkeypatch):
 def test_endgame_picks_do_not_depend_on_the_scoring_path(monkeypatch, seed):
     # rows that tie in exact arithmetic (translated rows, the rows at t and
     # t ^ s, the U/V and U/W twins) differ by round-off, and the round-off
-    # differs between dense chunks, one Dist per row (BATCH_BITS = n - 1)
-    # and one row per chunk (BATCH_ELEMS = 2^n; endgame_choices then
-    # stacks one pair's four rows); the TIE_TOL pick makes the same choice
-    # on every path, from fibres or one slice at a time
-    calls, bits, elems = _count_runs(monkeypatch), ruzsa.BATCH_BITS, ruzsa.BATCH_ELEMS
+    # differs between the routing of the one rule, every sum listed, and
+    # every sum formed from stacks of three dense rows, one sum's runs and
+    # its partner (BATCH_ELEMS = 3 2^n); the TIE_TOL pick makes the same
+    # choice on every path, from fibres or one slice at a time
+    calls, bound, elems = _count_runs(monkeypatch), ruzsa._list_bound, ruzsa.BATCH_ELEMS
     cases = [c[:4] for c in _random_uvs_cases(seed)] + list(_one_law_cases(seed))
     for ref, X1, X2, J in cases:
         n = J.n
         values = _top_support(J.marginal_dist("S"), 64)
         picks = []
-        for b, e in ((bits, elems), (n - 1, elems), (bits, 1 << n)):
-            monkeypatch.setattr(ruzsa, "BATCH_BITS", b)
+        for path, b, e in (("routed", bound, elems), ("listed", lambda n: 1 << 62, elems),
+                           ("dense", lambda n: 0, 3 << n)):
+            monkeypatch.setattr(ruzsa, "_list_bound", b)
             monkeypatch.setattr(ruzsa, "BATCH_ELEMS", e)
             del calls[:]
             picks.append(endgame_choices(ref, X1, X2, values))
             picks.append([abstract_endgame(ref, J.condition("S", s)) for s in values])
-            assert calls and all(dense == (b >= n) and (e == elems or rows in (1, 4))
-                                 for dense, rows in calls)
+            assert calls and all(path == "routed" or dense == (path == "dense")
+                                 and (e == elems or rows <= 3) for dense, rows in calls)
         for chs in zip(*picks):
             assert len({ch.choice for ch in chs}) == 1
             taus = [ch.tau for ch in chs]
@@ -755,12 +740,12 @@ def test_endgame_picks_do_not_depend_on_the_scoring_path(monkeypatch, seed):
                 assert _law_gap(ch.T2p, chs[0].T2p) <= 1e-12
 
 
-def test_endgame_choices_on_sparse_laws_past_batch_bits(monkeypatch):
-    # n = 17: conditional laws stay sparse Dists, scored pair by pair
+def test_endgame_choices_on_sparse_laws_at_n17(monkeypatch):
+    # n = 17: the fibres and the references have four points, so every row
+    # is listed and no dense row of 2^17 entries is formed
     calls = _count_runs(monkeypatch)
     rng = make_rng(64)
     n = 17
-    assert n > ruzsa.BATCH_BITS
     u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
     H = np.array([0, u, v, u ^ v])
     mk = lambda: Dist.from_sparse(H ^ int(rng.integers(1 << n)), rng.random(4), n=n)
@@ -818,19 +803,19 @@ def test_bsg_check_transforms_at_most_batch_elems_entries(monkeypatch):
     assert len(sizes) > 2 and max(sizes) <= ruzsa.BATCH_ELEMS
 
 
-def test_bsg_check_past_batch_bits_scores_one_dist_per_slice(monkeypatch):
+def test_bsg_check_at_n17_lists_its_slices(monkeypatch):
     # n = 17: A and B on cosets of H = {0, u, v, u ^ v}, so each of the
-    # four slices of Z = A ^ B holds four points
+    # four slices of Z = A ^ B holds four points, and the four self sums
+    # of 16 entries are listed in one call
     calls = _count_runs(monkeypatch)
     rng = make_rng(69)
     n = 17
-    assert n > ruzsa.BATCH_BITS
     u, v = (int(z) for z in rng.integers(1, 1 << n, 2))
     H = np.array([0, u, v, u ^ v])
     a, b = (H ^ int(x) for x in rng.integers(0, 1 << n, 2))
     J = JointDist(n, 2, ["A", "B"], keys=(a[:, None] | (b[None, :] << n)).ravel(),
                   w=rng.random(16))
     rep = bsg_check(J)
-    assert calls == [(False, 1)] * 4
+    assert calls == [(False, 4)]
     assert rep.holds
     assert rep.lhs == pytest.approx(_slice_lhs(J), abs=1e-12)

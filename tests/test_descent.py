@@ -72,7 +72,7 @@ def test_candidate_laws_and_tau_consistency():
     rng = make_rng(4)
     cases = [(random_dist(rng, 4), random_dist(rng, 4), random_ref(rng, 4))
              for _ in range(5)]
-    # past BATCH_BITS every class scores lists of Dists pair by pair
+    # at n = 17 every class scores its 8-point laws by listed sums
     mk = coset_law_maker(rng, 17)
     cases.append((mk(), mk(), RefPair(mk(), mk())))
     for X1, X2, ref in cases:
@@ -599,10 +599,15 @@ def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkey
     def counting_parts(self, laws, i, j):
         rows.clear()
         out = parts(self, laws, i, j)
-        # one stack of the distinct laws, references included, each once
-        keys = {_law_key(L) for L in (self.X01, self.X02, *laws)}
-        assert len(rows) == 1 and len(rows[0]) == len(set(rows[0])) == len(keys)
-        events.append("parts")
+        # at most one stack: each distinct law of a pair whose support
+        # sizes multiply to 2^n or more, references included, once
+        pairs = [(laws[a], laws[b]) for a, b in zip(i, j)] + [
+            (R, laws[a]) for R, side in ((self.X01, i), (self.X02, j)) for a in side]
+        keys = {_law_key(L) for A, B in pairs
+                if A.support_size() * B.support_size() >= 1 << A.n for L in (A, B)}
+        assert len(rows) == (1 if keys else 0)
+        assert not keys or len(rows[0]) == len(set(rows[0])) == len(keys)
+        events.append("parts" if keys else "listed parts")
         return out
     def counting_pair(*args):
         events.append("pair")
@@ -621,7 +626,7 @@ def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkey
     rng = make_rng(42)
     cases = symmetric_cases() + [(random_ref(rng, 5), random_dist(rng, 5), random_dist(rng, 5)),
                                  tiny_weight_case(9)]
-    rescored = 0
+    rescored = stacked = 0
     for ref, X1, X2 in cases:
         events.clear()
         chosen.clear()
@@ -632,13 +637,14 @@ def test_one_scoring_call_per_iteration_transforms_each_distinct_law_once(monkey
         # again after it
         pruned = [mv.X1p.prune() is not mv.X1p or mv.X2p.prune() is not mv.X2p
                   for mv in chosen]
+        stacked += events.count("parts")
         want = ["pair", "parts"] + [e for p in pruned
                                     for e in ["parts", "pick"] + ["pair", "parts"] * p]
         if st.stop_reason == "no improving move":
             want += ["parts", "pick"]
-        assert events == want
+        assert [e.split()[-1] for e in events] == want
         rescored += sum(pruned)
-    assert rescored
+    assert rescored and stacked
 
 
 def every_candidate(ref, X1, X2):

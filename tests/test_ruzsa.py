@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entropic_pfr import ruzsa
+from entropic_pfr import dists, ruzsa
 from entropic_pfr.descent import BUDGET, MoveKind, generate_candidates
 from entropic_pfr.dists import (Dist, JointDist, fwht, uniform_on,
                                 uniform_on_subgroup, xor_convolve)
@@ -83,12 +83,12 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
     with pytest.raises(ValueError):
         rdist_paired(xs, ys)
     # rdist_pairs on repeated and reversed index pairs, and the parts of tau
-    # on the same pairs: n = 5 stacks dense rows, n = 17 scores the Dists
-    # pair by pair
+    # on the same pairs: at n = 5 most pairs are formed from dense rows, at
+    # n = 17 every pair of these 8-point laws is listed
     i = np.array([0, 1, 1, 2, 5, 3, 3, 0, 4])
     j = np.array([1, 0, 1, 4, 2, 3, 0, 5, 4])
     for n in (5, 17):
-        laws = (_coset_laws(rng, n, 8) if n > ruzsa.BATCH_BITS
+        laws = (_coset_laws(rng, n, 8) if n == 17
                 else [random_dist(rng, n) for _ in range(8)])
         ref = RefPair(laws.pop(), laws.pop())
         D = rdist_pairs(laws, i, j)
@@ -119,13 +119,21 @@ def test_batched_distances_match_pairwise_loop(monkeypatch):
         rdist_pairs(laws, [0, 1], [1])
 
 
-def test_batched_distances_large_dim_fallback():
-    # n > 16 leaves the dense-stack fast path
+def test_batched_distances_route_each_pair_at_n18(monkeypatch):
+    # past 2^16 as below it, a pair whose support sizes multiply below 2^n
+    # is listed and any other is formed from one stack of dense rows
     rng = make_rng(33)
-    xs = [Dist.from_sparse(rng.integers(0, 1 << 18, 4), rng.random(4), n=18)
-          for _ in range(2)]
+    n = 18
+    xs = [Dist.from_sparse(rng.integers(0, 1 << n, 4), rng.random(4), n=n) for _ in range(2)]
+    xs.append(Dist.from_sparse(rng.choice(1 << n, 1 << 16, replace=False),
+                               rng.random(1 << 16), n=n))
+    rows, listed = _forward_rows(monkeypatch), _listed_items(monkeypatch)
     M = rdist_matrix(xs, xs)
-    assert M[0, 1] == pytest.approx(rdist(xs[0], xs[1]), abs=1e-11)
+    # pairs among the two small laws are listed, the large law's pairs dense
+    assert (rows, listed) == ([3], [3])
+    for a in range(3):
+        for b in range(3):
+            assert M[a, b] == pytest.approx(rdist(xs[a], xs[b]), abs=1e-9 if 2 in (a, b) else 1e-11)
 
 
 def _forward_rows(monkeypatch):
@@ -138,6 +146,30 @@ def _forward_rows(monkeypatch):
         return fwht(a)
     monkeypatch.setattr(ruzsa, "fwht", counted)
     return rows
+
+
+def _listed_items(monkeypatch):
+    # sums of every call that lists them
+    items, lister = [], ruzsa._listed_sum_entropies
+
+    def counted(*args):
+        out = lister(*args)
+        items.append(len(out))
+        return out
+    monkeypatch.setattr(ruzsa, "_listed_sum_entropies", counted)
+    return items
+
+
+def _routed(monkeypatch, path, n):
+    # force every sum onto one path by the bound of the one rule: listed
+    # below it, formed from dense rows at or above it; "chunked" stacks one
+    # row of 2^n at a time
+    if path == "listed":
+        monkeypatch.setattr(ruzsa, "_list_bound", lambda n: 1 << 62)
+    elif path in ("dense", "chunked"):
+        monkeypatch.setattr(ruzsa, "_list_bound", lambda n: 0)
+    if path == "chunked":
+        monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 1 << n)
 
 
 @pytest.mark.parametrize("n", [5, 17])
@@ -154,17 +186,19 @@ def test_rdist_pairs_scores_repeated_laws_once(n, monkeypatch):
     want = rdist_pairs(base, of[i], of[j])
     ref = RefPair(base[3], base[0])
     want_p = ref.parts(base, of[i], of[j])
-    calls = []
-    monkeypatch.setattr(ruzsa, "rdist", lambda X, Y: calls.append(1) or rdist(X, Y))
-    rows = _forward_rows(monkeypatch)
+    rows, listed = _forward_rows(monkeypatch), _listed_items(monkeypatch)
     assert np.array_equal(rdist_pairs(laws, i, j), want)
     assert np.array_equal(ref.parts(laws, i, j), want_p)
     # the references are laws 3 and 0 again: each call sees 5 distinct laws,
-    # 15 unordered pairs
-    if n > ruzsa.BATCH_BITS:
-        assert (rows, len(calls)) == ([], 30)
-    else:
-        assert (rows, len(calls)) == ([5, 5], 0)
+    # 15 unordered pairs, each listed or formed once; at n = 17 all are
+    # listed, at n = 5 only the pairs whose sizes multiply below 32, and
+    # each law of a dense pair is one row of the one stack
+    size = [len(idx) for idx in supports + supports[:1]]
+    pairs = [(a, b) for a in range(5) for b in range(a, 5)]
+    dense = {x for a, b in pairs if size[a] * size[b] >= 1 << n for x in (a, b)}
+    assert sum(listed) == 2 * (15 - sum(size[a] * size[b] >= 1 << n for a, b in pairs))
+    assert rows == ([len(dense)] * 2 if dense else [])
+    assert 0 < len(dense) < 5 if n == 5 else not dense
 
 
 @pytest.mark.parametrize("rows_per_chunk", [None, 3])
@@ -185,22 +219,26 @@ def test_rdist_runs_scores_repeated_runs_once(rows_per_chunk, monkeypatch):
     want = scored(range(4))[:, order]
     rows = _forward_rows(monkeypatch)
     assert np.array_equal(scored(order), want)
-    # one stack: the references and the distinct runs; or chunks of two
-    # runs, each stack the references and its distinct runs
-    assert rows == ([6] if rows_per_chunk is None else [4, 4, 4, 4])
+    # a run's self sum (at most 25 entries) is listed; its sums with the
+    # 22- and 31-point references are formed from one stack of the
+    # references and the distinct runs, or from chunks of three rows,
+    # references included: each the two references and one run
+    assert [R.support_size() for R in refs] == [22, 31]
+    assert rows == ([6] if rows_per_chunk is None else [3, 3, 3, 3])
     # equal references: one row, its distances copied, bit for bit
     one = scored(order)[[0, 1, 1]]
     refs[1] = refs[0]
     del rows[:]
     assert np.array_equal(scored(order), one)
-    assert rows == ([5] if rows_per_chunk is None else [3, 3, 3, 3])
+    assert rows == ([5] if rows_per_chunk is None else [3, 3])
 
 
 @pytest.mark.parametrize("bits", [None, 4])
 def test_rdist_run_sums_scores_each_distinct_sum_once(bits, monkeypatch):
-    # against rdist on the sums built by xor_convolve, on dense spectra and,
-    # past BATCH_BITS, on one Dist per sum. Run 3 is byte-equal to run 1,
-    # so the pairs (0, 1), (1, 0) and (0, 3) are one sum, bit for bit
+    # against rdist on the sums built by xor_convolve, with sums listed
+    # below 2^n and, with the rule's bound moved to 2^bits, more of them
+    # formed from dense rows. Run 3 is byte-equal to run 1, so the pairs
+    # (0, 1), (1, 0) and (0, 3) are one sum, bit for bit
     rng = make_rng(38)
     n = 5
     runs = [(np.sort(rng.choice(1 << n, 4, replace=False)), rng.random(4))
@@ -211,25 +249,28 @@ def test_rdist_run_sums_scores_each_distinct_sum_once(bits, monkeypatch):
     i, j = [0, 1, 0, 2, 3, 2], [1, 0, 3, 2, 2, 0]
     refs = [random_dist(rng, n), random_dist(rng, n)]
     if bits:
-        monkeypatch.setattr(ruzsa, "BATCH_BITS", bits)
-    rows = _forward_rows(monkeypatch)
+        monkeypatch.setattr(ruzsa, "_list_bound", lambda n: 1 << bits)
+    rows, listed = _forward_rows(monkeypatch), _listed_items(monkeypatch)
     got = rdist_run_sums(n, col, w, cut, i, j, refs)
     laws = [Dist(n, idx=c, w=x) for c, x in runs]
     sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
     want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got[:, [0, 0]], got[:, [1, 2]])
+    # four distinct sums of 16 entries: each sum's own entropy listed
+    # below 2^5 and formed from the runs' rows at 2^4; its self sum and
+    # its sums with the references formed from the one stack of the two
+    # references and the three distinct runs
+    assert rows == [5]
+    assert listed == ([] if bits else [4])
     assert rdist_run_sums(n, col, w, cut, i, j).shape == (1, 6)
-    if not bits:
-        # the two references and the three distinct runs, as one stack
-        assert rows[0] == 5
-        assert np.array_equal(got[:, [0, 0]], got[:, [1, 2]])
 
 
 def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
-    # 40 pairs over 12 runs. At BATCH_ELEMS = 8 << n, with two references,
-    # a chunk reads at most six runs: every stack the kernel transforms or
-    # scores has at most 8 rows of 2^n, and the distances are, bit for bit,
-    # those of the one stack at the default BATCH_ELEMS
+    # 40 pairs over 12 runs. At BATCH_ELEMS = 8 << n every stack the kernel
+    # transforms or scores has at most 8 rows of 2^n, references included,
+    # and the distances are, bit for bit, those of the one stack at the
+    # default BATCH_ELEMS
     rng = make_rng(39)
     n = 5
     runs = [(np.sort(rng.choice(1 << n, 3, replace=False)), rng.random(3))
@@ -253,54 +294,100 @@ def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
     assert len(rows) > 2 and max(rows) <= 8 and max(scored) <= 8
 
 
+def test_sums_of_small_runs_at_n14_are_listed_not_transformed(monkeypatch):
+    # the rows of descent's endgame at r = 14: sums of runs of one or two
+    # points against references of three points, every sum far below 2^14
+    # entries, so no dense row of 2^14 entries is formed or transformed
+    rng = make_rng(43)
+    n = 14
+    size = rng.integers(1, 3, 40)
+    cut = np.concatenate([[0], np.cumsum(size)])
+    col, w = rng.integers(0, 1 << n, cut[-1]), rng.random(cut[-1])
+    i, j = rng.integers(0, 40, (2, 60))
+    refs = [random_dist(rng, n, 3), random_dist(rng, n, 3)]
+    transforms = []
+    monkeypatch.setattr(ruzsa, "fwht", lambda a: transforms.append(a) or fwht(a))
+    monkeypatch.setattr(dists, "fwht", lambda a: transforms.append(a) or fwht(a))
+    got = rdist_run_sums(n, col, w, cut, i, j, refs)
+    assert transforms == []
+    laws = [Dist(n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+    sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
+    want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_run_kernels_refuse_a_reference_of_another_dimension():
+    rng = make_rng(44)
+    col, w, cut = np.array([1, 2, 3]), np.ones(3), np.array([0, 2, 3])
+    for R in (random_dist(rng, 4), random_dist(rng, 6)):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            rdist_runs(5, col, w, cut, [R])
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            rdist_run_sums(5, col, w, cut, [0], [1], [random_dist(rng, 5), R])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        rdist_pairs([random_dist(rng, 5), random_dist(rng, 4)], [0], [1])
+
+
 @pytest.mark.parametrize("kind", ["reference", "run", "sum"])
 def test_every_element_kind_scores_alike_on_every_path(kind, monkeypatch):
-    # one stack, chunked stacks (BATCH_ELEMS = 2^n), the fallback of one Dist
-    # per element (BATCH_BITS = n - 1) and scalar rdist agree within 1e-12
-    # on references, runs and sums of two runs, with byte-equal copies
-    # among the laws and among the references, one of which is a run's law
+    # every sum listed, every sum formed from dense rows, dense stacks of one
+    # row (BATCH_ELEMS = 2^n) and the routing of the one rule agree within
+    # 1e-12 with scalar rdist on references, runs and sums of two runs, with
+    # byte-equal copies among the laws and among the references, one of
+    # which is a run's law: at n = 5 on random laws, at n = 17 on laws on
+    # cosets of one 8-element subgroup, whose sums collide
     rng = make_rng(42)
-    n = 5
-    runs = [(np.sort(rng.choice(1 << n, 5, replace=False)), rng.random(5)) for _ in range(4)]
-    runs += [runs[1], runs[3]]
-    col, w = (np.concatenate(z) for z in zip(*runs))
-    cut = np.arange(len(runs) + 1) * 5
-    laws = [Dist(n, idx=c, w=x) for c, x in runs]
-    refs = [random_dist(rng, n), laws[0], random_dist(rng, n)]
-    refs.append(refs[2])
-    i, j = np.array([0, 1, 4, 2, 3, 5, 1]), np.array([1, 4, 1, 2, 5, 0, 3])
-    if kind == "reference":
-        score = lambda: rdist_pairs(laws, i, j)
-        want = [rdist(laws[a], laws[b]) for a, b in zip(i, j)]
-    elif kind == "run":
-        score = lambda: rdist_runs(n, col, w, cut, refs)
-        want = [[rdist(L, L) for L in laws]] + [[rdist(R, L) for L in laws] for R in refs]
-    else:
-        sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
-        score = lambda: rdist_run_sums(n, col, w, cut, i, j, refs)
-        want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
-    for limit, value in ((None, None), ("BATCH_ELEMS", 1 << n), ("BATCH_BITS", n - 1)):
-        with monkeypatch.context() as mp:
-            if limit:
-                mp.setattr(ruzsa, limit, value)
-            assert np.allclose(score(), want, rtol=0, atol=1e-12)
+    for n in (5, 17):
+        if n == 5:
+            draw = lambda k: np.sort(rng.choice(1 << n, k, replace=False))
+            ref = lambda: random_dist(rng, n)
+        else:
+            H = span(rng.integers(1, 1 << n, 3).tolist(), n)
+            assert H.rank == 3
+            draw = lambda k: np.sort(rng.choice(H.enumerate_array(), k, replace=False)
+                                     ^ int(rng.integers(1 << n)))
+            ref = lambda: Dist(n, idx=draw(6), w=rng.random(6))
+        runs = [(draw(5), rng.random(5)) for _ in range(4)]
+        runs += [runs[1], runs[3]]
+        col, w = (np.concatenate(z) for z in zip(*runs))
+        cut = np.arange(len(runs) + 1) * 5
+        laws = [Dist(n, idx=c, w=x) for c, x in runs]
+        refs = [ref(), laws[0], ref()]
+        refs.append(refs[2])
+        i, j = np.array([0, 1, 4, 2, 3, 5, 1]), np.array([1, 4, 1, 2, 5, 0, 3])
+        if kind == "reference":
+            score = lambda: rdist_pairs(laws, i, j)
+            want = [rdist(laws[a], laws[b]) for a, b in zip(i, j)]
+        elif kind == "run":
+            score = lambda: rdist_runs(n, col, w, cut, refs)
+            want = [[rdist(L, L) for L in laws]] + [[rdist(R, L) for L in laws] for R in refs]
+        else:
+            sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
+            score = lambda: rdist_run_sums(n, col, w, cut, i, j, refs)
+            want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
+        for path in ("routed", "listed", "dense", "chunked"):
+            with monkeypatch.context() as mp:
+                _routed(mp, path, n)
+                assert np.allclose(score(), want, rtol=0, atol=1e-12)
 
 
 def test_run_chunks_cover_the_pairs_in_order():
-    # consecutive chunks, each reading at most cap runs, each as long as
-    # the next pair allows
+    # consecutive chunks of items reading two or three runs (-1 for none),
+    # each reading at most cap runs, or one item's when they are more, each
+    # as long as the next item allows
     rng = make_rng(40)
     m = 30
-    pairs = np.unique(np.sort(rng.integers(0, m, (80, 2)), axis=1) @ [m, 1])
-    a, b = np.divmod(pairs, m)
-    for cap in (2, 3, 7, m):
-        bounds = ruzsa._run_chunks(a, b, cap)
-        assert bounds[0] == 0 and bounds[-1] == len(a)
+    reads = np.sort(rng.integers(0, m, (80, 3)), axis=1)[:, ::-1]
+    reads[::3, 2] = -1
+    for cap in (1, 2, 3, 7, m):
+        bounds = ruzsa._run_chunks(reads, cap)
+        assert bounds[0] == 0 and bounds[-1] == len(reads)
         assert all(x < y for x, y in zip(bounds[:-1], bounds[1:]))
+        runs = lambda lo, hi: np.setdiff1d(reads[lo:hi], [-1])
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            assert len(np.union1d(a[lo:hi], b[lo:hi])) <= cap
-            if hi < len(a):
-                assert len(np.union1d(a[lo:hi + 1], b[lo:hi + 1])) > cap
+            assert len(runs(lo, hi)) <= cap or hi == lo + 1
+            if hi < len(reads):
+                assert len(runs(lo, hi + 1)) > cap
         assert (len(bounds) == 2) == (cap == m)
 
 
