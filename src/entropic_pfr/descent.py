@@ -305,7 +305,7 @@ def _pair_score(ref: RefPair, X1: Dist, X2: Dist) -> Tuple[float, float]:
 
 
 def _shared(X1: Dist, X2: Dist) -> Dist:
-    """X1 when X2 is byte-equal to it (the test of ruzsa._distinct), else X2."""
+    """X1 when X2 is byte-equal to it (the merge test of ruzsa._law_ids), else X2."""
     return X1 if X2 is X1 or _law_key(X2) == _law_key(X1) else X2
 
 
