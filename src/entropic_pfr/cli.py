@@ -23,7 +23,7 @@ from .dists import CostGuardExceeded, Dist, load_dist, xor_convolve
 from .fibring import fibring_decompose
 from .groups import format_elem
 from .randgen import make_rng, random_dist, random_joint, random_linear_map
-from .ruzsa import (ETA_DEFAULT, check_cond_distance, check_double_shift,
+from .ruzsa import (ETA_DEFAULT, ETA_MAX, check_cond_distance, check_double_shift,
                     check_madiman, check_ruzsa_diff, check_submodularity,
                     check_sum_shift, check_sum_shift_cond, check_triangle,
                     rdist)
@@ -180,10 +180,15 @@ def _at_least(least: int, what: str):
 
 
 def _add_descent_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=ETA_DEFAULT)
+    def eta(text: str) -> float:   # the range RefPair accepts
+        value = float(text)
+        if not 0.0 < value < ETA_MAX:
+            raise argparse.ArgumentTypeError(f"need 0 < eta < {ETA_MAX:.6f}, got {text}")
+        return value
+    p.add_argument("--eta", type=eta, default=ETA_DEFAULT)
     p.add_argument("--eps-d", type=float, default=EPS_D)
-    p.add_argument("--budget", type=int, default=BUDGET)
-    p.add_argument("--max-iter", type=int, default=MAX_ITER)
+    p.add_argument("--budget", type=_at_least(0, "conditioning values"), default=BUDGET)
+    p.add_argument("--max-iter", type=_at_least(0, "iterations"), default=MAX_ITER)
 
 
 def build_parser() -> argparse.ArgumentParser:

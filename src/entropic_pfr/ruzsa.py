@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +55,8 @@ __all__ = [
 ETA_MAX = 1.0 / (4.0 + math.sqrt(17.0))
 ETA_DEFAULT = 1.0 / 9.0
 SLACK_TOL = 1e-9
-# The batched distance kernel (_rdists) lists a sum or forms it from dense
-# (rows, 2^n) spectra by the support sizes of its summands (_list_bound), at
-# every n; it lists, stacks rows and scores products BATCH_ELEMS entries at
-# a time.
+# The batched distance kernel (_rdists) lists each sum of runs or forms it
+# from dense spectra (_list_bound), BATCH_ELEMS entries at a time.
 BATCH_ELEMS = 1 << 21
 
 Slices = Sequence[Tuple[float, Dist]]
@@ -116,7 +114,7 @@ def _grouped_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray):
     key, w = _group((run << n) | col[cut[0]:cut[-1]], w[cut[0]:cut[-1]],
                     n + len(size).bit_length())
     cut = np.concatenate([[0], np.cumsum(np.bincount(key >> n, minlength=len(size)))])
-    w /= np.repeat(np.add.reduceat(w, cut[:-1]), np.diff(cut))
+    w /= np.repeat(np.add.reduceat(w, cut[:-1]), cut[1:] - cut[:-1])
     return key & ((1 << n) - 1), w, cut
 
 
@@ -128,19 +126,10 @@ def _law_ids(col: np.ndarray, w: np.ndarray, cut: np.ndarray) -> np.ndarray:
                     dtype=np.intp)
 
 
-def _dense_rows(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-                runs: np.ndarray) -> np.ndarray:
-    """The laws of the given runs as dense rows of length 2^n, in that order."""
-    size = cut[runs + 1] - cut[runs]
-    at = np.repeat(cut[runs] - np.cumsum(size) + size, size) + np.arange(size.sum())
-    return np.bincount(np.repeat(np.arange(len(runs)) << n, size) + col[at], weights=w[at],
-                       minlength=len(runs) << n).reshape(len(runs), -1)
-
-
 def _run_entropies(w: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """The entropy of each run of weights w of mass one (cut[0] = 0), with
     the floor of _entropy_weights."""
-    start, size = cut[:-1], np.diff(cut)
+    start, size = cut[:-1], cut[1:] - cut[:-1]
     top = np.repeat(np.maximum.reduceat(w, start), size)
     safe = np.where(w > ENTROPY_FLOOR * top, w, 1.0)
     return -np.add.reduceat(safe * np.log(safe), start)
@@ -169,22 +158,22 @@ def _rdists(n: int, a, b, refs: Sequence[Dist] = (), runs=None, sums=((), ())) -
     runs sums[0][s] and sums[1][s]. A sum pairs only with itself or with a
     reference or run. The references join the runs, byte-equal laws are
     merged (_law_ids) and so are sums of the same two laws in either
-    order, and each distinct unordered pair is scored once: the entropy of
-    its sum by _sum_entropies, which lists it or forms it from dense
-    spectra by the one rule _list_bound; a law's entropy from its weights,
-    a sum's as that of its two runs' sum.
+    order. An element is its summands, a law its own run and a sum its two,
+    so each distinct unordered pair and each distinct sum is one row of two
+    to four runs, scored once by _sum_entropies: the entropy of their sum.
+    A law's entropy is read from its weights, a sum's from its own row.
     """
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     if not len(a):
         return np.zeros(0)
     if any(d.n != n for d in refs):
         raise ValueError("dimension mismatch")
-    laws = [d.items() for d in refs]
+    laws, h = [d.items() for d in refs], np.array([d.entropy() for d in refs])   # a law's entropy
     size = np.array([len(v) for v, _ in laws], dtype=np.intp)
     if runs is not None:
         col, w, cut = _grouped_runs(n, *runs)
         laws.append((col, w))
-        size = np.concatenate([size, np.diff(cut)])
+        size, h = np.concatenate([size, np.diff(cut)]), np.concatenate([h, _run_entropies(w, cut)])
     col, w = (np.concatenate(z) for z in zip(*laws))
     cut = np.concatenate([[0], np.cumsum(size)])
     law = _law_ids(col, w, cut)
@@ -195,52 +184,48 @@ def _rdists(n: int, a, b, refs: Sequence[Dist] = (), runs=None, sums=((), ())) -
         e = np.concatenate([law, m + s.ravel()])
     k = m + len(xy)
     ea, eb = np.minimum(e[a], e[b]), np.maximum(e[a], e[b])   # a sum second
-    pair, inv = np.unique(ea * k + eb, return_inverse=True)
+    key = ea * k + eb
+    if len(xy):   # the pairs of two laws first, then of a law and a sum, then of a sum twice
+        key[eb >= m] += k * k
+    pair, inv = np.unique(key, return_inverse=True)
     ea, eb = np.divmod(pair, k)
-    h = np.array([d.entropy() for d in refs])   # a law's entropy, then a sum's
-    if runs is not None:
-        h = np.concatenate([h, _run_entropies(w[cut[len(refs)]:], cut[len(refs):] - cut[len(refs)])])
     if not len(xy):
-        H = _sum_entropies(n, col, w, cut, ea, eb)
-    else:   # each pair's sum as runs, then each distinct sum's own
-        x, y = np.divmod(xy, m)
-        f = np.stack([np.concatenate([ea, x]), np.concatenate([eb, y]),
-                      np.full(len(pair) + len(x), -1)])
-        summed = np.flatnonzero(eb >= m)
-        t, r = eb[summed] - m, ea[summed]
-        f[:, summed] = x[t], y[t], np.where(r < m, r, -1)
-        twice = np.zeros(len(f[0]), dtype=bool)
-        twice[summed] = r >= m
-        H = _sum_entropies(n, col, w, cut, *f, twice)
-        h = np.concatenate([h, H[len(pair):]])
-    return (H[:len(pair)] - 0.5 * h[ea] - 0.5 * h[eb])[inv.ravel()]
+        H = _sum_entropies(n, col, w, cut, np.array([ea, eb]).T)
+    else:
+        ea %= k   # the key's leading digit, the pair's count of sums, off
+        S = np.full((k + 1, 2), -1)   # each element's runs (a law's own, a sum's two), then none
+        S[:m, 0], S[m:k, 0], S[m:k, 1] = np.arange(m), xy // m, xy % m
+        # the rows by summand count: each sum's own, then each pair's, a sum's runs first
+        at = np.concatenate([[np.arange(m, k), np.full(len(xy), k)], [eb, ea]], axis=1)
+        R = np.take(S, at.T, axis=0).reshape(-1, 4)
+        two = len(xy) + np.searchsorted(pair, k * k)
+        R[len(xy):two] = R[len(xy):two, [2, 0, 1, 3]]   # two laws: (ea, eb), none after
+        H = _sum_entropies(n, col, w, cut, R)
+        h, H = np.concatenate([h, H[:len(xy)]]), H[len(xy):]   # then a sum's
+    return (H - 0.5 * h[ea] - 0.5 * h[eb])[inv.ravel()]
 
 
-def _sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray, x: np.ndarray,
-                   y: np.ndarray, z: Optional[np.ndarray] = None,
-                   twice: Optional[np.ndarray] = None) -> np.ndarray:
-    """H[L_x + L_y + L_z] for every k, L_r the law of run r (values
-    distinct, mass one) and the summands independent: no L_z where z is
-    None or z[k] < 0, and H[L_x + L_y + L_x' + L_y'] where twice[k]. A sum
-    whose summands' support sizes multiply below _list_bound(n) is listed
-    (_listed_sum_entropies), any other formed from dense spectra
-    (_dense_sum_entropies)."""
-    size = np.diff(cut).astype(float)
-    work, kinds = size[x] * size[y], [(None, (x, y))]
-    if z is not None:
-        work = work * np.where(z < 0, 1.0, size[z])
-        work = np.where(twice, work * work, work)
-        kinds = [(~twice & (z < 0), (x, y)), (z >= 0, (x, y, z)), (twice, (x, y, x, y))]
-    listed = work < _list_bound(n)
-    out = np.empty(len(x))
-    for kind, runs in kinds:
-        k = np.flatnonzero(listed if kind is None else kind & listed)
+def _sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                   R: np.ndarray) -> np.ndarray:
+    """H[L_R[k, 0] + L_R[k, 1] + ...] for every row k of the summand table
+    R, L_r the law of run r (values distinct, mass one) and the summands
+    independent: at least two a row, then -1 for none, the rows ordered by
+    their count of summands. A row whose summands' support sizes multiply
+    below _list_bound(n) is listed (_listed_sum_entropies, one call per
+    count), any other formed from dense spectra (_dense_sum_entropies)."""
+    size = (cut[1:] - cut[:-1]).astype(float)
+    work, ends = size[R[:, 0]] * size[R[:, 1]], [0]
+    for r in R.T[2:]:   # a third and a fourth summand, where present
+        work = work * np.where(r < 0, 1.0, size[r])
+        ends.append(np.count_nonzero(r < 0))
+    listed, out = work < _list_bound(n), np.empty(len(R))
+    for c, lo, hi in zip(range(2, 5), ends, ends[1:] + [len(R)]):   # the rows of c summands
+        k = lo + np.flatnonzero(listed[lo:hi])
         if len(k):
-            out[k] = _listed_sum_entropies(n, col, w, cut, *(r[k] for r in runs))
+            out[k] = _listed_sum_entropies(n, col, w, cut, *np.take(R.T[:c], k, axis=1))
     k = np.flatnonzero(~listed)
     if len(k):
-        out[k] = _dense_sum_entropies(n, col, w, cut, x[k], y[k],
-                                      *(None if v is None else v[k] for v in (z, twice)))
+        out[k] = _dense_sum_entropies(n, col, w, cut, np.take(R, k, axis=0))
     return out
 
 
@@ -251,7 +236,7 @@ def _listed_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarra
     listed from its support tuples, keyed by k and grouped once
     (dists._group), at most BATCH_ELEMS entries at a time, or one sum when
     it holds more."""
-    span = np.diff(cut)
+    span = cut[1:] - cut[:-1]
     size = span[runs[0]]
     for r in runs[1:]:
         size = size * span[r]
@@ -274,45 +259,38 @@ def _listed_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarra
     return out
 
 
-def _dense_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray, x: np.ndarray,
-                         y: np.ndarray, z: Optional[np.ndarray] = None,
-                         twice: Optional[np.ndarray] = None) -> np.ndarray:
-    """_sum_entropies from dense spectra. The runs the sums read are one
-    stack of rows, each transformed once, or, past BATCH_ELEMS entries, the
-    sums are walked in chunks (_run_chunks), each stack at most
-    BATCH_ELEMS entries or the rows of one sum. A sum's spectrum is the
-    product of its runs' (squared where twice), formed in place and scored
-    by conv_entropy at most BATCH_ELEMS entries at a time, or one sum when
-    a row holds more."""
-    out, rows = np.empty(len(x)), max(BATCH_ELEMS >> n, 1)
-    reads = [x, y] if z is None else [x, y, z]
-    kind = None if z is None else (z >= 0) + 2 * twice   # two rows, three, or two squared
-    g = np.flatnonzero(np.bincount(np.concatenate(reads) + 1, minlength=len(cut))[1:])
-    chunks = [np.arange(len(x))]
+def _dense_sum_entropies(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
+                         R: np.ndarray) -> np.ndarray:
+    """_sum_entropies from dense spectra. The runs the rows read are one
+    stack, each transformed once, or, past BATCH_ELEMS entries, the rows
+    are walked in chunks (_run_chunks), each stack at most BATCH_ELEMS
+    entries or the runs of one row. A row's spectrum is the product of its
+    runs', formed in place one column at a time over the rows with a
+    summand there (R is ordered by count), and scored by conv_entropy at
+    most BATCH_ELEMS entries at a time, or one row when a run holds more."""
+    out, rows = np.empty(len(R)), max(BATCH_ELEMS >> n, 1)
+    g = np.flatnonzero(np.bincount(R.ravel() + 1, minlength=len(cut))[1:])
+    chunks = [np.arange(len(R))]
     if len(g) > rows:
-        reads = np.stack(reads, axis=1)
-        top = -np.sort(-reads, axis=1)   # each sum's runs, largest first
+        top = -np.sort(-R, axis=1)   # each row's runs, largest first
         order = np.lexsort(top.T[::-1])
-        chunks = np.split(order, _run_chunks(top[order], rows)[1:-1])
+        chunks = [np.sort(c) for c in np.split(order, _run_chunks(top[order], rows)[1:-1])]
+    slot = np.zeros(len(cut), dtype=np.intp)   # each run's row in the stack
     for c in chunks:
+        C = np.take(R, c, axis=0).T
         if len(chunks) > 1:
-            g = np.unique(reads[c])
-            g = g[g >= 0]
-        F = fwht(_dense_rows(n, col, w, cut, g))
-        three = two = len(c)
-        if kind is not None:
-            c = c[np.argsort(kind[c], kind="stable")]
-            three, two = np.searchsorted(kind[c], [1, 2]).tolist()
-            fz = np.searchsorted(g, z[c])
-        fx, fy = np.searchsorted(g, x[c]), np.searchsorted(g, y[c])
+            g = np.unique(C[C >= 0])
+        slot[g] = np.arange(len(g))
+        f, first = slot[C], [0, *(np.count_nonzero(r < 0) for r in C[2:])]
+        size = cut[g + 1] - cut[g]   # the runs as dense rows of 2^n, transformed
+        at = np.repeat(cut[g] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        F = fwht(np.bincount(np.repeat(np.arange(len(g)) << n, size) + col[at], weights=w[at],
+                             minlength=len(g) << n).reshape(len(g), -1))
         for lo in range(0, len(c), rows):
             hi = min(lo + rows, len(c))
-            P = np.take(F, fx[lo:hi], axis=0)
-            P *= F[fy[lo:hi]]
-            s, t = min(max(three, lo), hi), min(max(two, lo), hi)
-            if s < t:
-                P[s - lo:t - lo] *= F[fz[s:t]]
-            P[t - lo:] *= P[t - lo:]
+            P = np.take(F, f[0, lo:hi], axis=0)
+            for r, s in zip(f[1:], first):   # each further column, from its row s on
+                P[max(s - lo, 0):] *= np.take(F, r[max(s, lo):hi], axis=0)
             out[c[lo:hi]] = conv_entropy(P)
         del F, P   # before the next chunk's stack is formed
     return out
@@ -355,13 +333,13 @@ def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
                       sums: Sequence[Tuple[int, int]] = ()) -> float:
     """The sum over ordered pairs (x, y) of runs of m_x m_y H[L_x * L_y], m_x
     the mass w of run x and L_x its law, cut as in rdist_runs. Byte-equal
-    laws count as one, and each unordered pair of laws is scored once by
-    _sum_entropies, in blocks of at most BATCH_ELEMS entries of work. The
-    work, |L_x| |L_y| entries a listed pair and 2^n a transformed one
-    (_list_bound), plus xor_convolve's on supports of each size pair in
-    sums, raises CostGuardExceeded past PRODUCT_SUPPORT_CAP before any pair
-    is scored; under it, with n <= DENSE_BITS, the keys of
-    _listed_sum_entropies fit in int64."""
+    laws count as one, and each unordered pair of laws is one row of a
+    two-column table that _sum_entropies scores once, in blocks of at most
+    BATCH_ELEMS entries of work. The work, |L_x| |L_y| entries a listed
+    pair and 2^n a transformed one (_list_bound), plus xor_convolve's on
+    supports of each size pair in sums, raises CostGuardExceeded past
+    PRODUCT_SUPPORT_CAP before any pair is scored; under it, with
+    n <= DENSE_BITS, the keys of _listed_sum_entropies fit in int64."""
     mass = np.add.reduceat(w, cut[:-1])
     col, w, cut = _grouped_runs(n, col, w, cut)
     law = _law_ids(col, w, cut)
@@ -381,7 +359,7 @@ def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
         c = k - x[lo:hi]
         a = by_size[np.repeat(x[lo:hi], c)]
         b = by_size[np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)]
-        h = _sum_entropies(n, col, w, cut, a, b)
+        h = _sum_entropies(n, col, w, cut, np.array([a, b]).T)
         total += float((np.where(a == b, 1.0, 2.0) * m[a] * m[b]) @ h)
         lo = hi
     return total

@@ -86,6 +86,31 @@ def test_dimensions_a_suite_cannot_draw_are_a_usage_error(capsys, argv, message)
     assert err.startswith("usage:") and message in err
 
 
+@pytest.mark.parametrize("command", [["descend", "--x1", "a.json", "--x2", "b.json"],
+                                     ["demo", "1"], ["cover", "--set", "a.set"]])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget", "-1", "need at least 0 conditioning values, got -1"),
+    ("--max-iter", "-1", "need at least 0 iterations, got -1"),
+    # RefPair accepts only 0 < eta < ETA_MAX = 1 / (4 + sqrt 17)
+    ("--eta", "0.5", "need 0 < eta < 0.123106, got 0.5"),
+    ("--eta", "0", "need 0 < eta < 0.123106, got 0"),
+    ("--eta", "nan", "need 0 < eta < 0.123106, got nan"),
+])
+def test_descent_flags_out_of_range_are_a_usage_error(capsys, command, flag, value, message):
+    # refused while the arguments are parsed, before any file is read
+    with pytest.raises(SystemExit) as exit_:
+        main(command + [flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
+def test_a_budget_of_zero_is_accepted(capsys):
+    # the fibre classes still take one conditioning value per side
+    code, lines = run(capsys, ["--quiet", "demo", "1", "--budget", "0"])
+    assert code == 0 and json.loads(lines[-1])["converged"] is True
+
+
 @pytest.mark.parametrize("suite, dim", [("submodularity", "20"), ("bsg", "20"),
                                         ("bsg", "1"), ("triangle", "0")])
 def test_check_runs_at_the_ends_of_its_dimension_range(capsys, suite, dim):

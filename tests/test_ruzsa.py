@@ -328,14 +328,16 @@ def test_run_kernels_refuse_a_reference_of_another_dimension():
         rdist_pairs([random_dist(rng, 5), random_dist(rng, 4)], [0], [1])
 
 
-@pytest.mark.parametrize("kind", ["reference", "run", "sum"])
+@pytest.mark.parametrize("kind", ["reference", "run", "sum", "mixed"])
 def test_every_element_kind_scores_alike_on_every_path(kind, monkeypatch):
     # every sum listed, every sum formed from dense rows, dense stacks of one
     # row (BATCH_ELEMS = 2^n) and the routing of the one rule agree within
     # 1e-12 with scalar rdist on references, runs and sums of two runs, with
     # byte-equal copies among the laws and among the references, one of
-    # which is a run's law: at n = 5 on random laws, at n = 17 on laws on
-    # cosets of one 8-element subgroup, whose sums collide
+    # which is a run's law, and on pairs of two laws, of a law and a sum and
+    # of a sum with itself in one call (rows of two, three and four
+    # summands): at n = 5 on random laws, at n = 17 on laws on cosets of
+    # one 8-element subgroup, whose sums collide
     rng = make_rng(42)
     for n in (5, 17):
         if n == 5:
@@ -361,14 +363,53 @@ def test_every_element_kind_scores_alike_on_every_path(kind, monkeypatch):
         elif kind == "run":
             score = lambda: rdist_runs(n, col, w, cut, refs)
             want = [[rdist(L, L) for L in laws]] + [[rdist(R, L) for L in laws] for R in refs]
-        else:
+        elif kind == "sum":
             sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
             score = lambda: rdist_run_sums(n, col, w, cut, i, j, refs)
             want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
+        else:   # the elements: the references, the runs, the sums
+            E = [*refs, *laws, *(xor_convolve(laws[a], laws[b]) for a, b in zip(i, j))]
+            p, q = np.array([0, 4, 10, 5, 13, 2]), np.array([5, 10, 10, 6, 3, 16])
+            score = lambda: ruzsa._rdists(n, p, q, refs, (col, w, cut), (i, j))
+            want = [rdist(E[x], E[y]) for x, y in zip(p, q)]
         for path in ("routed", "listed", "dense", "chunked"):
             with monkeypatch.context() as mp:
                 _routed(mp, path, n)
                 assert np.allclose(score(), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 17])
+def test_sum_entropies_read_one_table_of_two_to_four_summands(n, monkeypatch):
+    # one summand table of rows of two, three and four runs, -1 for none,
+    # ordered by count, with runs repeated within a row, against the
+    # entropy of the xor_convolve chain of the row's laws, on every path,
+    # and with blocks of three rows (BATCH_ELEMS = 3 2^n) that cut through
+    # the count segments: at n = 17 the laws lie on cosets of one
+    # 8-element subgroup, so their sums collide
+    rng = make_rng(45)
+    H = span(rng.integers(1, 1 << n, 3).tolist(), n).enumerate_array()
+    laws = [Dist.from_sparse(rng.choice(1 << n, 4, replace=False) if n == 5
+                             else rng.choice(H, 4, replace=False) ^ int(rng.integers(1 << n)),
+                             rng.random(4), n=n) for _ in range(5)]
+    col, w = (np.concatenate(z) for z in zip(*(d.items() for d in laws)))
+    cut = np.arange(len(laws) + 1) * 4
+    R = np.array([[0, 1, -1, -1], [2, 2, -1, -1], [3, 0, -1, -1], [4, 1, -1, -1],
+                  [0, 1, 2, -1], [1, 1, 3, -1], [4, 2, 0, -1],
+                  [0, 1, 0, 1], [2, 3, 2, 3], [1, 1, 1, 1]])
+    want = []
+    for row in R:
+        S = laws[row[0]]
+        for r in row[1:][row[1:] >= 0]:
+            S = xor_convolve(S, laws[r])
+        want.append(dists.entropy(S))
+    for path in ("routed", "listed", "dense", "chunked"):
+        for elems in (None, 3 << n):
+            with monkeypatch.context() as mp:
+                _routed(mp, path, n)
+                if elems:
+                    mp.setattr(ruzsa, "BATCH_ELEMS", elems)
+                got = ruzsa._sum_entropies(n, col, w, cut, R)
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (path, elems)
 
 
 def test_run_chunks_cover_the_pairs_in_order():
