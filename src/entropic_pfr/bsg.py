@@ -35,7 +35,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dists import CostGuardExceeded, Dist, JointDist, _cross_runs, _runs, xor_convolve
+from .dists import (CostGuardExceeded, Dist, JointDist, _cross_family, _cross_runs, _runs,
+                    xor_convolve)
 from .ruzsa import (RefPair, _first_least, _rdist_of, _run_pair_entropy, rdist_run_sums,
                     rdist_runs)
 
@@ -112,8 +113,7 @@ class EndgameTables:
     def I1(self) -> float:
         """I[U : V | S] = 4 H[C] - H[U, V, S] - H[S]; its cost guard counts
         the fibre pairs and the sums C, D and C * C, all taken after it."""
-        g, col, w = _cross_runs(self.X2, self.X1)
-        cut = _runs(g)   # one run per point of C
+        col, w, cut = _cross_family(self.X2, self.X1)   # one run per point of C
         a, b, c = self.X1.support_size(), self.X2.support_size(), len(cut) - 1
         pairs = _run_pair_entropy(self.X1.n, col, w, cut, ((a, b), (a, a), (b, b), (c, c)))
         return 2.0 * self.C.entropy() - pairs - self.H_S

@@ -26,7 +26,7 @@ from .randgen import make_rng, random_dist, random_joint, random_linear_map
 from .ruzsa import (ETA_DEFAULT, ETA_MAX, check_cond_distance, check_double_shift,
                     check_madiman, check_ruzsa_diff, check_submodularity,
                     check_sum_shift, check_sum_shift_cond, check_triangle,
-                    rdist)
+                    _rdist_of)
 
 # suite -> (its check's name, looked up on each trial so that a replaced module
 # function is the check run; its draws in order, None for a Dist and labels
@@ -96,8 +96,9 @@ def cmd_verify_fibring(args) -> int:
 def cmd_rdist(args) -> int:
     X = load_dist(args.x)
     Y = load_dist(args.y)
-    _emit({"d": rdist(X, Y), "H_x": X.entropy(), "H_y": Y.entropy(),
-           "H_sum": xor_convolve(X, Y).entropy()})
+    XY = xor_convolve(X, Y)   # one sum, read by d as rdist reads it
+    _emit({"d": _rdist_of(XY, X, Y), "H_x": X.entropy(), "H_y": Y.entropy(),
+           "H_sum": XY.entropy()})
     return 0
 
 
@@ -185,8 +186,13 @@ def _add_descent_flags(p: argparse.ArgumentParser) -> None:
         if not 0.0 < value < ETA_MAX:
             raise argparse.ArgumentTypeError(f"need 0 < eta < {ETA_MAX:.6f}, got {text}")
         return value
+    def eps_d(text: str) -> float:   # a distance: none is at most a negative or NaN eps_d
+        value = float(text)
+        if not value >= 0.0:
+            raise argparse.ArgumentTypeError(f"need eps_d >= 0, got {text}")
+        return value
     p.add_argument("--eta", type=eta, default=ETA_DEFAULT)
-    p.add_argument("--eps-d", type=float, default=EPS_D)
+    p.add_argument("--eps-d", type=eps_d, default=EPS_D)
     p.add_argument("--budget", type=_at_least(0, "conditioning values"), default=BUDGET)
     p.add_argument("--max-iter", type=_at_least(0, "iterations"), default=MAX_ITER)
 

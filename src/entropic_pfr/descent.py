@@ -56,11 +56,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from .bsg import EndgameChoice, _endgame_guard, _slice_choices, endgame_tables
-from .dists import (CostGuardExceeded, Dist, _cross_fibres, _cross_runs, _entropy_weights, _runs,
-                    xor_convolve)
+from .dists import CostGuardExceeded, Dist, _cross_family, _entropy_weights, xor_convolve
 from .groups import SubgroupBasis, span
-from .ruzsa import (ETA_DEFAULT, TIE_TOL, RefPair, _first_least, _law_key, _rdist_of,
-                    _rdists, cond_rdist, rdist)
+from .ruzsa import (ETA_DEFAULT, TIE_TOL, RefPair, _first_least, _law_key,
+                    _law_runs, _rdist_of, cond_rdist, rdist)
 
 __all__ = [
     "MoveKind",
@@ -550,7 +549,7 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     the law proportional to D1(w) D2(w ^ s) (EndgameTables.C and .D).
     """
     laws = (ref.X01, ref.X02, X1, X2)
-    V, (Y01, Y02, X1, X2) = _reduce(laws, [int(X.support()[0]) for X in laws])
+    _, (Y01, Y02, X1, X2) = _reduce(laws, [int(X.support()[0]) for X in laws])
     eta = ref.eta
     tabs = endgame_tables(X1, X2)
     k, I1, I2, I3, H_S = tabs.k, tabs.I1, tabs.I2, tabs.I3, tabs.H_S
@@ -561,7 +560,7 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
     # d[X1 + X~2; X2 + X~1] and its conditioned partner, from the pair
     # fibring identity: the two sums plus I1 recover 2k exactly.
     d_sums = H_S - C.entropy()
-    d_cond = cond_rdist(_cross_fibres(X1, X2), _cross_fibres(X2, X1))
+    d_cond = cond_rdist(X1.n, _cross_family(X1, X2), _cross_family(X2, X1))
     entries: Dict[str, object] = {
         "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": H_S,
         "sum_dist": d_sums, "cond_sum_dist": d_cond,
@@ -576,14 +575,13 @@ def diagnostics(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
                              * (2.0 * eta * k - I1)),
     }
     # distance increments d[X0_i; A | S] - d[X0_i; X_i] for A in {U, V, W};
-    # V | S has the law of U | S, so its increments are U's, counted twice
+    # V | S has the law of U | S, so its increments are U's, counted twice.
+    # The two references are one family of two runs, each of mass 1/2, so
+    # twice its distance from A | S is the sum of theirs
+    refs = _law_runs(Y01, Y02)
     inc_total = -3.0 * (rdist(Y01, X1) + rdist(Y02, X2))
     for A, B, times in ((C, C, 2.0), (D1, D2, 1.0)):
-        s, col, w = _cross_runs(A, B)
-        cut = _runs(s)
-        d = _rdists(V.rank, np.repeat([0, 1], len(cut) - 1), np.tile(np.arange(2, len(cut) + 1), 2),
-                    [Y01, Y02], (col, w, cut))   # each fibre against each reference
-        inc_total += times * float(np.tile(np.add.reduceat(w, cut[:-1]), 2) @ d)
+        inc_total += 2.0 * times * cond_rdist(X1.n, refs, _cross_family(A, B))
     bounds["cond_dist_increment_bound"] = (
         inc_total, 3.0 * H_S - 1.5 * (H1 + H2))
     bounds["increment_vs_k_bound"] = (

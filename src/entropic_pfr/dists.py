@@ -295,23 +295,14 @@ def _runs(vals: np.ndarray) -> np.ndarray:
     return np.r_[0, np.flatnonzero(np.diff(vals)) + 1, len(vals)]
 
 
-def _conditionals(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
-                  n: int) -> List[Tuple[int, float, Dist]]:
-    """Conditional laws of idx given vals, vals sorted ascending: one
-    (value, mass, law on F_2^n) per run of equal values."""
-    cut = _runs(vals)
-    return [(int(vals[lo]), float(w[lo:hi].sum()), Dist(n, idx=idx[lo:hi], w=w[lo:hi]))
-            for lo, hi in zip(cut[:-1], cut[1:])]
-
-
-def _fibres(vals: np.ndarray, idx: np.ndarray, w: np.ndarray,
-            n: int) -> List[Tuple[float, Dist]]:
-    """Conditional laws of idx given unsorted vals: one (mass, law on
-    F_2^n) per distinct value, values ascending, entries of a value kept
-    in input order (stable sort)."""
+def _fibres(vals: np.ndarray, idx: np.ndarray,
+            w: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The conditional laws of idx given unsorted vals as runs (col, w,
+    cut), one per distinct value, values ascending, the entries of a value
+    kept in input order (one stable sort): run r is col[cut[r]:cut[r + 1]]
+    with weights w[cut[r]:cut[r + 1]]."""
     order = np.argsort(vals, kind="stable")
-    return [(mass, law) for _, mass, law
-            in _conditionals(vals[order], idx[order], w[order], n)]
+    return idx[order], w[order], _runs(vals[order])
 
 
 def _cross_runs(A: Dist, B: Dist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,10 +319,11 @@ def _cross_runs(A: Dist, B: Dist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g[order], np.repeat(ia, len(ib))[order], np.outer(wa, wb).ravel()[order]
 
 
-def _cross_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
-    """One (mass, law of A | A ^ B~ = g) per value g of A ^ B~, ascending,
-    cut from _cross_runs."""
-    return [(mass, law) for _, mass, law in _conditionals(*_cross_runs(A, B), A.n)]
+def _cross_family(A: Dist, B: Dist) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The laws of A | A ^ B~ = g as runs (col, w, cut), g ascending, cut
+    from _cross_runs: run g's weight sum is the mass of g in A ^ B~."""
+    g, col, w = _cross_runs(A, B)
+    return col, w, _runs(g)
 
 
 def uniform_on(S: Iterable[int], n: int) -> Dist:
@@ -539,9 +531,11 @@ class JointDist:
         keys, w = M.items()
         # ascending keys with the target in the low bits: the conditioning
         # part is nondecreasing, so each slice is one contiguous run
-        runs = _conditionals(keys >> self.n, M.axis_values(keys, 0), w, self.n)
-        return [(tuple(int(M.axis_values(v, j)) for j in range(M.arity - 1)), mass, law)
-                for v, mass, law in runs]
+        vals, col = keys >> self.n, M.axis_values(keys, 0)
+        cut = _runs(vals)
+        return [(tuple(int(M.axis_values(vals[lo], j)) for j in range(M.arity - 1)),
+                 float(w[lo:hi].sum()), Dist(self.n, idx=col[lo:hi], w=w[lo:hi]))
+                for lo, hi in zip(cut[:-1], cut[1:])]
 
     # -- calculus ----------------------------------------------------------
 

@@ -61,7 +61,7 @@ def fibring_decompose(Z1: Dist, Z2: Dist, pi: LinearMap) -> FibringReport:
 
     d_total = rdist(Z1, Z2)
     d_projected = rdist(Dist(m, idx=tab[i1], w=w1), Dist(m, idx=tab[i2], w=w2))
-    d_fibre = cond_rdist(_fibres(tab[i1], i1, w1, n), _fibres(tab[i2], i2, w2, n))
+    d_fibre = cond_rdist(n, _fibres(tab[i1], i1, w1), _fibres(tab[i2], i2, w2))
 
     # I[A : C | B] with A = Z1^Z2, C = (pi Z1, pi Z2), B = pi A. B is a
     # function of A and of C, so the term collapses to H[A] + H[C] - H[A,C]

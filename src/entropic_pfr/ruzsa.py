@@ -5,10 +5,10 @@ The distance of two distributions is
     d[X; Y] = H[X' ^ Y'] - H[X']/2 - H[Y']/2
 
 with X', Y' independent copies; addition and subtraction coincide with XOR
-here. Conditional distances average d over independent conditioning values
-(slice form); an equivalent joint-entropy form is kept alongside as a
-cross-check. Each check_* function evaluates one inequality exactly on
-concrete distributions and reports lhs, rhs and slack; slack below -1e-9
+here. Conditional distances average d over independent conditioning values,
+each family of conditional laws held as runs of one sort (cond_rdist); an
+equivalent joint-entropy form is kept alongside as a cross-check. Each
+check_* function evaluates one inequality exactly on concrete distributions and reports lhs, rhs and slack; slack below -1e-9
 counts as a violation.
 """
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dists import (ENTROPY_FLOOR, PRODUCT_SUPPORT_CAP, CostGuardExceeded, Dist, JointDist,
-                    _cross_fibres, _entropy_weights, _enum_bound, _group, conv_entropy, entropy,
-                    fwht, joint_product, xor_convolve)
+                    _cross_family, _dim_guard, _entropy_weights, _enum_bound, _group, _runs,
+                    conv_entropy, entropy, fwht, joint_product, xor_convolve)
 
 __all__ = [
     "ETA_MAX",
@@ -37,8 +37,6 @@ __all__ = [
     "rdist_run_sums",
     "cond_rdist",
     "cond_rdist_via_joint",
-    "one",
-    "slices_of",
     "check_triangle",
     "check_madiman",
     "check_cond_distance",
@@ -58,9 +56,6 @@ SLACK_TOL = 1e-9
 # The batched distance kernel (_rdists) lists each sum of runs or forms it
 # from dense spectra (_list_bound), BATCH_ELEMS entries at a time.
 BATCH_ELEMS = 1 << 21
-
-Slices = Sequence[Tuple[float, Dist]]
-
 
 @dataclass(frozen=True)
 class IneqReport:
@@ -83,11 +78,6 @@ def rdist(X: Dist, Y: Dist) -> float:
 def _rdist_of(XY: Dist, X: Dist, Y: Dist) -> float:
     """d[X; Y] from XY, the law of X' ^ Y'."""
     return entropy(XY) - 0.5 * X.entropy() - 0.5 * Y.entropy()
-
-
-def one(X: Dist) -> List[Tuple[float, Dist]]:
-    """A distribution as a trivial one-slice conditional."""
-    return [(1.0, X)]
 
 
 # -- batched distance evaluation -------------------------------------------
@@ -383,16 +373,26 @@ def rdist_paired(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
     return rdist_pairs([*xs, *ys], k, k + len(xs))
 
 
-def cond_rdist(slices_x: Slices, slices_y: Slices) -> float:
-    """d[X|Z; Y|W] as the probability-weighted average of slice distances.
+def cond_rdist(n: int, x, y) -> float:
+    """d[X|Z; Y|W], the sum of p(z) p(w) d[X|z; Y|w], Z and W independent.
+    x and y are families of laws on F_2^n, each runs (col, w, cut) covering
+    col: X|z has the values col[cut[z]:cut[z + 1]] with their weights, of
+    any scale, and p(z) is their sum over the family's. One _rdists call
+    over the two families joined scores every distinct pair of run laws
+    once. n > DENSE_BITS raises CostGuardExceeded before any scoring."""
+    _dim_guard(n)
+    (cx, wx, kx), (cy, wy, ky) = x, y
+    px, py = np.add.reduceat(wx, kx[:-1]), np.add.reduceat(wy, ky[:-1])
+    i, j = np.indices((len(px), len(py))).reshape(2, -1)
+    d = _rdists(n, i, j + len(px), (),
+                (np.concatenate([cx, cy]), np.concatenate([wx, wy]), np.r_[kx, kx[-1] + ky[1:]]))
+    return float(np.outer(px / px.sum(), py / py.sum()).ravel() @ d)
 
-    The two conditionings are independent, so every (z, w) pair contributes
-    p(z) p(w) d[(X|Z=z); (Y|W=w)].
-    """
-    px = np.array([p for p, _ in slices_x])
-    py = np.array([p for p, _ in slices_y])
-    D = rdist_matrix([d for _, d in slices_x], [d for _, d in slices_y])
-    return float(px @ D @ py)
+
+def _law_runs(*laws: Dist):
+    """The laws as one family of runs (col, w, cut), each of weight one."""
+    col, w = (np.concatenate(z) for z in zip(*(d.items() for d in laws)))
+    return col, w, np.r_[0, np.cumsum([d.support_size() for d in laws])]
 
 
 def cond_rdist_via_joint(JX: JointDist, JY: JointDist,
@@ -408,10 +408,6 @@ def cond_rdist_via_joint(JX: JointDist, JY: JointDist,
     return (S.cond_entropy(0, [1, 2])
             - 0.5 * JX.cond_entropy(x, z)
             - 0.5 * JY.cond_entropy(y, w))
-
-
-def slices_of(J: JointDist, target, given) -> List[Tuple[float, Dist]]:
-    return [(p, d) for _, p, d in J.slices(target, given)]
 
 
 # -- the reference pair and tau --------------------------------------------
@@ -483,9 +479,12 @@ def check_madiman(X: Dist, Y: Dist, Z: Dist) -> IneqReport:
 def check_cond_distance(JX: JointDist, JY: JointDist,
                         x=0, z=1, y=0, w=1) -> IneqReport:
     """d[X|Z; Y|W] <= d[X;Y] + I[X:Z]/2 + I[Y:W]/2."""
-    lhs = cond_rdist(slices_of(JX, x, z), slices_of(JY, y, w))
     rhs = (rdist(JX.marginal_dist(x), JY.marginal_dist(y))
            + 0.5 * JX.mutual_info(x, z) + 0.5 * JY.mutual_info(y, w))
+    (kx, px), (ky, py), n = JX.marginal([x, z]).items(), JY.marginal([y, w]).items(), JX.n
+    # a marginal's keys ascend with the conditioning axis high: a run a value
+    lhs = cond_rdist(n, (kx & ((1 << n) - 1), px, _runs(kx >> n)),
+                     (ky & ((1 << n) - 1), py, _runs(ky >> n)))
     return IneqReport("cond-distance", lhs, rhs)
 
 
@@ -501,9 +500,9 @@ def check_sum_shift_cond(X: Dist, Y: Dist, Z: Dist) -> IneqReport:
     """d[X; Y|Y+Z] - d[X;Y] <= (H[Y+Z] - H[Z])/2 for independent Y, Z.
 
     The masses of the fibres Y | Y + Z = s are the law of Y + Z."""
-    fibres = _cross_fibres(Y, Z)
-    lhs = cond_rdist(one(X), fibres) - rdist(X, Y)
-    rhs = 0.5 * (_entropy_weights([p for p, _ in fibres]) - Z.entropy())
+    _, w, cut = fibres = _cross_family(Y, Z)
+    lhs = cond_rdist(X.n, _law_runs(X), fibres) - rdist(X, Y)
+    rhs = 0.5 * (_entropy_weights(np.add.reduceat(w, cut[:-1])) - Z.entropy())
     return IneqReport("sum-shift-cond", lhs, rhs)
 
 
@@ -513,9 +512,9 @@ def check_double_shift(X: Dist, Y: Dist, Z: Dist, Zp: Dist) -> IneqReport:
     Y, Z, Z' independent; T = Y + Z is conditioned as in check_sum_shift_cond.
     """
     T = xor_convolve(Y, Z)
-    fibres = _cross_fibres(T, Zp)
-    lhs = cond_rdist(one(X), fibres) - rdist(X, Y)
-    rhs = 0.5 * (_entropy_weights([p for p, _ in fibres]) + T.entropy()
+    _, w, cut = fibres = _cross_family(T, Zp)
+    lhs = cond_rdist(X.n, _law_runs(X), fibres) - rdist(X, Y)
+    rhs = 0.5 * (_entropy_weights(np.add.reduceat(w, cut[:-1])) + T.entropy()
                  - Y.entropy() - Zp.entropy())
     return IneqReport("double-shift", lhs, rhs)
 

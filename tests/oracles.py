@@ -4,7 +4,9 @@ The library reads the endgame informations, the diagnostics and the
 sum-conditioned checks off two-fold sums and pairs of their fibres. The
 paths here build the joint laws instead (the (U, V, S) law by an 8^n cube
 or by the four-fold support product, its pushforwards, a 4-axis
-(U, V, W, S) joint, product joints) and cut them with JointDist.slices.
+(U, V, W, S) joint, product joints) and cut them with JointDist.slices, and
+their conditional distances take one scalar rdist a pair of slices
+(slice_rdist), not the batched kernel the package scores them with.
 Also here are constructions only the tests use: conditionally independent
 trials, a bound on the abstract endgame's psi, and the pick over a list of
 moves.
@@ -15,8 +17,9 @@ import numpy as np
 
 from entropic_pfr.descent import Move, _reduce
 from entropic_pfr.dists import Dist, JointDist, _clean_wht_output, fwht, xor_convolve
-from entropic_pfr.ruzsa import (IneqReport, RefPair, _first_least, cond_rdist, one,
-                                rdist, rdist_matrix, slices_of)
+from entropic_pfr.ruzsa import IneqReport, RefPair, _first_least, rdist, rdist_matrix
+
+Slices = List[Tuple[Tuple[int, ...], float, Dist]]
 
 
 # -- the (U, V, S) law and its informations ------------------------------------
@@ -85,10 +88,21 @@ def endgame_informations(J: JointDist) -> Tuple[float, float, float]:
     return I1, I2, I3
 
 
-def product_fibres(A: Dist, B: Dist) -> List[Tuple[float, Dist]]:
-    """(mass, law of A | A ^ B~ = g) cut from the product joint of A and B."""
+def slice_rdist(xs: Slices, ys: Slices) -> float:
+    """d[X|Z; Y|W] over two JointDist.slices lists: the sum of p p' rdist,
+    one scalar rdist a pair of slices."""
+    return sum(p * q * rdist(X, Y) for _, p, X in xs for _, q, Y in ys)
+
+
+def one(X: Dist) -> Slices:
+    """A law as the one slice of a trivial conditioning."""
+    return [((), 1.0, X)]
+
+
+def product_fibres(A: Dist, B: Dist) -> Slices:
+    """The slices of A given A ^ B~ = g, cut from the product joint of A and B."""
     J = JointDist.independent_product([A, B], ["A", "B"])
-    return slices_of(J.pushforward([["A"], ["A", "B"]], ["A", "G"]), "A", "G")
+    return J.pushforward([["A"], ["A", "B"]], ["A", "G"]).slices("A", "G")
 
 
 def diagnostics_via_joints(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object]:
@@ -106,7 +120,7 @@ def diagnostics_via_joints(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object
     H1, H2 = X1.entropy(), X2.entropy()
     C12 = xor_convolve(X1, X2)
     d_sums = rdist(C12, C12)
-    d_cond = cond_rdist(product_fibres(X1, X2), product_fibres(X2, X1))
+    d_cond = slice_rdist(product_fibres(X1, X2), product_fibres(X2, X1))
     entries: Dict[str, object] = {
         "k": k, "I1": I1, "I2": I2, "I3": I3, "H_S": H_S,
         "sum_dist": d_sums, "cond_sum_dist": d_cond,
@@ -121,12 +135,12 @@ def diagnostics_via_joints(ref: RefPair, X1: Dist, X2: Dist) -> Dict[str, object
                              * (2.0 * eta * k - I1)),
     }
     JW = J.pushforward([["U"], ["V"], ["U", "V"], ["S"]], ["U", "V", "W", "S"])
-    slices = [slices_of(JW, A, "S") for A in ("U", "V", "W")]
+    slices = [JW.slices(A, "S") for A in ("U", "V", "W")]
     inc_total = 0.0
     for X0, Xi in ((Y01, X1), (Y02, X2)):
         base = rdist(X0, Xi)
         for sl in slices:
-            inc_total += cond_rdist(one(X0), sl) - base
+            inc_total += slice_rdist(one(X0), sl) - base
     bounds["cond_dist_increment_bound"] = (inc_total, 3.0 * H_S - 1.5 * (H1 + H2))
     bounds["increment_vs_k_bound"] = (
         3.0 * H_S - 1.5 * (H1 + H2),
@@ -156,7 +170,7 @@ def sum_shift_cond_via_joint(X: Dist, Y: Dist, Z: Dist) -> IneqReport:
     """ruzsa.check_sum_shift_cond on the product joint of (Y, Z)."""
     J = JointDist.independent_product([Y, Z], ["Y", "Z"])
     YS = J.pushforward([["Y"], ["Y", "Z"]], ["Y", "S"])
-    lhs = cond_rdist(one(X), slices_of(YS, "Y", "S")) - rdist(X, Y)
+    lhs = slice_rdist(one(X), YS.slices("Y", "S")) - rdist(X, Y)
     rhs = 0.5 * (YS.entropy("S") - Z.entropy())
     return IneqReport("sum-shift-cond", lhs, rhs)
 
@@ -165,7 +179,7 @@ def double_shift_via_joint(X: Dist, Y: Dist, Z: Dist, Zp: Dist) -> IneqReport:
     """ruzsa.check_double_shift on the product joint of (Y, Z, Z')."""
     J = JointDist.independent_product([Y, Z, Zp], ["Y", "Z", "Zp"])
     TU = J.pushforward([["Y", "Z"], ["Y", "Z", "Zp"]], ["T", "U"])
-    lhs = cond_rdist(one(X), slices_of(TU, "T", "U")) - rdist(X, Y)
+    lhs = slice_rdist(one(X), TU.slices("T", "U")) - rdist(X, Y)
     rhs = 0.5 * (TU.entropy("U") + TU.entropy("T") - Y.entropy() - Zp.entropy())
     return IneqReport("double-shift", lhs, rhs)
 

@@ -11,6 +11,7 @@ from entropic_pfr.dists import PRODUCT_SUPPORT_CAP, CostGuardExceeded, uniform_o
 from entropic_pfr.groups import span
 from entropic_pfr.randgen import (make_rng, random_coset_union, random_dist,
                                   random_joint)
+from entropic_pfr import ruzsa
 from entropic_pfr.ruzsa import IneqReport
 from oracles import table_informations
 
@@ -95,6 +96,9 @@ def test_dimensions_a_suite_cannot_draw_are_a_usage_error(capsys, argv, message)
     ("--eta", "0.5", "need 0 < eta < 0.123106, got 0.5"),
     ("--eta", "0", "need 0 < eta < 0.123106, got 0"),
     ("--eta", "nan", "need 0 < eta < 0.123106, got nan"),
+    # no distance is at most a negative or NaN eps_d, so descent never converges
+    ("--eps-d", "-1", "need eps_d >= 0, got -1"),
+    ("--eps-d", "nan", "need eps_d >= 0, got nan"),
 ])
 def test_descent_flags_out_of_range_are_a_usage_error(capsys, command, flag, value, message):
     # refused while the arguments are parsed, before any file is read
@@ -160,6 +164,28 @@ def test_verify_fibring(capsys):
     assert code == 0
     row = json.loads(lines[0])
     assert row["holds"] and row["worst_residual"] <= 1e-9
+
+
+def test_an_eps_d_of_zero_is_accepted(capsys):
+    code, lines = run(capsys, ["--quiet", "demo", "1", "--eps-d", "0", "--max-iter", "0"])
+    assert code == 1 and json.loads(lines[0])["converged"] is False
+
+
+def test_rdist_command_convolves_once(capsys, tmp_path, monkeypatch):
+    # d and H_sum read one sum; d as scalar rdist computes it, bit for bit
+    rng = make_rng(7)
+    X, Y = random_dist(rng, 5), random_dist(rng, 5)
+    sums, convolve = [], cli.xor_convolve
+    def counting(A, B):
+        sums.append(1)
+        return convolve(A, B)
+    monkeypatch.setattr(cli, "xor_convolve", counting)
+    monkeypatch.setattr(ruzsa, "xor_convolve", counting)
+    code, lines = run(capsys, ["rdist", "--x", dist_file(tmp_path, "x.json", X),
+                               "--y", dist_file(tmp_path, "y.json", Y)])
+    assert code == 0 and len(sums) == 1
+    row = json.loads(lines[0])
+    assert row["d"] == ruzsa.rdist(X, Y) and row["H_sum"] == convolve(X, Y).entropy()
 
 
 def test_rdist_and_entropy_on_files(capsys, tmp_path):

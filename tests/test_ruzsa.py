@@ -17,10 +17,9 @@ from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 check_submodularity, check_sum_shift,
                                 check_sum_shift_cond, check_triangle,
                                 check_xor_lower, cond_rdist,
-                                cond_rdist_via_joint, one, rdist,
+                                cond_rdist_via_joint, rdist,
                                 rdist_matrix, rdist_one_many, rdist_paired,
-                                rdist_pairs, rdist_run_sums, rdist_runs,
-                                slices_of)
+                                rdist_pairs, rdist_run_sums, rdist_runs)
 from oracles import double_shift_via_joint, sum_shift_cond_via_joint
 
 
@@ -457,22 +456,94 @@ def test_fibre_class_on_a_coset_union_transforms_at_most_two_rows(monkeypatch):
         assert len(rows) == 1 and rows[0] <= 2
 
 
+def _given_runs(J, a, b):
+    """The laws of axis a given axis b of J as runs: the marginal's keys
+    ascend with b in the high bits."""
+    keys, w = J.marginal([a, b]).items()
+    return keys & ((1 << J.n) - 1), w, dists._runs(keys >> J.n)
+
+
+def _scalar_cond_rdist(n, x, y):
+    """The sum of p p' rdist over the runs of two families, one Dist a run
+    and one scalar rdist a pair."""
+    def laws(col, w, cut):
+        m = np.add.reduceat(w, cut[:-1])
+        return [(p / m.sum(), Dist(n, idx=col[a:b], w=w[a:b]))
+                for p, a, b in zip(m, cut[:-1], cut[1:])]
+    return sum(p * q * rdist(X, Y) for p, X in laws(*x) for q, Y in laws(*y))
+
+
 def test_conditional_distance_agrees_between_definitions():
+    # the runs of two joints, their weights scaled as a whole, against the
+    # joint-entropy form and the scalar sum over slices
     rng = make_rng(34)
-    for _ in range(15):
-        n = int(rng.integers(1, 5))
+    for n in range(1, 7):
+        for _ in range(4):
+            JX = random_joint(rng, n, 2, ["X", "Z"])
+            JY = random_joint(rng, n, 2, ["Y", "W"])
+            col, w, cut = _given_runs(JX, "X", "Z")
+            x = (col, 3.0 * w, cut)
+            y = _given_runs(JY, "Y", "W")
+            got = cond_rdist(n, x, y)
+            assert got == pytest.approx(cond_rdist_via_joint(JX, JY), abs=1e-12)
+            assert got == pytest.approx(_scalar_cond_rdist(n, x, y), abs=1e-12)
+
+
+def test_cond_rdist_reads_masses_from_weights_of_any_scale():
+    # each run's weights scaled by its own factor, and byte-equal copies of
+    # a run (the same scale) and a copy at another scale appended to the
+    # family: a run's mass is its weight sum over the family's
+    rng = make_rng(41)
+    for n in range(1, 7):
         JX = random_joint(rng, n, 2, ["X", "Z"])
         JY = random_joint(rng, n, 2, ["Y", "W"])
-        lhs = cond_rdist(slices_of(JX, "X", "Z"), slices_of(JY, "Y", "W"))
-        rhs = cond_rdist_via_joint(JX, JY)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+        fams = []
+        for col, w, cut in (_given_runs(JX, "X", "Z"), _given_runs(JY, "Y", "W")):
+            w = w * np.repeat(rng.uniform(0.1, 10.0, len(cut) - 1), np.diff(cut))
+            a, b = cut[0], cut[1]
+            col = np.concatenate([col, col[a:b], col[a:b], col[a:b]])
+            w = np.concatenate([w, w[a:b], w[a:b], 7.0 * w[a:b]])
+            fams.append((col, w, np.r_[cut, cut[-1] + (b - a) * np.arange(1, 4)]))
+        got = cond_rdist(n, *fams)
+        assert got == pytest.approx(_scalar_cond_rdist(n, *fams), abs=1e-12)
 
 
 def test_trivial_conditioning_recovers_plain_distance():
     rng = make_rng(35)
-    X = random_dist(rng, 4)
-    Y = random_dist(rng, 4)
-    assert cond_rdist(one(X), one(Y)) == pytest.approx(rdist(X, Y), abs=1e-12)
+    for n in range(1, 7):
+        X = random_dist(rng, n)
+        Y = random_dist(rng, n)
+        got = cond_rdist(n, ruzsa._law_runs(X), ruzsa._law_runs(Y))
+        assert got == pytest.approx(rdist(X, Y), abs=1e-12)
+
+
+def test_cond_rdist_refuses_a_dimension_past_dense_bits_before_scoring(monkeypatch):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored past DENSE_BITS")
+    monkeypatch.setattr(ruzsa, "_rdists", no_scoring)
+    runs = (np.array([0, 1 << 24]), np.array([1.0, 1.0]), np.array([0, 2]))
+    with pytest.raises(dists.CostGuardExceeded) as exc:
+        cond_rdist(25, runs, runs)
+    assert exc.value.guard == "DENSE_BITS"
+
+
+def test_sum_shift_cond_builds_no_law_per_fibre(monkeypatch):
+    # a point mass Z gives 20 one-point fibres, a uniform Z on F_2^5 gives
+    # 32 fibres of all of Y: the same count of laws is built for each
+    built, init = [], Dist.__init__
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    rng = make_rng(42)
+    X, Y = random_dist(rng, 5, 20), random_dist(rng, 5, 20)
+    counts = []
+    for Z in (Dist.point_mass(3, 5), uniform_on(range(32), 5), random_dist(rng, 5, 6)):
+        monkeypatch.setattr(Dist, "__init__", counting)
+        check_sum_shift_cond(X, Y, Z)
+        monkeypatch.undo()
+        counts.append(len(built))
+        built.clear()
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_ref_pair_validation_and_tau():
