@@ -37,8 +37,7 @@ import numpy as np
 
 from .dists import (CostGuardExceeded, Dist, JointDist, _cross_family, _cross_runs, _runs,
                     xor_convolve)
-from .ruzsa import (RefPair, _first_least, _rdist_of, _run_pair_entropy, rdist_run_sums,
-                    rdist_runs)
+from .ruzsa import RefPair, _first_least, _pair_entropy, _rdist_of, rdist_runs
 
 __all__ = [
     "BsgReport",
@@ -113,9 +112,9 @@ class EndgameTables:
     def I1(self) -> float:
         """I[U : V | S] = 4 H[C] - H[U, V, S] - H[S]; its cost guard counts
         the fibre pairs and the sums C, D and C * C, all taken after it."""
-        col, w, cut = _cross_family(self.X2, self.X1)   # one run per point of C
-        a, b, c = self.X1.support_size(), self.X2.support_size(), len(cut) - 1
-        pairs = _run_pair_entropy(self.X1.n, col, w, cut, ((a, b), (a, a), (b, b), (c, c)))
+        fam = _cross_family(self.X2, self.X1)   # one run per point of C
+        a, b, c = self.X1.support_size(), self.X2.support_size(), len(fam[2]) - 1
+        pairs = _pair_entropy(self.X1.n, fam, fam, ((a, b), (a, a), (b, b), (c, c)))[0]
         return 2.0 * self.C.entropy() - pairs - self.H_S
 
     @cached_property
@@ -239,7 +238,7 @@ def endgame_choices(ref: RefPair, X1: Dist, X2: Dist, values) -> List[EndgameCho
     t <= t ^ s is scored, the first of the two in tie order. The gamma = W
     row at t, U | W = t, is E_t * F_{t^s}, E and F the fibres of X1 * X1
     and of X2 * X2; when X2 is X1 it repeats the gamma = U row at t and is
-    not scored. Every row is scored by one ruzsa.rdist_run_sums call, and
+    not scored. Every row is scored by one ruzsa.rdist_runs call, and
     each slice picks the first row in (gamma, t) order within TIE_TOL of
     its least tau: the choice abstract_endgame makes on J.condition("S", s),
     scored by other arithmetic. The cost guard is the caller's
@@ -294,7 +293,7 @@ def _slice_choices(ref: RefPair, X1: Dist, X2: Dist,
         return out
     tri = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
     sl, t, i, j = (np.concatenate(z) for z in zip(*parts))
-    d, d1, d2 = rdist_run_sums(n, col, w, cut, i, j, [ref.X01, ref.X02])
+    d, d1, d2 = rdist_runs(n, col, w, cut, [ref.X01, ref.X02], (i, j))
     taus = ref.tau_of(d, d1, d2)
     by_slice = np.argsort(sl, kind="stable")   # (slice, gamma, t)
     win = by_slice[_first_least(taus[by_slice], _runs(sl[by_slice]))]

@@ -198,6 +198,11 @@ def _add_descent_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def c_exponent(text: str) -> float:   # the bound 2 K^c must be a finite number
+        value = float(text)
+        if not 0.0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"need a finite c >= 0, got {text}")
+        return value
     ap = argparse.ArgumentParser(prog="entropic-pfr",
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--quiet", action="store_true",
@@ -207,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run an inequality suite on random inputs")
     p.add_argument("--suite", default="all", choices=["all"] + SUITES)
     p.add_argument("--trials", type=_at_least(1, "trial"), default=100)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0, "as a seed"), default=1)
     p.add_argument("--dim", type=int, default=4)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify-fibring", help="check the exact fibring identity")
     p.add_argument("--trials", type=_at_least(1, "trial"), default=100)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0, "as a seed"), default=1)
     p.add_argument("--dim", type=_at_least(0, "dimensions"), default=8)
     p.add_argument("--out-dim", type=_at_least(0, "dimensions"), default=4)
     p.set_defaults(fn=cmd_verify_fibring)
@@ -240,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a built-in descent scenario")
     p.add_argument("index", type=int, choices=[1, 2, 3])
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_at_least(0, "as a seed"), default=0,
                    help="override the frozen fixture seed (0 keeps it)")
     _add_descent_flags(p)
     p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("cover", help="coset cover for a set file")
     p.add_argument("--set", required=True)
-    p.add_argument("--c-exponent", type=float, default=12.0)
+    p.add_argument("--c-exponent", type=c_exponent, default=12.0)
     _add_descent_flags(p)
     p.set_defaults(fn=cmd_cover)
 

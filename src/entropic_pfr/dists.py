@@ -42,7 +42,7 @@ DENSE_BITS = 24
 TABLE_SLACK = 8  # _group counts into a table of at most this many entries per key
 ENTROPY_FLOOR = 1e-15  # entries below this fraction of max count as zero
 WHT_CLAMP_WARN = 1e-9  # pre-clamp negative mass worth reporting
-PRODUCT_SUPPORT_CAP = 1 << 26  # joint_product, _cross_runs and the endgame refuse more work
+PRODUCT_SUPPORT_CAP = 1 << 26  # more support pairs, or pair-sum work, is refused
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -144,15 +144,16 @@ def _read(bits: int, dense: Optional[np.ndarray], keys: Optional[np.ndarray],
     and their positive weights, normalized.
 
     Reads a table of length 2^bits, or keys with weights (every key checked
-    against the range, zero weights then dropped, repeated keys summed).
+    against the range, zero weights then dropped, repeated keys summed). A
+    negative, NaN or infinite weight raises ValueError.
     """
     if dense is not None:
         _dense_guard(bits)
         dense = np.asarray(dense, dtype=np.float64).ravel()
         if dense.shape != (1 << bits,):
             raise ValueError("dense table has wrong length")
-        if dense.min() < 0:
-            raise ValueError("negative weight")
+        if not dense.min() >= 0:
+            raise ValueError("negative or NaN weight")
         keys = np.flatnonzero(dense)   # ascending and distinct: grouped
         w = dense[keys]
     else:
@@ -161,15 +162,18 @@ def _read(bits: int, dense: Optional[np.ndarray], keys: Optional[np.ndarray],
         w = np.asarray(w, dtype=np.float64)
         if keys.min(initial=0) < 0 or keys.max(initial=0) >> bits:
             raise ValueError(f"key exceeds {bits} bits")
-        if w.min(initial=0.0) < 0:
-            raise ValueError("negative weight")
+        if not w.min(initial=0.0) >= 0:
+            raise ValueError("negative or NaN weight")
         keep = w > 0
         if not keep.all():
             keys, w = keys[keep], w[keep]
         keys, w = _group(keys, w, bits)
     if not len(keys):
         raise ValueError("zero total mass")
-    return keys, w / w.sum()
+    total = w.sum()
+    if not total < np.inf:
+        raise ValueError("infinite total weight")
+    return keys, w / total
 
 
 def _dense_guard(bits: int) -> None:
@@ -600,7 +604,7 @@ def joint_product(A: JointDist, B: JointDist) -> JointDist:
     kb, wb = B.items()
     size = len(ka) * len(kb)
     if size > PRODUCT_SUPPORT_CAP:
-        raise CostGuardExceeded("joint_product max_support", size,
+        raise CostGuardExceeded("PRODUCT_SUPPORT_CAP", size,
                                 "product support too large")
     keys = ((kb[:, None] << (A.arity * n)) | ka[None, :]).ravel()
     return JointDist(n, k, labels, keys=keys, w=np.outer(wb, wa).ravel())

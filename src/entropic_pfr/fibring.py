@@ -22,13 +22,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .dists import DENSE_BITS, CostGuardExceeded, Dist, _entropy_weights, _fibres, _group
+from .dists import (DENSE_BITS, PRODUCT_SUPPORT_CAP, CostGuardExceeded, Dist, _entropy_weights,
+                    _fibres, _group)
 from .groups import LinearMap
 from .ruzsa import cond_rdist, rdist
 
 __all__ = ["FibringReport", "fibring_decompose", "cor_sum_pair", "pair_dist"]
-
-SUPPORT_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,8 @@ def fibring_decompose(Z1: Dist, Z2: Dist, pi: LinearMap) -> FibringReport:
     i2, w2 = Z2.items()
     # the information term enumerates the support pairs on n + 2m key bits
     size = len(i1) * len(i2)
-    if size > SUPPORT_CAP:
-        raise CostGuardExceeded("SUPPORT_CAP", size,
+    if size > PRODUCT_SUPPORT_CAP:
+        raise CostGuardExceeded("PRODUCT_SUPPORT_CAP", size,
                                 "support product too large for the information term")
     if n + 2 * m > 62:
         raise CostGuardExceeded("fibring key bits", n + 2 * m,

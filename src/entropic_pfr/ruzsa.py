@@ -34,7 +34,6 @@ __all__ = [
     "rdist_paired",
     "rdist_pairs",
     "rdist_runs",
-    "rdist_run_sums",
     "cond_rdist",
     "cond_rdist_via_joint",
     "check_triangle",
@@ -296,63 +295,62 @@ def rdist_pairs(laws: Sequence[Dist], i, j) -> np.ndarray:
 
 
 def rdist_runs(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-               refs: Sequence[Dist] = ()) -> np.ndarray:
+               refs: Sequence[Dist] = (), sums=None) -> np.ndarray:
     """d[L; L], then d[R; L] for each R in refs, as rows over the runs r,
     L the law on F_2^n of the values col[cut[r]:cut[r + 1]] with weights w
     (of any scale): a family of conditional laws, cut by one sort, scored
-    by _rdists. A reference off F_2^n raises ValueError."""
-    q, k = len(refs), len(refs) + np.arange(len(cut) - 1)
-    return _rdists(n, np.concatenate([k, np.repeat(np.arange(q), len(k))]), np.tile(k, q + 1),
-                   refs, (col, w, cut)).reshape(q + 1, len(k))
-
-
-def rdist_run_sums(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-                   i, j, refs: Sequence[Dist] = ()) -> np.ndarray:
-    """d[L; L], then d[R; L] for each R in refs, as rows over k, L the law
-    of x ^ y for independent x and y of the laws of the runs i[k] and j[k]
-    of col, with weights w, cut as in rdist_runs: the sum of two
-    conditional laws, such as a row of the endgame, scored by _rdists. Runs
-    of byte-equal laws count as one, and so does a pair of the same two runs
+    by _rdists. Given sums = (i, j), the rows are over k instead, L the law
+    of x ^ y for independent x and y of the laws of the runs i[k] and j[k]:
+    the sum of two conditional laws, such as a row of the endgame. Runs of
+    byte-equal laws count as one, and so does a pair of the same two runs
     in either order. A reference off F_2^n raises ValueError."""
-    q, k = len(refs), len(refs) + len(cut) - 1 + np.arange(len(i))
+    q, m = len(refs), len(cut) - 1
+    k = q + (np.arange(m) if sums is None else m + np.arange(len(sums[0])))
     return _rdists(n, np.concatenate([k, np.repeat(np.arange(q), len(k))]), np.tile(k, q + 1),
-                   refs, (col, w, cut), (i, j)).reshape(q + 1, len(k))
+                   refs, (col, w, cut), ((), ()) if sums is None else sums).reshape(q + 1, len(k))
 
 
-def _run_pair_entropy(n: int, col: np.ndarray, w: np.ndarray, cut: np.ndarray,
-                      sums: Sequence[Tuple[int, int]] = ()) -> float:
-    """The sum over ordered pairs (x, y) of runs of m_x m_y H[L_x * L_y], m_x
-    the mass w of run x and L_x its law, cut as in rdist_runs. Byte-equal
-    laws count as one, and each unordered pair of laws is one row of a
-    two-column table that _sum_entropies scores once, in blocks of at most
-    BATCH_ELEMS entries of work. The work, |L_x| |L_y| entries a listed
-    pair and 2^n a transformed one (_list_bound), plus xor_convolve's on
-    supports of each size pair in sums, raises CostGuardExceeded past
-    PRODUCT_SUPPORT_CAP before any pair is scored; under it, with
-    n <= DENSE_BITS, the keys of _listed_sum_entropies fit in int64."""
+def _pair_entropy(n: int, x, y, sums: Sequence[Tuple[int, int]] = ()):
+    """(S, H[X|Z], H[Y|W]) for families x and y of laws on F_2^n, runs as in
+    cond_rdist: S the sum of p_r q_s H[L_r * L_s] over the runs r of x and s
+    of y, p_r the mass of run r in its family and L_r its law, and H[X|Z]
+    the sum of p_r H[L_r]. Byte-equal laws merge across both families, and
+    the distinct law pairs, (a law of x, a law of y), or unordered when y is
+    x, are scored by _sum_entropies in blocks of at most BATCH_ELEMS entries
+    of work. n > DENSE_BITS, or work past PRODUCT_SUPPORT_CAP (|L_r| |L_s|
+    entries a listed pair and 2^n a transformed one (_list_bound), plus
+    xor_convolve's on supports of each size pair in sums), raises
+    CostGuardExceeded before any pair is scored; under it, the keys of
+    _listed_sum_entropies fit in int64."""
+    _dim_guard(n)
+    same, nx = y is x, len(x[2]) - 1
+    col, w, cut = x if same else (np.concatenate([x[0], y[0]]), np.concatenate([x[1], y[1]]),
+                                  np.r_[x[2], x[2][-1] + y[2][1:]])
     mass = np.add.reduceat(w, cut[:-1])
     col, w, cut = _grouped_runs(n, col, w, cut)
-    law = _law_ids(col, w, cut)
-    m, first = np.bincount(law, weights=mass, minlength=len(law)), np.unique(law)
-    by_size = first[np.argsort(np.diff(cut)[first], kind="stable")]   # the laws by size
-    size, k, bound = np.diff(cut)[by_size], len(by_size), _list_bound(n)
-    at, x = np.r_[0, np.cumsum(size)], np.arange(k)
-    # row x pairs law x with each y >= x, listed while y < j[x], by size
-    j = np.maximum(np.searchsorted(size, -(-bound // size)), x)
-    ends = np.r_[0, np.cumsum(size * (at[j] - at[x]) + (k - j) * bound)]
+    law, h, size = _law_ids(col, w, cut), _run_entropies(w, cut), np.diff(cut)
+    mx, my = (np.bincount(law[s], weights=mass[s] / mass[s].sum(), minlength=len(law))
+              for s in (slice(nx), slice(0 if same else nx, None)))
+    # each side's laws by size; row r pairs law r of x with the laws of y
+    # from first[r] on (r itself when y is x), listed while before j[r]
+    ra, rb = (f[np.argsort(size[f], kind="stable")] for f in map(np.flatnonzero, (mx, my)))
+    sa, sb, k, bound = size[ra], size[rb], len(rb), _list_bound(n)
+    at, first = np.r_[0, np.cumsum(sb)], np.arange(len(ra)) if same else np.zeros(len(ra), int)
+    j = np.maximum(np.searchsorted(sb, -(-bound // sa)), first)
+    ends = np.r_[0, np.cumsum(sa * (at[j] - at[first]) + (k - j) * bound)]
     work = int(ends[-1]) + sum(p * q if p * q < _enum_bound(n) else 1 << n for p, q in sums)
     if work > PRODUCT_SUPPORT_CAP:
         raise CostGuardExceeded("PRODUCT_SUPPORT_CAP", work, "fibre pair sums too large")
     total, lo = 0.0, 0
-    while lo < k:
+    while lo < len(ra):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + BATCH_ELEMS, "right")) - 1)
-        c = k - x[lo:hi]
-        a = by_size[np.repeat(x[lo:hi], c)]
-        b = by_size[np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)]
-        h = _sum_entropies(n, col, w, cut, np.array([a, b]).T)
-        total += float((np.where(a == b, 1.0, 2.0) * m[a] * m[b]) @ h)
+        c = k - first[lo:hi]
+        a = ra[np.repeat(np.arange(lo, hi), c)]
+        b = rb[np.arange(c.sum()) - np.repeat(np.cumsum(c) - k, c)]
+        p = (np.where(a == b, 1.0, 2.0) if same else 1.0) * mx[a] * my[b]
+        total += float(p @ _sum_entropies(n, col, w, cut, np.array([a, b]).T))
         lo = hi
-    return total
+    return total, float(mx @ h), float(my @ h)
 
 
 def rdist_matrix(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
@@ -377,16 +375,10 @@ def cond_rdist(n: int, x, y) -> float:
     """d[X|Z; Y|W], the sum of p(z) p(w) d[X|z; Y|w], Z and W independent.
     x and y are families of laws on F_2^n, each runs (col, w, cut) covering
     col: X|z has the values col[cut[z]:cut[z + 1]] with their weights, of
-    any scale, and p(z) is their sum over the family's. One _rdists call
-    over the two families joined scores every distinct pair of run laws
-    once. n > DENSE_BITS raises CostGuardExceeded before any scoring."""
-    _dim_guard(n)
-    (cx, wx, kx), (cy, wy, ky) = x, y
-    px, py = np.add.reduceat(wx, kx[:-1]), np.add.reduceat(wy, ky[:-1])
-    i, j = np.indices((len(px), len(py))).reshape(2, -1)
-    d = _rdists(n, i, j + len(px), (),
-                (np.concatenate([cx, cy]), np.concatenate([wx, wy]), np.r_[kx, kx[-1] + ky[1:]]))
-    return float(np.outer(px / px.sum(), py / py.sum()).ravel() @ d)
+    any scale, and p(z) is their sum over the family's. It is
+    S - H[X|Z]/2 - H[Y|W]/2 from one _pair_entropy call, under its guards."""
+    S, hx, hy = _pair_entropy(n, x, y)
+    return S - 0.5 * hx - 0.5 * hy
 
 
 def _law_runs(*laws: Dist):

@@ -613,12 +613,12 @@ def test_endgame_choices_with_chunks_across_slice_boundaries(monkeypatch):
 def test_a_pair_of_one_law_scores_only_the_gamma_u_rows(monkeypatch):
     # the rows handed to the kernel: the gamma = U rows at t <= t ^ s (every
     # row of the slice S = 0), and for two laws every gamma = W row
-    scored, kernel = [], bsg.rdist_run_sums
+    scored, kernel = [], bsg.rdist_runs
 
-    def counted(n, col, w, cut, i, j, refs):
-        scored.append(len(i))
-        return kernel(n, col, w, cut, i, j, refs)
-    monkeypatch.setattr(bsg, "rdist_run_sums", counted)
+    def counted(n, col, w, cut, refs=(), sums=None):
+        scored.append(len(sums[0]))
+        return kernel(n, col, w, cut, refs, sums)
+    monkeypatch.setattr(bsg, "rdist_runs", counted)
     rng = make_rng(73)
     halved = 0
     for n in (3, 4, 5):

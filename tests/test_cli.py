@@ -109,6 +109,24 @@ def test_descent_flags_out_of_range_are_a_usage_error(capsys, command, flag, val
     assert err.startswith("usage:") and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the bound 2 K^c is printed as JSON and compared with the translate count
+    (["cover", "--set", "a.set", "--c-exponent", "nan"], "need a finite c >= 0, got nan"),
+    (["cover", "--set", "a.set", "--c-exponent", "inf"], "need a finite c >= 0, got inf"),
+    (["cover", "--set", "a.set", "--c-exponent", "-1"], "need a finite c >= 0, got -1"),
+    # numpy's generators take no negative seed
+    (["check", "--seed", "-5"], "need at least 0 as a seed, got -5"),
+    (["verify-fibring", "--seed", "-5"], "need at least 0 as a seed, got -5"),
+    (["demo", "1", "--seed", "-5"], "need at least 0 as a seed, got -5"),
+])
+def test_exponents_and_seeds_out_of_range_are_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
 def test_a_budget_of_zero_is_accepted(capsys):
     # the fibre classes still take one conditioning value per side
     code, lines = run(capsys, ["--quiet", "demo", "1", "--budget", "0"])

@@ -419,7 +419,7 @@ def test_independent_product_and_joint_product(monkeypatch):
     with pytest.raises(CostGuardExceeded, match="too large") as err:
         monkeypatch.setattr(dists, "PRODUCT_SUPPORT_CAP", 63)
         joint_product(J, J)
-    assert (err.value.guard, err.value.size) == ("joint_product max_support", 64)
+    assert (err.value.guard, err.value.size) == ("PRODUCT_SUPPORT_CAP", 64)
     with pytest.raises(ValueError, match="dimension mismatch") as err:
         joint_product(J, JointDist.from_mapping({(0, 1): 1.0}, 3, ["X", "Y"]))
     assert not isinstance(err.value, CostGuardExceeded)
@@ -574,6 +574,28 @@ def test_dist_file_round_trips(tmp_path):
     assert np.allclose(load_dist(str(q)).dense(), X.dense())
     with pytest.raises(ValueError):
         dense_from_csv("1, 2, 3")
+
+
+@pytest.mark.parametrize("bad, message", [(math.nan, "negative or NaN weight"),
+                                          (math.inf, "infinite total weight"),
+                                          (-math.inf, "negative or NaN weight")])
+def test_a_weight_that_is_not_finite_raises(bad, message, tmp_path):
+    # on the table path and on the keys path alike: a NaN is not dropped as a
+    # zero weight, and an infinity does not normalize to NaN weights
+    table = [1.0, bad, 0.0, 0.0]
+    for read in (lambda: Dist(2, dense=table),
+                 lambda: Dist(2, idx=[0, 1], w=table[:2]),
+                 lambda: JointDist(1, 2, ["X", "Y"], dense=table),
+                 lambda: JointDist(1, 2, ["X", "Y"], keys=[0, 3], w=table[:2])):
+        with pytest.raises(ValueError, match=message):
+            read()
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps({"dim": 2, "entries": [[0, 1.0], [1, bad]]}))
+    q = tmp_path / "x.csv"
+    q.write_text("\n".join(str(v) for v in table))
+    for path in (p, q):
+        with pytest.raises(ValueError, match=message):
+            load_dist(str(path))
 
 
 @settings(max_examples=50, deadline=None)

@@ -106,11 +106,11 @@ def test_cost_guards_raise_their_own_type(monkeypatch):
     with pytest.raises(CostGuardExceeded, match="62 bits") as err:
         fibring_decompose(Z, Z, pi)
     assert (err.value.guard, err.value.size) == ("fibring key bits", 64)
-    monkeypatch.setattr(fibring, "SUPPORT_CAP", 11)
+    monkeypatch.setattr(fibring, "PRODUCT_SUPPORT_CAP", 11)
     Z1, Z2 = uniform_on(range(3), 3), uniform_on(range(4), 3)
     with pytest.raises(CostGuardExceeded, match="too large") as err:
         fibring_decompose(Z1, Z2, LinearMap.identity(3))
-    assert (err.value.guard, err.value.size) == ("SUPPORT_CAP", 12)
+    assert (err.value.guard, err.value.size) == ("PRODUCT_SUPPORT_CAP", 12)
 
 
 def test_pair_dist_guard_is_typed():

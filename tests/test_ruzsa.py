@@ -19,7 +19,7 @@ from entropic_pfr.ruzsa import (ETA_MAX, IneqReport, RefPair,
                                 check_xor_lower, cond_rdist,
                                 cond_rdist_via_joint, rdist,
                                 rdist_matrix, rdist_one_many, rdist_paired,
-                                rdist_pairs, rdist_run_sums, rdist_runs)
+                                rdist_pairs, rdist_runs)
 from oracles import double_shift_via_joint, sum_shift_cond_via_joint
 
 
@@ -233,7 +233,7 @@ def test_rdist_runs_scores_repeated_runs_once(rows_per_chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [None, 4])
-def test_rdist_run_sums_scores_each_distinct_sum_once(bits, monkeypatch):
+def test_rdist_runs_scores_each_distinct_sum_once(bits, monkeypatch):
     # against rdist on the sums built by xor_convolve, with sums listed
     # below 2^n and, with the rule's bound moved to 2^bits, more of them
     # formed from dense rows. Run 3 is byte-equal to run 1, so the pairs
@@ -250,7 +250,7 @@ def test_rdist_run_sums_scores_each_distinct_sum_once(bits, monkeypatch):
     if bits:
         monkeypatch.setattr(ruzsa, "_list_bound", lambda n: 1 << bits)
     rows, listed = _forward_rows(monkeypatch), _listed_items(monkeypatch)
-    got = rdist_run_sums(n, col, w, cut, i, j, refs)
+    got = rdist_runs(n, col, w, cut, refs, (i, j))
     laws = [Dist(n, idx=c, w=x) for c, x in runs]
     sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
     want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
@@ -262,10 +262,10 @@ def test_rdist_run_sums_scores_each_distinct_sum_once(bits, monkeypatch):
     # references and the three distinct runs
     assert rows == [5]
     assert listed == ([] if bits else [4])
-    assert rdist_run_sums(n, col, w, cut, i, j).shape == (1, 6)
+    assert rdist_runs(n, col, w, cut, sums=(i, j)).shape == (1, 6)
 
 
-def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
+def test_rdist_runs_of_sums_holds_at_most_batch_elems_entries(monkeypatch):
     # 40 pairs over 12 runs. At BATCH_ELEMS = 8 << n every stack the kernel
     # transforms or scores has at most 8 rows of 2^n, references included,
     # and the distances are, bit for bit, those of the one stack at the
@@ -279,7 +279,7 @@ def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
     i, j = rng.integers(0, len(runs), (2, 40))
     refs = [random_dist(rng, n), random_dist(rng, n)]
     rows = _forward_rows(monkeypatch)
-    want = rdist_run_sums(n, col, w, cut, i, j, refs)
+    want = rdist_runs(n, col, w, cut, refs, (i, j))
     assert rows == [2 + len(runs)]
     del rows[:]
     scored, entropies = [], ruzsa.conv_entropy
@@ -289,7 +289,7 @@ def test_rdist_run_sums_holds_at_most_batch_elems_entries(monkeypatch):
         return entropies(spec)
     monkeypatch.setattr(ruzsa, "conv_entropy", counted)
     monkeypatch.setattr(ruzsa, "BATCH_ELEMS", 8 << n)
-    assert np.array_equal(rdist_run_sums(n, col, w, cut, i, j, refs), want)
+    assert np.array_equal(rdist_runs(n, col, w, cut, refs, (i, j)), want)
     assert len(rows) > 2 and max(rows) <= 8 and max(scored) <= 8
 
 
@@ -307,7 +307,7 @@ def test_sums_of_small_runs_at_n14_are_listed_not_transformed(monkeypatch):
     transforms = []
     monkeypatch.setattr(ruzsa, "fwht", lambda a: transforms.append(a) or fwht(a))
     monkeypatch.setattr(dists, "fwht", lambda a: transforms.append(a) or fwht(a))
-    got = rdist_run_sums(n, col, w, cut, i, j, refs)
+    got = rdist_runs(n, col, w, cut, refs, (i, j))
     assert transforms == []
     laws = [Dist(n, idx=col[a:b], w=w[a:b]) for a, b in zip(cut[:-1], cut[1:])]
     sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
@@ -322,7 +322,7 @@ def test_run_kernels_refuse_a_reference_of_another_dimension():
         with pytest.raises(ValueError, match="^dimension mismatch$"):
             rdist_runs(5, col, w, cut, [R])
         with pytest.raises(ValueError, match="^dimension mismatch$"):
-            rdist_run_sums(5, col, w, cut, [0], [1], [random_dist(rng, 5), R])
+            rdist_runs(5, col, w, cut, [random_dist(rng, 5), R], ([0], [1]))
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         rdist_pairs([random_dist(rng, 5), random_dist(rng, 4)], [0], [1])
 
@@ -364,7 +364,7 @@ def test_every_element_kind_scores_alike_on_every_path(kind, monkeypatch):
             want = [[rdist(L, L) for L in laws]] + [[rdist(R, L) for L in laws] for R in refs]
         elif kind == "sum":
             sums = [xor_convolve(laws[a], laws[b]) for a, b in zip(i, j)]
-            score = lambda: rdist_run_sums(n, col, w, cut, i, j, refs)
+            score = lambda: rdist_runs(n, col, w, cut, refs, (i, j))
             want = [[rdist(L, L) for L in sums]] + [[rdist(R, L) for L in sums] for R in refs]
         else:   # the elements: the references, the runs, the sums
             E = [*refs, *laws, *(xor_convolve(laws[a], laws[b]) for a, b in zip(i, j))]
@@ -517,14 +517,55 @@ def test_trivial_conditioning_recovers_plain_distance():
         assert got == pytest.approx(rdist(X, Y), abs=1e-12)
 
 
+def test_a_family_against_itself_scores_as_against_a_copy():
+    # x passed as both families takes the unordered pairs of its laws, each
+    # off-diagonal pair counted twice; against a copy of itself, the ordered
+    # pairs. Both agree with the joint-entropy form of two independent
+    # copies of the joint and with the scalar sum, with byte-equal runs and
+    # per-run weight scales in the family
+    rng = make_rng(45)
+    for n in range(1, 7):
+        JX = random_joint(rng, n, 2, ["X", "Z"])
+        col, w, cut = _given_runs(JX, "X", "Z")
+        x = (col, 5.0 * w, cut)
+        assert cond_rdist(n, x, x) == pytest.approx(cond_rdist_via_joint(JX, JX), abs=1e-12)
+        a, b = cut[0], cut[1]
+        w = w * np.repeat(rng.uniform(0.1, 10.0, len(cut) - 1), np.diff(cut))
+        x = (np.concatenate([col, col[a:b], col[a:b]]), np.concatenate([w, w[a:b], 3.0 * w[a:b]]),
+             np.r_[cut, cut[-1] + (b - a) * np.arange(1, 3)])
+        copy = tuple(v.copy() for v in x)
+        got = cond_rdist(n, x, x)
+        assert got == pytest.approx(cond_rdist(n, x, copy), abs=1e-12)
+        assert got == pytest.approx(_scalar_cond_rdist(n, x, copy), abs=1e-12)
+
+
+def _no_scoring(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a pair was scored past the cost guard")
+    monkeypatch.setattr(ruzsa, "_sum_entropies", refused)
+
+
 def test_cond_rdist_refuses_a_dimension_past_dense_bits_before_scoring(monkeypatch):
-    def no_scoring(*args, **kwargs):
-        raise AssertionError("scored past DENSE_BITS")
-    monkeypatch.setattr(ruzsa, "_rdists", no_scoring)
+    _no_scoring(monkeypatch)
     runs = (np.array([0, 1 << 24]), np.array([1.0, 1.0]), np.array([0, 2]))
     with pytest.raises(dists.CostGuardExceeded) as exc:
         cond_rdist(25, runs, runs)
     assert exc.value.guard == "DENSE_BITS"
+
+
+def test_cond_rdist_refuses_pair_work_past_the_cap_before_scoring(monkeypatch):
+    # two families of 9000 one-point runs in F_2^20: about 8.1e7 ordered
+    # pairs of one listed entry each, past PRODUCT_SUPPORT_CAP = 2^26;
+    # scored, they would hold about 200 bytes a pair. Point masses on one
+    # value are one law, so the work counts the distinct values of each side
+    _no_scoring(monkeypatch)
+    rng = np.random.default_rng(5)
+    x, y = ((v, np.ones(len(v)), np.arange(len(v) + 1)) for v in rng.integers(0, 1 << 20, (2, 9000)))
+    with pytest.raises(dists.CostGuardExceeded, match="^fibre pair sums too large$") as exc:
+        cond_rdist(20, x, y)
+    work = len(np.unique(x[0])) * len(np.unique(y[0]))
+    assert (exc.value.guard, exc.value.size) == ("PRODUCT_SUPPORT_CAP", work)
+    assert work > dists.PRODUCT_SUPPORT_CAP
 
 
 def test_sum_shift_cond_builds_no_law_per_fibre(monkeypatch):
